@@ -31,7 +31,7 @@ from .smith import integer_left_inverse
 
 
 @lru_cache(maxsize=None)
-def _root_basis_left_inverse(n: int) -> tuple[tuple[int, ...], ...]:
+def root_basis_left_inverse(n: int) -> tuple[tuple[int, ...], ...]:
     cols = simple_roots(n)
     b = [[cols[j].coords[i] for j in range(n)] for i in range(n + 1)]
     return tuple(tuple(row) for row in integer_left_inverse(b))
@@ -43,7 +43,7 @@ def root_basis_coordinates(v: LatticeVector) -> tuple[int, ...]:
     n = v.n
     if inner(v, canonical_vector(n)) != 0:
         raise ValueError("vector is not orthogonal to the canonical vector")
-    li = _root_basis_left_inverse(n)
+    li = root_basis_left_inverse(n)
     c = tuple(sum(li[i][j] * v.coords[j] for j in range(n + 1)) for i in range(n))
     roots = simple_roots(n)
     check = [0] * (n + 1)

@@ -389,7 +389,6 @@ def _build_parser() -> _Parser:
     def add(name, **kw):
         p = sub.add_parser(name, **kw)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized search")
         p.add_argument("--trace", action="store_true", help="emit step logs")
         return p
 
@@ -446,7 +445,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=None, help="search depth bound")
     p.add_argument("--gens", type=str, required=True, help="JSON generator file")
 
-    add("report", help="reproducibility report over the standing invariants")
+    p = add("report", help="reproducibility report over the standing invariants")
+    p.add_argument("--seed", type=int, default=None, help="seed for the sampled checks")
     return parser
 
 

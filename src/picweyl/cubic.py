@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 
 from . import polys
+from .catalog import root_basis_coordinates
 from .errors import (
     BudgetError,
     CurveError,
@@ -42,6 +43,7 @@ from .projgeom import (
     Mat3,
     Poly3,
     ProjectivePoint,
+    frame_with_last_column,
     kernel_basis,
     mat3_apply,
     mat3_from_columns,
@@ -51,8 +53,6 @@ from .projgeom import (
 )
 
 _SCAN_LIMIT = 4096
-_ORDER_CAP = 10**6
-_POINT_COUNT_LIMIT = 256
 _SUBGROUP_CAP = 10_000
 _CATALOG_BOUND = 4
 
@@ -104,6 +104,7 @@ class CubicCurveModel:
         self.to_canonical = mat3_inverse(from_canonical) if from_canonical else None
         self.relaxed_origin = relaxed_origin
         self._gradient = [poly.partial(i) for i in range(3)]
+        self._layers: dict[tuple, RestrictionLayer] = {}  # see restriction_layer
 
     @property
     def group(self) -> str:
@@ -320,7 +321,7 @@ def _recognize_canonical(f: Poly3) -> CubicCurveModel | None:
 
 def _classify_singular(f: Poly3, s: ProjectivePoint, seed: int) -> CubicCurveModel:
     field = f.field
-    frame = _frame_through(s)
+    frame = frame_with_last_column(s)
     g = f.compose_linear(frame)  # the singular point is now (0:0:1)
     if g.coefficient((0, 0, 3)) or g.coefficient((1, 0, 2)) or g.coefficient((0, 1, 2)):
         raise AssertionError("frame change lost the singularity")
@@ -841,89 +842,215 @@ def _univariate_in_y(f: Poly3, x0: FieldElement) -> Poly:
     return polys.trim([acc.get(i, field.zero()) for i in range(deg + 1)])
 
 
-def _frame_through(p: ProjectivePoint) -> Mat3:
-    field = p.field
-    o, z = field.one(), field.zero()
-    e = [(o, z, z), (z, o, z), (z, z, o)]
-    if p.coords[2]:
-        cols = [e[0], e[1], p.coords]
-    elif p.coords[1]:
-        cols = [e[0], e[2], p.coords]
-    else:
-        cols = [e[1], e[2], p.coords]
-    return mat3_from_columns(cols)
-
-
 # ---------------------------------------------------------------------------
-# restriction of lattice classes to the curve
+# restriction of lattice classes to the curve, in explicit group coordinates
+
+
+class RestrictionLayer:
+    """The restriction homomorphism from the canonical complement k^perp to
+    the smooth-locus group, for one tuple of marked points.
+
+    The images of the simple roots are evaluated once with the group law
+    and given integer coordinates in an explicit finite abelian group
+    A = Z/d_1 + ... + Z/d_r: ``moduli`` holds the d_j and row i of ``rows``
+    the coordinates of the image of alpha_i.  Everything downstream is
+    integer arithmetic on that n x r matrix.  In characteristic 0 the
+    images need not be torsion; then ``rows`` is None.
+    """
+
+    def __init__(self, model: CubicCurveModel, points: tuple):
+        self.group = model.group
+        self.n = len(points)
+        line = model.smooth_point(model.third_intersection(model.origin, model.origin))
+        basis = [line] + [model.smooth_point(p) for p in points]
+        images = [_group_sum(model, zip(a.coords, basis)) for a in simple_roots(self.n)]
+        self.moduli, self.rows = _coordinates(model, images)
+
+    def image(self, coords) -> "RestrictionImage":
+        """The image of the class with these simple-root coordinates."""
+        if self.rows is None:
+            raise DomainError("the simple-root images are not torsion: no group coordinates")
+        return RestrictionImage(
+            self,
+            tuple(
+                sum(c * row[j] for c, row in zip(coords, self.rows)) % d
+                for j, d in enumerate(self.moduli)
+            ),
+        )
 
 
 class RestrictionImage:
-    """Image of a lattice class in the curve's smooth-locus group.
+    """Image of a lattice class in the smooth-locus group, as coordinates
+    in its layer's group A = Z/d_1 + ... + Z/d_r."""
 
-    Additive and multiplicative images are field elements (in K and K^*
-    respectively); elliptic images are group points.
-    """
+    __slots__ = ("layer", "coords")
 
-    __slots__ = ("curve", "value")
-
-    def __init__(self, curve: CubicCurveModel, value):
-        self.curve = curve
-        self.value = value
+    def __init__(self, layer: RestrictionLayer, coords: tuple[int, ...]):
+        self.layer = layer
+        self.coords = coords
 
     @property
     def kind(self) -> str:
-        return self.curve.group
+        return self.layer.group
+
+    def _new(self, coords) -> "RestrictionImage":
+        return RestrictionImage(
+            self.layer, tuple(c % d for c, d in zip(coords, self.layer.moduli))
+        )
 
     def is_zero(self) -> bool:
-        if self.kind == "additive":
-            return not self.value
-        if self.kind == "multiplicative":
-            return self.value == self.curve.field.one()
-        return self.value.point == self.curve.origin
+        return not any(self.coords)
 
     def add(self, other: "RestrictionImage") -> "RestrictionImage":
-        if self.curve is not other.curve:
-            raise ValueError("images live on different curves")
-        if self.kind == "additive":
-            return RestrictionImage(self.curve, self.value + other.value)
-        if self.kind == "multiplicative":
-            return RestrictionImage(self.curve, self.value * other.value)
-        return RestrictionImage(self.curve, self.curve.add(self.value, other.value))
+        if self.layer is not other.layer:
+            raise ValueError("images live in different restriction layers")
+        return self._new(a + b for a, b in zip(self.coords, other.coords))
 
     def neg(self) -> "RestrictionImage":
-        if self.kind == "additive":
-            return RestrictionImage(self.curve, -self.value)
-        if self.kind == "multiplicative":
-            return RestrictionImage(self.curve, self.value.inverse())
-        return RestrictionImage(self.curve, self.curve.negate(self.value))
+        return self._new(-c for c in self.coords)
 
     def scalar(self, n: int) -> "RestrictionImage":
-        if self.kind == "additive":
-            return RestrictionImage(self.curve, self.value * n)
-        if n < 0:
-            return self.neg().scalar(-n)
-        if self.kind == "multiplicative":
-            return RestrictionImage(self.curve, self.value**n)
-        return RestrictionImage(self.curve, self.curve.scalar(n, self.value))
+        return self._new(n * c for c in self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, RestrictionImage):
             return NotImplemented
-        return self.kind == other.kind and self.value == other.value
+        return self.layer is other.layer and self.coords == other.coords
 
     def __repr__(self):
-        return f"RestrictionImage({self.kind}, {self.value!r})"
+        return f"RestrictionImage({self.kind}, {self.coords} mod {self.layer.moduli})"
+
+
+def _group_sum(model: CubicCurveModel, terms) -> SmoothPoint:
+    """sum c * P over the (c, P) pairs, by the group law."""
+    acc = None
+    for c, pt in terms:
+        if not c or pt.point == model.origin:
+            continue
+        term = pt if c == 1 else model.negate(pt) if c == -1 else model.scalar(c, pt)
+        acc = term if acc is None else model.add(acc, term)
+    return model.zero() if acc is None else acc
+
+
+def _coordinates(model: CubicCurveModel, images: list[SmoothPoint]):
+    """(moduli, rows): coordinates of the images in an explicit finite
+    abelian group.  The only step that depends on the curve kind:
+
+    * additive over GF(p^e): the F_p digits of the parameter, A = (Z/p)^e;
+    * multiplicative over F_q: discrete logs to one primitive root,
+      A = Z/(q - 1);
+    * elliptic, and every kind in characteristic 0: the subgroup the images
+      generate, by coset enumeration; (None, None) when an image is not
+      torsion.
+    """
+    field = model.field
+    if field.char and model.group == "additive":
+        digits = [img.param.raw for img in images]
+        digits = [d if isinstance(d, tuple) else (d,) for d in digits]
+        return (field.char,) * len(digits[0]), digits
+    if field.char and model.group == "multiplicative":
+        logs = _discrete_logs([img.param for img in images], field)
+        return (field.order - 1,), [(x,) for x in logs]
+    return _enumerated_coordinates(model, images)
+
+
+def _discrete_logs(xs: list[FieldElement], field: Field) -> list[int]:
+    """Logs of the units xs to one primitive root of the finite field: by
+    Pohlig-Hellman over the factorization of q - 1, with a baby-step
+    giant-step search in each subgroup of prime order."""
+    from sympy import factorint
+
+    n = field.order - 1
+    primes = factorint(n)
+    one = field.one()
+    g = next(
+        x
+        for x in _field_scan(field, field.order)
+        if x and all(x ** (n // r) != one for r in primes)
+    )
+    logs = [0] * len(xs)
+    done = 1  # the logs are known modulo done
+    for r, e in primes.items():
+        re = r**e
+        base = g ** (n // re)  # order r^e
+        gamma = base ** (re // r)  # order r
+        step = math.isqrt(r - 1) + 1
+        baby: dict[FieldElement, int] = {}
+        acc = one
+        for j in range(step):
+            baby.setdefault(acc, j)
+            acc = acc * gamma
+        giant = (gamma**step).inverse()
+        for i, x in enumerate(xs):
+            h = x ** (n // re)
+            log = 0
+            for k in range(e):
+                y = (h * base ** (-log)) ** (re // r ** (k + 1))
+                t = 0
+                while y not in baby:
+                    y = y * giant
+                    t += 1
+                log += (t * step + baby[y]) * r**k
+            logs[i] += done * ((log - logs[i]) * pow(done, -1, re) % re)
+        done *= re
+    return logs
+
+
+def _enumerated_coordinates(model: CubicCurveModel, images: list[SmoothPoint]):
+    """Coordinates in the subgroup H the images generate.  With H_i spanned
+    by the first i images, the first multiple k g_i that lands in H_i, say
+    on h, gives the relation k e_i - c(h), where c(h) expresses h in
+    g_0..g_{i-1}; these n relations present H, and their Smith form gives
+    its invariant factors.  A plane cubic over Q has rational torsion of
+    order at most 12, so in characteristic 0 an image with no relation by
+    then is not torsion."""
+    from .smith import smith_normal_form
+
+    n = len(images)
+    bound = 12 if model.field.char == 0 else None
+    members = {model.origin: (model.zero(), (0,) * n)}  # point -> (element, c)
+    relations = []
+    for i, g in enumerate(images):
+        acc, k = g, 1
+        while acc.point not in members:
+            if k == bound:
+                return None, None
+            k += 1
+            if k * len(members) > _SUBGROUP_CAP:
+                raise BudgetError("image subgroup exceeds the enumeration cap")
+            acc = model.add(acc, g)
+        rel = [-c for c in members[acc.point][1]]
+        rel[i] += k
+        relations.append(rel)
+        if i < n - 1:
+            coset = list(members.values())
+            for j in range(1, k):
+                coset = [(model.add(s, g), c[:i] + (j,) + c[i + 1 :]) for s, c in coset]
+                members.update((s.point, (s, c)) for s, c in coset)
+    _, d, v = smith_normal_form(relations)
+    keep = [j for j in range(n) if d[j][j] != 1]
+    moduli = tuple(d[j][j] for j in keep)
+    return moduli, [tuple(v[i][j] % d[j][j] for j in keep) for i in range(n)]
 
 
 def _as_point_list(points) -> list[ProjectivePoint]:
     return list(getattr(points, "points", points))
 
 
+def restriction_layer(model: CubicCurveModel, points) -> RestrictionLayer:
+    """The restriction layer for these points, built once per model and
+    point tuple."""
+    key = tuple(_as_point_list(points))
+    layer = model._layers.get(key)
+    if layer is None:
+        layer = model._layers[key] = RestrictionLayer(model, key)
+    return layer
+
+
 def restriction_hom(model: CubicCurveModel, points, cls: LatticeVector) -> RestrictionImage:
-    """Restrict the class d e_0 - sum m_i e_i to the curve: d times the
-    line-section class minus the weighted sum of the marked points, as an
-    element of the smooth-locus group.
+    """Restrict the class d e_0 - sum m_i e_i of k^perp to the curve: d
+    times the line-section class minus the weighted sum of the marked
+    points, as an element of the smooth-locus group.
 
     With an inflection origin the line-section class is zero (line sections
     have parameter sum 0 and parameter product 1 on the singular models);
@@ -933,119 +1060,20 @@ def restriction_hom(model: CubicCurveModel, points, cls: LatticeVector) -> Restr
     pts = _as_point_list(points)
     if cls.n != len(pts):
         raise ValueError(f"class indexes {cls.n} points, {len(pts)} given")
-    sm = [model.smooth_point(p) for p in pts]
-    return _restrict(model, sm, cls)
-
-
-def _restrict(
-    model: CubicCurveModel, sm: list[SmoothPoint], cls: LatticeVector
-) -> RestrictionImage:
-    d = cls.degree
-    mults = cls.multiplicities
-    if model.kind == "cuspidal":
-        acc = model.field.zero()
-        for m, s in zip(mults, sm):
-            if m:
-                acc = acc - m * s.param
-        return RestrictionImage(model, acc)
-    if model.kind == "nodal":
-        acc = model.field.one()
-        for m, s in zip(mults, sm):
-            if m:
-                acc = acc * s.param ** (-m)
-        return RestrictionImage(model, acc)
-    line_rep = SmoothPoint(model.third_intersection(model.origin, model.origin))
-    acc = model.scalar(d, line_rep)
-    for m, s in zip(mults, sm):
-        if m:
-            acc = model.add(acc, model.scalar(-m, s))
-    return RestrictionImage(model, acc)
+    return restriction_layer(model, pts).image(root_basis_coordinates(cls))
 
 
 def generator_images(model: CubicCurveModel, points) -> list[RestrictionImage]:
     """Images of the simple roots under class restriction."""
-    pts = _as_point_list(points)
-    sm = [model.smooth_point(p) for p in pts]
-    return [_restrict(model, sm, a) for a in simple_roots(len(pts))]
+    layer = restriction_layer(model, points)
+    return [layer.image([int(i == j) for j in range(layer.n)]) for i in range(layer.n)]
 
 
-def image_order(img: RestrictionImage, cap: int = _ORDER_CAP) -> int | None:
-    """Exact order of the image in the smooth-locus group; None for a
-    non-torsion element (possible only in characteristic 0)."""
-    model = img.curve
-    field = model.field
-    if img.is_zero():
-        return 1
-    if model.kind == "cuspidal":
-        return field.char if field.char else None
-    if model.kind == "nodal":
-        if field.order is not None:
-            return _multiplicative_order(img.value, field.order - 1)
-        return 2 if img.value == field(-1) else None
-    if field.order is None:
-        return _rational_point_order(model, img.value)
-    if field.order <= _POINT_COUNT_LIMIT:
-        return _order_from_group_order(model, img.value, _count_points(model))
-    acc = img.value
-    for k in range(1, cap + 1):
-        if acc.point == model.origin:
-            return k
-        acc = model.add(acc, img.value)
-    raise BudgetError(f"point order exceeds the cap {cap}")
-
-
-def _multiplicative_order(x: FieldElement, group_order: int) -> int:
-    from sympy import factorint
-
-    n = group_order
-    for p, e in factorint(group_order).items():
-        for _ in range(e):
-            if x ** (n // p) == x.field.one():
-                n //= p
-            else:
-                break
-    return n
-
-
-def _order_from_group_order(model, pt: SmoothPoint, n: int) -> int:
-    from sympy import factorint
-
-    order = n
-    for p, e in factorint(n).items():
-        for _ in range(e):
-            cand = order // p
-            if model.scalar(cand, pt).point == model.origin:
-                order = cand
-            else:
-                break
-    return order
-
-
-def _count_points(model: CubicCurveModel) -> int:
-    field = model.field
-    one, zero = field.one(), field.zero()
-    count = 0
-    for x0 in field.elements():
-        for y0 in field.elements():
-            if not model.poly.evaluate((x0, y0, one)):
-                count += 1
-    for t in field.elements():
-        if not model.poly.evaluate((t, one, zero)):
-            count += 1
-    if not model.poly.evaluate((one, zero, zero)):
-        count += 1
-    return count
-
-
-def _rational_point_order(model: CubicCurveModel, pt: SmoothPoint) -> int | None:
-    """Over Q a torsion point of a plane cubic has order at most 12, so a
-    short multiple scan decides torsion against infinite order."""
-    acc = pt
-    for k in range(1, 13):
-        if acc.point == model.origin:
-            return k
-        acc = model.add(acc, pt)
-    return None
+def image_order(img: RestrictionImage) -> int:
+    """Exact order of the image in the smooth-locus group."""
+    return math.lcm(
+        *(d // math.gcd(d, x) for d, x in zip(img.layer.moduli, img.coords))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1055,31 +1083,19 @@ def _rational_point_order(model: CubicCurveModel, pt: SmoothPoint) -> int | None
 def halphen_index_check(model: CubicCurveModel, points, m: int) -> bool:
     """Does the anticanonical class restrict to an element of exact order m
     on these nine points?"""
-    from sympy import factorint
-
     pts = _as_point_list(points)
     if len(pts) != 9:
         raise DomainError("the pencil-index check takes nine points")
     if m < 1:
         raise ValueError("the index must be positive")
-    eps = restriction_hom(model, pts, -canonical_vector(9))
-    if not eps.scalar(m).is_zero():
-        return False
-    for p in factorint(m):
-        if eps.scalar(m // p).is_zero():
-            return False
-    return True
+    return image_order(restriction_hom(model, pts, -canonical_vector(9))) == m
 
 
 def torsion_set_check(model: CubicCurveModel, points) -> tuple[bool, int | None]:
     """(all generator images torsion, least exponent killing all of them)."""
-    m = 1
-    for img in generator_images(model, points):
-        o = image_order(img)
-        if o is None:
-            return False, None
-        m = math.lcm(m, o)
-    return True, m
+    if restriction_layer(model, points).rows is None:
+        return False, None
+    return True, math.lcm(*(image_order(img) for img in generator_images(model, points)))
 
 
 def harbourne_check(model: CubicCurveModel, points) -> tuple[bool, dict]:
@@ -1092,17 +1108,11 @@ def harbourne_check(model: CubicCurveModel, points) -> tuple[bool, dict]:
     """
     if model.kind != "cuspidal" or model.field.char == 0:
         raise DomainError("this kernel test applies to cuspidal curves over finite fields")
-    pts = _as_point_list(points)
-    n = len(pts)
-    imgs = generator_images(model, pts)
+    layer = restriction_layer(model, points)
+    n = layer.n
     p = model.field.char
     fp = PrimeField(p)
-    cols = []
-    for img in imgs:
-        raw = img.value.raw
-        cols.append([fp(c) for c in (raw if isinstance(raw, tuple) else (raw,))])
-    e = len(cols[0])
-    rows = [[cols[j][i] for j in range(n)] for i in range(e)]
+    rows = [[fp(row[j]) for row in layer.rows] for j in range(len(layer.moduli))]
     rank = matrix_rank([r[:] for r in rows])
     if rank == n:
         return True, {"kernel": f"{p} * (canonical complement)", "rank": rank}
@@ -1120,153 +1130,21 @@ def kernel_submodule_generators(
 ) -> list[tuple[int, ...]]:
     """Generators, in simple-root coordinates mod m, of the residues of the
     restriction kernel: all x with sum of x_i times image(alpha_i) zero in
-    the group.  The implicit m * (everything) is not listed."""
-    pts = _as_point_list(points)
-    imgs = generator_images(model, pts)
-    n = len(imgs)
-    if model.kind == "cuspidal":
-        p = model.field.char
-        if m != p:
-            raise DomainError("additive images have exponent p")
-        fp = PrimeField(p)
-        cols = []
-        for img in imgs:
-            raw = img.value.raw
-            cols.append([fp(c) for c in (raw if isinstance(raw, tuple) else (raw,))])
-        e = len(cols[0])
-        rows = [[cols[j][i] for j in range(n)] for i in range(e)]
-        kb = kernel_basis(rows, fp)
-        return [tuple(int(c.raw) % m for c in v) for v in kb]
-    if model.kind == "nodal":
-        zeta = _element_of_order(imgs, m)
-        logs = [_discrete_log(img.value, zeta, m) for img in imgs]
-        return _row_kernel_mod(logs, m)
-    return _elliptic_kernel_generators(model, imgs, m)
-
-
-def _element_of_order(imgs: list[RestrictionImage], m: int) -> FieldElement:
-    """An element of exact order m in the cyclic group generated by the
-    multiplicative images."""
-    acc_val = imgs[0].curve.field.one()
-    acc_ord = 1
-    for img in imgs:
-        o = image_order(img)
-        if o == 1:
-            continue
-        acc_val, acc_ord = _cyclic_merge(acc_val, acc_ord, img.value, o)
-    if acc_ord != m:
-        raise AssertionError("generator orders do not reach the stated exponent")
-    return acc_val
-
-
-def _cyclic_merge(a: FieldElement, oa: int, b: FieldElement, ob: int):
-    """An element of order lcm(oa, ob) inside the cyclic group containing
-    a and b: combine components of coprime prime-power order."""
-    from sympy import factorint
-
-    target = math.lcm(oa, ob)
-    fa = factorint(oa)
-    x = a.field.one()
-    for p, e in factorint(target).items():
-        if fa.get(p, 0) >= e:
-            x = x * a ** (oa // p**e)
-        else:
-            x = x * b ** (ob // p**e)
-    return x, target
-
-
-def _discrete_log(x: FieldElement, zeta: FieldElement, m: int) -> int:
-    acc = x.field.one()
-    for k in range(m):
-        if acc == x:
-            return k
-        acc = acc * zeta
-    raise AssertionError("element not in the cyclic subgroup")
-
-
-def _row_kernel_mod(coeffs: list[int], m: int) -> list[tuple[int, ...]]:
-    """Generators of the solutions of sum coeffs_i x_i = 0 mod m."""
+    the group.  m must be a multiple of the images' exponent; the implicit
+    m * (everything) is not listed."""
     from .smith import integer_kernel
 
-    n = len(coeffs)
-    aug = [list(coeffs) + [m]]
-    kb = integer_kernel(aug)
-    return [tuple(v[i] % m for i in range(n)) for v in kb]
-
-
-def _elliptic_kernel_generators(
-    model: CubicCurveModel, imgs: list[RestrictionImage], m: int
-) -> list[tuple[int, ...]]:
-    """Kernel residues when the images live on a smooth cubic: enumerate
-    the (small) subgroup they generate, split it into at most two cyclic
-    factors, and solve the resulting congruences."""
-    from .smith import integer_kernel
-
-    pts = [img.value for img in imgs]
-    seen = {model.origin}
-    queue = [model.zero()]
-    members = [model.zero()]
-    while queue:
-        cur = queue.pop()
-        for g in pts:
-            nxt = model.add(cur, g)
-            if nxt.point not in seen:
-                seen.add(nxt.point)
-                queue.append(nxt)
-                members.append(nxt)
-                if len(seen) > _SUBGROUP_CAP:
-                    raise BudgetError("image subgroup exceeds the enumeration cap")
-    order_h = len(members)
-    orders = {s.point: _order_in_subgroup(model, s, order_h) for s in members}
-    h1 = max(members, key=lambda s: (orders[s.point], _point_key(s.point)))
-    d1 = orders[h1.point]
-    d2 = order_h // d1
-    table: dict[ProjectivePoint, tuple[int, int]] = {}
-    if d2 == 1:
-        acc = model.zero()
-        for i in range(d1):
-            table[acc.point] = (i, 0)
-            acc = model.add(acc, h1)
-    else:
-        found = False
-        for cand in sorted(members, key=lambda s: _point_key(s.point)):
-            tbl: dict[ProjectivePoint, tuple[int, int]] = {}
-            acc_i = model.zero()
-            ok = True
-            for i in range(d1):
-                acc_j = acc_i
-                for j in range(d2):
-                    if acc_j.point in tbl:
-                        ok = False
-                        break
-                    tbl[acc_j.point] = (i, j)
-                    acc_j = model.add(acc_j, cand)
-                if not ok:
-                    break
-                acc_i = model.add(acc_i, h1)
-            if ok and len(tbl) == order_h:
-                table = tbl
-                found = True
-                break
-        if not found:
-            raise AssertionError("failed to split the image subgroup")
-    coords = [table[p.point] for p in pts]
-    n = len(imgs)
+    torsion, exponent = torsion_set_check(model, points)
+    if not torsion or m % exponent:
+        raise DomainError(f"the simple-root images do not all have order dividing {m}")
+    layer = restriction_layer(model, points)
+    n, moduli = layer.n, layer.moduli
+    # x is a relation iff x . column_j + d_j y_j = 0 for some integers y_j
     aug = [
-        [c[0] for c in coords] + [d1, 0],
-        [c[1] for c in coords] + [0, d2],
-    ]
-    kb = integer_kernel(aug)
-    return [tuple(v[i] % m for i in range(n)) for v in kb]
-
-
-def _order_in_subgroup(model, s: SmoothPoint, bound: int) -> int:
-    acc = s
-    for k in range(1, bound + 1):
-        if acc.point == model.origin:
-            return k
-        acc = model.add(acc, s)
-    raise AssertionError("order not found within the subgroup bound")
+        [row[j] for row in layer.rows] + [d if i == j else 0 for i in range(len(moduli))]
+        for j, d in enumerate(moduli)
+    ] or [[0] * n]
+    return [tuple(v[i] % m for i in range(n)) for v in integer_kernel(aug)]
 
 
 def unnodal_by_kernel(
@@ -1280,7 +1158,7 @@ def unnodal_by_kernel(
 
     Returns (verdict, witness_root, certificate).
     """
-    from .catalog import enumerate_roots, q2_value
+    from .catalog import enumerate_roots, q2_value, root_basis_left_inverse
 
     pts = _as_point_list(points)
     n = len(pts)
@@ -1289,19 +1167,34 @@ def unnodal_by_kernel(
         raise DomainError("generator images are not torsion; no kernel modulus exists")
     if m == 1:
         witness = simple_roots(n)[1]
-        return False, witness, {"certificate": "all-classes-degenerate", "modulus": 1}
+        return False, witness, {
+            "certificate": "all-classes-degenerate",
+            "modulus": 1,
+            "complete": True,
+        }
     gens = kernel_submodule_generators(model, pts, m)
     nontrivial = [g for g in gens if any(c % m for c in g)]
     if not nontrivial:
         return True, None, {"certificate": "kernel-trivial", "modulus": m, "complete": True}
 
-    sm = [model.smooth_point(p) for p in pts]
+    # the change to simple-root coordinates folded into the image matrix:
+    # a root then restricts by one dot product per group coordinate
+    layer = restriction_layer(model, pts)
+    li = root_basis_left_inverse(n)
+    weights = [
+        [sum(li[i][k] * row[j] for i, row in enumerate(layer.rows)) % d for k in range(n + 1)]
+        for j, d in enumerate(layer.moduli)
+    ]
     for root in enumerate_roots(n, _CATALOG_BOUND):
-        if _restrict(model, sm, root).is_zero():
+        if not any(
+            sum(c * w for c, w in zip(root.coords, col)) % d
+            for col, d in zip(weights, layer.moduli)
+        ):
             return False, root, {
                 "certificate": "catalog-root",
                 "modulus": m,
                 "bound": _CATALOG_BOUND,
+                "complete": True,
             }
 
     if m % 2 == 0:

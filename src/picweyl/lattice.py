@@ -163,10 +163,7 @@ class HyperbolicLattice:
         return gram_matrix(self.simple_roots)
 
     def signature_matrix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple((1 if i == 0 else -1) if i == j else 0 for j in range(self.dim))
-            for i in range(self.dim)
-        )
+        return _sig(self.dim)
 
     def __repr__(self) -> str:
         return f"HyperbolicLattice(n={self.n})"

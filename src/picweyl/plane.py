@@ -19,6 +19,7 @@ from .projgeom import (
     Poly3,
     ProjectivePoint,
     frame_transform,
+    frame_with_last_column,
     kernel_basis,
     mat3_apply,
     mat3_det,
@@ -152,7 +153,7 @@ def _transformed_monomials(p: ProjectivePoint, d: int) -> list[Poly3]:
     if hit is not None:
         return hit
     field = p.field
-    frame = _frame_with_last_column(p)
+    frame = frame_with_last_column(p)
     forms = [Poly3.linear_form(field, row) for row in frame]
     powers = []
     for f in forms:
@@ -184,23 +185,6 @@ def effective_curves_basis(cfg: PointConfiguration, cls: LatticeVector) -> list[
     return [
         Poly3(field, {key: c for key, c in zip(monos, v) if c}) for v in vecs
     ]
-
-
-def _frame_with_last_column(p: ProjectivePoint) -> Mat3:
-    """Invertible matrix whose last column is p; the first two columns are
-    standard basis vectors chosen off p's support."""
-    field = p.field
-    o, z = field.one(), field.zero()
-    e = [(o, z, z), (z, o, z), (z, z, o)]
-    if p.coords[2]:
-        cols = [e[0], e[1], p.coords]
-    elif p.coords[1]:
-        cols = [e[0], e[2], p.coords]
-    else:
-        cols = [e[1], e[2], p.coords]
-    m = mat3_from_columns(cols)
-    assert mat3_det(m)
-    return m
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,23 @@ def frame_transform(
     )
 
 
+def frame_with_last_column(p: ProjectivePoint) -> Mat3:
+    """Invertible matrix whose last column is p; the first two columns are
+    standard basis vectors chosen off p's support."""
+    field = p.field
+    o, z = field.one(), field.zero()
+    e = [(o, z, z), (z, o, z), (z, z, o)]
+    if p.coords[2]:
+        cols = [e[0], e[1], p.coords]
+    elif p.coords[1]:
+        cols = [e[0], e[2], p.coords]
+    else:
+        cols = [e[1], e[2], p.coords]
+    m = mat3_from_columns(cols)
+    assert mat3_det(m)
+    return m
+
+
 # ---------------------------------------------------------------------------
 # generic exact Gaussian elimination
 

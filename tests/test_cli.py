@@ -106,6 +106,12 @@ class TestLattice:
         assert data["n"] == 10
         assert data["gram"][0][0] == -2
 
+    def test_seed_is_rejected_where_nothing_is_random(self, capsys):
+        code, out, err = run(capsys, "gram", "--n", "10", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --seed 1" in err
+
     def test_enumerate_roots(self, capsys):
         code, out, _ = run(capsys, "enumerate-roots", "--n", "10", "--max-degree", "2")
         assert code == 0

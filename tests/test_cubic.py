@@ -5,14 +5,17 @@ Weierstrass-law script: exactly 100 rational points, (0:14:1) of order 100.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from picweyl import (
     CubicCurveModel,
     CurveError,
     DomainError,
     ExtensionField,
+    LatticeVector,
     Poly3,
     PrimeField,
     ProjectivePoint,
@@ -35,10 +38,14 @@ from picweyl import (
 from picweyl.cubic import image_order
 
 F = PrimeField(101)
+F7 = PrimeField(7)
 
 SMOOTH = {"021": 1, "300": -1, "201": 1, "102": -1, "003": 6}
 NODAL = {"021": 1, "300": -1, "201": -1}
 CUSPIDAL = {"021": 1, "300": -1}
+ELLIPTIC_F7 = {"021": 1, "300": -1, "003": -3}  # y^2 = x^3 + 3, 13 points
+# a smooth cubic over F_7 with no rational inflection: relaxed origin
+RELAXED_F7 = {"003": 3, "030": 3, "102": 4, "111": 4, "120": 2, "201": 3, "210": 3, "300": 6}
 
 
 def smooth_model():
@@ -337,3 +344,112 @@ class TestRationalCuspidal:
         pts = [m.point_from_parameter(Q.from_int(i)).point for i in range(1, 10)]
         torsion, exponent = torsion_set_check(m, pts)
         assert not torsion and exponent is None
+
+
+def _affine_points(f, field, count):
+    pts = [
+        ProjectivePoint(field, (x, y, 1))
+        for x in range(field.p)
+        for y in range(field.p)
+        if not f.evaluate((field(x), field(y), field(1)))
+    ]
+    return pts[:count]
+
+
+@lru_cache(maxsize=None)
+def layer_fixture(name):
+    """(model, marked points) for the differential tests of the layer."""
+    if name == "smooth-F101":
+        m = smooth_model()
+        return m, TestRestriction().nine_points(m)
+    if name in ("elliptic-F7", "relaxed-F7"):
+        f = Poly3.from_coeff_map(F7, ELLIPTIC_F7 if name == "elliptic-F7" else RELAXED_F7)
+        m = classify_cubic(f)
+        assert m.relaxed_origin == (name == "relaxed-F7")
+        return m, _affine_points(f, F7, 9)
+    if name == "nodal-F101":
+        m = nodal_model()
+        return m, [m.point_from_parameter(F(t)).point for t in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
+    if name == "cusp-F101":
+        m = cusp_model()
+        return m, [m.point_from_parameter(F(t)).point for t in (1, 4, 9, 16, 25, 36, 49, 64, 81, 100)]
+    K = ExtensionField(5, 4)
+    m = cusp_model(K)
+    params = [K.element((i % 5, i // 5 % 5, i * i % 5, 1)) for i in range(10)]
+    return m, [m.point_from_parameter(t).point for t in params]
+
+
+LAYER_FIXTURES = (
+    "smooth-F101", "elliptic-F7", "relaxed-F7", "nodal-F101", "cusp-F101", "cusp-GF625"
+)
+
+
+def _from_root_coords(xs):
+    """The class sum x_i alpha_i of k^perp."""
+    cls = LatticeVector((0,) * (len(xs) + 1))
+    for x, a in zip(xs, simple_roots(len(xs))):
+        cls = cls + a * x
+    return cls
+
+
+def _direct(model, pts, cls):
+    """d L - sum m_i P_i straight through the group law."""
+    line = model.smooth_point(model.third_intersection(model.origin, model.origin))
+    acc = model.scalar(cls.degree, line)
+    for mult, p in zip(cls.multiplicities, pts):
+        acc = model.add(acc, model.scalar(-mult, model.smooth_point(p)))
+    return acc
+
+
+def _order_by_addition(model, pt):
+    acc, k = pt, 1
+    while acc != model.zero():
+        acc, k = model.add(acc, pt), k + 1
+    return k
+
+
+root_coords = st.lists(st.integers(-3, 3), min_size=10, max_size=10)
+
+
+class TestRestrictionLayer:
+    """Group coordinates against the group law itself."""
+
+    @pytest.mark.parametrize("name", LAYER_FIXTURES)
+    @settings(max_examples=25, deadline=None)
+    @given(xs=root_coords, scale=st.integers(1, 4))
+    def test_is_zero_matches_the_group_law(self, name, xs, scale):
+        m, pts = layer_fixture(name)
+        cls = _from_root_coords(xs[: len(pts)])
+        direct = _direct(m, pts, cls)
+        assert restriction_hom(m, pts, cls).is_zero() == (direct == m.zero())
+        # a multiple that kills the image, and the image minus itself
+        k = _order_by_addition(m, direct) * scale
+        assert restriction_hom(m, pts, cls * k).is_zero()
+        img = restriction_hom(m, pts, cls)
+        assert img.add(img.neg()).is_zero()
+
+    @pytest.mark.parametrize("name", LAYER_FIXTURES)
+    @settings(max_examples=25, deadline=None)
+    @given(xs=root_coords)
+    def test_image_order_matches_repeated_addition(self, name, xs):
+        m, pts = layer_fixture(name)
+        cls = _from_root_coords(xs[: len(pts)])
+        expected = _order_by_addition(m, _direct(m, pts, cls))
+        assert image_order(restriction_hom(m, pts, cls)) == expected
+
+    @pytest.mark.parametrize("name", ("smooth-F101", "elliptic-F7", "relaxed-F7", "nodal-F101"))
+    def test_kernel_generators_restrict_to_zero(self, name):
+        m, pts = layer_fixture(name)
+        torsion, exponent = torsion_set_check(m, pts)
+        assert torsion
+        gens = kernel_submodule_generators(m, pts, exponent)
+        assert gens
+        for g in gens:
+            assert _direct(m, pts, _from_root_coords(g)) == m.zero()
+
+    def test_non_torsion_images_have_no_coordinates(self):
+        Q = RationalField()
+        m = classify_cubic(Poly3.from_coeff_map(Q, CUSPIDAL))
+        pts = [m.point_from_parameter(Q.from_int(i)).point for i in range(1, 10)]
+        with pytest.raises(DomainError):
+            restriction_hom(m, pts, vector(0, 1, -1, 0, 0, 0, 0, 0, 0, 0))
