@@ -59,10 +59,15 @@ def residue_mod2(v: LatticeVector) -> tuple[int, ...]:
     return tuple(c % 2 for c in root_basis_coordinates(v))
 
 
+@lru_cache(maxsize=None)
+def _simple_root_gram(n: int) -> tuple[tuple[int, ...], ...]:
+    return gram_matrix(simple_roots(n))
+
+
 def q2_value(coords_mod2: tuple[int, ...], n: int = 10) -> int:
     """Half the even quadratic form, reduced mod 2, on a residue class in
     root-basis coordinates."""
-    g = gram_matrix(simple_roots(n))
+    g = _simple_root_gram(n)
     x = coords_mod2
     total = 0
     for i in range(n):
@@ -88,6 +93,7 @@ def residue_counts_mod2(n: int = 10) -> tuple[int, int]:
 # root enumeration
 
 
+@lru_cache(maxsize=None)
 def enumerate_roots(n: int, max_degree: int) -> tuple[LatticeVector, ...]:
     """All roots of degree 0..max_degree, normalized and lex-sorted.
 
@@ -181,6 +187,7 @@ def _class_from_multiplicities(degree: int, mults: dict[int, int]) -> LatticeVec
     return LatticeVector(tuple(coords))
 
 
+@lru_cache(maxsize=None)
 def coble_conditions() -> tuple[ClassFamily, ...]:
     """The 45 + 120 + 210 + 120 + 1 distinct mod-2 conditions on ten points.
 
@@ -260,6 +267,7 @@ def catalog_to_csv(families: tuple[ClassFamily, ...]) -> str:
 # prohibited classes for index-m pencils on nine points
 
 
+@lru_cache(maxsize=None)
 def halphen_prohibited_classes(m: int) -> tuple[LatticeVector, ...]:
     """Roots that must not be effective for a nine-point set to carry an
     index-m pencil: k-shifted coincidence classes -dK + e_i - e_j for

@@ -229,15 +229,16 @@ class CubicCurveModel:
         return SmoothPoint(self.third_intersection(oo, a.point))
 
     def scalar(self, n: int, a: SmoothPoint) -> SmoothPoint:
+        """n * a by double-and-add from the top bit down."""
         if n < 0:
             return self.scalar(-n, self.negate(a))
-        acc = self.zero()
-        base = a
-        while n:
-            if n & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
-            n >>= 1
+        if n == 0:
+            return self.zero()
+        acc = a
+        for bit in bin(n)[3:]:
+            acc = self.add(acc, acc)
+            if bit == "1":
+                acc = self.add(acc, a)
         return acc
 
     def chord_add(self, a: SmoothPoint, b: SmoothPoint) -> SmoothPoint:

@@ -159,6 +159,31 @@ class Field:
     def descriptor(self) -> dict:
         raise NotImplementedError
 
+    def rref_raw(self, m: list[list]) -> list[int]:
+        """Bring m, a list of equally long rows of raws, to reduced row
+        echelon form in place and return the pivot columns.  The pivot for
+        column c is the first nonzero entry at or below the current row;
+        columns left of c are zero in the pivot row, so only the rest change."""
+        zero, sub, mul = self._zero, self._sub, self._mul
+        pivots: list[int] = []
+        r = 0
+        for c in range(len(m[0]) if m else 0):
+            pivot = next((i for i in range(r, len(m)) if m[i][c] != zero), None)
+            if pivot is None:
+                continue
+            m[r], m[pivot] = m[pivot], m[r]
+            inv = self._inv(m[r][c])
+            tail = m[r][c:] = [mul(x, inv) for x in m[r][c:]]
+            for i, other in enumerate(m):
+                f = other[c]
+                if f != zero and i != r:
+                    other[c:] = [sub(x, mul(f, y)) for x, y in zip(other[c:], tail)]
+            pivots.append(c)
+            r += 1
+            if r == len(m):
+                break
+        return pivots
+
 
 class PrimeField(Field):
     def __init__(self, p: int):
@@ -184,6 +209,28 @@ class PrimeField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
+
+    def rref_raw(self, m: list[list[int]]) -> list[int]:
+        """Field.rref_raw with the arithmetic inlined on ints mod p."""
+        p = self.p
+        pivots: list[int] = []
+        r = 0
+        for c in range(len(m[0]) if m else 0):
+            pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+            if pivot is None:
+                continue
+            m[r], m[pivot] = m[pivot], m[r]
+            inv = pow(m[r][c], -1, p)
+            tail = m[r][c:] = [x * inv % p for x in m[r][c:]]
+            for i, other in enumerate(m):
+                f = other[c]
+                if f and i != r:
+                    other[c:] = [(x - f * y) % p for x, y in zip(other[c:], tail)]
+            pivots.append(c)
+            r += 1
+            if r == len(m):
+                break
+        return pivots
 
     def element(self, raw) -> FieldElement:
         return FieldElement(self, int(raw) % self.p)

@@ -26,14 +26,19 @@ from .projgeom import (
     mat3_from_columns,
     mat3_inverse,
     mat3_mul,
+    matrix_rank,
     monomial_exponents,
 )
 
 
 class PointConfiguration:
-    """Ordered tuple of pairwise distinct plane points over one field."""
+    """Ordered tuple of pairwise distinct plane points over one field.
 
-    __slots__ = ("field", "points")
+    `_conditions` memoises interpolation condition rows per degree (see
+    `_condition_rows`); it is derived data, so equality and JSON ignore it.
+    """
+
+    __slots__ = ("field", "points", "_conditions")
 
     def __init__(self, field: Field, points: Sequence[ProjectivePoint]):
         pts = tuple(points)
@@ -44,6 +49,7 @@ class PointConfiguration:
             raise DomainError("configuration points must be pairwise distinct")
         self.field = field
         self.points = pts
+        self._conditions: dict[int, tuple[dict, dict]] = {}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -119,39 +125,35 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
     d = cls.degree
     if d < 0:
         return False, -1
-    field = cfg.field
     ncols = len(monomial_exponents(d))
     rows = _condition_rows(cfg, cls, d)
-    if not rows:
-        return True, ncols - 1
-    kernel = kernel_basis(rows, field)
-    dim = len(kernel) - 1
+    dim = ncols - (matrix_rank(rows) if rows else 0) - 1
     return dim >= 0, dim
 
 
 def _condition_rows(cfg: PointConfiguration, cls: LatticeVector, d: int) -> list[list]:
+    """One row per vanishing coefficient (a, b) at each point, a + b < m_i.
+    Rows are memoised on the configuration: verdict routines test hundreds
+    of classes on the same points, and the rows of one point and degree
+    recur in all of them."""
+    transformed, rows_at = cfg._conditions.setdefault(d, ({}, {}))
     rows: list[list] = []
-    for p, m in zip(cfg.points, cls.multiplicities):
-        if m <= 0:
-            continue
-        transformed = _transformed_monomials(p, d)
+    for i, m in enumerate(cls.multiplicities):
         for a in range(m):
             for b in range(m - a):
-                rows.append([t.coefficient((a, b, d - a - b)) for t in transformed])
+                row = rows_at.get((i, a, b))
+                if row is None:
+                    if i not in transformed:
+                        transformed[i] = _transformed_monomials(cfg.points[i], d)
+                    key = (a, b, d - a - b)
+                    row = rows_at[i, a, b] = [t.coefficient(key) for t in transformed[i]]
+                rows.append(row)
     return rows
-
-
-_TRANSFORMED_CACHE: dict = {}
 
 
 def _transformed_monomials(p: ProjectivePoint, d: int) -> list[Poly3]:
     """Basis monomials of degree d composed with the frame moving p to
-    (0:0:1).  Cached per (point, degree): verdict routines hit the same
-    points with hundreds of classes."""
-    key = (p, d)
-    hit = _TRANSFORMED_CACHE.get(key)
-    if hit is not None:
-        return hit
+    (0:0:1)."""
     field = p.field
     frame = frame_with_last_column(p)
     forms = [Poly3.linear_form(field, row) for row in frame]
@@ -161,11 +163,7 @@ def _transformed_monomials(p: ProjectivePoint, d: int) -> list[Poly3]:
         for _ in range(d):
             cache.append(cache[-1] * f)
         powers.append(cache)
-    hit = [powers[0][a] * powers[1][b] * powers[2][c] for a, b, c in monomial_exponents(d)]
-    if len(_TRANSFORMED_CACHE) > 4096:
-        _TRANSFORMED_CACHE.clear()
-    _TRANSFORMED_CACHE[key] = hit
-    return hit
+    return [powers[0][a] * powers[1][b] * powers[2][c] for a, b, c in monomial_exponents(d)]
 
 
 def effective_curves_basis(cfg: PointConfiguration, cls: LatticeVector) -> list[Poly3]:

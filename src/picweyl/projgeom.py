@@ -151,33 +151,18 @@ def frame_with_last_column(p: ProjectivePoint) -> Mat3:
 
 
 # ---------------------------------------------------------------------------
-# generic exact Gaussian elimination
+# exact Gaussian elimination
 
 
 def row_reduce(rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]], list[int]]:
-    """Reduced row echelon form (in place on a copy) and pivot columns."""
-    m = [row[:] for row in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    """Reduced row echelon form of a copy of rows, and the pivot columns.
+    The elimination runs on raws, in the field's rref_raw."""
+    if not rows or not rows[0]:
+        return [row[:] for row in rows], []
+    field = rows[0][0].field
+    m = [[x.raw for x in row] for row in rows]
+    pivots = field.rref_raw(m)
+    return [[FieldElement(field, x) for x in row] for row in m], pivots
 
 
 def matrix_rank(rows: list[list[FieldElement]]) -> int:

@@ -159,6 +159,27 @@ class TestGroupLaws:
             assert m.scalar(i, g) == acc
         assert m.scalar(-3, g) == m.negate(m.scalar(3, g))
 
+    def test_scalar_spends_no_wasted_additions(self, monkeypatch):
+        m = smooth_model()
+        g = m.smooth_point(ProjectivePoint(F, (0, 14, 1)))
+        multiples = [m.zero()]
+        for _ in range(101):
+            multiples.append(m.add(multiples[-1], g))
+        calls = []
+        add = CubicCurveModel.add
+
+        def counting_add(self, a, b):
+            calls.append(1)
+            return add(self, a, b)
+
+        monkeypatch.setattr(CubicCurveModel, "add", counting_add)
+        for n, expected in ((0, 0), (1, 0), (2, 1), (3, 2), (100, 8), (101, 9)):
+            calls.clear()
+            assert m.scalar(n, g) == multiples[n]
+            assert len(calls) == expected, n
+        for n in (1, 2, 7, 100):
+            assert m.scalar(-n, g) == m.negate(multiples[n])
+
     def test_cuspidal_group_is_additive_in_parameters(self):
         m = cusp_model()
         a, b = m.point_from_parameter(F(3)), m.point_from_parameter(F(4))

@@ -21,6 +21,7 @@ from picweyl import (
     cremona_quadratic,
     effective_curves_basis,
     effectivity_test,
+    halphen_prohibited_classes,
     is_coble_set,
     is_unnodal_halphen,
     projectively_equivalent,
@@ -139,6 +140,42 @@ class TestHalphenVerdict:
     def test_wrong_point_count(self):
         with pytest.raises(DomainError):
             is_unnodal_halphen(cfg_ten(), 2)
+
+
+class TestCallOrder:
+    """Condition rows are memoised per configuration: results must not
+    depend on which configurations were queried before, nor leak into
+    equality or serialisation."""
+
+    @staticmethod
+    def pair():
+        cfg = cfg_nine()
+        p1, p2 = cfg.point(1), cfg.point(2)
+        on_line = tuple(a + b for a, b in zip(p1.coords, p2.coords))
+        # shares points 1..8 with cfg; the ninth point spoils the fixture
+        return cfg, cfg.replace_point(9, ProjectivePoint(F, on_line))
+
+    @staticmethod
+    def answers(cfg):
+        return [effectivity_test(cfg, cls) for cls in halphen_prohibited_classes(2)]
+
+    def test_effectivity_independent_of_order(self):
+        a, b = self.pair()
+        first_a, then_b = self.answers(a), self.answers(b)
+        a, b = self.pair()
+        first_b, then_a = self.answers(b), self.answers(a)
+        assert first_a == then_a
+        assert then_b == first_b
+        assert first_a != first_b
+
+    def test_queried_configuration_equals_fresh(self):
+        queried, _ = self.pair()
+        self.answers(queried)
+        effective_curves_basis(queried, vector(3, *([-1] * 9)))
+        fresh = cfg_nine()
+        assert queried == fresh and fresh == queried
+        assert queried.to_json() == fresh.to_json()
+        assert PointConfiguration.from_json(queried.to_json()) == fresh
 
 
 class TestCobleVerdict:

@@ -1,6 +1,12 @@
-"""Projective points, 3x3 transforms, ternary forms, univariate helpers."""
+"""Projective points, 3x3 transforms, ternary forms, univariate helpers,
+and exact elimination checked against independent implementations."""
+
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import GF, Matrix, Rational
+from sympy.polys.matrices import DomainMatrix
 
 from picweyl import ExtensionField, Poly3, PrimeField, ProjectivePoint, RationalField
 from picweyl.projgeom import (
@@ -16,10 +22,12 @@ from picweyl.projgeom import (
     matrix_rank,
     monomial_exponents,
     restrict_to_line,
+    row_reduce,
 )
 from picweyl import polys
 
 F = PrimeField(101)
+QQ_FIELD = RationalField()
 
 
 def pt(*coords, field=F):
@@ -92,6 +100,117 @@ class TestLinearAlgebra:
         # inconsistent system
         bad = linear_solve([[F(1), F(1)], [F(2), F(2)]], [F(0), F(1)])
         assert bad is None
+
+
+@st.composite
+def matrices(draw, entry):
+    """Up to 6 x 7 matrices of drawn entries, with some rows and columns
+    zeroed and some rows repeated, so that rank deficiency is common."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 7))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    zero = draw(entry.filter(lambda x: not x))
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[c] = zero
+    for r in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        rows[r] = [zero] * ncols
+    if nrows > 1 and draw(st.booleans()):
+        rows[-1] = rows[0][:]
+    return rows
+
+
+def mod_p_entries(field):
+    p = field.p
+    return st.one_of(
+        st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1)
+    ).map(field.element)
+
+
+def reference_row_reduce(rows):
+    """Gauss-Jordan on FieldElements, with the library's pivot choice."""
+    m, pivots = [row[:] for row in rows], []
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        r = len(pivots)
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        m = [row if i == r else [x - row[c] * y for x, y in zip(row, m[r])]
+             for i, row in enumerate(m)]
+        pivots.append(c)
+    return m, pivots
+
+
+class TestEliminationOracles:
+    """row_reduce, matrix_rank and kernel_basis against sympy over GF(p)
+    and QQ, and against a FieldElement-level elimination over GF(5^3)."""
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 10007, 10009])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_prime_field_against_domain_matrix(self, p, data):
+        fp = PrimeField(p)
+        rows = data.draw(matrices(mod_p_entries(fp)))
+        shape = (len(rows), len(rows[0]))
+        k = GF(p)
+        dm = DomainMatrix([[k(x.raw) for x in row] for row in rows], shape, k)
+
+        def ints(dmat):
+            return [[int(x) % p for x in row] for row in dmat.to_list()]
+
+        red, pivots = row_reduce(rows)
+        sym_red, sym_pivots = dm.rref()
+        assert [[x.raw for x in row] for row in red] == ints(sym_red)
+        assert pivots == list(sym_pivots)
+        assert matrix_rank(rows) == dm.rank()
+        # sympy scales its null vectors differently: compare the spans
+        kernel = [[k(x.raw) for x in v] for v in kernel_basis(rows, fp)]
+        sym_kernel = dm.nullspace()
+        assert len(kernel) == sym_kernel.shape[0] == shape[1] - dm.rank()
+        if kernel:
+            ours = DomainMatrix(kernel, (len(kernel), shape[1]), k)
+            assert ints(ours.rref()[0]) == ints(sym_kernel.rref()[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rationals_against_matrix_rref(self, data):
+        entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)).map(QQ_FIELD.element)
+        rows = data.draw(matrices(entry))
+
+        def sym(vectors):
+            return [[Rational(x.raw.numerator, x.raw.denominator) for x in v] for v in vectors]
+
+        matrix = Matrix(sym(rows))
+        sym_red, sym_pivots = matrix.rref()
+        red, pivots = row_reduce(rows)
+        assert Matrix(sym(red)) == sym_red
+        assert pivots == list(sym_pivots)
+        assert matrix_rank(rows) == matrix.rank()
+        kernel = kernel_basis(rows, QQ_FIELD)
+        assert sym(kernel) == [list(v) for v in matrix.nullspace()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_extension_field_against_reference(self, data):
+        k = ExtensionField(5, 3)
+        digits = st.lists(st.sampled_from([0, 0, 1, 2, 3, 4]), min_size=3, max_size=3)
+        rows = data.draw(matrices(digits.map(k.element)))
+        red, pivots = row_reduce(rows)
+        assert (red, pivots) == reference_row_reduce(rows)
+        assert matrix_rank(rows) == len(pivots)
+        kernel = kernel_basis(rows, k)
+        assert len(kernel) == len(rows[0]) - len(pivots)
+        for v in kernel:
+            for row in rows:
+                assert sum((x * y for x, y in zip(row, v)), k.zero()) == k.zero()
+
+    def test_input_rows_are_not_modified(self):
+        rows = [[F(0), F(2)], [F(3), F(4)]]
+        before = [r[:] for r in rows]
+        row_reduce(rows)
+        assert rows == before
 
 
 class TestPoly3:
