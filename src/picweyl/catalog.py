@@ -154,10 +154,22 @@ def _descending_solutions(n, target_sum, target_sq, bound):
 
 
 def _distinct_permutations(values: tuple[int, ...]):
-    from sympy.utilities.iterables import multiset_permutations
-
-    for p in multiset_permutations(list(values)):
+    """Every distinct arrangement of values, in lexicographic order."""
+    p = sorted(values)
+    while True:
         yield tuple(p)
+        # next permutation: raise the last ascent by the smallest larger
+        # entry to its right, then put that suffix in ascending order
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1 :] = reversed(p[i + 1 :])
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from .projgeom import (
     matrix_rank,
     restrict_to_line,
 )
+from .smith import factor, integer_kernel, smith_normal_form
 
 _SCAN_LIMIT = 4096
 _SUBGROUP_CAP = 10_000
@@ -959,10 +960,8 @@ def _discrete_logs(xs: list[FieldElement], field: Field) -> list[int]:
     """Logs of the units xs to one primitive root of the finite field: by
     Pohlig-Hellman over the factorization of q - 1, with a baby-step
     giant-step search in each subgroup of prime order."""
-    from sympy import factorint
-
     n = field.order - 1
-    primes = factorint(n)
+    primes = factor(n)
     one = field.one()
     g = next(
         x
@@ -1005,8 +1004,6 @@ def _enumerated_coordinates(model: CubicCurveModel, images: list[SmoothPoint]):
     its invariant factors.  A plane cubic over Q has rational torsion of
     order at most 12, so in characteristic 0 an image with no relation by
     then is not torsion."""
-    from .smith import smith_normal_form
-
     n = len(images)
     bound = 12 if model.field.char == 0 else None
     members = {model.origin: (model.zero(), (0,) * n)}  # point -> (element, c)
@@ -1133,8 +1130,6 @@ def kernel_submodule_generators(
     restriction kernel: all x with sum of x_i times image(alpha_i) zero in
     the group.  m must be a multiple of the images' exponent; the implicit
     m * (everything) is not listed."""
-    from .smith import integer_kernel
-
     torsion, exponent = torsion_set_check(model, points)
     if not torsion or m % exponent:
         raise DomainError(f"the simple-root images do not all have order dividing {m}")

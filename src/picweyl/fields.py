@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
+from .smith import is_prime
+
 
 class FieldElement:
     __slots__ = ("field", "raw")
@@ -187,9 +189,7 @@ class Field:
 
 class PrimeField(Field):
     def __init__(self, p: int):
-        from sympy import isprime
-
-        if not isprime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
@@ -318,9 +318,7 @@ class ExtensionField(Field):
     coefficient tuples of length e, constant term first."""
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
-        from sympy import isprime
-
-        if not isprime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if e < 2:
             raise ValueError("use PrimeField for e = 1")

@@ -18,7 +18,13 @@ from itertools import combinations, product
 
 from .errors import BudgetError, DomainError
 from .lattice import LatticeVector, gram_matrix, simple_roots
-from .smith import diagonal_of, integer_kernel, integer_left_inverse, smith_normal_form
+from .smith import (
+    diagonal_of,
+    factor,
+    integer_kernel,
+    integer_left_inverse,
+    smith_normal_form,
+)
 
 _N = 10
 _ALPHA = simple_roots(_N)
@@ -102,9 +108,7 @@ class ResidueModule:
         return pow(a, -1, self.m)
 
     def prime_power(self) -> tuple[int, int]:
-        from sympy import factorint
-
-        fac = factorint(self.m)
+        fac = factor(self.m)
         if len(fac) != 1:
             raise DomainError(f"modulus {self.m} is not a prime power")
         ((p, k),) = fac.items()
@@ -539,13 +543,11 @@ def find_root_in_submodule(
 
 
 def _root_by_theory(sub: ResidueSubmodule, depth: int, cap: int) -> RootSearchResult:
-    from sympy import factorint
-
     module = sub.module
     m = module.m
     pieces = []
     local_bases = []
-    for p, k in sorted(factorint(m).items()):
+    for p, k in factor(m).items():
         pk = p**k
         local = ResidueModule(pk)
         vloc = local.submodule(sub.generators)
@@ -592,7 +594,7 @@ def _root_by_theory(sub: ResidueSubmodule, depth: int, cap: int) -> RootSearchRe
             },
         )
     root_alpha = _apply_word_alpha((0, 1) + (0,) * 8, word)
-    return _package(sub, root_alpha, word, "Theory", {"target": list(target)})
+    return _package(sub, root_alpha, 1, word, "Theory", {"target": list(target)})
 
 
 def _crt_combine(pieces, m: int):
@@ -726,8 +728,8 @@ def _root_by_orbit(sub: ResidueSubmodule, depth: int, cap: int) -> RootSearchRes
         for idx in range(lo, _ORBIT_LEVEL_END[level]):
             res = module.reduce(_ORBIT_ROOTS[idx])
             if sub.contains(res):
-                word = _orbit_trace(idx)
-                return _package(sub, _ORBIT_ROOTS[idx], word, "OrbitBFS")
+                base, word = _orbit_trace(idx)
+                return _package(sub, _ORBIT_ROOTS[idx], base, word, "OrbitBFS")
     return RootSearchResult(
         "inconclusive",
         None,
@@ -740,18 +742,27 @@ def _root_by_orbit(sub: ResidueSubmodule, depth: int, cap: int) -> RootSearchRes
     )
 
 
-def _orbit_trace(idx: int) -> list[int]:
+def _orbit_trace(idx: int) -> tuple[int, list[int]]:
+    """The seed (simple root index) the orbit root idx grew from, and the
+    word carrying that simple root to it."""
     word = []
     while _ORBIT_PARENT[idx] is not None:
         idx, letter = _ORBIT_PARENT[idx]
         word.append(letter)
     word.reverse()
-    return word
+    return idx, word
 
 
 def _package(
-    sub: ResidueSubmodule, root_alpha, word, method, extra: dict | None = None
+    sub: ResidueSubmodule,
+    root_alpha,
+    base: int,
+    word,
+    method,
+    extra: dict | None = None,
 ) -> RootSearchResult:
+    """A found result whose certificate replays: the word applied to simple
+    root number base gives the root."""
     module = sub.module
     if _q_int(root_alpha) != -1:
         raise AssertionError("search produced a non-root")
@@ -765,6 +776,7 @@ def _package(
     root = LatticeVector(tuple(coords))
     certificate = {
         "method": method,
+        "base": base,
         "word": list(word),
         "root": root.to_json(),
         "residue": list(res),

@@ -1,4 +1,5 @@
-"""Smith normal form over the integers, with both transform matrices.
+"""Smith normal form over the integers, with both transform matrices, and
+the exact integer routines beside it: primality and factoring.
 
 Plain Python ints throughout, so nothing overflows.  The algorithm is the
 classical one: drag a small pivot to the corner, clear its row and column by
@@ -7,7 +8,9 @@ euclidean steps, patch up the divisibility chain, recurse on the rest.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
+
+from .lattice import mat_mul
 
 
 def smith_normal_form(
@@ -107,7 +110,7 @@ def integer_left_inverse(a: list[list[int]]) -> list[list[int]]:
     # a = u^-1 d v^-1, so  (v [I 0] u) a = v [I 0] d v^-1 = identity
     nrows = len(a)
     proj = [[1 if i == j else 0 for j in range(nrows)] for i in range(ncols)]
-    return _mul(_mul(v, proj), u)
+    return [list(row) for row in mat_mul(mat_mul(v, proj), u)]
 
 
 def solve_integer(a: list[list[int]], b: list[int]) -> list[int] | None:
@@ -134,6 +137,135 @@ def lattice_gcd(xs) -> int:
     for x in xs:
         g = gcd(g, x)
     return g
+
+
+# -- primality and factoring -------------------------------------------------
+
+_SMALL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+    73, 79, 83, 89, 97,
+)
+
+
+def is_prime(n: int) -> bool:
+    """Baillie-PSW: trial division by the primes below 100, then a strong
+    base-2 Miller-Rabin test and a strong Lucas-Selfridge test.  Exact below
+    2^64; no composite passing both tests is known above."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return True
+    return _strong_base2(n) and _strong_lucas(n)
+
+
+def factor(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, keys ascending: trial division
+    by the primes below 100, then Pollard rho on what is left."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _pollard_rho(m)
+            rest += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _strong_base2(n: int) -> bool:
+    """Strong probable-prime test to base 2, n odd."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(2, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters: D the
+    first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1, P = 1 and
+    Q = (1 - D)/4; n odd, coprime to 30 and not below 100."""
+    if isqrt(n) ** 2 == n:
+        return False  # no such D exists for a square
+    d = 5
+    while True:
+        j = _jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # |d| < n shares a factor with n
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    # n + 1 = k * 2^s with k odd; walk U_k, V_k, Q^k up the bits of k
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    u, v, qk = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = u + v, d * u + v
+            u = (u + n if u % 2 else u) // 2 % n
+            v = (v + n if v % 2 else v) // 2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n), n odd and positive."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _pollard_rho(n: int) -> int:
+    """A proper divisor of the composite n, which has no prime factor below
+    100: Floyd's cycle search on x -> x^2 + c, with c = 1, 2, ... until the
+    cycle mod a prime factor closes before the one mod n."""
+    for c in range(1, n):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
+        if g != n:
+            return g
+    raise AssertionError(f"{n} is prime")
 
 
 # -- elementary operations, mirrored into the transform matrices -------------
@@ -191,8 +323,3 @@ def _add_col(m, v, j, k, c):
 def _scale_row(m, u, i, c):
     m[i] = [c * x for x in m[i]]
     u[i] = [c * x for x in u[i]]
-
-
-def _mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]

@@ -28,7 +28,7 @@ from .lattice import (
     mat_mul,
     simple_roots,
 )
-from .smith import integer_kernel, lattice_gcd
+from .smith import factor, integer_kernel, lattice_gcd
 
 
 def reflect(alpha: LatticeVector, v: LatticeVector) -> LatticeVector:
@@ -279,23 +279,25 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
-    from sympy import Poly, Symbol, cyclotomic_poly
-
-    x = Symbol("x")
-    return tuple(int(c) for c in Poly(cyclotomic_poly(d, x), x).all_coeffs())
+    """The d-th cyclotomic polynomial (descending coeffs): x^d - 1 divided
+    by the cyclotomic polynomials of the proper divisors of d."""
+    num = [1] + [0] * (d - 1) + [-1]
+    for e in range(1, d):
+        if d % e == 0:
+            num, _ = _poly_divmod(num, list(_cyclotomic_coeffs(e)))
+    return tuple(num)
 
 
 def _strip_cyclotomic(coeffs: list[int]) -> tuple[list[int], list[int]]:
     """Divide out every cyclotomic factor; return (indices found, remainder)."""
-    from sympy import totient
-
     deg = len(coeffs) - 1
     rem = coeffs[:]
     found = []
     d = 1
     # totient(d) >= sqrt(d/2), so indices with totient <= deg live below 2(deg+1)^2
     while d <= 2 * (deg + 1) * (deg + 1):
-        if int(totient(d)) <= deg:
+        totient = math.prod(p ** (k - 1) * (p - 1) for p, k in factor(d).items())
+        if totient <= deg:
             cd = list(_cyclotomic_coeffs(d))
             while len(rem) > len(cd) or (len(rem) == len(cd)):
                 q, r = _poly_divmod(rem, cd)

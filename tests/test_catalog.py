@@ -157,3 +157,16 @@ def test_halphen_prohibited_class_counts(m, count):
 def test_halphen_prohibited_rejects_bad_index():
     with pytest.raises(ValueError):
         halphen_prohibited_classes(0)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(), (0,), (1, 1, 1), (2, 1, 1), (3, -1, 0, -1, 2), (1, 0, 0, 0, 0, -1, -1, -1, 0, 0)],
+)
+def test_distinct_permutations_match_sympy_order(values):
+    from sympy.utilities.iterables import multiset_permutations
+
+    from picweyl.catalog import _distinct_permutations
+
+    expected = [tuple(p) for p in multiset_permutations(list(values))]
+    assert list(_distinct_permutations(values)) == expected

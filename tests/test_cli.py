@@ -1,11 +1,14 @@
 """Shell contract: exit codes, exact lines, JSON shapes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import picweyl
 from picweyl.cli import main
 
 NINE = [(0, 14), (22, 79), (76, 92), (6, 33), (92, 65), (87, 75), (85, 75),
@@ -205,37 +208,39 @@ class TestPointCommands:
         assert "collinear" in err
 
 
+@pytest.fixture()
+def gens_file(tmp_path):
+    import random
+
+    rng = random.Random(0)
+    from picweyl import ResidueModule
+
+    module = ResidueModule(6)
+    while True:
+        gens = [tuple(rng.randrange(6) for _ in range(10)) for _ in range(8)]
+        if module.submodule(gens).free_rank == 8:
+            break
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"generators": [list(g) for g in gens]}))
+    return str(path)
+
+
 class TestFindRoot:
-    def gens_file(self, tmp_path):
-        import random
-
-        rng = random.Random(0)
-        from picweyl import ResidueModule
-
-        module = ResidueModule(6)
-        while True:
-            gens = [tuple(rng.randrange(6) for _ in range(10)) for _ in range(8)]
-            if module.submodule(gens).free_rank == 8:
-                break
-        path = tmp_path / "gens.json"
-        path.write_text(json.dumps({"generators": [list(g) for g in gens]}))
-        return str(path)
-
     @pytest.mark.parametrize("method", ["theory", "bfs"])
-    def test_found(self, capsys, tmp_path, method):
+    def test_found(self, capsys, gens_file, method):
         code, out, _ = run(
             capsys, "find-root-mod", "--m", "6", "--method", method,
-            "--gens", self.gens_file(tmp_path), "--json",
+            "--gens", gens_file, "--json",
         )
         assert code == 0
         data = json.loads(out)
         assert data["status"] == "found"
         assert data["certificate"]["modulus"] == 6
 
-    def test_zero_budget_inconclusive(self, capsys, tmp_path):
+    def test_zero_budget_inconclusive(self, capsys, gens_file):
         code, out, _ = run(
             capsys, "find-root-mod", "--m", "6", "--method", "theory",
-            "--budget", "0", "--gens", self.gens_file(tmp_path),
+            "--budget", "0", "--gens", gens_file,
         )
         assert code == 3
         assert out.startswith("status=inconclusive")
@@ -301,3 +306,51 @@ class TestReport:
         code, out, _ = run(capsys, "--version")
         assert code == 0
         assert out.startswith("picweyl ")
+
+
+# Runs one command in a fresh interpreter and reports which heavy modules it
+# loaded: importing sympy or numpy costs more than most verdicts.
+IMPORT_PROBE = """
+import contextlib, io, sys
+from picweyl.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "sympy" in sys.modules, "numpy" in sys.modules)
+"""
+
+
+class TestImportGuard:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gram", "--n", "10"],
+            ["reduce", "--n", "10", "--vector", "[3,-2,-1,-1,-1,-1,-1,-1,-1,0,0]"],
+            ["residue-counts"],
+            ["enumerate-roots", "--n", "10", "--max-degree", "2"],
+            ["halphen-check", "--p", "101", "--m", "2", "--points", "{nine}"],
+            ["coble-check", "--p", "101", "--points", "{ten}"],
+            ["harbourne-check", "--p", "5", "--e", "12", "--params", "{params}"],
+            ["find-root-mod", "--m", "6", "--gens", "{gens}", "--json"],
+            ["classify", "--n", "10", "--word", "0,1,2,3,4,5,6,7,8,9"],
+            ["report", "--seed", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_commands_load_no_sympy(
+        self, argv, nine_points_file, ten_points_file, params_file, gens_file
+    ):
+        files = dict(nine=nine_points_file, ten=ten_points_file, params=params_file,
+                     gens=gens_file)
+        src = str(Path(picweyl.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *(a.format(**files) for a in argv)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, sympy_loaded, numpy_loaded = proc.stdout.split()
+        assert code == "0"
+        assert sympy_loaded == "False"
+        # only the hyperbolic float witness needs numpy
+        if argv[0] not in ("classify", "report"):
+            assert numpy_loaded == "False"

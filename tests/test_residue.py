@@ -327,15 +327,15 @@ class TestRootSearch:
         from picweyl import apply_word
 
         rng = random.Random(5)
-        M = ResidueModule(3)
-        sub = random_rank8_submodule(M, rng)
-        out = find_root_in_submodule(sub, "orbit-bfs")
-        assert out.status == "found"
-        word = out.certificate["word"]
-        base = simple_roots(10)[out.certificate.get("base", 0)]
-        # for the orbit search the word recorded transports a simple root
-        if word is not None and "base" in out.certificate:
-            assert apply_word(base, word) == out.root
+        for m in (2, 3, 5, 6):
+            sub = random_rank8_submodule(ResidueModule(m), rng)
+            for method in ("theory", "orbit-bfs"):
+                out = find_root_in_submodule(sub, method)
+                assert out.status == "found"
+                cert = out.certificate
+                # the word carries the recorded simple root onto the root
+                base = simple_roots(10)[cert["base"]]
+                assert apply_word(base, cert["word"]) == out.root
 
     def test_zero_budget_is_inconclusive(self):
         M = ResidueModule(5)

@@ -11,10 +11,11 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Matrix, ZZ
+from sympy import Matrix, ZZ, factorint, isprime
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from picweyl import integer_kernel, integer_left_inverse, smith_normal_form, solve_integer
+from picweyl.smith import factor, is_prime
 
 
 def sympy_diag(a):
@@ -181,3 +182,71 @@ class TestSolveInteger:
         x = solve_integer(a, rhs)
         assert x is not None
         assert [sum(r[i] * x[i] for i in range(3)) for r in a] == rhs
+
+
+class TestPrimality:
+    """is_prime and factor against sympy's isprime and factorint."""
+
+    def test_small_range(self):
+        assert [n for n in range(-5, 20001) if is_prime(n)] == [
+            n for n in range(-5, 20001) if isprime(n)
+        ]
+
+    def test_random_below_2_100(self):
+        rng = random.Random(11)
+        for bits in (20, 40, 64, 100):
+            for _ in range(400):
+                n = rng.randrange(2**bits)
+                assert is_prime(n) == isprime(n), n
+        # random odd n near 2^64 and 2^100 are prime often enough to matter
+        for _ in range(400):
+            n = rng.randrange(2**63, 2**100) | 1
+            assert is_prime(n) == isprime(n), n
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            2047,  # strong pseudoprimes to base 2
+            3215031751,
+            3825123056546413051,
+            561,  # Carmichael numbers
+            41041,
+            22499,  # strong Lucas pseudoprimes with no factor below 100
+            40309,
+            2**61 - 1,  # Mersenne primes
+            2**89 - 1,
+            2**127 - 1,
+            1000003**2,  # a prime square
+        ],
+    )
+    def test_known_hard_cases(self, n):
+        assert is_prime(n) == isprime(n)
+
+    def test_each_half_is_fooled_by_its_own_pseudoprimes(self):
+        # composites that pass one of the two tests: the other must catch them
+        from picweyl.smith import _strong_base2, _strong_lucas
+
+        for n in (2047, 3215031751, 3825123056546413051):
+            assert _strong_base2(n) and not _strong_lucas(n)
+        for n in (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519):
+            assert _strong_lucas(n) and not _strong_base2(n)
+
+    def test_factor_small_range(self):
+        for n in range(1, 5001):
+            assert factor(n) == factorint(n), n
+
+    def test_factor_random_below_10_18(self):
+        rng = random.Random(12)
+        for _ in range(150):
+            n = rng.randrange(1, 10**18)
+            fac = factor(n)
+            assert fac == factorint(n), n
+            assert list(fac) == sorted(fac)
+
+    @pytest.mark.parametrize("p,e", [(5, 12), (7, 12), (101, 1), (3, 7)])
+    def test_factor_field_unit_group_orders(self, p, e):
+        assert factor(p**e - 1) == factorint(p**e - 1)
+
+    def test_factor_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            factor(0)

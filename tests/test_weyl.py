@@ -202,3 +202,14 @@ def test_noether_reduce_rejects_non_roots():
 def test_isometry_class_is_plain_data():
     c = IsometryClass(kind="Elliptic", order=5)
     assert c.kind == "Elliptic" and c.order == 5 and c.witness is None
+
+
+def test_cyclotomic_coeffs_match_sympy():
+    from sympy import Poly, Symbol, cyclotomic_poly
+
+    from picweyl.weyl import _cyclotomic_coeffs
+
+    x = Symbol("x")
+    for d in range(1, 301):
+        expected = tuple(int(c) for c in Poly(cyclotomic_poly(d, x), x).all_coeffs())
+        assert _cyclotomic_coeffs(d) == expected, d
