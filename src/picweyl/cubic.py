@@ -387,7 +387,7 @@ def _binary_quadratic_split(qa, qb, qc):
         if not qb:
             return ("double", (zero, one))  # C y^2
         return ("split", (zero, one), (qb, qc))  # y (B x + C y)
-    rts = roots_in_field([qc, qb, qa])
+    rts = [field.element(r) for r in roots_in_field(field, [qc.raw, qb.raw, qa.raw])]
     if len(rts) == 0:
         return ("nonsplit",)
     if len(rts) == 1:
@@ -532,8 +532,8 @@ def _affine_zeros(system, field, seed, points) -> bool:
     constants_in_y = [c[0] for c in chart if len(c) == 1]
 
     if not with_y:
-        g = _poly_list_gcd(constants_in_y)
-        return polys.degree(g) == 0  # else a common vertical line: uncertified
+        g = _poly_list_gcd(constants_in_y, field)
+        return len(g) == 1  # else a common vertical line: uncertified
 
     res_list = []
     pool = with_y + [[u] for u in constants_in_y]
@@ -546,25 +546,25 @@ def _affine_zeros(system, field, seed, points) -> bool:
                 res_list.append(r)
     if not res_list:
         return False  # every pair shares a factor: cannot isolate the locus
-    g = _poly_list_gcd(res_list)
-    if polys.degree(g) == 0:
+    g = _poly_list_gcd(res_list, field)
+    if len(g) == 1:
         return True
 
-    rts = roots_in_field(g, seed)
+    rts = roots_in_field(field, g, seed)
     complete = _splits_rationally(g, rts, field)
     for x0 in rts:
         fibers = [u for u in (_evaluate_chart_at_x(c, x0, field) for c in chart) if u]
         if not fibers:
             complete = False  # the whole vertical line lies in the locus
             continue
-        h = _poly_list_gcd(fibers)
-        if polys.degree(h) == 0:
+        h = _poly_list_gcd(fibers, field)
+        if len(h) == 1:
             continue
-        yrts = roots_in_field(h, seed)
+        yrts = roots_in_field(field, h, seed)
         if not _splits_rationally(h, yrts, field):
             complete = False
         for y0 in yrts:
-            pt = ProjectivePoint(field, (x0, y0, field.one()))
+            pt = ProjectivePoint(field, (field.element(x0), field.element(y0), field.one()))
             if all(not gg.evaluate_point(pt) for gg in system):
                 points.add(pt)
     return complete
@@ -573,29 +573,20 @@ def _affine_zeros(system, field, seed, points) -> bool:
 def _infinity_zeros(system, field, seed, points) -> bool:
     """Collect common zeros on the line z = 0.  Returns True when that part
     of the census is provably complete over the closure."""
-    restricted = []
-    for g in system:
-        acc: dict[int, FieldElement] = {}
-        for (a, _, c), v in g.terms.items():
-            if c == 0:
-                acc[a] = acc.get(a, field.zero()) + v
-        deg = max(acc) if acc else -1
-        restricted.append(polys.trim([acc.get(i, field.zero()) for i in range(deg + 1)]))
-
     # A form restricting to the zero polynomial vanishes everywhere on the
     # line, so it cuts nothing out; only the remaining restrictions matter.
     # If every restriction dies the whole line sits inside the locus and the
     # census cannot be finite.
-    nonzero = [u for u in restricted if u]
+    nonzero = [u for u in (_restrict_to_infinity(g) for g in system) if u]
     complete = bool(nonzero)
     if nonzero:
-        h = _poly_list_gcd(nonzero)
-        if polys.degree(h) >= 1:
-            rts = roots_in_field(h, seed)
+        h = _poly_list_gcd(nonzero, field)
+        if len(h) >= 2:
+            rts = roots_in_field(field, h, seed)
             if not _splits_rationally(h, rts, field):
                 complete = False
             for t0 in rts:
-                pt = ProjectivePoint(field, (t0, field.one(), field.zero()))
+                pt = ProjectivePoint(field, (field.element(t0), field.one(), field.zero()))
                 if all(not g.evaluate_point(pt) for g in system):
                     points.add(pt)
     e100 = ProjectivePoint(field, (field.one(), field.zero(), field.zero()))
@@ -604,52 +595,57 @@ def _infinity_zeros(system, field, seed, points) -> bool:
     return complete
 
 
-def _poly_list_gcd(ps: list[Poly]) -> Poly:
+def _poly_list_gcd(ps: list[Poly], field: Field) -> Poly:
     g: Poly = []
     for u in ps:
         if not u:
             continue
-        g = polys.gcd(g, u) if g else polys.monic(u[:])
-        if polys.degree(g) == 0:
+        g = polys.gcd(field, g, u) if g else polys.monic(field, u)
+        if len(g) == 1:
             break
     return g
 
 
-def _splits_rationally(g: Poly, rts: list[FieldElement], field: Field) -> bool:
+def _splits_rationally(g: Poly, rts: list, field: Field) -> bool:
     """Does g factor completely into the given rational roots, counted with
     multiplicity?  Divides each root out as often as it goes."""
-    h = g[:]
+    x = [field.zero().raw, field.one().raw]
+    h = g
     for r in rts:
-        lin = [-r, field.one()]
+        lin = polys.sub(field, x, [r])
         while True:
-            q, rem = polys.divmod_poly(h, lin)
+            q, rem = polys.divmod_poly(field, h, lin)
             if rem:
                 break
             h = q
-    return polys.degree(h) == 0
+    return len(h) == 1
 
 
-def _evaluate_chart_at_x(chart: list[Poly], x0: FieldElement, field: Field) -> Poly:
-    return polys.trim([polys.evaluate(cy, x0) if cy else field.zero() for cy in chart])
+def _evaluate_chart_at_x(chart: list[Poly], x0, field: Field) -> Poly:
+    """A chart (see _poly3_chart) at x = x0: g(x0, y, 1) as a polynomial in y."""
+    return polys.trim(field, [polys.evaluate(field, cy, x0) for cy in chart])
 
 
 def _poly3_chart(g: Poly3) -> list[Poly]:
-    """Chart z = 1 as a polynomial in y whose coefficients are polynomials
-    in x: a list indexed by y-degree, trailing zero entries trimmed."""
+    """Chart z = 1 of a form as a polynomial in y whose coefficients are
+    polynomials in x, indexed by y-degree.  The form is homogeneous, so
+    (a, b) fixes each term."""
     field = g.field
-    by_y: dict[int, dict[int, FieldElement]] = {}
+    by_y: dict[int, dict] = {}
     for (a, b, _), v in g.terms.items():
-        by_y.setdefault(b, {})[a] = v
-    if not by_y:
-        return []
-    out = []
-    for j in range(max(by_y) + 1):
-        coeffs = by_y.get(j, {})
-        deg = max(coeffs) if coeffs else -1
-        out.append(polys.trim([coeffs.get(i, field.zero()) for i in range(deg + 1)]))
-    while out and not out[-1]:
-        out.pop()
-    return out
+        by_y.setdefault(b, {})[a] = v.raw
+    return [_dense(field, by_y.get(j, {})) for j in range(max(by_y, default=-1) + 1)]
+
+
+def _restrict_to_infinity(g: Poly3) -> Poly:
+    """g(x, 1, 0): a homogeneous form on the line z = 0, as a polynomial in x."""
+    return _dense(g.field, {a: v.raw for (a, _, c), v in g.terms.items() if c == 0})
+
+
+def _dense(field: Field, coeffs: dict) -> Poly:
+    """The polynomial with the given nonzero raw coefficients by degree."""
+    zero = field.zero().raw
+    return [coeffs.get(i, zero) for i in range(max(coeffs, default=-1) + 1)]
 
 
 def _resultant_y(ca: list[Poly], cb: list[Poly], field: Field) -> Poly:
@@ -660,17 +656,18 @@ def _resultant_y(ca: list[Poly], cb: list[Poly], field: Field) -> Poly:
     n = len(cb) - 1
     if m < 0 or n < 0:
         return []
+    one = [field.one().raw]
     if m == 0 and n == 0:
-        return [field.one()]
+        return one
     if m == 0:
-        out = [field.one()]
+        out = one
         for _ in range(n):
-            out = polys.mul(out, ca[0])
+            out = polys.mul(field, out, ca[0])
         return out
     if n == 0:
-        out = [field.one()]
+        out = one
         for _ in range(m):
-            out = polys.mul(out, cb[0])
+            out = polys.mul(field, out, cb[0])
         return out
     size = m + n
     zero: Poly = []
@@ -678,27 +675,29 @@ def _resultant_y(ca: list[Poly], cb: list[Poly], field: Field) -> Poly:
     brev = list(reversed(cb))
     rows: list[list[Poly]] = []
     for i in range(n):
-        rows.append([zero] * i + [c[:] for c in arev] + [zero] * (size - i - m - 1))
+        rows.append([zero] * i + arev + [zero] * (size - i - m - 1))
     for i in range(m):
-        rows.append([zero] * i + [c[:] for c in brev] + [zero] * (size - i - n - 1))
-    return _poly_det(rows)
+        rows.append([zero] * i + brev + [zero] * (size - i - n - 1))
+    return _poly_det(rows, field)
 
 
-def _poly_det(rows: list[list[Poly]]) -> Poly:
+def _poly_det(rows: list[list[Poly]], field: Field) -> Poly:
     n = len(rows)
     if n == 1:
         return rows[0][0]
     if n == 2:
         return polys.sub(
-            polys.mul(rows[0][0], rows[1][1]), polys.mul(rows[0][1], rows[1][0])
+            field,
+            polys.mul(field, rows[0][0], rows[1][1]),
+            polys.mul(field, rows[0][1], rows[1][0]),
         )
     det: Poly = []
     for j in range(n):
         if not rows[0][j]:
             continue
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = polys.mul(rows[0][j], _poly_det(minor))
-        det = polys.add(det, term) if j % 2 == 0 else polys.sub(det, term)
+        term = polys.mul(field, rows[0][j], _poly_det(minor, field))
+        det = polys.add(field, det, term) if j % 2 == 0 else polys.sub(field, det, term)
     return det
 
 
@@ -811,37 +810,23 @@ def _field_scan(field: Field, limit: int):
 
 def _first_rational_point(f: Poly3) -> ProjectivePoint | None:
     field = f.field
+    chart = _poly3_chart(f)
     for x0 in _field_scan(field, _SCAN_LIMIT):
-        u = _univariate_in_y(f, x0)
+        u = _evaluate_chart_at_x(chart, x0.raw, field)
         if not u:
             continue
-        rts = roots_in_field(u)
+        rts = roots_in_field(field, u)
         if rts:
-            return ProjectivePoint(field, (x0, rts[0], field.one()))
-    acc: dict[int, FieldElement] = {}
-    for (a, _, c), v in f.terms.items():
-        if c == 0:
-            acc[a] = acc.get(a, field.zero()) + v
-    deg = max(acc) if acc else -1
-    u = polys.trim([acc.get(i, field.zero()) for i in range(deg + 1)])
+            return ProjectivePoint(field, (x0, field.element(rts[0]), field.one()))
+    u = _restrict_to_infinity(f)
     if u:
-        rts = roots_in_field(u)
+        rts = roots_in_field(field, u)
         if rts:
-            return ProjectivePoint(field, (rts[0], field.one(), field.zero()))
+            return ProjectivePoint(field, (field.element(rts[0]), field.one(), field.zero()))
     p100 = ProjectivePoint(field, (field.one(), field.zero(), field.zero()))
     if not f.evaluate_point(p100):
         return p100
     return None
-
-
-def _univariate_in_y(f: Poly3, x0: FieldElement) -> Poly:
-    """f(x0, y, 1) as a univariate polynomial in y."""
-    field = f.field
-    acc: dict[int, FieldElement] = {}
-    for (a, b, _), v in f.terms.items():
-        acc[b] = acc.get(b, field.zero()) + v * x0**a
-    deg = max(acc) if acc else -1
-    return polys.trim([acc.get(i, field.zero()) for i in range(deg + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@ Extension fields are built on a fixed modulus: the minimal monic irreducible
 of degree e over F_p, "minimal" meaning smallest when the non-leading
 coefficients are read as a base-p integer with the constant term least
 significant.  That makes every GF(p^e) here reproducible byte for byte.
+The polynomial work behind an extension field (the inverse of an element
+modulo the modulus, the irreducibility test that picks or checks the
+modulus) is ``polys`` run over the base field GF(p) on these same raws.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
+from . import polys
 from .smith import is_prime
 
 
@@ -318,8 +322,7 @@ class ExtensionField(Field):
     coefficient tuples of length e, constant term first."""
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        self._base = PrimeField(p)  # raises ValueError unless p is prime
         if e < 2:
             raise ValueError("use PrimeField for e = 1")
         if e > 12:
@@ -329,10 +332,10 @@ class ExtensionField(Field):
         self.char = p
         self.order = p**e
         if modulus is None:
-            modulus = smallest_irreducible(p, e)
-        if len(modulus) != e + 1 or modulus[-1] != 1:
+            modulus = smallest_irreducible(p, e)  # irreducible by construction
+        elif len(modulus) != e + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree e")
-        if not _is_irreducible_modp(list(modulus), p):
+        elif not polys.is_irreducible(self._base, [c % p for c in modulus]):
             raise ValueError("modulus is not irreducible")
         self.modulus = tuple(c % p for c in modulus[:-1])  # non-leading part
         self._zero = (0,) * e
@@ -371,11 +374,9 @@ class ExtensionField(Field):
     def _inv(self, a):
         if all(c == 0 for c in a):
             raise ZeroDivisionError("inverse of zero")
-        p = self.p
-        f = list(self.modulus) + [1]
-        inv = _modp_poly_invert(list(a), f, p)
-        inv = inv + [0] * (self.e - len(inv))
-        return tuple(c % p for c in inv[: self.e])
+        base = self._base
+        inv = polys.inverse_mod(base, polys.trim(base, list(a)), [*self.modulus, 1])
+        return tuple(inv) + (0,) * (self.e - len(inv))
 
     def element(self, raw) -> FieldElement:
         cs = [int(c) % self.p for c in raw]
@@ -436,7 +437,7 @@ def galois_field(p: int, e: int = 1) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# irreducible modulus selection: plain int-list polynomials over F_p
+# the default modulus of GF(p^e)
 
 
 @lru_cache(maxsize=None)
@@ -444,6 +445,7 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Monic irreducible of degree e over F_p with the smallest non-leading
     part in the base-p encoding (constant digit least significant).
     Returns ascending coefficients, length e + 1."""
+    base = PrimeField(p)
     for code in range(p**e):
         tail = []
         c = code
@@ -451,136 +453,6 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
             tail.append(c % p)
             c //= p
         f = tail + [1]
-        if _is_irreducible_modp(f, p):
+        if polys.is_irreducible(base, f):
             return tuple(f)
     raise AssertionError("no irreducible found, which cannot happen")
-
-
-def _modp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _modp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = [c % p for c in a]
-    b = _modp_trim([c % p for c in b])
-    if not b:
-        raise ZeroDivisionError
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    r = a[:]
-    _modp_trim(r)
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        factor = (r[-1] * inv_lead) % p
-        q[shift] = factor
-        for i, bc in enumerate(b):
-            r[shift + i] = (r[shift + i] - factor * bc) % p
-        _modp_trim(r)
-    return _modp_trim(q), r
-
-
-def _modp_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    conv = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                conv[i + j] = (conv[i + j] + x * y) % p
-    _, r = _modp_divmod(conv, f, p)
-    return r
-
-
-def _modp_powmod(a: list[int], n: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _modp_divmod(a, f, p)[1]
-    while n:
-        if n & 1:
-            result = _modp_mulmod(result, base, f, p)
-        base = _modp_mulmod(base, base, f, p)
-        n >>= 1
-    return result
-
-
-def _modp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _modp_trim([c % p for c in a])
-    b = _modp_trim([c % p for c in b])
-    while b:
-        _, r = _modp_divmod(a, b, p)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _modp_poly_invert(a: list[int], f: list[int], p: int) -> list[int]:
-    """Inverse of a modulo f over F_p by the extended euclidean algorithm."""
-    r0, r1 = f[:], _modp_trim([c % p for c in a])
-    t0, t1 = [0], [1]
-    while _modp_trim(r1[:]):
-        q, r = _modp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        qt = _modp_mul(q, t1, p)
-        t0, t1 = t1, _modp_sub(t0, qt, p)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
-    inv = pow(r0[0], -1, p)
-    return [(c * inv) % p for c in t0]
-
-
-def _modp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    conv = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                conv[i + j] = (conv[i + j] + x * y) % p
-    return _modp_trim(conv)
-
-
-def _modp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _modp_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _is_irreducible_modp(f: list[int], p: int) -> bool:
-    f = [c % p for c in f]
-    e = len(f) - 1
-    if e < 1 or f[-1] != 1:
-        return False
-    if e == 1:
-        return True
-    x = [0, 1]
-    # x^(p^e) == x mod f
-    u = x[:]
-    for _ in range(e):
-        u = _modp_powmod(u, p, f, p)
-    if _modp_trim(_modp_sub(u, x, p)):
-        return False
-    # gcd(x^(p^(e/r)) - x, f) == 1 for every prime r | e
-    for r in _prime_factors(e):
-        u = x[:]
-        for _ in range(e // r):
-            u = _modp_powmod(u, p, f, p)
-        g = _modp_gcd(_modp_sub(u, x, p), f, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

@@ -1,129 +1,147 @@
-"""Univariate polynomials over the exact fields, ascending coefficient lists.
+"""Univariate polynomials over the exact fields, on raw coefficients.
 
-A polynomial is a list of FieldElement with no trailing zeros ([] is zero).
-Only what the curve machinery needs: euclidean arithmetic, gcds, modular
-powers, and distinct-root extraction in the coefficient field.
+A polynomial over a field K is an ascending list of K's raws (ints in
+[0, p) for GF(p), coefficient tuples for GF(p^e), Fraction for Q; see
+``fields``) with no trailing zeros, so [] is the zero polynomial.  Every
+function takes K first and computes with its raw operations ``_add``,
+``_sub``, ``_mul`` and ``_inv``; nothing here boxes a coefficient, and this
+module imports nothing from ``fields`` (``fields`` imports it).
+
+This is the package's one univariate polynomial layer: euclidean
+arithmetic, gcds, modular powers and inverses, Rabin's irreducibility test
+(which picks and checks the GF(p^e) moduli) and distinct-root extraction in
+the coefficient field.  Over Q (``K.char == 0``) only rational roots are
+found.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import zip_longest
+from math import gcd as igcd, lcm
 
-from .fields import ExtensionField, Field, FieldElement, PrimeField, QQ, RationalField
+from .smith import factor
 
-Poly = list  # list[FieldElement], ascending
+Poly = list  # list of raws, ascending
 
 
-def trim(f: Poly) -> Poly:
-    while f and not f[-1]:
+def trim(K, f: Poly) -> Poly:
+    """Drop trailing zeros of f in place and return it."""
+    zero = K._zero
+    while f and f[-1] == zero:
         f.pop()
     return f
 
 
-def from_ints(field: Field, coeffs) -> Poly:
-    return trim([field(c) for c in coeffs])
+def add(K, f: Poly, g: Poly) -> Poly:
+    return trim(K, [K._add(a, b) for a, b in zip_longest(f, g, fillvalue=K._zero)])
 
 
-def degree(f: Poly) -> int:
-    return len(f) - 1
+def sub(K, f: Poly, g: Poly) -> Poly:
+    return trim(K, [K._sub(a, b) for a, b in zip_longest(f, g, fillvalue=K._zero)])
 
 
-def add(f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else None
-        b = g[i] if i < len(g) else None
-        if a is None:
-            out.append(b)
-        elif b is None:
-            out.append(a)
-        else:
-            out.append(a + b)
-    return trim(out)
-
-
-def neg(f: Poly) -> Poly:
-    return [-c for c in f]
-
-
-def sub(f: Poly, g: Poly) -> Poly:
-    return add(f, neg(g))
-
-
-def mul(f: Poly, g: Poly) -> Poly:
+def mul(K, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return []
-    field = f[0].field
-    out = [field.zero() for _ in range(len(f) + len(g) - 1)]
+    zero, plus, times = K._zero, K._add, K._mul
+    out = [zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if a:
+        if a != zero:
             for j, b in enumerate(g):
-                out[i + j] = out[i + j] + a * b
-    return trim(out)
+                out[i + j] = plus(out[i + j], times(a, b))
+    return trim(K, out)
 
 
-def scale(f: Poly, c: FieldElement) -> Poly:
-    return trim([a * c for a in f])
-
-
-def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+def divmod_poly(K, f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of f by g; g must be trimmed."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    field = g[-1].field
-    inv_lead = g[-1].inverse()
-    q = [field.zero()] * max(0, len(f) - len(g) + 1)
-    r = f[:]
-    trim(r)
+    minus, times = K._sub, K._mul
+    inv_lead = K._inv(g[-1])
+    low = g[:-1]
+    q = [K._zero] * max(0, len(f) - len(g) + 1)
+    r = trim(K, f[:])
     while len(r) >= len(g):
         shift = len(r) - len(g)
-        factor = r[-1] * inv_lead
-        q[shift] = factor
-        for i, b in enumerate(g):
-            r[shift + i] = r[shift + i] - factor * b
-        trim(r)
-    return trim(q), r
+        c = q[shift] = times(r.pop(), inv_lead)
+        for i, b in enumerate(low, shift):
+            r[i] = minus(r[i], times(c, b))
+        trim(K, r)
+    return trim(K, q), r
 
 
-def gcd(f: Poly, g: Poly) -> Poly:
-    f, g = f[:], g[:]
-    trim(f), trim(g)
+def gcd(K, f: Poly, g: Poly) -> Poly:
+    """The monic gcd of f and g ([] when both are zero)."""
+    f, g = trim(K, f[:]), trim(K, g[:])
     while g:
-        f, g = g, divmod_poly(f, g)[1]
-    return monic(f)
+        f, g = g, divmod_poly(K, f, g)[1]
+    return monic(K, f)
 
 
-def monic(f: Poly) -> Poly:
+def monic(K, f: Poly) -> Poly:
     if not f:
         return f
-    return scale(f, f[-1].inverse())
+    inv, times = K._inv(f[-1]), K._mul
+    return [times(c, inv) for c in f]
 
 
-def pow_mod(f: Poly, n: int, m: Poly) -> Poly:
-    field = m[-1].field
-    result = [field.one()]
-    base = divmod_poly(f, m)[1]
+def pow_mod(K, f: Poly, n: int, m: Poly) -> Poly:
+    """f^n modulo m, by square and multiply."""
+    result = [K.one().raw]
+    base = divmod_poly(K, f, m)[1]
     while n:
         if n & 1:
-            result = divmod_poly(mul(result, base), m)[1]
-        base = divmod_poly(mul(base, base), m)[1]
+            result = divmod_poly(K, mul(K, result, base), m)[1]
+        base = divmod_poly(K, mul(K, base, base), m)[1]
         n >>= 1
     return result
 
 
-def evaluate(f: Poly, x: FieldElement) -> FieldElement:
-    acc = x.field.zero()
+def inverse_mod(K, a: Poly, m: Poly) -> Poly:
+    """The inverse of a modulo m by the extended euclidean algorithm;
+    ZeroDivisionError when a and m have a common factor."""
+    r0, r1 = m[:], divmod_poly(K, a, m)[1]
+    t0, t1 = [], [K.one().raw]
+    while r1:
+        q, r = divmod_poly(K, r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, sub(K, t0, mul(K, q, t1))
+    if len(r0) != 1:
+        raise ZeroDivisionError("element not invertible (modulus not irreducible?)")
+    inv, times = K._inv(r0[0]), K._mul
+    return [times(c, inv) for c in t0]
+
+
+def evaluate(K, f: Poly, x):
+    plus, times = K._add, K._mul
+    acc = K._zero
     for c in reversed(f):
-        acc = acc * x + c
+        acc = plus(times(acc, x), c)
     return acc
 
 
-def derivative(f: Poly) -> Poly:
-    return trim([c * i for i, c in enumerate(f)][1:])
+def is_irreducible(K, f: Poly) -> bool:
+    """Rabin's test over the finite field K of order q: f of degree e >= 1
+    is irreducible iff x^(q^e) = x mod f and x^(q^(e/r)) - x is prime to f
+    for every prime r dividing e."""
+    e = len(f) - 1
+    if e < 1:
+        return False
+    if e == 1:
+        return True
+    x = [K._zero, K.one().raw]
 
+    def frobenius(k: int) -> Poly:  # x^(q^k) mod f
+        u = x
+        for _ in range(k):
+            u = pow_mod(K, u, K.order, f)
+        return u
 
-def x_poly(field: Field) -> Poly:
-    return [field.zero(), field.one()]
+    if sub(K, frobenius(e), x):
+        return False
+    return all(len(gcd(K, sub(K, frobenius(e // r), x), f)) == 1 for r in factor(e))
 
 
 # ---------------------------------------------------------------------------
@@ -133,151 +151,94 @@ def x_poly(field: Field) -> Poly:
 _BRUTE_FORCE_ORDER = 4096
 
 
-def roots_in_field(f: Poly, seed: int = 0) -> list[FieldElement]:
-    """All distinct roots of f lying in its own coefficient field.
+def roots_in_field(K, f: Poly, seed: int = 0) -> list:
+    """All distinct roots of f lying in K, as sorted raws.
 
     Finite fields: complete (gcd with x^q - x, then seeded equal-degree
     splitting).  Over Q: complete for rational roots via the rational root
     theorem; irrational roots are simply not returned.
     """
-    trim(f)
+    f = trim(K, f[:])
     if not f:
         raise ValueError("the zero polynomial has every root")
-    if degree(f) == 0:
+    if len(f) == 1:
         return []
-    field = f[0].field
-    if isinstance(field, RationalField):
+    if K.char == 0:
         return _rational_roots(f)
-    if field.order is not None and field.order <= _BRUTE_FORCE_ORDER:
-        return sorted(
-            (x for x in field.elements() if not evaluate(f, x)),
-            key=_sort_key,
-        )
-    return sorted(_finite_field_roots(f, field, seed), key=_sort_key)
+    if K.order <= _BRUTE_FORCE_ORDER:
+        zero = K._zero
+        return sorted(x.raw for x in K.elements() if evaluate(K, f, x.raw) == zero)
+    return sorted(_finite_field_roots(K, f, seed))
 
 
-def _sort_key(x: FieldElement):
-    raw = x.raw
-    return raw if isinstance(raw, tuple) else (raw,)
-
-
-def _finite_field_roots(f: Poly, field: Field, seed: int) -> list[FieldElement]:
-    q = field.order
-    fm = monic(f[:])
+def _finite_field_roots(K, f: Poly, seed: int) -> list:
+    q, zero = K.order, K._zero
+    fm = monic(K, f)
     # strip a root at zero
     out = []
-    if not fm[0]:
-        out.append(field.zero())
-        while fm and not fm[0]:
+    if fm[0] == zero:
+        out.append(zero)
+        while fm[0] == zero:
             fm = fm[1:]
-    if degree(fm) < 1:
+    if len(fm) < 2:
         return out
-    xq = pow_mod(x_poly(field), q, fm)
-    g = gcd(sub(xq, x_poly(field)), fm)
-    if degree(g) < 1:
+    x = [zero, K.one().raw]
+    g = gcd(K, sub(K, pow_mod(K, x, q, fm), x), fm)
+    if len(g) < 2:
         return out
-    rng = random.Random(f"{seed}|{q}|{[_sort_key(c) for c in f]}")
-    out.extend(_split_linear(g, field, rng))
+    rng = random.Random(f"{seed}|{q}|{[c if isinstance(c, tuple) else (c,) for c in f]}")
+    out.extend(_split_linear(K, g, rng))
     return out
 
 
-def _split_linear(g: Poly, field: Field, rng) -> list[FieldElement]:
-    """g is a product of distinct monic linear factors; peel them apart."""
-    if degree(g) == 0:
+def _split_linear(K, g: Poly, rng) -> list:
+    """g is a product of distinct monic linear factors; peel them apart.
+    K has odd order: every field of characteristic 2 here (GF(2^e) with
+    e <= 12) lies within the brute-force bound."""
+    if len(g) == 1:
         return []
-    if degree(g) == 1:
-        return [-g[0] / g[1]]
-    q = field.order
-    p = field.char
+    if len(g) == 2:
+        return [K._mul(K._sub(K._zero, g[0]), K._inv(g[1]))]
+    one = K.one().raw
     for _ in range(200):
-        b = field.random_element(rng)
-        if p == 2:
-            # trace splitter: T(c x) = sum (c x)^(2^i), i < log2(q)
-            m = q.bit_length() - 1
-            cx = [field.zero(), b]
-            acc = cx[:]
-            term = cx[:]
-            for _ in range(m - 1):
-                term = divmod_poly(mul(term, term), g)[1]
-                acc = add(acc, term)
-            h = gcd(acc, g)
-        else:
-            probe = add(x_poly(field), [b])  # x + b
-            powp = pow_mod(probe, (q - 1) // 2, g)
-            h = gcd(sub(powp, [field.one()]), g)
-        if 0 < degree(h) < degree(g):
-            rest = divmod_poly(g, h)[0]
-            return _split_linear(h, field, rng) + _split_linear(rest, field, rng)
+        b = K.random_element(rng).raw
+        powp = pow_mod(K, [b, one], (K.order - 1) // 2, g)  # (x + b)^((q-1)/2)
+        h = gcd(K, sub(K, powp, [one]), g)
+        if 1 < len(h) < len(g):
+            rest = divmod_poly(K, g, h)[0]
+            return _split_linear(K, h, rng) + _split_linear(K, rest, rng)
     raise RuntimeError("equal-degree splitting failed to make progress")
 
 
-def _rational_roots(f: Poly) -> list[FieldElement]:
-    from fractions import Fraction
-    from math import gcd as igcd
-
-    # clear denominators to integer coefficients
-    denoms = [c.raw.denominator for c in f]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // igcd(lcm, d)
-    ints = [int(c.raw * lcm) for c in f]
-    content = 0
-    for c in ints:
-        content = igcd(content, c)
-    if content > 1:
-        ints = [c // content for c in ints]
+def _rational_roots(f: Poly) -> list:
+    # clear denominators to coprime integer coefficients
+    den = lcm(*(c.denominator for c in f))
+    ints = [int(c * den) for c in f]
+    content = igcd(*ints)
+    ints = [c // content for c in ints]
     # strip zero roots
     out = []
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        if not out:
-            out.append(QQ.zero())
+    if ints[0] == 0:
+        out.append(Fraction(0))
+        while ints[0] == 0:
+            ints = ints[1:]
     if len(ints) <= 1:
         return out
     a0, an = abs(ints[0]), abs(ints[-1])
     for num in _divisors(a0):
-        for den in _divisors(an):
+        for d in _divisors(an):
             for s in (1, -1):
-                cand = Fraction(s * num, den)
+                cand = Fraction(s * num, d)
                 val = 0
                 for c in reversed(ints):
                     val = val * cand + c
-                if val == 0:
-                    e = QQ.element(cand)
-                    if e not in out:
-                        out.append(e)
-    out.sort(key=lambda e: e.raw)
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+                if val == 0 and cand not in out:
+                    out.append(cand)
     return sorted(out)
 
 
-def square_roots(a: FieldElement, seed: int = 0) -> list[FieldElement]:
-    """Solutions of x^2 = a in the element's field (0, 1 or 2 of them)."""
-    field = a.field
-    if isinstance(field, RationalField):
-        from fractions import Fraction
-        from math import isqrt
-
-        fr = a.raw
-        if fr < 0:
-            return []
-        pn, pd = isqrt(fr.numerator), isqrt(fr.denominator)
-        if pn * pn == fr.numerator and pd * pd == fr.denominator:
-            r = Fraction(pn, pd)
-            return [field.element(r)] if r == 0 else [field.element(r), field.element(-r)]
-        return []
-    f = [-a, field.zero(), field.one()]  # x^2 - a
-    return roots_in_field(f, seed)
+def _divisors(n: int) -> list[int]:
+    out = [1]
+    for p, k in factor(n).items():
+        out = [d * p**i for d in out for i in range(k + 1)]
+    return sorted(out)

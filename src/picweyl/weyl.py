@@ -12,11 +12,14 @@ Conventions used by every function here:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from . import polys
+from .fields import QQ
 from .lattice import (
     HyperbolicLattice,
     LatticeIsometry,
@@ -233,85 +236,61 @@ def _elliptic_witness(g: LatticeIsometry, order: int) -> LatticeVector:
 def _charpoly_coeffs(rows) -> list[int]:
     """Monic characteristic polynomial, integer coefficients, descending.
 
-    Faddeev-LeVerrier with exact rationals; no external dependency needed
-    for an 11x11 matrix.
+    Faddeev-LeVerrier in integers: every M_k is an integer matrix and the
+    trace divides exactly by k, so no rationals are needed.
     """
     dim = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    coeffs = [Fraction(1)]
-    m = [[Fraction(0)] * dim for _ in range(dim)]
+    coeffs = [1]
+    m = [[0] * dim for _ in range(dim)]
     for k in range(1, dim + 1):
         # m = a @ m + c_{k-1} I
-        am = [
-            [sum(a[i][t] * m[t][j] for t in range(dim)) for j in range(dim)]
-            for i in range(dim)
-        ]
+        cols = list(zip(*m))
+        m = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
         for i in range(dim):
-            am[i][i] += coeffs[-1]
-        m = am
-        ck = -sum(
-            sum(a[i][t] * m[t][i] for t in range(dim)) for i in range(dim)
-        ) / k
-        coeffs.append(ck)
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
+            m[i][i] += coeffs[-1]
+        trace = sum(sum(map(operator.mul, row, col)) for row, col in zip(rows, zip(*m)))
+        ck, rem = divmod(-trace, k)
+        if rem:
             raise AssertionError("characteristic polynomial must be integral")
-        out.append(int(c))
-    return out
+        coeffs.append(ck)
+    return coeffs
 
 
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Division of integer polynomials (descending coeffs), den monic."""
-    num = num[:]
-    q = []
-    while len(num) >= len(den):
-        lead = num[0]
-        q.append(lead)
-        for i, d in enumerate(den):
-            num[i] -= lead * d
-        assert num[0] == 0
-        num.pop(0)
-    while len(num) > 1 and num[0] == 0:
-        num.pop(0)
-    return q if q else [0], num
+def _ascending_qq(coeffs) -> list[Fraction]:
+    return [Fraction(c) for c in reversed(coeffs)]
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     """The d-th cyclotomic polynomial (descending coeffs): x^d - 1 divided
     by the cyclotomic polynomials of the proper divisors of d."""
-    num = [1] + [0] * (d - 1) + [-1]
+    num = _ascending_qq([1] + [0] * (d - 1) + [-1])
     for e in range(1, d):
         if d % e == 0:
-            num, _ = _poly_divmod(num, list(_cyclotomic_coeffs(e)))
-    return tuple(num)
+            num = polys.divmod_poly(QQ, num, _ascending_qq(_cyclotomic_coeffs(e)))[0]
+    return tuple(int(c) for c in reversed(num))
 
 
 def _strip_cyclotomic(coeffs: list[int]) -> tuple[list[int], list[int]]:
-    """Divide out every cyclotomic factor; return (indices found, remainder)."""
+    """Divide out every cyclotomic factor; return (indices found, remainder),
+    the remainder as descending coefficients like the input."""
     deg = len(coeffs) - 1
-    rem = coeffs[:]
+    rem = _ascending_qq(coeffs)
     found = []
     d = 1
     # totient(d) >= sqrt(d/2), so indices with totient <= deg live below 2(deg+1)^2
-    while d <= 2 * (deg + 1) * (deg + 1):
+    while d <= 2 * (deg + 1) * (deg + 1) and len(rem) > 1:
         totient = math.prod(p ** (k - 1) * (p - 1) for p, k in factor(d).items())
         if totient <= deg:
-            cd = list(_cyclotomic_coeffs(d))
-            while len(rem) > len(cd) or (len(rem) == len(cd)):
-                q, r = _poly_divmod(rem, cd)
-                if r == [0]:
-                    rem = q
-                    found.append(d)
-                else:
+            cd = _ascending_qq(_cyclotomic_coeffs(d))
+            while len(rem) >= len(cd):
+                q, r = polys.divmod_poly(QQ, rem, cd)
+                if r:
                     break
-                if len(rem) == 1:
-                    break
-        if len(rem) == 1:
-            break
+                rem = q
+                found.append(d)
         d += 1
-    return found, rem
+    return found, [int(c) for c in reversed(rem)]
 
 
 def _max_root_modulus(coeffs: list[int]) -> float:

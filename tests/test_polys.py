@@ -1,0 +1,140 @@
+"""polys checked against sympy's galoistools over GF(2), GF(3), GF(5) and
+GF(101), root extraction against brute force, and the default GF(p^e)
+moduli against a galoistools irreducibility scan."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import ZZ
+from sympy.polys.galoistools import (
+    gf_div,
+    gf_eval,
+    gf_factor,
+    gf_gcd,
+    gf_gcdex,
+    gf_irreducible_p,
+    gf_pow_mod,
+)
+
+from picweyl import ExtensionField, PrimeField, polys
+from picweyl.fields import smallest_irreducible
+
+PRIMES = (2, 3, 5, 101)
+
+
+def to_gf(f):
+    """Ascending raws to galoistools' descending coefficient list."""
+    return [ZZ(c) for c in reversed(f)]
+
+
+def from_gf(f):
+    return [int(c) for c in reversed(f)]
+
+
+def poly(p, min_degree=-1, max_degree=8):
+    """Trimmed ascending polynomials over GF(p) of degree in the range."""
+    body = st.lists(st.integers(0, p - 1), min_size=max(min_degree, 0), max_size=max_degree)
+    if min_degree < 0:
+        return body.map(lambda f: polys.trim(PrimeField(p), f))
+    return st.builds(lambda f, lead: f + [lead], body, st.integers(1, p - 1))
+
+
+class TestAgainstGaloistools:
+    @pytest.mark.parametrize("p", PRIMES)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_divmod(self, p, data):
+        f, g = data.draw(poly(p)), data.draw(poly(p, min_degree=0))
+        q, r = polys.divmod_poly(PrimeField(p), f, g)
+        sq, sr = gf_div(to_gf(f), to_gf(g), p, ZZ)
+        assert (q, r) == (from_gf(sq), from_gf(sr))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_gcd(self, p, data):
+        f, g = data.draw(poly(p)), data.draw(poly(p))
+        common = data.draw(poly(p, max_degree=3))
+        K = PrimeField(p)
+        f, g = polys.mul(K, f, common), polys.mul(K, g, common)
+        assert polys.gcd(K, f, g) == from_gf(gf_gcd(to_gf(f), to_gf(g), p, ZZ))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_inverse_mod(self, p, data):
+        m = data.draw(poly(p, min_degree=1, max_degree=6))
+        a = data.draw(poly(p, max_degree=len(m) - 1))
+        s, _, h = gf_gcdex(to_gf(a), to_gf(m), p, ZZ)
+        K = PrimeField(p)
+        if h == [1]:
+            assert polys.inverse_mod(K, a, m) == from_gf(s)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                polys.inverse_mod(K, a, m)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_pow_mod(self, p, data):
+        f, m = data.draw(poly(p)), data.draw(poly(p, min_degree=1))
+        n = data.draw(st.integers(0, 300))
+        ours = polys.pow_mod(PrimeField(p), f, n, m)
+        assert ours == from_gf(gf_pow_mod(to_gf(f), n, to_gf(m), p, ZZ))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_is_irreducible(self, p, data):
+        f = data.draw(poly(p, min_degree=1, max_degree=7))
+        assert polys.is_irreducible(PrimeField(p), f) == gf_irreducible_p(to_gf(f), p, ZZ)
+
+
+class TestRoots:
+    @pytest.mark.parametrize("p", PRIMES)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_prime_field_against_brute_force(self, p, data):
+        f = data.draw(poly(p, min_degree=0))
+        brute = [x for x in range(p) if gf_eval(to_gf(f), x, p, ZZ) == 0]
+        assert polys.roots_in_field(PrimeField(p), f, seed=data.draw(st.integers(0, 3))) == brute
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_large_prime_field_against_linear_factors(self, data):
+        # GF(10007) is past the brute-force bound: roots come from the
+        # gcd with x^q - x and equal-degree splitting
+        p = 10007
+        roots = data.draw(st.lists(st.integers(0, p - 1), max_size=5))
+        f = data.draw(poly(p, min_degree=0, max_degree=4))
+        K = PrimeField(p)
+        for r in roots:
+            f = polys.mul(K, f, [-r % p, 1])
+        _, factors = gf_factor(to_gf(f), p, ZZ)
+        linear = sorted(-int(g[1]) % p for g, _ in factors if len(g) == 2)
+        assert polys.roots_in_field(K, f, seed=data.draw(st.integers(0, 3))) == linear
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_extension_field_against_brute_force(self, data):
+        K = ExtensionField(5, 2)
+        digits = st.tuples(st.integers(0, 4), st.integers(0, 4))
+        f = polys.trim(K, data.draw(st.lists(digits, max_size=7)) + [(1, 0)])
+        boxed = [K.element(c) for c in f]
+        brute = sorted(
+            x.raw
+            for x in K.elements()
+            if not sum((c * x**i for i, c in enumerate(boxed)), K.zero())
+        )
+        assert polys.roots_in_field(K, f) == brute
+
+
+@pytest.mark.parametrize("p,e", list(itertools.product((2, 3, 5, 7), (2, 3, 4))))
+def test_smallest_irreducible_is_first_in_base_p_scan(p, e):
+    for code in range(p**e):
+        tail = [code // p**i % p for i in range(e)]
+        if gf_irreducible_p(to_gf(tail + [1]), p, ZZ):
+            break
+    assert smallest_irreducible(p, e) == tuple(tail + [1])
+    assert ExtensionField(p, e).modulus == tuple(tail)
