@@ -224,9 +224,9 @@ def _rational_roots(f: Poly) -> list:
             ints = ints[1:]
     if len(ints) <= 1:
         return out
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for num in _divisors(a0):
-        for d in _divisors(an):
+    dens = _divisors(abs(ints[-1]))
+    for num in _divisors(abs(ints[0])):
+        for d in dens:
             for s in (1, -1):
                 cand = Fraction(s * num, d)
                 val = 0
