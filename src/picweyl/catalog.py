@@ -16,13 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .lattice import (
-    LatticeVector,
-    canonical_vector,
-    gram_matrix,
-    inner,
-    simple_roots,
-)
+from .lattice import LatticeVector, canonical_vector, inner, simple_roots
+from .residue import ResidueModule
 from .smith import integer_left_inverse
 
 
@@ -59,30 +54,19 @@ def residue_mod2(v: LatticeVector) -> tuple[int, ...]:
     return tuple(c % 2 for c in root_basis_coordinates(v))
 
 
-@lru_cache(maxsize=None)
-def _simple_root_gram(n: int) -> tuple[tuple[int, ...], ...]:
-    return gram_matrix(simple_roots(n))
-
-
 def q2_value(coords_mod2: tuple[int, ...], n: int = 10) -> int:
     """Half the even quadratic form, reduced mod 2, on a residue class in
     root-basis coordinates."""
-    g = _simple_root_gram(n)
-    x = coords_mod2
-    total = 0
-    for i in range(n):
-        total += (g[i][i] // 2) * x[i] * x[i]
-        for j in range(i + 1, n):
-            total += g[i][j] * x[i] * x[j]
-    return total % 2
+    return ResidueModule(2, n).quadratic(coords_mod2)
 
 
 def residue_counts_mod2(n: int = 10) -> tuple[int, int]:
     """(#isotropic, #norm-one) residues in the rank-n root lattice mod 2."""
+    q = ResidueModule(2, n).quadratic
     iso = one = 0
     for mask in range(1 << n):
         x = tuple((mask >> i) & 1 for i in range(n))
-        if q2_value(x, n) == 0:
+        if q(x) == 0:
             iso += 1
         else:
             one += 1

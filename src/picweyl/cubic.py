@@ -1139,7 +1139,8 @@ def unnodal_by_kernel(
 
     Returns (verdict, witness_root, certificate).
     """
-    from .catalog import enumerate_roots, q2_value, root_basis_left_inverse
+    from .catalog import enumerate_roots, root_basis_left_inverse
+    from .residue import ResidueModule
 
     pts = _as_point_list(points)
     n = len(pts)
@@ -1178,14 +1179,13 @@ def unnodal_by_kernel(
                 "complete": True,
             }
 
-    if m % 2 == 0:
-        span = _mod2_span(nontrivial, n)
-        if all(q2_value(v, n) == 0 for v in span):
-            return True, None, {
-                "certificate": "mod-2-exclusion",
-                "modulus": m,
-                "complete": True,
-            }
+    # q(r) = -1 for a root, so a kernel root needs a residue mod 2 with q = 1
+    if m % 2 == 0 and ResidueModule(2, n).is_totally_singular(nontrivial):
+        return True, None, {
+            "certificate": "mod-2-exclusion",
+            "modulus": m,
+            "complete": True,
+        }
 
     return True, None, {
         "certificate": "bounded-search",
@@ -1193,14 +1193,3 @@ def unnodal_by_kernel(
         "bound": _CATALOG_BOUND,
         "complete": False,
     }
-
-
-def _mod2_span(gens: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """The F_2-span of the given residue generators, fully enumerated."""
-    span = {tuple([0] * n)}
-    for g in gens:
-        v = tuple(c % 2 for c in g)
-        if v in span:
-            continue
-        span |= {tuple((a + b) % 2 for a, b in zip(v, w)) for w in span}
-    return sorted(span)

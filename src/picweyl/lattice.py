@@ -7,7 +7,9 @@ basis, index 0 first.  Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -115,6 +117,7 @@ def canonical_vector(n: int) -> LatticeVector:
     return LatticeVector((-3,) + (1,) * n)
 
 
+@lru_cache(maxsize=None)
 def simple_roots(n: int) -> tuple[LatticeVector, ...]:
     """The n simple roots spanning the orthogonal complement of canonical_vector(n).
 
@@ -136,8 +139,14 @@ def simple_roots(n: int) -> tuple[LatticeVector, ...]:
 
 
 def gram_matrix(vectors: Iterable[LatticeVector]) -> tuple[tuple[int, ...], ...]:
-    vs = list(vectors)
-    return tuple(tuple(inner(u, v) for v in vs) for u in vs)
+    cs = [v.coords for v in vectors]
+    for c in cs:
+        if len(c) != len(cs[0]):
+            raise ValueError(f"mixed ranks: {len(cs[0]) - 1} vs {len(c) - 1}")
+    # u.v = u_0 v_0 - sum_{i>=1} u_i v_i = 2 u_0 v_0 - sum_i u_i v_i
+    return tuple(
+        tuple(2 * a[0] * b[0] - sum(map(operator.mul, a, b)) for b in cs) for a in cs
+    )
 
 
 class HyperbolicLattice:

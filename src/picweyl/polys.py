@@ -224,16 +224,20 @@ def _rational_roots(f: Poly) -> list:
             ints = ints[1:]
     if len(ints) <= 1:
         return out
+    # num/d is a root iff sum c_i num^i d^(deg - i) = 0, an integer test;
+    # only coprime pairs, so every candidate comes once
     dens = _divisors(abs(ints[-1]))
     for num in _divisors(abs(ints[0])):
         for d in dens:
-            for s in (1, -1):
-                cand = Fraction(s * num, d)
-                val = 0
+            if igcd(num, d) != 1:
+                continue
+            for s in (num, -num):
+                val, dpow = 0, 1
                 for c in reversed(ints):
-                    val = val * cand + c
-                if val == 0 and cand not in out:
-                    out.append(cand)
+                    val = val * s + c * dpow
+                    dpow *= d
+                if val == 0:
+                    out.append(Fraction(s, d))
     return sorted(out)
 
 

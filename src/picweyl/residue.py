@@ -1,19 +1,20 @@
 """Quadratic-form arithmetic on the canonical complement, reduced mod m.
 
 Everything here lives in simple-root coordinates: a residue vector is a
-length-10 tuple of ints in [0, m), the coordinates of an element of the
-rank-10 canonical complement inside Z^{1,10} with respect to the simple
-roots.  In these coordinates the Gram matrix has -2 on the diagonal and 1
-on the edges of the T-shaped tree, the lattice is even and unimodular, and
-the half-norm q(x) = x.G.x / 2 is an integer with q(root) = -1.  Simple
+length-n tuple of ints in [0, m), the coordinates of an element of the
+rank-n canonical complement k_n^perp inside Z^{1,n} with respect to the
+simple roots.  In these coordinates the Gram matrix has -2 on the diagonal
+and 1 on the edges of the T-shaped tree, the lattice is even, and the
+half-norm q(x) = x.G.x / 2 is an integer with q(root) = -1.  Simple
 reflections act by changing a single coordinate, which keeps the orbit
-searches cheap.
+searches cheap.  The root searches need the unimodular case n = 10.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import combinations, product
 
 from .errors import BudgetError, DomainError
@@ -26,57 +27,59 @@ from .smith import (
     smith_normal_form,
 )
 
-_N = 10
-_ALPHA = simple_roots(_N)
-_GRAM = gram_matrix(_ALPHA)
-# neighbours[i] lists the j with G[i][j] != 0, so b(x, alpha_i) is a short sum
-_NEIGHBOURS = tuple(
-    tuple(j for j in range(_N) if _GRAM[i][j]) for i in range(_N)
-)
-
 _WORD_DEPTH = 24
-_ORBIT_DEPTH = 24
 _VISITED_CAP = 2**24
 _WITT_TRIALS = 50_000
 _BASE_SCAN_CAP = 2**16
 
 
-def _dot_gram(x, y) -> int:
-    return sum(_GRAM[i][j] * x[i] * y[j] for i in range(_N) for j in range(_N))
+@lru_cache(maxsize=None)
+def _form(n: int):
+    """The Gram matrix of k_n^perp in simple-root coordinates, and for each
+    row the columns where it is nonzero, so b(x, alpha_i) is a short sum."""
+    gram = gram_matrix(simple_roots(n))
+    return gram, tuple(tuple(j for j in range(n) if gram[i][j]) for i in range(n))
+
+
+def _b_int(x, y) -> int:
+    """b(x, y) = x.G.y over the integers."""
+    gram, neighbours = _form(len(x))
+    acc = 0
+    for i, xi in enumerate(x):
+        if xi:
+            for j in neighbours[i]:
+                acc += gram[i][j] * xi * y[j]
+    return acc
 
 
 def _q_int(x) -> int:
-    acc = 0
-    for i in range(_N):
-        xi = x[i]
-        if xi:
-            for j in _NEIGHBOURS[i]:
-                acc += _GRAM[i][j] * xi * x[j]
-    return acc // 2
+    return _b_int(x, x) // 2
 
 
 def _reflect_coord(x, i, m=None):
     """s_i in simple-root coordinates: only coordinate i moves."""
-    t = sum(_GRAM[i][j] * x[j] for j in _NEIGHBOURS[i])
+    gram, neighbours = _form(len(x))
+    t = sum(gram[i][j] * x[j] for j in neighbours[i])
     out = list(x)
     out[i] = x[i] + t if m is None else (x[i] + t) % m
     return tuple(out)
 
 
 class ResidueModule:
-    """The rank-10 even unimodular lattice with coefficients in Z/m."""
+    """The canonical complement k_n^perp with coefficients in Z/m."""
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, n: int = 10):
         if m < 2:
             raise DomainError("the modulus must be at least 2")
         self.m = m
-        self.rank = _N
+        self.rank = n
+        self.gram = _form(n)[0]
 
     # -- vector arithmetic -----------------------------------------------
 
     def reduce(self, x) -> tuple[int, ...]:
-        if len(x) != _N:
-            raise ValueError(f"residue vectors have {_N} coordinates")
+        if len(x) != self.rank:
+            raise ValueError(f"residue vectors have {self.rank} coordinates")
         return tuple(int(c) % self.m for c in x)
 
     def add(self, x, y):
@@ -92,10 +95,18 @@ class ResidueModule:
         return tuple((c * a) % self.m for a in x)
 
     def bilinear(self, x, y) -> int:
-        return _dot_gram(x, y) % self.m
+        return _b_int(x, y) % self.m
 
     def quadratic(self, x) -> int:
         return _q_int(x) % self.m
+
+    def is_totally_singular(self, vectors) -> bool:
+        """q vanishes on the span of vectors.  Checked on the vectors and
+        their pairs, since q(x + y) = q(x) + q(y) + b(x, y)."""
+        vs = [self.reduce(v) for v in vectors]
+        return all(self.quadratic(v) == 0 for v in vs) and all(
+            self.bilinear(v, w) == 0 for v, w in combinations(vs, 2)
+        )
 
     # -- structure ---------------------------------------------------------
 
@@ -115,28 +126,28 @@ class ResidueModule:
         return p, k
 
     def simple_residue(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < _N:
-            raise ValueError(f"simple root index {i} outside 0..9")
-        return tuple(1 % self.m if j == i else 0 for j in range(_N))
+        if not 0 <= i < self.rank:
+            raise ValueError(f"simple root index {i} outside 0..{self.rank - 1}")
+        return tuple(1 % self.m if j == i else 0 for j in range(self.rank))
 
     def submodule(self, generators) -> "ResidueSubmodule":
         return ResidueSubmodule(self, [self.reduce(g) for g in generators])
 
     def full_submodule(self) -> "ResidueSubmodule":
-        return self.submodule([self.simple_residue(i) for i in range(_N)])
+        return self.submodule([self.simple_residue(i) for i in range(self.rank)])
 
     def __eq__(self, other):
-        return isinstance(other, ResidueModule) and other.m == self.m
+        return isinstance(other, ResidueModule) and (other.m, other.rank) == (self.m, self.rank)
 
     def __hash__(self):
-        return hash(("ResidueModule", self.m))
+        return hash(("ResidueModule", self.m, self.rank))
 
     def __repr__(self):
-        return f"ResidueModule(m={self.m})"
+        return f"ResidueModule(m={self.m}, n={self.rank})"
 
 
 class ResidueSubmodule:
-    """Subgroup of (Z/m)^10 spanned by a generating set, with Smith-form
+    """Subgroup of (Z/m)^n spanned by a generating set, with Smith-form
     structure data computed on first use."""
 
     def __init__(self, module: ResidueModule, generators):
@@ -147,16 +158,16 @@ class ResidueSubmodule:
     def _compute(self):
         if self._structure is not None:
             return self._structure
-        m = self.module.m
+        m, n = self.module.m, self.module.rank
         cols = [list(g) for g in self.generators]
-        cols += [[m if i == j else 0 for i in range(_N)] for j in range(_N)]
-        a = [[cols[j][i] for j in range(len(cols))] for i in range(_N)]
+        cols += [[m if i == j else 0 for i in range(n)] for j in range(n)]
+        a = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
         u, d, _ = smith_normal_form(a)
         diag = diagonal_of(d)
-        factors = tuple(diag[i] for i in range(_N))
+        factors = tuple(diag[i] for i in range(n))
         uinv = integer_left_inverse(u)
         basis = tuple(
-            tuple(uinv[i][j] % m for i in range(_N)) for j in range(_N)
+            tuple(uinv[i][j] % m for i in range(n)) for j in range(n)
         )
         self._structure = (u, factors, basis)
         return self._structure
@@ -172,14 +183,13 @@ class ResidueSubmodule:
     def free_basis(self) -> list[tuple[int, ...]]:
         """Vectors generating a free direct summand, one per unit factor."""
         u, factors, basis = self._compute()
-        return [basis[j] for j in range(_N) if factors[j] == 1]
+        return [b for b, f in zip(basis, factors) if f == 1]
 
     def contains(self, x) -> bool:
         u, factors, _ = self._compute()
         xr = self.module.reduce(x)
-        for i in range(_N):
-            ui = sum(u[i][j] * xr[j] for j in range(_N))
-            if ui % factors[i]:
+        for row, f in zip(u, factors):
+            if sum(a * b for a, b in zip(row, xr)) % f:
                 return False
         return True
 
@@ -212,16 +222,16 @@ def represent_unit(sub: ResidueSubmodule, a: int):
             "the submodule drops below rank 2 mod p; representation of a "
             "unit is not guaranteed"
         )
-    v, w = _base_solution(basis, a, p)
+    v, w = _base_solution(module, basis, a, p)
     # Hensel-style corrections up to p^k
     for j in range(1, k):
         pj = p**j
         qv = _q_int(v)
         c = ((qv - a) // pj) % p
         if c:
-            u = _dot_gram(v, w) % p
+            u = module.bilinear(v, w) % p
             t = (-c * pow(u, -1, p)) % p
-            v = tuple(v[i] + t * pj * w[i] for i in range(_N))
+            v = tuple(vi + t * pj * wi for vi, wi in zip(v, w))
     v = module.reduce(v)
     if module.quadratic(v) != a:
         raise DomainError("unit representation drifted during lifting")
@@ -231,7 +241,7 @@ def represent_unit(sub: ResidueSubmodule, a: int):
 def _mod_p_rank(vectors, p: int) -> int:
     rows = [[c % p for c in v] for v in vectors]
     rank = 0
-    for col in range(_N):
+    for col in range(len(rows[0])):
         piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
         if piv is None:
             continue
@@ -246,22 +256,22 @@ def _mod_p_rank(vectors, p: int) -> int:
 
 
 def _combo(basis, coeffs):
-    out = [0] * _N
+    out = [0] * len(basis[0])
     for c, b in zip(coeffs, basis):
         if c:
-            for i in range(_N):
-                out[i] += c * b[i]
+            for i, bi in enumerate(b):
+                out[i] += c * bi
     return tuple(out)
 
 
-def _companion(basis, v, p):
+def _companion(module, basis, v, p):
     for w in basis:
-        if _dot_gram(v, w) % p:
+        if module.bilinear(v, w) % p:
             return w
     return None
 
 
-def _base_solution(basis, a: int, p: int):
+def _base_solution(module, basis, a: int, p: int):
     """(v, w) with q(v) = a mod p and b(v, w) a unit mod p, by search."""
     r = len(basis)
     if p**r <= _BASE_SCAN_CAP:
@@ -269,13 +279,13 @@ def _base_solution(basis, a: int, p: int):
             v = _combo(basis, coeffs)
             if _q_int(v) % p != a % p:
                 continue
-            w = _companion(basis, v, p)
+            w = _companion(module, basis, v, p)
             if w is not None:
                 return v, w
         raise DomainError(f"no vector of the submodule has q = {a} mod {p}")
     # big search space: restrict to a nondegenerate rank-3 slice, where a
     # ternary form over F_p takes every nonzero value
-    gram = [[_dot_gram(x, y) % p for y in basis] for x in basis]
+    gram = [[module.bilinear(x, y) % p for y in basis] for x in basis]
     for triple in combinations(range(r), 3):
         sub3 = [[gram[i][j] for j in triple] for i in triple]
         det = (
@@ -290,7 +300,7 @@ def _base_solution(basis, a: int, p: int):
             v = _combo(picked, coeffs)
             if _q_int(v) % p != a % p:
                 continue
-            w = _companion(basis, v, p)
+            w = _companion(module, basis, v, p)
             if w is not None:
                 return v, w
     raise BudgetError(
@@ -437,11 +447,7 @@ def _witt_connector(module: ResidueModule, matched, f, g, d):
                     raise BudgetError(
                         "no Witt connector found within the search budget"
                     )
-                w = [0] * _N
-                for c, t in zip(coeffs, idxs):
-                    for col in range(_N):
-                        w[col] += c * basis[t][col]
-                w = module.reduce(w)
+                w = module.reduce(_combo([basis[t] for t in idxs], coeffs))
                 qw = module.quadratic(w)
                 if not module.is_unit(qw):
                     continue
@@ -456,24 +462,20 @@ def _witt_connector(module: ResidueModule, matched, f, g, d):
 def _orthogonal_basis(module: ResidueModule, matched):
     """Generators of {x mod m : b(x, g) = 0 for all matched g}."""
     if not matched:
-        return [module.simple_residue(i) for i in range(_N)]
+        return [module.simple_residue(i) for i in range(module.rank)]
     m = module.m
-    rows = [[_dot_gram_row(g, j) for j in range(_N)] for g in matched]
+    rows = [[sum(a * b for a, b in zip(row, g)) for row in module.gram] for g in matched]
     block = [row + [m if i == j else 0 for j in range(len(matched))]
              for i, row in enumerate(rows)]
     kern = integer_kernel(block)
     out = []
     seen = set()
     for vec in kern:
-        x = module.reduce(vec[:_N])
+        x = module.reduce(vec[: module.rank])
         if any(x) and x not in seen:
             seen.add(x)
             out.append(x)
     return out
-
-
-def _dot_gram_row(g, j: int) -> int:
-    return sum(_GRAM[j][t] * g[t] for t in _NEIGHBOURS[j])
 
 
 def adjust_to_spin(prod: ReflectionProduct, m0: ResidueSubmodule) -> ReflectionProduct:
@@ -525,19 +527,21 @@ def find_root_in_submodule(
     "orbit-bfs": expand the Weyl orbit of the simple roots breadth-first
     over the integers until some residue lands in the submodule.
 
+    Both run the same word search, which keeps no state between calls.
     Either search is bounded; exhaustion reports status "inconclusive",
-    never nonexistence.
+    never nonexistence.  The searches need the unimodular case n = 10.
     """
+    if sub.module.rank != 10:
+        raise DomainError(f"root searches need n = 10, not n = {sub.module.rank}")
     if sub.free_rank < 8:
         raise DomainError(
             f"free rank {sub.free_rank} < 8: the submodule is too small"
         )
     name = method.strip().lower().replace("_", "-")
+    depth = _WORD_DEPTH if max_depth is None else max_depth
     if name == "theory":
-        depth = _WORD_DEPTH if max_depth is None else max_depth
         return _root_by_theory(sub, depth, max_visited)
     if name in ("orbit-bfs", "orbitbfs", "bfs"):
-        depth = _ORBIT_DEPTH if max_depth is None else max_depth
         return _root_by_orbit(sub, depth, max_visited)
     raise ValueError(f"unknown method {method!r}: use theory or orbit-bfs")
 
@@ -578,28 +582,26 @@ def _root_by_theory(sub: ResidueSubmodule, depth: int, cap: int) -> RootSearchRe
     if not accept.contains(target):
         raise AssertionError("combined rank-8 piece lost the target")
 
-    word = _residue_word_search(module, accept, depth, cap)
-    if word is None:
+    step = partial(_reflect_coord, m=m)
+    found = _word_search([module.simple_residue(1)], step, accept.contains, depth, cap)
+    if not isinstance(found, tuple):
+        reason = found or (
+            f"no word of length <= {depth} carries the base root"
+            " into the combined rank-8 piece"
+        )
         return RootSearchResult(
             "inconclusive",
             None,
-            {
-                "method": "Theory",
-                "modulus": m,
-                "residue": list(target),
-                "reason": (
-                    f"no word of length <= {depth} carries the base root"
-                    " into the combined rank-8 piece"
-                ),
-            },
+            {"method": "Theory", "modulus": m, "residue": list(target), "reason": reason},
         )
+    word = found[1]
     root_alpha = _apply_word_alpha((0, 1) + (0,) * 8, word)
     return _package(sub, root_alpha, 1, word, "Theory", {"target": list(target)})
 
 
 def _crt_combine(pieces, m: int):
     out = []
-    for i in range(_N):
+    for i in range(len(pieces[0][1])):
         acc = 0
         for pk, vec in pieces:
             other = m // pk
@@ -608,149 +610,74 @@ def _crt_combine(pieces, m: int):
     return tuple(out)
 
 
-def _residue_word_search(module, accept: ResidueSubmodule, depth: int, cap: int):
-    """A word carrying the first simple root's residue into the acceptance
-    submodule, by breadth-first search over residue vectors.
-
-    Levels correspond to word length, so the shortest acceptable word comes
-    back first and the depth bound reads as a bound on word length.
-    """
-    m = module.m
-    start = module.simple_residue(1)
-    tree: dict[tuple[int, ...], tuple | None] = {start: None}
-    frontier = [start]
-    goal = start if accept.contains(start) else None
-    level = 0
-    while goal is None and frontier and level < depth:
-        level += 1
-        nxt = []
-        for x in frontier:
-            for letter in range(_N):
-                child = _reflect_coord(x, letter, m)
-                if child in tree:
-                    continue
-                tree[child] = (x, letter)
-                nxt.append(child)
-                if accept.contains(child):
-                    goal = child
-                    break
-                if len(tree) > cap:
-                    return None
-            if goal is not None:
-                break
-        frontier = nxt
-    if goal is None:
-        return None
-    word = []
-    node = goal
-    while tree[node] is not None:
-        node, letter = tree[node]
-        word.append(letter)
-    word.reverse()
-    return word
-
-
 def _apply_word_alpha(x, word):
     for letter in word:
         x = _reflect_coord(x, letter)
     return x
 
 
-# The integer orbit is independent of the modulus, so one expansion is
-# shared by every search in the process.
-_ORBIT_ROOTS: list[tuple[int, ...]] = []
-_ORBIT_PARENT: list[tuple[int, int] | None] = []
-_ORBIT_INDEX: dict[tuple[int, ...], int] = {}
-_ORBIT_LEVEL_END: list[int] = []
-
-
-def _orbit_reset():
-    _ORBIT_ROOTS.clear()
-    _ORBIT_PARENT.clear()
-    _ORBIT_INDEX.clear()
-    _ORBIT_LEVEL_END.clear()
-    for i in range(_N):
-        seed = tuple(1 if j == i else 0 for j in range(_N))
-        _ORBIT_INDEX[seed] = len(_ORBIT_ROOTS)
-        _ORBIT_ROOTS.append(seed)
-        _ORBIT_PARENT.append(None)
-    _ORBIT_LEVEL_END.append(len(_ORBIT_ROOTS))
-
-
-def _orbit_grow_level(cap: int) -> bool:
-    """Expand one more breadth-first level, atomically: either the whole
-    level's children are committed or nothing changes (cap exceeded)."""
-    if not _ORBIT_ROOTS:
-        _orbit_reset()
-    lo = _ORBIT_LEVEL_END[-2] if len(_ORBIT_LEVEL_END) > 1 else 0
-    hi = _ORBIT_LEVEL_END[-1]
-    children = []
-    fresh = set()
-    for idx in range(lo, hi):
-        x = _ORBIT_ROOTS[idx]
-        for letter in range(_N):
-            child = _reflect_coord(x, letter)
-            if child in _ORBIT_INDEX or child in fresh:
-                continue
-            fresh.add(child)
-            children.append((child, idx, letter))
-    if not children or len(_ORBIT_ROOTS) + len(children) > cap:
-        return False
-    for child, idx, letter in children:
-        _ORBIT_INDEX[child] = len(_ORBIT_ROOTS)
-        _ORBIT_ROOTS.append(child)
-        _ORBIT_PARENT.append((idx, letter))
-    _ORBIT_LEVEL_END.append(len(_ORBIT_ROOTS))
-    return True
-
-
 def _root_by_orbit(sub: ResidueSubmodule, depth: int, cap: int) -> RootSearchResult:
-    if not _ORBIT_ROOTS:
-        _orbit_reset()
-    module = sub.module
+    n = sub.module.rank
+    starts = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    found = _word_search(starts, _reflect_coord, sub.contains, depth, cap)
+    if not isinstance(found, tuple):
+        reason = found or (
+            f"no orbit root within depth {depth} has its residue in the submodule"
+        )
+        return RootSearchResult(
+            "inconclusive",
+            None,
+            {"method": "OrbitBFS", "modulus": sub.module.m, "reason": reason},
+        )
+    base, word, root_alpha = found
+    return _package(sub, root_alpha, base, word, "OrbitBFS")
+
+
+def _word_search(starts, step, accept, depth: int, cap: int):
+    """Breadth-first search over Weyl words for a vector that accept takes.
+
+    step(x, letter) applies one simple reflection.  Vectors are discovered
+    parent by parent, letters 0..n-1 under each, and each level (words one
+    letter longer) is committed whole: a level that would take the search
+    past cap vectors ends it before any of its vectors is tested.  So the
+    first accepted vector has a shortest word, and the outcome depends on
+    the arguments alone.
+
+    Returns (start index, word, vector) for the first accepted vector in
+    discovery order, a reason string when the cap ends the search, or None
+    when no vector reached by a word of length <= depth is accepted.
+    """
+    nodes = list(starts)
+    parents: list[tuple[int, int] | None] = [None] * len(nodes)
+    seen = set(nodes)
+    lo = 0
     for level in range(depth + 1):
-        # lazily extend the shared orbit; scanning stays within the depth
-        # budget so the outcome does not depend on how deep earlier
-        # searches already grew it
-        while len(_ORBIT_LEVEL_END) - 1 < level:
-            if not _orbit_grow_level(cap):
-                return RootSearchResult(
-                    "inconclusive",
-                    None,
-                    {
-                        "method": "OrbitBFS",
-                        "modulus": module.m,
-                        "reason": f"orbit capped at {len(_ORBIT_ROOTS)} roots "
-                        f"before level {level}",
-                    },
-                )
-        lo = _ORBIT_LEVEL_END[level - 1] if level else 0
-        for idx in range(lo, _ORBIT_LEVEL_END[level]):
-            res = module.reduce(_ORBIT_ROOTS[idx])
-            if sub.contains(res):
-                base, word = _orbit_trace(idx)
-                return _package(sub, _ORBIT_ROOTS[idx], base, word, "OrbitBFS")
-    return RootSearchResult(
-        "inconclusive",
-        None,
-        {
-            "method": "OrbitBFS",
-            "modulus": module.m,
-            "reason": f"no orbit root within depth {depth} has its residue "
-            "in the submodule",
-        },
-    )
-
-
-def _orbit_trace(idx: int) -> tuple[int, list[int]]:
-    """The seed (simple root index) the orbit root idx grew from, and the
-    word carrying that simple root to it."""
-    word = []
-    while _ORBIT_PARENT[idx] is not None:
-        idx, letter = _ORBIT_PARENT[idx]
-        word.append(letter)
-    word.reverse()
-    return idx, word
+        if level:
+            children = []
+            for idx in range(lo, len(nodes)):
+                x = nodes[idx]
+                for letter in range(len(x)):
+                    child = step(x, letter)
+                    if child not in seen:
+                        seen.add(child)
+                        children.append((child, idx, letter))
+            if not children:
+                return None
+            if len(nodes) + len(children) > cap:
+                return f"orbit capped at {len(nodes)} roots before level {level}"
+            lo = len(nodes)
+            for child, idx, letter in children:
+                nodes.append(child)
+                parents.append((idx, letter))
+        for idx in range(lo, len(nodes)):
+            if accept(nodes[idx]):
+                word = []
+                start = idx
+                while parents[start] is not None:
+                    start, letter = parents[start]
+                    word.append(letter)
+                return start, word[::-1], nodes[idx]
+    return None
 
 
 def _package(
@@ -769,8 +696,8 @@ def _package(
     res = module.reduce(root_alpha)
     if not sub.contains(res):
         raise AssertionError("search produced a residue outside the submodule")
-    coords = [0] * (_N + 1)
-    for c, alpha in zip(root_alpha, _ALPHA):
+    coords = [0] * (module.rank + 1)
+    for c, alpha in zip(root_alpha, simple_roots(module.rank)):
         for i, a in enumerate(alpha.coords):
             coords[i] += c * a
     root = LatticeVector(tuple(coords))

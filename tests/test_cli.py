@@ -354,3 +354,20 @@ class TestImportGuard:
         # only the hyperbolic float witness needs numpy
         if argv[0] not in ("classify", "report"):
             assert numpy_loaded == "False"
+
+
+def test_no_module_level_mutable_containers():
+    # state shared by every caller in the process makes results depend on
+    # call order; the command table is the one container allowed
+    import importlib
+    import pkgutil
+
+    found = []
+    for info in pkgutil.iter_modules(picweyl.__path__):
+        module = importlib.import_module(f"picweyl.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("__") or (info.name, name) == ("cli", "_COMMANDS"):
+                continue
+            if isinstance(value, (list, dict, set)):
+                found.append(f"{info.name}.{name}")
+    assert found == []

@@ -1,12 +1,13 @@
 """polys checked against sympy's galoistools over GF(2), GF(3), GF(5) and
-GF(101), root extraction against brute force, and the default GF(p^e)
-moduli against a galoistools irreducibility scan."""
+GF(101), root extraction against brute force and, over Q, against sympy,
+and the default GF(p^e) moduli against a galoistools irreducibility scan."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from sympy import ZZ
+from hypothesis import assume, given, settings, strategies as st
+from sympy import QQ as SYMPY_QQ, ZZ, Poly, symbols
 from sympy.polys.galoistools import (
     gf_div,
     gf_eval,
@@ -18,7 +19,7 @@ from sympy.polys.galoistools import (
 )
 
 from picweyl import ExtensionField, PrimeField, polys
-from picweyl.fields import smallest_irreducible
+from picweyl.fields import QQ, smallest_irreducible
 
 PRIMES = (2, 3, 5, 101)
 
@@ -128,6 +129,24 @@ class TestRoots:
             if not sum((c * x**i for i, c in enumerate(boxed)), K.zero())
         )
         assert polys.roots_in_field(K, f) == brute
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals, max_size=4), st.lists(rationals, min_size=1, max_size=5))
+def test_rational_roots_against_sympy(roots, cofactor):
+    # f = cofactor * prod (x - r): rational roots planted, others by chance
+    f = polys.trim(QQ, cofactor)
+    assume(f)
+    for r in roots:
+        f = polys.mul(QQ, f, [-r, Fraction(1)])
+    x = symbols("x")
+    expected = Poly(list(reversed(f)), x, domain=SYMPY_QQ).ground_roots()
+    got = polys.roots_in_field(QQ, f)
+    assert got == sorted(Fraction(int(r.p), int(r.q)) for r in expected)
+    assert set(roots) <= set(got)
 
 
 @pytest.mark.parametrize("p,e", list(itertools.product((2, 3, 5, 7), (2, 3, 4))))

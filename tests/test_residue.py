@@ -28,10 +28,51 @@ from picweyl import (
     simple_roots,
     spinor_norm,
     square_class,
+    vector,
     witt_extend,
 )
 
 coords10 = st.tuples(*[st.integers(0, 5) for _ in range(10)])
+
+
+def _span_is_isotropic(module, gens):
+    """Reference for is_totally_singular: enumerate the span, test every q."""
+    span = {(0,) * module.rank}
+    for g in gens:
+        span = {module.add(v, module.smul(c, g)) for v in span for c in range(module.m)}
+    return all(module.quadratic(v) == 0 for v in span)
+
+
+class TestFormForEveryN:
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_quadratic_and_bilinear_match_the_lattice(self, n, data):
+        # x.G.y computed in Z^{1,n} from x = sum x_i alpha_i
+        m = data.draw(st.integers(2, 12))
+        xs = [data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)) for _ in "xy"]
+        alpha = simple_roots(n)
+        x, y = (sum((a * c for a, c in zip(alpha, v)), vector(*[0] * (n + 1))) for v in xs)
+        M = ResidueModule(m, n)
+        assert M.quadratic(xs[0]) == (inner(x, x) // 2) % m
+        assert M.bilinear(*xs) == inner(x, y) % m
+
+    @pytest.mark.parametrize("n, m", [(9, 2), (10, 2), (11, 2), (10, 3), (4, 2)])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_totally_singular_matches_enumerated_span(self, n, m, data):
+        k = data.draw(st.integers(0, 3))
+        coords = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
+        gens = [tuple(data.draw(coords)) for _ in range(k)]
+        M = ResidueModule(m, n)
+        assert M.is_totally_singular(gens) == _span_is_isotropic(M, gens)
+
+    def test_canonical_vector_spans_the_radical_for_n9(self):
+        kc = root_basis_coordinates(-canonical_vector(9))
+        for m in (2, 3, 4):
+            M = ResidueModule(m, 9)
+            assert M.is_totally_singular([kc])
+            assert not M.is_totally_singular([kc, M.simple_residue(0)])
 
 
 class TestModuleArithmetic:
@@ -348,21 +389,30 @@ class TestRootSearch:
         assert out2.status in ("found", "inconclusive")
 
     def test_visited_cap_reports_inconclusive(self):
-        from picweyl.residue import _orbit_reset
-
         M = ResidueModule(5)
         rng = random.Random(1)  # this seed needs a depth-1 word
         sub = random_rank8_submodule(M, rng)
-        _orbit_reset()
         unrestricted = find_root_in_submodule(sub, "orbit-bfs")
         assert unrestricted.status == "found"
         assert len(unrestricted.certificate["word"]) >= 1
         # a cap at the seed level forbids growing even one level
-        _orbit_reset()
         out = find_root_in_submodule(sub, "orbit-bfs", max_visited=10)
         assert out.status == "inconclusive"
         assert "capped" in out.certificate["reason"]
-        _orbit_reset()  # leave the shared cache clean for other tests
+
+    def test_searches_keep_no_state_between_calls(self):
+        # a capped search answers the same before and after an uncapped one
+        sub = random_rank8_submodule(ResidueModule(5), random.Random(1))
+        fresh = find_root_in_submodule(sub, "orbit-bfs", max_visited=10)
+        find_root_in_submodule(sub, "orbit-bfs")
+        again = find_root_in_submodule(sub, "orbit-bfs", max_visited=10)
+        assert fresh.status == again.status == "inconclusive"
+        assert fresh.certificate == again.certificate
+
+    def test_other_ranks_rejected(self):
+        for n in (9, 11):
+            with pytest.raises(DomainError):
+                find_root_in_submodule(ResidueModule(3, n).full_submodule())
 
     def test_small_rank_rejected(self):
         M = ResidueModule(3)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from picweyl import (
     IsometryClass,
+    LatticeIsometry,
     apply_word,
     basis_vector,
     canonical_vector,
@@ -79,6 +80,21 @@ def test_word_to_isometry_is_a_homomorphism():
     lhs = word_to_isometry(w1 + w2, 9)
     rhs = word_to_isometry(w2, 9) @ word_to_isometry(w1, 9)
     assert lhs.rows == rhs.rows
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 9, 10, 11, 12])
+def test_word_to_isometry_matches_reflection_product(n):
+    # reference: one simple-reflection matrix per letter, multiplied on the left
+    rng = random.Random(n)
+    for _ in range(30):
+        word = [rng.randrange(n) for _ in range(rng.randrange(25))]
+        ref = LatticeIsometry.identity(n)
+        for letter in word:
+            ref = simple_reflection(letter, n) @ ref
+        assert word_to_isometry(word, n).rows == ref.rows
+    for bad in (-1, n):
+        with pytest.raises(ValueError, match=f"letter {bad} outside"):
+            word_to_isometry([0, bad], n)
 
 
 def test_iota_is_additive_and_fixes_k():
