@@ -386,10 +386,11 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"picweyl {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, **kw):
+    def add(name, trace=False, **kw):
         p = sub.add_parser(name, **kw)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--trace", action="store_true", help="emit step logs")
+        if trace:
+            p.add_argument("--trace", action="store_true", help="emit step logs")
         return p
 
     p = add("gram", help="Gram matrix of the simple-root basis")
@@ -407,7 +408,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--word", type=str, default=None, help="comma-separated letters")
     p.add_argument("input", nargs="?", default=None, help="JSON file with a word or matrix")
 
-    p = add("reduce", help="reduce a root to its terminal form")
+    p = add("reduce", trace=True, help="reduce a root to its terminal form")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--vector", type=str, default=None, help="JSON coordinate list")
 
@@ -439,7 +440,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--word", type=str, default=None)
     p.add_argument("input", nargs="?", default=None, help="JSON file with a word")
 
-    p = add("find-root-mod", help="root whose residue lies in a given submodule")
+    p = add("find-root-mod", trace=True, help="root whose residue lies in a given submodule")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--method", choices=("theory", "bfs"), default="theory")
     p.add_argument("--budget", type=int, default=None, help="search depth bound")

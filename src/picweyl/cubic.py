@@ -46,6 +46,7 @@ from .projgeom import (
     frame_with_last_column,
     kernel_basis,
     mat3_apply,
+    mat3_det,
     mat3_from_columns,
     mat3_inverse,
     matrix_rank,
@@ -462,11 +463,11 @@ def _build_nodal_model(
     v1 = _line_intersection(field, t1, to)
     v2 = _line_intersection(field, t2, to)
     # columns: c1 + c2 ~ v1, c1 - c2 ~ v2, c2 ~ o, c3 = node
-    rows = [[v1.coords[i], -v2.coords[i], field(-2) * o.coords[i]] for i in range(3)]
+    rows = [[x.raw for x in (v1[i], -v2[i], field(-2) * o[i])] for i in range(3)]
     ker = kernel_basis(rows, field)
     if len(ker) != 1:
         raise AssertionError("nodal frame solve degenerated")
-    lam1, lam2, mu = ker[0]
+    lam1, lam2, mu = (FieldElement(field, x) for x in ker[0])
     if not (lam1 and lam2 and mu):
         raise AssertionError("nodal frame solve hit a zero scale")
     half = field(2).inverse()
@@ -609,7 +610,7 @@ def _poly_list_gcd(ps: list[Poly], field: Field) -> Poly:
 def _splits_rationally(g: Poly, rts: list, field: Field) -> bool:
     """Does g factor completely into the given rational roots, counted with
     multiplicity?  Divides each root out as often as it goes."""
-    x = [field.zero().raw, field.one().raw]
+    x = [field._zero, field._one]
     h = g
     for r in rts:
         lin = polys.sub(field, x, [r])
@@ -644,7 +645,7 @@ def _restrict_to_infinity(g: Poly3) -> Poly:
 
 def _dense(field: Field, coeffs: dict) -> Poly:
     """The polynomial with the given nonzero raw coefficients by degree."""
-    zero = field.zero().raw
+    zero = field._zero
     return [coeffs.get(i, zero) for i in range(max(coeffs, default=-1) + 1)]
 
 
@@ -656,7 +657,7 @@ def _resultant_y(ca: list[Poly], cb: list[Poly], field: Field) -> Poly:
     n = len(cb) - 1
     if m < 0 or n < 0:
         return []
-    one = [field.one().raw]
+    one = [field._one]
     if m == 0 and n == 0:
         return one
     if m == 0:
@@ -729,12 +730,7 @@ def _rational_inflections(
 
 
 def _hessian(f: Poly3) -> Poly3:
-    m = [[f.partial(i).partial(j) for j in range(3)] for i in range(3)]
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+    return mat3_det([[f.partial(i).partial(j) for j in range(3)] for i in range(3)])
 
 
 def _tangent_line_coeffs(f: Poly3, p: ProjectivePoint):
@@ -1095,16 +1091,14 @@ def harbourne_check(model: CubicCurveModel, points) -> tuple[bool, dict]:
     n = layer.n
     p = model.field.char
     fp = PrimeField(p)
-    rows = [[fp(row[j]) for row in layer.rows] for j in range(len(layer.moduli))]
-    rank = matrix_rank([r[:] for r in rows])
+    rows = [[row[j] % p for row in layer.rows] for j in range(len(layer.moduli))]
+    rank = matrix_rank(rows, fp)
     if rank == n:
         return True, {"kernel": f"{p} * (canonical complement)", "rank": rank}
-    kb = kernel_basis(rows, fp)
-    gens = [[int(c.raw) for c in v] for v in kb]
     return False, {
         "kernel": "strictly larger",
         "rank": rank,
-        "kernel_generators_mod_p": gens,
+        "kernel_generators_mod_p": [list(v) for v in kernel_basis(rows, fp)],
     }
 
 

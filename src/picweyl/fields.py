@@ -127,13 +127,13 @@ class Field:
     char: int
     order: int | None  # None means infinite
 
-    _zero = None  # canonical raw zero, set by subclasses
+    _zero = _one = None  # canonical raw zero and one, set by subclasses
 
     def zero(self) -> FieldElement:
         return FieldElement(self, self._zero)
 
     def one(self) -> FieldElement:
-        return self.from_int(1)
+        return FieldElement(self, self._one)
 
     def __call__(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
@@ -198,7 +198,7 @@ class PrimeField(Field):
         self.p = p
         self.char = p
         self.order = p
-        self._zero = 0
+        self._zero, self._one = 0, 1
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -270,7 +270,7 @@ class PrimeField(Field):
 class RationalField(Field):
     char = 0
     order = None
-    _zero = Fraction(0)
+    _zero, _one = Fraction(0), Fraction(1)
 
     def _add(self, a, b):
         return a + b
@@ -338,13 +338,7 @@ class ExtensionField(Field):
         elif not polys.is_irreducible(self._base, [c % p for c in modulus]):
             raise ValueError("modulus is not irreducible")
         self.modulus = tuple(c % p for c in modulus[:-1])  # non-leading part
-        self._zero = (0,) * e
-
-    def gen(self) -> FieldElement:
-        """The residue of x."""
-        raw = [0] * self.e
-        raw[1 % self.e] = 1
-        return FieldElement(self, tuple(raw))
+        self._zero, self._one = (0,) * e, (1,) + (0,) * (e - 1)
 
     def _add(self, a, b):
         p = self.p
@@ -429,10 +423,6 @@ def field_from_descriptor(desc: dict) -> Field:
         return QQ
     p = int(desc["p"])
     e = int(desc.get("e", 1))
-    return PrimeField(p) if e == 1 else ExtensionField(p, e)
-
-
-def galois_field(p: int, e: int = 1) -> Field:
     return PrimeField(p) if e == 1 else ExtensionField(p, e)
 
 

@@ -8,18 +8,18 @@ immutable; every operation returns a new one.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .catalog import halphen_prohibited_classes
 from .errors import DomainError
-from .fields import Field, field_from_descriptor
+from .fields import Field, FieldElement, field_from_descriptor
 from .lattice import LatticeVector
 from .projgeom import (
     Mat3,
     Poly3,
     ProjectivePoint,
     frame_transform,
-    frame_with_last_column,
     kernel_basis,
     mat3_apply,
     mat3_det,
@@ -49,7 +49,7 @@ class PointConfiguration:
             raise DomainError("configuration points must be pairwise distinct")
         self.field = field
         self.points = pts
-        self._conditions: dict[int, tuple[dict, dict]] = {}
+        self._conditions: dict[int, dict] = {}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -112,10 +112,11 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
     projective dimension); dimension is -1 when the system is empty.
     Negative multiplicities are peeled first.
 
-    Each point is moved to (0:0:1) by a frame change and the conditions are
-    read off as vanishing coefficients of all monomials x^a y^b z^(d-a-b)
-    with a + b < m_i; over any characteristic these are exactly the Hasse
-    derivative conditions, no division by factorials involved.
+    Multiplicity >= m at p means that the Hasse derivatives of order (a, b)
+    with a + b < m vanish at p, in an affine chart around p; one condition
+    row per (a, b), see `_hasse_row`.  Hasse derivatives carry binomial
+    coefficients instead of factorials, so this holds in every
+    characteristic.
     """
     if cls.n != len(cfg):
         raise ValueError(
@@ -127,43 +128,51 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
         return False, -1
     ncols = len(monomial_exponents(d))
     rows = _condition_rows(cfg, cls, d)
-    dim = ncols - (matrix_rank(rows) if rows else 0) - 1
+    dim = ncols - (matrix_rank(rows, cfg.field) if rows else 0) - 1
     return dim >= 0, dim
 
 
 def _condition_rows(cfg: PointConfiguration, cls: LatticeVector, d: int) -> list[list]:
-    """One row per vanishing coefficient (a, b) at each point, a + b < m_i.
-    Rows are memoised on the configuration: verdict routines test hundreds
-    of classes on the same points, and the rows of one point and degree
-    recur in all of them."""
-    transformed, rows_at = cfg._conditions.setdefault(d, ({}, {}))
+    """One row of raws per Hasse derivative (a, b), a + b < m_i, at each
+    point.  Rows are memoised on the configuration: verdict routines test
+    hundreds of classes on the same points, and the rows of one point and
+    degree recur in all of them."""
+    rows_at = cfg._conditions.setdefault(d, {})
     rows: list[list] = []
     for i, m in enumerate(cls.multiplicities):
         for a in range(m):
             for b in range(m - a):
                 row = rows_at.get((i, a, b))
                 if row is None:
-                    if i not in transformed:
-                        transformed[i] = _transformed_monomials(cfg.points[i], d)
-                    key = (a, b, d - a - b)
-                    row = rows_at[i, a, b] = [t.coefficient(key) for t in transformed[i]]
+                    row = rows_at[i, a, b] = _hasse_row(cfg.points[i], d, a, b)
                 rows.append(row)
     return rows
 
 
-def _transformed_monomials(p: ProjectivePoint, d: int) -> list[Poly3]:
-    """Basis monomials of degree d composed with the frame moving p to
-    (0:0:1)."""
-    field = p.field
-    frame = frame_with_last_column(p)
-    forms = [Poly3.linear_form(field, row) for row in frame]
-    powers = []
-    for f in forms:
-        cache = [Poly3.monomial(field, (0, 0, 0), 1)]
-        for _ in range(d):
-            cache.append(cache[-1] * f)
-        powers.append(cache)
-    return [powers[0][a] * powers[1][b] * powers[2][c] for a, b, c in monomial_exponents(d)]
+def _hasse_row(p: ProjectivePoint, d: int, a: int, b: int) -> list:
+    """The Hasse derivative of order (a, b) at p of every degree-d monomial,
+    as raws in `monomial_exponents` order.
+
+    The chart (s, t) is the one of `frame_with_last_column`: (0, 1) if
+    p_2 != 0, (0, 2) if p_1 != 0, else (1, 2).  The normalised p has 1 in
+    the remaining coordinate, so the monomial with exponents i gives
+    C(i_s, a) C(i_t, b) p_s^(i_s - a) p_t^(i_t - b)."""
+    field, c = p.field, p.coords
+    s, t = (0, 1) if c[2] else (0, 2) if c[1] else (1, 2)
+    hs, ht = _hasse_column(field, c[s].raw, a, d), _hasse_column(field, c[t].raw, b, d)
+    mul = field._mul
+    return [mul(hs[e[s]], ht[e[t]]) for e in monomial_exponents(d)]
+
+
+def _hasse_column(field: Field, x, a: int, d: int) -> list:
+    """C(i, a) x^(i - a) for i = 0..d on raws, zero for i < a: the
+    coefficient of u^a in (u + x)^i."""
+    mul = field._mul
+    out, power = [field._zero] * a, field._one
+    for i in range(a, d + 1):
+        out.append(mul(field.from_int(comb(i, a)).raw, power))
+        power = mul(power, x)
+    return out
 
 
 def effective_curves_basis(cfg: PointConfiguration, cls: LatticeVector) -> list[Poly3]:
@@ -174,14 +183,10 @@ def effective_curves_basis(cfg: PointConfiguration, cls: LatticeVector) -> list[
     monos = monomial_exponents(d)
     rows = _condition_rows(cfg, cls, d)
     if not rows:
-        vecs = [
-            tuple(field.one() if i == j else field.zero() for j in range(len(monos)))
-            for i in range(len(monos))
-        ]
-    else:
-        vecs = kernel_basis(rows, field)
+        return [Poly3.monomial(field, key) for key in monos]
     return [
-        Poly3(field, {key: c for key, c in zip(monos, v) if c}) for v in vecs
+        Poly3(field, {key: FieldElement(field, c) for key, c in zip(monos, v)})
+        for v in kernel_basis(rows, field)
     ]
 
 

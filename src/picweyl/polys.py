@@ -89,7 +89,7 @@ def monic(K, f: Poly) -> Poly:
 
 def pow_mod(K, f: Poly, n: int, m: Poly) -> Poly:
     """f^n modulo m, by square and multiply."""
-    result = [K.one().raw]
+    result = [K._one]
     base = divmod_poly(K, f, m)[1]
     while n:
         if n & 1:
@@ -103,7 +103,7 @@ def inverse_mod(K, a: Poly, m: Poly) -> Poly:
     """The inverse of a modulo m by the extended euclidean algorithm;
     ZeroDivisionError when a and m have a common factor."""
     r0, r1 = m[:], divmod_poly(K, a, m)[1]
-    t0, t1 = [], [K.one().raw]
+    t0, t1 = [], [K._one]
     while r1:
         q, r = divmod_poly(K, r0, r1)
         r0, r1 = r1, r
@@ -131,7 +131,7 @@ def is_irreducible(K, f: Poly) -> bool:
         return False
     if e == 1:
         return True
-    x = [K._zero, K.one().raw]
+    x = [K._zero, K._one]
 
     def frobenius(k: int) -> Poly:  # x^(q^k) mod f
         u = x
@@ -182,7 +182,7 @@ def _finite_field_roots(K, f: Poly, seed: int) -> list:
             fm = fm[1:]
     if len(fm) < 2:
         return out
-    x = [zero, K.one().raw]
+    x = [zero, K._one]
     g = gcd(K, sub(K, pow_mod(K, x, q, fm), x), fm)
     if len(g) < 2:
         return out
@@ -199,7 +199,7 @@ def _split_linear(K, g: Poly, rng) -> list:
         return []
     if len(g) == 2:
         return [K._mul(K._sub(K._zero, g[0]), K._inv(g[1]))]
-    one = K.one().raw
+    one = K._one
     for _ in range(200):
         b = K.random_element(rng).raw
         powp = pow_mod(K, [b, one], (K.order - 1) // 2, g)  # (x + b)^((q-1)/2)

@@ -88,12 +88,8 @@ def mat3_apply(m: Mat3, p: ProjectivePoint) -> ProjectivePoint:
     return ProjectivePoint(p.field, coords)
 
 
-def mat3_apply_coords(m: Mat3, coords):
-    field = m[0][0].field
-    return tuple(sum((x * c for x, c in zip(row, coords)), field.zero()) for row in m)
-
-
-def mat3_det(m: Mat3) -> FieldElement:
+def mat3_det(m):
+    """Cofactor expansion; the entries may be field elements, Poly3s or ints."""
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -123,11 +119,12 @@ def frame_transform(
     """The transform sending the standard frame e1, e2, e3, (1:1:1) to the
     four given points.  Exists iff no three of them are collinear."""
     field = p1.field
-    a = [list(p1.coords), list(p2.coords), list(p3.coords)]
-    cols = list(zip(*a))  # matrix [p1 p2 p3] by columns of the linear system
-    lam = linear_solve([list(r) for r in cols], list(p4.coords))
-    if lam is None or any(not l for l in lam):
+    # the matrix [p1 p2 p3] by rows, as raws
+    rows = [[c.raw for c in row] for row in zip(p1.coords, p2.coords, p3.coords)]
+    lam = linear_solve(rows, [c.raw for c in p4.coords], field)
+    if lam is None or field._zero in lam:
         raise ValueError("points are not in general position")
+    lam = [FieldElement(field, l) for l in lam]
     return mat3_from_columns(
         [tuple(l * c for c in p.coords) for l, p in zip(lam, (p1, p2, p3))]
     )
@@ -151,51 +148,47 @@ def frame_with_last_column(p: ProjectivePoint) -> Mat3:
 
 
 # ---------------------------------------------------------------------------
-# exact Gaussian elimination
+# exact Gaussian elimination on raws
 
 
-def row_reduce(rows: list[list[FieldElement]]) -> tuple[list[list[FieldElement]], list[int]]:
-    """Reduced row echelon form of a copy of rows, and the pivot columns.
-    The elimination runs on raws, in the field's rref_raw."""
-    if not rows or not rows[0]:
-        return [row[:] for row in rows], []
-    field = rows[0][0].field
-    m = [[x.raw for x in row] for row in rows]
-    pivots = field.rref_raw(m)
-    return [[FieldElement(field, x) for x in row] for row in m], pivots
+def row_reduce(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of a copy of rows, raws of field, and the
+    pivot columns.  Every elimination over a field in the package runs
+    here, so one binding sees them all."""
+    m = [row[:] for row in rows]
+    return m, field.rref_raw(m)
 
 
-def matrix_rank(rows: list[list[FieldElement]]) -> int:
-    return len(row_reduce(rows)[1])
+def matrix_rank(rows: list[list], field: Field) -> int:
+    return len(row_reduce(rows, field)[1])
 
 
-def kernel_basis(rows: list[list[FieldElement]], field: Field) -> list[tuple]:
-    """Basis of the right kernel.  rows may be empty, then ncols must be
-    recoverable from rows[0]; callers always pass nonempty systems here."""
+def kernel_basis(rows: list[list], field: Field) -> list[tuple]:
+    """Basis of the right kernel, as raw tuples.  rows must be nonempty so
+    that the number of columns is known."""
     if not rows:
         raise ValueError("cannot infer the number of columns")
     ncols = len(rows[0])
-    red, pivots = row_reduce(rows)
+    red, pivots = row_reduce(rows, field)
     free = [c for c in range(ncols) if c not in pivots]
+    zero, sub = field._zero, field._sub
     basis = []
     for fc in free:
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
+        v = [zero] * ncols
+        v[fc] = field._one
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            v[pc] = sub(zero, red[r][fc])
         basis.append(tuple(v))
     return basis
 
 
-def linear_solve(rows: list[list[FieldElement]], rhs: list[FieldElement]):
-    """One solution of rows @ x = rhs, or None."""
-    field = rhs[0].field
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    red, pivots = row_reduce(aug)
+def linear_solve(rows: list[list], rhs: list, field: Field):
+    """One solution of rows @ x = rhs on raws, or None."""
     ncols = len(rows[0])
+    red, pivots = row_reduce([row + [b] for row, b in zip(rows, rhs)], field)
     if ncols in pivots:
         return None  # pivot in the augmented column: inconsistent
-    x = [field.zero()] * ncols
+    x = [field._zero] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
@@ -278,16 +271,6 @@ class Poly3:
                 else:
                     out.pop(k, None)
         return Poly3(self.field, out)
-
-    def power(self, n: int) -> "Poly3":
-        result = Poly3.monomial(self.field, (0, 0, 0), 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def evaluate(self, coords) -> FieldElement:
         cs = [self.field(c) for c in coords]

@@ -18,7 +18,9 @@ from functools import lru_cache, partial
 from itertools import combinations, product
 
 from .errors import BudgetError, DomainError
+from .fields import PrimeField
 from .lattice import LatticeVector, gram_matrix, simple_roots
+from .projgeom import mat3_det, matrix_rank
 from .smith import (
     diagonal_of,
     factor,
@@ -217,7 +219,7 @@ def represent_unit(sub: ResidueSubmodule, a: int):
     if not module.is_unit(a):
         raise DomainError(f"{a} is not a unit mod {module.m}")
     basis = sub.free_basis()
-    if len(basis) < 2 or _mod_p_rank(basis, p) < 2:
+    if len(basis) < 2 or matrix_rank([[c % p for c in v] for v in basis], PrimeField(p)) < 2:
         raise DomainError(
             "the submodule drops below rank 2 mod p; representation of a "
             "unit is not guaranteed"
@@ -236,23 +238,6 @@ def represent_unit(sub: ResidueSubmodule, a: int):
     if module.quadratic(v) != a:
         raise DomainError("unit representation drifted during lifting")
     return v
-
-
-def _mod_p_rank(vectors, p: int) -> int:
-    rows = [[c % p for c in v] for v in vectors]
-    rank = 0
-    for col in range(len(rows[0])):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = (rows[r][col] * inv) % p
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 def _combo(basis, coeffs):
@@ -288,12 +273,7 @@ def _base_solution(module, basis, a: int, p: int):
     gram = [[module.bilinear(x, y) % p for y in basis] for x in basis]
     for triple in combinations(range(r), 3):
         sub3 = [[gram[i][j] for j in triple] for i in triple]
-        det = (
-            sub3[0][0] * (sub3[1][1] * sub3[2][2] - sub3[1][2] * sub3[2][1])
-            - sub3[0][1] * (sub3[1][0] * sub3[2][2] - sub3[1][2] * sub3[2][0])
-            + sub3[0][2] * (sub3[1][0] * sub3[2][1] - sub3[1][1] * sub3[2][0])
-        )
-        if det % p == 0:
+        if mat3_det(sub3) % p == 0:
             continue
         picked = [basis[i] for i in triple]
         for coeffs in product(range(p), repeat=3):

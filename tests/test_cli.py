@@ -110,10 +110,12 @@ class TestLattice:
         assert data["gram"][0][0] == -2
 
     def test_seed_is_rejected_where_nothing_is_random(self, capsys):
-        code, out, err = run(capsys, "gram", "--n", "10", "--seed", "1")
-        assert code == 1
-        assert out == ""
-        assert "unrecognized arguments: --seed 1" in err
+        # --trace likewise exists only where something reads it
+        for flag in (["--seed", "1"], ["--trace"]):
+            code, out, err = run(capsys, "gram", "--n", "10", *flag)
+            assert code == 1
+            assert out == ""
+            assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     def test_enumerate_roots(self, capsys):
         code, out, _ = run(capsys, "enumerate-roots", "--n", "10", "--max-degree", "2")

@@ -8,13 +8,18 @@ the generator has order 100, and none of the subset conditions below (six
 on a conic, three on a line and so on) holds for the chosen indices.
 """
 
+from random import Random
+
 import pytest
 
 from picweyl import (
     DomainError,
+    ExtensionField,
+    Poly3,
     PointConfiguration,
     PrimeField,
     ProjectivePoint,
+    RationalField,
     act_by_word,
     canonical_vector,
     configuration,
@@ -28,6 +33,8 @@ from picweyl import (
     vector,
     word_to_isometry,
 )
+from picweyl.plane import _hasse_row
+from picweyl.projgeom import frame_with_last_column, monomial_exponents
 
 F = PrimeField(101)
 
@@ -121,6 +128,43 @@ class TestEffectivity:
         # a curve singular at p1 kills all three partials there
         p = cfg.point(1)
         assert all(f.partial(i).evaluate_point(p) == F.zero() for i in range(3))
+
+
+def composed_monomials(p, d):
+    """Reference for the condition rows: the degree-d monomials composed
+    with the frame moving p to (0:0:1), by Poly3 products.  The row for
+    (a, b) is their coefficients of x^a y^b z^(d-a-b)."""
+    field = p.field
+    powers = []
+    for row in frame_with_last_column(p):
+        cache = [Poly3.monomial(field, (0, 0, 0))]
+        for _ in range(d):
+            cache.append(cache[-1] * Poly3.linear_form(field, row))
+        powers.append(cache)
+    return [powers[0][a] * powers[1][b] * powers[2][c] for a, b, c in monomial_exponents(d)]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(10007),
+     ExtensionField(3, 3), ExtensionField(2, 4), RationalField()],
+    ids=repr,
+)
+def test_hasse_rows_match_poly3_composition(field):
+    # all three charts: z != 0; z = 0, y != 0; and (1:0:0)
+    rng = Random(7)
+    coords = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    for _ in range(2):
+        coords += [(field.random_element(rng), field.random_element(rng), 1),
+                   (field.random_element(rng), 1, 0)]
+    for p in (ProjectivePoint(field, c) for c in coords):
+        for d in range(8):
+            monos = composed_monomials(p, d)
+            # a + b = d + 1 too: multiplicities above the degree give zero rows
+            for a in range(d + 2):
+                for b in range(d + 2 - a):
+                    ref = [t.coefficient((a, b, d - a - b)).raw for t in monos]
+                    assert _hasse_row(p, d, a, b) == ref, (p, d, a, b)
 
 
 class TestHalphenVerdict:
