@@ -57,7 +57,9 @@ def _load_json(path: str):
 def _field_from_flags(args) -> Field:
     if args.p is None:
         raise _CliUsage("--p is required for this command")
-    if args.e and args.e > 1:
+    if args.e < 1:
+        raise _CliUsage("--e must be at least 1")
+    if args.e > 1:
         return ExtensionField(args.p, args.e)
     return PrimeField(args.p)
 

@@ -16,8 +16,10 @@ modulus) is ``polys`` run over the base field GF(p) on these same raws.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator
 
 from . import polys
@@ -165,30 +167,26 @@ class Field:
     def descriptor(self) -> dict:
         raise NotImplementedError
 
-    def rref_raw(self, m: list[list]) -> list[int]:
-        """Bring m, a list of equally long rows of raws, to reduced row
-        echelon form in place and return the pivot columns.  The pivot for
-        column c is the first nonzero entry at or below the current row;
-        columns left of c are zero in the pivot row, so only the rest change."""
+    def reduce_into(self, basis: list[tuple[int, list]], row: list) -> bool:
+        """Forward elimination step.  basis holds (pivot, row) pairs in
+        pivot order, each row 1 at its pivot and 0 left of it.  Reduce a
+        copy of row against basis, insert what is left, scaled to 1 at its
+        first nonzero column, in pivot order, and say whether row was
+        independent.  The rows already in basis are never changed."""
         zero, sub, mul = self._zero, self._sub, self._mul
-        pivots: list[int] = []
-        r = 0
-        for c in range(len(m[0]) if m else 0):
-            pivot = next((i for i in range(r, len(m)) if m[i][c] != zero), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = self._inv(m[r][c])
-            tail = m[r][c:] = [mul(x, inv) for x in m[r][c:]]
-            for i, other in enumerate(m):
-                f = other[c]
-                if f != zero and i != r:
-                    other[c:] = [sub(x, mul(f, y)) for x, y in zip(other[c:], tail)]
-            pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
-        return pivots
+        row = row[:]
+        for c, b in basis:
+            f = row[c]
+            if f != zero:
+                row[c:] = [sub(x, mul(f, y)) for x, y in zip(row[c:], b[c:])]
+        lead = next((c for c, x in enumerate(row) if x != zero), None)
+        if lead is None:
+            return False
+        if row[lead] != self._one:
+            inv = self._inv(row[lead])
+            row[lead:] = [mul(x, inv) for x in row[lead:]]
+        insort(basis, (lead, row), key=itemgetter(0))
+        return True
 
 
 class PrimeField(Field):
@@ -214,27 +212,27 @@ class PrimeField(Field):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def rref_raw(self, m: list[list[int]]) -> list[int]:
-        """Field.rref_raw with the arithmetic inlined on ints mod p."""
+    def reduce_into(self, basis: list[tuple[int, list[int]]], row: list[int]) -> bool:
+        """Field.reduce_into with the arithmetic inlined on ints.  An entry
+        is reduced mod p where it is read as a factor, and every entry once
+        at the end, rather than after each subtraction."""
         p = self.p
-        pivots: list[int] = []
-        r = 0
-        for c in range(len(m[0]) if m else 0):
-            pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = pow(m[r][c], -1, p)
-            tail = m[r][c:] = [x * inv % p for x in m[r][c:]]
-            for i, other in enumerate(m):
-                f = other[c]
-                if f and i != r:
-                    other[c:] = [(x - f * y) % p for x, y in zip(other[c:], tail)]
-            pivots.append(c)
-            r += 1
-            if r == len(m):
+        row = row[:]
+        for c, b in basis:
+            f = row[c] % p
+            if f:
+                row[c:] = [x - f * y for x, y in zip(row[c:], b[c:])]
+        row = [x % p for x in row]
+        for lead, x in enumerate(row):
+            if x:
                 break
-        return pivots
+        else:
+            return False
+        if x != 1:
+            inv = pow(row[lead], -1, p)
+            row[lead:] = [x * inv % p for x in row[lead:]]
+        insort(basis, (lead, row), key=itemgetter(0))
+        return True
 
     def element(self, raw) -> FieldElement:
         return FieldElement(self, int(raw) % self.p)

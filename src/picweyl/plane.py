@@ -19,6 +19,7 @@ from .projgeom import (
     Mat3,
     Poly3,
     ProjectivePoint,
+    extend_echelon,
     frame_transform,
     kernel_basis,
     mat3_apply,
@@ -26,7 +27,6 @@ from .projgeom import (
     mat3_from_columns,
     mat3_inverse,
     mat3_mul,
-    matrix_rank,
     monomial_exponents,
 )
 
@@ -34,11 +34,16 @@ from .projgeom import (
 class PointConfiguration:
     """Ordered tuple of pairwise distinct plane points over one field.
 
-    `_conditions` memoises interpolation condition rows per degree (see
-    `_condition_rows`); it is derived data, so equality and JSON ignore it.
+    Two slots hold derived data, so equality and JSON ignore them.
+    `_conditions` memoises interpolation condition rows per degree, point
+    and multiplicity (see `_point_rows`).  `_echelon` is (degree,
+    multiplicities, bases) for the last class `effectivity_test` reduced:
+    bases[k] is the echelon basis of the rows of its first k points, for k
+    up to the number of multiplicities kept.  Ranks are exact, so neither
+    slot can change a result, only how much is recomputed.
     """
 
-    __slots__ = ("field", "points", "_conditions")
+    __slots__ = ("field", "points", "_conditions", "_echelon")
 
     def __init__(self, field: Field, points: Sequence[ProjectivePoint]):
         pts = tuple(points)
@@ -49,7 +54,8 @@ class PointConfiguration:
             raise DomainError("configuration points must be pairwise distinct")
         self.field = field
         self.points = pts
-        self._conditions: dict[int, dict] = {}
+        self._conditions: dict[tuple[int, int, int], list] = {}
+        self._echelon: tuple[int, tuple[int, ...], list[list]] = (-1, (), [[]])
 
     def __len__(self) -> int:
         return len(self.points)
@@ -96,56 +102,80 @@ def configuration(field: Field, coords) -> PointConfiguration:
 # interpolation
 
 
-def peel_negative_multiplicities(cls: LatticeVector) -> LatticeVector:
-    """Zero out negative multiplicities.  Harmless for dimension counts: a
-    curve meets the exceptional class over p_s in m_s < 0 only by containing
-    it as a fixed component, so the linear system does not move there."""
-    coords = [cls.degree] + [min(c, 0) for c in cls.coords[1:]]
-    return LatticeVector(tuple(coords))
-
-
 def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool, int]:
     """Does the class move on this configuration, and how much.
 
     Counts degree-d plane curves with multiplicity >= m_i at p_i by exact
     elimination over the configuration's field.  Returns (effective,
     projective dimension); dimension is -1 when the system is empty.
-    Negative multiplicities are peeled first.
+    Negative multiplicities count as 0: a curve meets the exceptional class
+    over p_i in m_i < 0 only by containing it as a fixed component, so the
+    linear system does not move there.
 
     Multiplicity >= m at p means that the Hasse derivatives of order (a, b)
     with a + b < m vanish at p, in an affine chart around p; one condition
     row per (a, b), see `_hasse_row`.  Hasse derivatives carry binomial
     coefficients instead of factorials, so this holds in every
     characteristic.
+
+    Verdict routines test hundreds of classes on one configuration, and
+    neighbouring classes of one degree share most of their multiplicities.
+    The rows are reduced point by point in index order, and the echelon
+    basis after each point is kept on the configuration (`_echelon`), so a
+    class of the same degree as the previous one resumes after their
+    longest common multiplicity prefix.  The walk stops once the rank is
+    the number of monomials, where the dimension is -1 whatever follows.
     """
     if cls.n != len(cfg):
         raise ValueError(
             f"class on {cls.n} points against a configuration of {len(cfg)}"
         )
-    cls = peel_negative_multiplicities(cls)
     d = cls.degree
     if d < 0:
         return False, -1
-    ncols = len(monomial_exponents(d))
-    rows = _condition_rows(cfg, cls, d)
-    dim = ncols - (matrix_rank(rows, cfg.field) if rows else 0) - 1
+    mults = _clamped_multiplicities(cls)
+    ncols = (d + 1) * (d + 2) // 2  # degree-d monomials
+    last_d, walked, bases = cfg._echelon
+    k = 0
+    if last_d == d:
+        while k < len(walked) and walked[k] == mults[k]:
+            k += 1
+    else:
+        bases = [[]]
+    bases = bases[: k + 1]
+    for i in range(k, len(mults)):
+        if len(bases[-1]) == ncols:
+            break
+        bases.append(extend_echelon(bases[-1], _point_rows(cfg, d, i, mults[i]), cfg.field))
+    cfg._echelon = (d, mults[: len(bases) - 1], bases)
+    dim = ncols - len(bases[-1]) - 1
     return dim >= 0, dim
 
 
-def _condition_rows(cfg: PointConfiguration, cls: LatticeVector, d: int) -> list[list]:
-    """One row of raws per Hasse derivative (a, b), a + b < m_i, at each
-    point.  Rows are memoised on the configuration: verdict routines test
-    hundreds of classes on the same points, and the rows of one point and
-    degree recur in all of them."""
-    rows_at = cfg._conditions.setdefault(d, {})
-    rows: list[list] = []
-    for i, m in enumerate(cls.multiplicities):
-        for a in range(m):
-            for b in range(m - a):
-                row = rows_at.get((i, a, b))
-                if row is None:
-                    row = rows_at[i, a, b] = _hasse_row(cfg.points[i], d, a, b)
-                rows.append(row)
+def _clamped_multiplicities(cls: LatticeVector) -> tuple[int, ...]:
+    """max(m_i, 0) from the coordinates (d, -m_1, ..., -m_n)."""
+    return tuple(-c if c < 0 else 0 for c in cls.coords[1:])
+
+
+def _condition_rows(cfg: PointConfiguration, d: int, mults: Sequence[int]) -> list[list]:
+    """All condition rows of degree d and multiplicities mults, point by point."""
+    return [row for i, m in enumerate(mults) for row in _point_rows(cfg, d, i, m)]
+
+
+def _point_rows(cfg: PointConfiguration, d: int, i: int, m: int) -> list[list]:
+    """One row of raws per Hasse derivative (a, b), a + b < m, at point i
+    (0-based), by increasing a + b, so the rows of m - 1 come first.  Rows
+    are memoised on the configuration: verdict routines test hundreds of
+    classes on the same points, and the rows of one point and degree recur
+    in all of them."""
+    if m <= 0:
+        return []
+    rows = cfg._conditions.get((d, i, m))
+    if rows is None:
+        p = cfg.points[i]
+        rows = cfg._conditions[d, i, m] = _point_rows(cfg, d, i, m - 1) + [
+            _hasse_row(p, d, a, m - 1 - a) for a in range(m)
+        ]
     return rows
 
 
@@ -177,11 +207,10 @@ def _hasse_column(field: Field, x, a: int, d: int) -> list:
 
 def effective_curves_basis(cfg: PointConfiguration, cls: LatticeVector) -> list[Poly3]:
     """Basis of the linear system from effectivity_test, as ternary forms."""
-    cls = peel_negative_multiplicities(cls)
     d = cls.degree
     field = cfg.field
     monos = monomial_exponents(d)
-    rows = _condition_rows(cfg, cls, d)
+    rows = _condition_rows(cfg, d, _clamped_multiplicities(cls))
     if not rows:
         return [Poly3.monomial(field, key) for key in monos]
     return [

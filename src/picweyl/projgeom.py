@@ -151,16 +151,37 @@ def frame_with_last_column(p: ProjectivePoint) -> Mat3:
 # exact Gaussian elimination on raws
 
 
+def extend_echelon(
+    basis: list[tuple[int, list]], rows: Iterable[list], field: Field
+) -> list[tuple[int, list]]:
+    """A forward echelon basis of the span of basis and rows, raws of field:
+    (pivot, row) pairs in pivot order, each row 1 at its pivot and 0 left
+    of it.  basis, in that form, is left untouched and its rows are shared
+    with the result, so a caller can keep it and extend it again.  Every
+    elimination over a field in the package runs here."""
+    out = list(basis)
+    for row in rows:
+        if len(out) == len(row):
+            break  # full rank: nothing further is independent
+        field.reduce_into(out, row)
+    return out
+
+
 def row_reduce(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form of a copy of rows, raws of field, and the
-    pivot columns.  Every elimination over a field in the package runs
-    here, so one binding sees them all."""
-    m = [row[:] for row in rows]
-    return m, field.rref_raw(m)
+    """Reduced row echelon form of rows, raws of field, as new rows, and
+    the pivot columns.  Back-substitution is a second forward pass over the
+    echelon rows from the last pivot up: each row then meets only rows
+    already cleared at their pivots, so it comes out cleared at all of them."""
+    forward = extend_echelon([], rows, field)
+    reduced = extend_echelon([], [row for _, row in reversed(forward)], field)
+    zero = field._zero
+    ncols = len(rows[0]) if rows else 0
+    m = [row for _, row in reduced] + [[zero] * ncols for _ in range(len(rows) - len(reduced))]
+    return m, [c for c, _ in reduced]
 
 
 def matrix_rank(rows: list[list], field: Field) -> int:
-    return len(row_reduce(rows, field)[1])
+    return len(extend_echelon([], rows, field))
 
 
 def kernel_basis(rows: list[list], field: Field) -> list[tuple]:

@@ -267,6 +267,22 @@ class TestUsageErrors:
         assert code == 1
         assert "--p is required" in err
 
+    @pytest.mark.parametrize("e", ["0", "-2"])
+    def test_extension_degree_below_one(
+        self, capsys, nine_points_file, ten_points_file, params_file, e
+    ):
+        # these once ran silently over the prime field
+        for argv in (
+            ["halphen-check", "--m", "2", "--points", nine_points_file],
+            ["coble-check", "--points", ten_points_file],
+            ["harbourne-check", "--params", params_file],
+            ["cremona-act", "--word", "0", "--points", nine_points_file],
+        ):
+            code, out, err = run(capsys, *argv, "--p", "101", "--e", e)
+            assert code == 1, argv
+            assert out == ""
+            assert "usage error: --e must be at least 1" in err
+
     def test_missing_word(self, capsys):
         code, _, _ = run(capsys, "classify", "--n", "10")
         assert code == 1

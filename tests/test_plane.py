@@ -33,8 +33,8 @@ from picweyl import (
     vector,
     word_to_isometry,
 )
-from picweyl.plane import _hasse_row
-from picweyl.projgeom import frame_with_last_column, monomial_exponents
+from picweyl.plane import _condition_rows, _hasse_row
+from picweyl.projgeom import frame_with_last_column, matrix_rank, monomial_exponents
 
 F = PrimeField(101)
 
@@ -220,6 +220,51 @@ class TestCallOrder:
         assert queried == fresh and fresh == queried
         assert queried.to_json() == fresh.to_json()
         assert PointConfiguration.from_json(queried.to_json()) == fresh
+
+
+def resumed_queries(rng, n):
+    """Classes on n points in the order one configuration is asked them:
+    runs of one degree whose multiplicities change from a random point on,
+    shuffled so that degrees interleave, then some of them again.  Every
+    run starts from one multiplicity vector, so classes of different
+    degrees share prefixes too."""
+    base = [rng.randint(-1, 2) for _ in range(n)]
+    runs = []
+    for d in range(6):
+        for _ in range(3):
+            mults = base[:]
+            run = []
+            for _ in range(rng.randint(2, 4)):
+                j = rng.randrange(n)
+                mults[j:] = [rng.randint(-1, 2) for _ in range(n - j)]
+                run.append(vector(d, *(-m for m in mults)))
+            runs.append(run)
+    rng.shuffle(runs)
+    queries = [cls for run in runs for cls in run]
+    return queries + rng.sample(queries, 12)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(2), PrimeField(7), PrimeField(10007), ExtensionField(3, 2), RationalField()],
+    ids=repr,
+)
+def test_effectivity_resumed_from_shared_prefix(field):
+    # one configuration answers every class, resuming from the previous
+    # class's echelon bases; each answer must be the one computed afresh
+    rng = Random(11)
+    affine = set()
+    while len(affine) < 4:
+        affine.add((field.random_element(rng), field.random_element(rng)))
+    x, y, z, w = sorted(affine, key=repr)
+    coords = [(*x, 1), (1, 0, 0), (*y, 1), (field.random_element(rng), 1, 0), (*z, 1), (*w, 1)]
+    queried = configuration(field, coords)
+    for cls in resumed_queries(rng, len(coords)):
+        fresh = configuration(field, coords)
+        d = cls.degree
+        rows = _condition_rows(fresh, d, [max(m, 0) for m in cls.multiplicities])
+        dim = len(monomial_exponents(d)) - matrix_rank(rows, field) - 1
+        assert effectivity_test(queried, cls) == effectivity_test(fresh, cls) == (dim >= 0, dim), cls
 
 
 class TestCobleVerdict:

@@ -20,6 +20,7 @@ from picweyl import (
     RationalField,
 )
 from picweyl.projgeom import (
+    extend_echelon,
     frame_transform,
     kernel_basis,
     linear_solve,
@@ -173,6 +174,16 @@ class TestEliminationOracles:
         assert red == ints(sym_red)
         assert pivots == list(sym_pivots)
         assert matrix_rank(rows, fp) == dm.rank()
+        # an echelon basis extended in two steps: the first is left as it
+        # was, and the second spans what all the rows span
+        split = data.draw(st.integers(0, len(rows)))
+        head = extend_echelon([], rows[:split], fp)
+        kept = [(c, row[:]) for c, row in head]
+        basis = extend_echelon(head, rows[split:], fp)
+        assert head == kept
+        assert [c for c, _ in basis] == pivots
+        assert all(row[:c] == [0] * c and row[c] == 1 for c, row in basis)
+        assert row_reduce([row for _, row in basis], fp)[0] == red[: len(pivots)]
         # sympy scales its null vectors differently: compare the spans
         kernel = [[k(x) for x in v] for v in kernel_basis(rows, fp)]
         sym_kernel = dm.nullspace()
@@ -233,14 +244,15 @@ class TestEliminationOracles:
             rows = [[one, zero, one], [zero, one, one]]
             row_reduce(rows, field)
             matrix_rank(rows, field)
+            extend_echelon(extend_echelon([], rows[:1], field), rows[1:], field)
             kernel_basis(rows, field)
             linear_solve(rows, [one, zero], field)
         assert built == []
 
 
-def test_only_row_reduce_calls_rref_raw():
-    """Every elimination goes through projgeom.row_reduce, the binding a
-    tracer wraps, so none escapes the per-layer counts."""
+def test_only_extend_echelon_calls_reduce_into():
+    """Every elimination goes through projgeom.extend_echelon, so none
+    escapes a tracer that wraps it."""
     callers = []
     for path in sorted(Path(picweyl.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -251,9 +263,9 @@ def test_only_row_reduce_calls_rref_raw():
                     for node in ast.walk(fn)
                     if isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "rref_raw"
+                    and node.func.attr == "reduce_into"
                 ]
-    assert callers == [("projgeom", "row_reduce")]
+    assert callers == [("projgeom", "extend_echelon")]
 
 
 class TestPoly3:
