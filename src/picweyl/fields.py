@@ -179,12 +179,14 @@ class Field:
             f = row[c]
             if f != zero:
                 row[c:] = [sub(x, mul(f, y)) for x, y in zip(row[c:], b[c:])]
-        lead = next((c for c, x in enumerate(row) if x != zero), None)
-        if lead is None:
+        for lead, x in enumerate(row):
+            if x != zero:
+                break
+        else:
             return False
-        if row[lead] != self._one:
-            inv = self._inv(row[lead])
-            row[lead:] = [mul(x, inv) for x in row[lead:]]
+        if x != self._one:
+            inv = self._inv(x)
+            row[lead:] = [mul(y, inv) for y in row[lead:]]
         insort(basis, (lead, row), key=itemgetter(0))
         return True
 
@@ -213,24 +215,21 @@ class PrimeField(Field):
         return pow(a, -1, self.p)
 
     def reduce_into(self, basis: list[tuple[int, list[int]]], row: list[int]) -> bool:
-        """Field.reduce_into with the arithmetic inlined on ints.  An entry
-        is reduced mod p where it is read as a factor, and every entry once
-        at the end, rather than after each subtraction."""
+        """Field.reduce_into with the arithmetic inlined on ints mod p."""
         p = self.p
         row = row[:]
         for c, b in basis:
-            f = row[c] % p
+            f = row[c]
             if f:
-                row[c:] = [x - f * y for x, y in zip(row[c:], b[c:])]
-        row = [x % p for x in row]
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], b[c:])]
         for lead, x in enumerate(row):
             if x:
                 break
         else:
             return False
         if x != 1:
-            inv = pow(row[lead], -1, p)
-            row[lead:] = [x * inv % p for x in row[lead:]]
+            inv = pow(x, -1, p)
+            row[lead:] = [y * inv % p for y in row[lead:]]
         insort(basis, (lead, row), key=itemgetter(0))
         return True
 
