@@ -19,7 +19,6 @@ import itertools
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterator
 
 from . import polys
@@ -187,7 +186,7 @@ class Field:
         if x != self._one:
             inv = self._inv(x)
             row[lead:] = [mul(y, inv) for y in row[lead:]]
-        insort(basis, (lead, row), key=itemgetter(0))
+        insort(basis, (lead, row))  # pivots are distinct: rows are never compared
         return True
 
 
@@ -230,7 +229,7 @@ class PrimeField(Field):
         if x != 1:
             inv = pow(x, -1, p)
             row[lead:] = [y * inv % p for y in row[lead:]]
-        insort(basis, (lead, row), key=itemgetter(0))
+        insort(basis, (lead, row))
         return True
 
     def element(self, raw) -> FieldElement:

@@ -140,9 +140,7 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
     if last_d == d:
         while k < len(walked) and walked[k] == mults[k]:
             k += 1
-    else:
-        bases = [[]]
-    bases = bases[: k + 1]
+    bases = bases[: k + 1]  # bases[0] is empty whatever the degree
     for i in range(k, len(mults)):
         if len(bases[-1]) == ncols:
             break
