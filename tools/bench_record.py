@@ -1,10 +1,11 @@
 """Run the benchmark on every workload and save its result lines.
 
-    python3 tools/bench_record.py --pr N [--seed S] [--seconds T]
+    python3 tools/bench_record.py --pr N
 
 Run from anywhere inside a checkout.  For each workload named in
-BENCHMARK.json this runs perfbench/run.py twice, with --trace 0 for the
-end-to-end metrics and --trace 1 for the per-layer ones, and writes the
+BENCHMARK.json this runs perfbench/run.py twice at seed 1 for the
+BENCHMARK.json run length, with --trace 0 for the end-to-end metrics and
+--trace 1 for the per-layer ones, and writes the
 last (JSON) stdout line of every run, with the git SHA of the checkout, to
 BENCH_<N>.json at its root.  "dirty" is true when the working tree differs
 from that SHA.  The exit code is 1 when any run failed.
@@ -21,6 +22,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
 
 
 def _git(*args: str) -> str:
@@ -44,15 +46,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--pr", type=int, required=True, help="number in the file name")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = ap.parse_args()
 
     record = {
         "sha": _git("rev-parse", "HEAD"),
         "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": spec["run_seconds"],
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},
         "workloads": {},
@@ -62,7 +62,7 @@ def main() -> int:
         name = wl["name"]
         runs = {}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            runs[key], code = _run(name, args.seed, args.seconds, trace)
+            runs[key], code = _run(name, SEED, spec["run_seconds"], trace)
             failed |= code != 0
             print(f"{name} {key}: exit {code}", file=sys.stderr)
         record["workloads"][name] = runs
