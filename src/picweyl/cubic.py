@@ -46,11 +46,13 @@ from .projgeom import (
     frame_with_last_column,
     kernel_basis,
     mat3_apply,
+    mat3_apply_raw,
     mat3_det,
     mat3_from_columns,
     mat3_inverse,
     matrix_rank,
-    restrict_to_line,
+    normalized,
+    power_table,
 )
 from .smith import factor, integer_kernel, smith_normal_form
 
@@ -105,7 +107,7 @@ class CubicCurveModel:
         self.from_canonical = from_canonical
         self.to_canonical = mat3_inverse(from_canonical) if from_canonical else None
         self.relaxed_origin = relaxed_origin
-        self._gradient = [poly.partial(i) for i in range(3)]
+        self._forms = [poly] + [poly.partial(i) for i in range(3)]
         self._layers: dict[tuple, RestrictionLayer] = {}  # see restriction_layer
 
     @property
@@ -114,22 +116,29 @@ class CubicCurveModel:
             self.kind
         ]
 
+    def _jet(self, xs) -> list:
+        """[F, F_x, F_y, F_z] at the raw coordinates xs, from one power table."""
+        powers = power_table(self.field, xs, 3)
+        return [g.evaluate_raw(powers) for g in self._forms]
+
     # -- point predicates ----------------------------------------------------
 
     def contains(self, p: ProjectivePoint) -> bool:
         return not self.poly.evaluate_point(p)
 
     def is_smooth_point(self, p: ProjectivePoint) -> bool:
-        if not self.contains(p):
-            return False
-        return any(g.evaluate_point(p) for g in self._gradient)
+        zero = self.field._zero
+        value, *grad = self._jet(p.raw)
+        return value == zero and any(g != zero for g in grad)
 
     def smooth_point(self, p) -> SmoothPoint:
         if isinstance(p, SmoothPoint):
             return p
-        if not self.contains(p):
+        zero = self.field._zero
+        value, *grad = self._jet(p.raw)
+        if value != zero:
             raise DomainError(f"{p} is not on the curve")
-        if not self.is_smooth_point(p):
+        if all(g == zero for g in grad):
             raise DomainError(f"{p} is a singular point of the curve")
         if self.kind == "smooth":
             return SmoothPoint(p)
@@ -140,37 +149,41 @@ class CubicCurveModel:
     def parameter(self, p: ProjectivePoint) -> FieldElement:
         if self.kind == "smooth":
             raise DomainError("smooth cubics are not rational: no parameter")
-        q = mat3_apply(self.to_canonical, p)
-        x, y, _ = q.coords
+        field = self.field
+        zero, mul, inv = field._zero, field._mul, field._inv
+        x, y, _ = mat3_apply_raw(self.to_canonical, p.raw, field)
         if self.kind == "cuspidal":
-            if not y:
+            if y == zero:
                 raise DomainError("the cusp has no parameter")
-            return x / y
-        den = y - x
-        if not den:
+            return FieldElement(field, mul(x, inv(y)))
+        den = field._sub(y, x)
+        if den == zero:
             raise DomainError("the node has no parameter")
-        t = (y + x) / den
-        if not t:
+        t = mul(field._add(y, x), inv(den))
+        if t == zero:
             raise DomainError("the node has no parameter")
-        return t
+        return FieldElement(field, t)
 
     def point_from_parameter(self, t) -> SmoothPoint:
         field = self.field
         t = field(t)
+        r = t.raw
+        zero, one, mul = field._zero, field._one, field._mul
         if self.kind == "cuspidal":
-            q = ProjectivePoint(field, (t, field.one(), t**3))
+            q = (r, one, mul(mul(r, r), r))
         elif self.kind == "nodal":
-            if not t:
+            if r == zero:
                 raise DomainError("0 is not a parameter value on a split node")
-            if t == field.one():
-                q = ProjectivePoint(field, (0, 1, 0))
+            if r == one:
+                q = (zero, one, zero)
             else:
-                s = (t + 1) / (t - 1)
-                x = s * s - 1
-                q = ProjectivePoint(field, (x, s * x, field.one()))
+                s = mul(field._add(r, one), field._inv(field._sub(r, one)))
+                x = field._sub(mul(s, s), one)
+                q = (x, mul(s, x), one)
         else:
             raise DomainError("smooth cubics are not parametrized")
-        return SmoothPoint(mat3_apply(self.from_canonical, q), t)
+        pt = ProjectivePoint.from_raw(field, mat3_apply_raw(self.from_canonical, q, field))
+        return SmoothPoint(pt, t)
 
     # -- chord-tangent geometry ------------------------------------------------
 
@@ -181,28 +194,33 @@ class CubicCurveModel:
         when a == b) with the curve.  Both inputs must be smooth points on
         the curve; a chord of smooth points never meets the singular point,
         so the result is smooth as well."""
+        return ProjectivePoint.from_raw(self.field, self._third(a.raw, b.raw))
+
+    def _third(self, a: tuple, b: tuple) -> list:
+        """third_intersection on normalized raw coordinates, unnormalized.
+
+        On the line s a + u b the cubic restricts to its Taylor form
+        F(a) s^3 + (b . grad F(a)) s^2 u + (a . grad F(b)) s u^2 + F(b) u^3,
+        valid in every characteristic.  With F(a) = F(b) = 0 the residual
+        root is (s : u) = (-(a . grad F(b)) : b . grad F(a)); a tangent
+        takes b on the tangent line, where b . grad F(a) = 0 too."""
         field = self.field
+        zero, mul, add, sub = field._zero, field._mul, field._add, field._sub
+        fa, *ga = self._jet(a)
         if a == b:
-            grad = [g.evaluate_point(a) for g in self._gradient]
-            q = _second_point_on_line(field, grad, a)
-            c = restrict_to_line(self.poly, a, q)
-            if c[0] or c[1]:
+            if fa != zero or all(g == zero for g in ga):
                 raise DomainError("tangent construction requires a smooth curve point")
-            s, u = -c[3], c[2]
-            if not s and not u:
-                raise ReducibleCurveError("a line lies on the cubic")
-            return ProjectivePoint(
-                field, tuple(s * ca + u * cb for ca, cb in zip(a.coords, q.coords))
-            )
-        c = restrict_to_line(self.poly, a, b)
-        if c[0] or c[3]:
-            raise DomainError("chord endpoints must lie on the curve")
-        s, u = -c[2], c[1]
-        if not s and not u:
+            b = _second_point_on_line(field, ga, a)
+            fb, *gb = self._jet(b)
+            s, u = sub(zero, fb), _dot(field, a, gb)
+        else:
+            fb, *gb = self._jet(b)
+            if fa != zero or fb != zero:
+                raise DomainError("chord endpoints must lie on the curve")
+            s, u = sub(zero, _dot(field, a, gb)), _dot(field, b, ga)
+        if s == zero and u == zero:
             raise ReducibleCurveError("a line lies on the cubic")
-        return ProjectivePoint(
-            field, tuple(s * ca + u * cb for ca, cb in zip(a.coords, b.coords))
-        )
+        return [add(mul(s, x), mul(u, y)) for x, y in zip(a, b)]
 
     # -- group law ---------------------------------------------------------------
 
@@ -219,8 +237,9 @@ class CubicCurveModel:
             return self.point_from_parameter(a.param + b.param)
         if self.kind == "nodal":
             return self.point_from_parameter(a.param * b.param)
-        chord = self.third_intersection(a.point, b.point)
-        return SmoothPoint(self.third_intersection(self.origin, chord))
+        field = self.field
+        chord = normalized(field, self._third(a.point.raw, b.point.raw))
+        return SmoothPoint(ProjectivePoint.from_raw(field, self._third(self.origin.raw, chord)))
 
     def negate(self, a: SmoothPoint) -> SmoothPoint:
         if self.kind == "cuspidal":
@@ -339,12 +358,12 @@ def _classify_singular(f: Poly3, s: ProjectivePoint, seed: int) -> CubicCurveMod
             "node with conjugate tangents (non-split torus) is not supported"
         )
 
+    # g = z q(x, y) + c(x, y).  A tangent line at (0:0:1) runs to a point d
+    # at infinity with q(d) = 0, so g restricts to it as c(d) u^3: the line
+    # is a component iff g(d) = c(d) = 0
     if split[0] == "double":
         line = split[1]
-        cubic_part = {
-            k: g.coefficient(k) for k in ((3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0))
-        }
-        if _direction_divides_cubic(cubic_part, line):
+        if not g.evaluate_point(_direction_point(field, line)):
             raise ReducibleCurveError(
                 "the tangent line is a component (line plus tangent conic)"
             )
@@ -357,6 +376,9 @@ def _classify_singular(f: Poly3, s: ProjectivePoint, seed: int) -> CubicCurveMod
         return _build_cuspidal_model(f, s, tangent_pt, seed)
 
     line1, line2 = split[1], split[2]
+    for line in (line1, line2):
+        if not g.evaluate_point(_direction_point(field, line)):
+            raise ReducibleCurveError("a nodal tangent line is a component of the cubic")
     dirs = sorted(
         (
             mat3_apply(frame, _direction_point(field, line1)),
@@ -364,9 +386,6 @@ def _classify_singular(f: Poly3, s: ProjectivePoint, seed: int) -> CubicCurveMod
         ),
         key=_point_key,
     )
-    for direction in dirs:
-        if all(not c for c in restrict_to_line(f, s, direction)):
-            raise ReducibleCurveError("a nodal tangent line is a component of the cubic")
     if field.char == 2:
         raise UnsupportedCurveError(
             "split-node normalization is unavailable in characteristic 2"
@@ -401,19 +420,6 @@ def _direction_point(field: Field, line) -> ProjectivePoint:
     tangent-cone factor alpha*x + beta*y."""
     alpha, beta = line
     return ProjectivePoint(field, (-beta, alpha, field.zero()))
-
-
-def _direction_divides_cubic(cubic_part: dict, line) -> bool:
-    """Does alpha*x + beta*y divide the cubic part of the local expansion?
-    A binary form is divisible by a linear form iff it vanishes at the
-    root direction (-beta, alpha)."""
-    alpha, beta = line
-    field = alpha.field
-    x0, y0 = -beta, alpha
-    total = field.zero()
-    for (a, b, _), v in cubic_part.items():
-        total = total + v * x0**a * y0**b
-    return not total
 
 
 def _build_cuspidal_model(
@@ -733,46 +739,50 @@ def _hessian(f: Poly3) -> Poly3:
     return mat3_det([[f.partial(i).partial(j) for j in range(3)] for i in range(3)])
 
 
-def _tangent_line_coeffs(f: Poly3, p: ProjectivePoint):
-    grad = tuple(f.partial(i).evaluate_point(p) for i in range(3))
-    if not any(grad):
+def _tangent_line_coeffs(f: Poly3, p: ProjectivePoint) -> list:
+    """The tangent line at p as raw coefficients: the gradient there."""
+    grad = [f.partial(i).evaluate_point(p).raw for i in range(3)]
+    if all(g == f.field._zero for g in grad):
         raise DomainError("tangent line requested at a singular point")
     return grad
 
 
-def _line_through(p: ProjectivePoint, q: ProjectivePoint):
-    return _cross(p.coords, q.coords)
+def _line_through(p: ProjectivePoint, q: ProjectivePoint) -> list:
+    return _cross(p.field, p.raw, q.raw)
 
 
 def _line_intersection(field: Field, l1, l2) -> ProjectivePoint:
-    return ProjectivePoint(field, _cross(l1, l2))
+    return ProjectivePoint.from_raw(field, _cross(field, l1, l2))
 
 
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+def _cross(field: Field, u, v) -> list:
+    mul, sub = field._mul, field._sub
+    return [
+        sub(mul(u[1], v[2]), mul(u[2], v[1])),
+        sub(mul(u[2], v[0]), mul(u[0], v[2])),
+        sub(mul(u[0], v[1]), mul(u[1], v[0])),
+    ]
 
 
-def _second_point_on_line(field: Field, line, avoid: ProjectivePoint) -> ProjectivePoint:
-    one, zero = field.one(), field.zero()
+def _dot(field: Field, u, v):
+    mul, add = field._mul, field._add
+    return add(add(mul(u[0], v[0]), mul(u[1], v[1])), mul(u[2], v[2]))
+
+
+def _second_point_on_line(field: Field, line, avoid: tuple) -> tuple:
+    """A point of the line other than avoid, as normalized raws."""
+    one, zero = field._one, field._zero
     for e in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):
-        c = _cross(line, e)
-        if any(c):
-            pt = ProjectivePoint(field, c)
+        c = _cross(field, line, e)
+        if any(x != zero for x in c):
+            pt = normalized(field, c)
             if pt != avoid:
                 return pt
     raise AssertionError("a projective line always has two points")
 
 
 def _point_key(p: ProjectivePoint):
-    out = []
-    for c in p.coords:
-        raw = c.raw
-        out.append(raw if isinstance(raw, tuple) else (raw,))
-    return tuple(out)
+    return tuple(raw if isinstance(raw, tuple) else (raw,) for raw in p.raw)
 
 
 def _field_scan(field: Field, limit: int):
@@ -833,12 +843,12 @@ class RestrictionLayer:
     """The restriction homomorphism from the canonical complement k^perp to
     the smooth-locus group, for one tuple of marked points.
 
-    The images of the simple roots are evaluated once with the group law
-    and given integer coordinates in an explicit finite abelian group
-    A = Z/d_1 + ... + Z/d_r: ``moduli`` holds the d_j and row i of ``rows``
-    the coordinates of the image of alpha_i.  Everything downstream is
-    integer arithmetic on that n x r matrix.  In characteristic 0 the
-    images need not be torsion; then ``rows`` is None.
+    The images of the simple roots are given integer coordinates, once, in
+    an explicit finite abelian group A = Z/d_1 + ... + Z/d_r: ``moduli``
+    holds the d_j and row i of ``rows`` the coordinates of the image of
+    alpha_i.  Everything downstream is integer arithmetic on that n x r
+    matrix.  In characteristic 0 the images need not be torsion; then
+    ``rows`` is None.
     """
 
     def __init__(self, model: CubicCurveModel, points: tuple):
@@ -846,8 +856,8 @@ class RestrictionLayer:
         self.n = len(points)
         line = model.smooth_point(model.third_intersection(model.origin, model.origin))
         basis = [line] + [model.smooth_point(p) for p in points]
-        images = [_group_sum(model, zip(a.coords, basis)) for a in simple_roots(self.n)]
-        self.moduli, self.rows = _coordinates(model, images)
+        roots = [a.coords for a in simple_roots(self.n)]
+        self.moduli, self.rows = _coordinates(model, basis, roots)
 
     def image(self, coords) -> "RestrictionImage":
         """The image of the class with these simple-root coordinates."""
@@ -915,9 +925,11 @@ def _group_sum(model: CubicCurveModel, terms) -> SmoothPoint:
     return model.zero() if acc is None else acc
 
 
-def _coordinates(model: CubicCurveModel, images: list[SmoothPoint]):
-    """(moduli, rows): coordinates of the images in an explicit finite
-    abelian group.  The only step that depends on the curve kind:
+def _coordinates(model: CubicCurveModel, basis: list[SmoothPoint], roots: list[tuple]):
+    """(moduli, rows): coordinates of the images of the simple roots, given
+    by their coordinates in the basis (line class, marked points), in an
+    explicit finite abelian group.  The only step that depends on the
+    curve kind:
 
     * additive over GF(p^e): the F_p digits of the parameter, A = (Z/p)^e;
     * multiplicative over F_q: discrete logs to one primitive root,
@@ -925,51 +937,63 @@ def _coordinates(model: CubicCurveModel, images: list[SmoothPoint]):
     * elliptic, and every kind in characteristic 0: the subgroup the images
       generate, by coset enumeration; (None, None) when an image is not
       torsion.
+
+    The first two coordinate maps are homomorphisms, so they are taken on
+    the basis, and each root's row is its integer combination of the basis
+    rows, reduced mod the moduli.
     """
     field = model.field
     if field.char and model.group == "additive":
-        digits = [img.param.raw for img in images]
-        digits = [d if isinstance(d, tuple) else (d,) for d in digits]
-        return (field.char,) * len(digits[0]), digits
-    if field.char and model.group == "multiplicative":
-        logs = _discrete_logs([img.param for img in images], field)
-        return (field.order - 1,), [(x,) for x in logs]
-    return _enumerated_coordinates(model, images)
+        coords = [pt.param.raw for pt in basis]
+        coords = [c if isinstance(c, tuple) else (c,) for c in coords]
+        moduli = (field.char,) * len(coords[0])
+    elif field.char and model.group == "multiplicative":
+        coords = [(x,) for x in _discrete_logs([pt.param.raw for pt in basis], field)]
+        moduli = (field.order - 1,)
+    else:
+        images = [_group_sum(model, zip(a, basis)) for a in roots]
+        return _enumerated_coordinates(model, images)
+    rows = [
+        tuple(sum(c * x[j] for c, x in zip(a, coords)) % d for j, d in enumerate(moduli))
+        for a in roots
+    ]
+    return moduli, rows
 
 
-def _discrete_logs(xs: list[FieldElement], field: Field) -> list[int]:
-    """Logs of the units xs to one primitive root of the finite field: by
-    Pohlig-Hellman over the factorization of q - 1, with a baby-step
-    giant-step search in each subgroup of prime order."""
+def _discrete_logs(xs: list, field: Field) -> list[int]:
+    """Logs of the units xs, raws, to one primitive root of the finite
+    field: by Pohlig-Hellman over the factorization of q - 1, with a
+    baby-step giant-step search in each subgroup of prime order."""
     n = field.order - 1
     primes = factor(n)
-    one = field.one()
+    one, mul, pw = field._one, field._mul, field._pow
     g = next(
-        x
+        x.raw
         for x in _field_scan(field, field.order)
-        if x and all(x ** (n // r) != one for r in primes)
+        if x and all(pw(x.raw, n // r) != one for r in primes)
     )
     logs = [0] * len(xs)
     done = 1  # the logs are known modulo done
     for r, e in primes.items():
         re = r**e
-        base = g ** (n // re)  # order r^e
-        gamma = base ** (re // r)  # order r
+        base = pw(g, n // re)  # order r^e
+        base_inv = field._inv(base)
+        gamma = pw(base, re // r)  # order r
         step = math.isqrt(r - 1) + 1
-        baby: dict[FieldElement, int] = {}
+        baby: dict = {}
         acc = one
         for j in range(step):
             baby.setdefault(acc, j)
-            acc = acc * gamma
-        giant = (gamma**step).inverse()
+            acc = mul(acc, gamma)
+        giant = field._inv(pw(gamma, step))
         for i, x in enumerate(xs):
-            h = x ** (n // re)
+            h = pw(x, n // re)
             log = 0
             for k in range(e):
-                y = (h * base ** (-log)) ** (re // r ** (k + 1))
+                y = pw(mul(h, pw(base_inv, log)), re // r ** (k + 1))
                 t = 0
                 while y not in baby:
-                    y = y * giant
+                    y = mul(y, giant)
                     t += 1
                 log += (t * step + baby[y]) * r**k
             logs[i] += done * ((log - logs[i]) * pow(done, -1, re) % re)

@@ -87,17 +87,10 @@ class FieldElement:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        base = self
+        field = self.field
         if n < 0:
-            base = base.inverse()
-            n = -n
-        result = self.field.one()
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return FieldElement(field, field._pow(field._inv(self.raw), -n))
+        return FieldElement(field, field._pow(self.raw, n))
 
     def inverse(self) -> "FieldElement":
         return FieldElement(self.field, self.field._inv(self.raw))
@@ -166,6 +159,16 @@ class Field:
     def descriptor(self) -> dict:
         raise NotImplementedError
 
+    def _pow(self, a, n: int):
+        """a^n on raws for n >= 0, by square-and-multiply."""
+        result = self._one
+        while n:
+            if n & 1:
+                result = self._mul(result, a)
+            a = self._mul(a, a)
+            n >>= 1
+        return result
+
     def reduce_into(self, basis: list[tuple[int, list]], row: list) -> bool:
         """Forward elimination step.  basis holds (pivot, row) pairs in
         pivot order, each row 1 at its pivot and 0 left of it.  Reduce a
@@ -213,6 +216,9 @@ class PrimeField(Field):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
+    def _pow(self, a, n: int):
+        return pow(a, n, self.p)
+
     def reduce_into(self, basis: list[tuple[int, list[int]]], row: list[int]) -> bool:
         """Field.reduce_into with the arithmetic inlined on ints mod p."""
         p = self.p
@@ -248,6 +254,11 @@ class PrimeField(Field):
         return str(raw)
 
     def element_from_json(self, data) -> FieldElement:
+        if not isinstance(data, (int, str)):
+            raise ValueError(
+                f"expected a scalar in {self}, got a {type(data).__name__}; "
+                "pass --e for an extension field"
+            )
         return FieldElement(self, int(data) % self.p)
 
     def descriptor(self) -> dict:

@@ -18,7 +18,7 @@ def inner(u: "LatticeVector", v: "LatticeVector") -> int:
     if len(u.coords) != len(v.coords):
         raise ValueError(f"mixed ranks: {len(u.coords) - 1} vs {len(v.coords) - 1}")
     a, b = u.coords, v.coords
-    return a[0] * b[0] - sum(x * y for x, y in zip(a[1:], b[1:]))
+    return a[0] * b[0] - sum(map(operator.mul, a[1:], b[1:]))
 
 
 @dataclass(frozen=True)
@@ -188,11 +188,11 @@ def mat_identity(dim: int) -> tuple[tuple[int, ...], ...]:
 
 def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
     bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(operator.mul, row, v)) for row in a)
 
 
 def mat_transpose(a) -> tuple[tuple[int, ...], ...]:
@@ -214,9 +214,14 @@ class LatticeIsometry:
         dim = len(self.rows)
         if any(len(r) != dim for r in self.rows):
             raise ValueError("matrix not square")
-        j = _sig(dim)
-        if mat_mul(mat_mul(mat_transpose(self.rows), j), self.rows) != j:
-            raise ValueError("matrix does not preserve the (1,n) form")
+        # (G^t J G)[a][b] is the pairing of columns a and b; it is symmetric
+        cols = mat_transpose(self.rows)
+        for a, u in enumerate(cols):
+            for b in range(a, dim):
+                v = cols[b]
+                pairing = u[0] * v[0] - sum(map(operator.mul, u[1:], v[1:]))
+                if pairing != (0 if a != b else 1 if a == 0 else -1):
+                    raise ValueError("matrix does not preserve the (1,n) form")
 
     @property
     def dim(self) -> int:

@@ -13,38 +13,41 @@ from .fields import Field, FieldElement
 
 
 class ProjectivePoint:
-    __slots__ = ("field", "coords")
+    __slots__ = ("field", "raw", "coords")
 
     def __init__(self, field: Field, coords: Sequence):
-        cs = [field(c) for c in coords]
-        if len(cs) != 3:
+        raws = [field(c).raw for c in coords]
+        if len(raws) != 3:
             raise ValueError("points live in the projective plane")
-        last = None
-        for i in (2, 1, 0):
-            if cs[i]:
-                last = i
-                break
-        if last is None:
-            raise ValueError("(0:0:0) is not a projective point")
-        inv = cs[last].inverse()
+        self._set(field, raws)
+
+    @classmethod
+    def from_raw(cls, field: Field, raws: Sequence) -> "ProjectivePoint":
+        """The point with these three raw coordinates, not yet normalized."""
+        pt = cls.__new__(cls)
+        pt._set(field, raws)
+        return pt
+
+    def _set(self, field: Field, raws: Sequence) -> None:
         self.field = field
-        self.coords = tuple(c * inv for c in cs)
+        self.raw = normalized(field, raws)
+        self.coords = tuple(FieldElement(field, c) for c in self.raw)
 
     def __eq__(self, other):
         return (
             isinstance(other, ProjectivePoint)
+            and self.raw == other.raw
             and self.field == other.field
-            and self.coords == other.coords
         )
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash(self.raw)
 
     def __getitem__(self, i: int) -> FieldElement:
         return self.coords[i]
 
     def __repr__(self):
-        return "(" + " : ".join(repr(c.raw) for c in self.coords) + ")"
+        return "(" + " : ".join(repr(c) for c in self.raw) + ")"
 
     def to_json(self):
         return [c.to_json() for c in self.coords]
@@ -52,6 +55,20 @@ class ProjectivePoint:
     @classmethod
     def from_json(cls, field: Field, data) -> "ProjectivePoint":
         return cls(field, [field.element_from_json(c) for c in data])
+
+
+def normalized(field: Field, raws: Sequence) -> tuple:
+    """Raw projective coordinates scaled to 1 in the last nonzero place."""
+    zero = field._zero
+    for last in (2, 1, 0):
+        if raws[last] != zero:
+            break
+    else:
+        raise ValueError("(0:0:0) is not a projective point")
+    if raws[last] == field._one:
+        return tuple(raws)
+    inv, mul = field._inv(raws[last]), field._mul
+    return tuple(mul(c, inv) for c in raws)
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +99,16 @@ def mat3_mul(a: Mat3, b: Mat3) -> Mat3:
 
 
 def mat3_apply(m: Mat3, p: ProjectivePoint) -> ProjectivePoint:
-    coords = tuple(
-        sum((x * c for x, c in zip(row, p.coords)), row[0].field.zero()) for row in m
-    )
-    return ProjectivePoint(p.field, coords)
+    return ProjectivePoint.from_raw(p.field, mat3_apply_raw(m, p.raw, p.field))
+
+
+def mat3_apply_raw(m: Mat3, xs: Sequence, field: Field) -> list:
+    """M x on the raw coordinates xs, unnormalized."""
+    mul, add = field._mul, field._add
+    return [
+        add(add(mul(a.raw, xs[0]), mul(b.raw, xs[1])), mul(c.raw, xs[2]))
+        for a, b, c in m
+    ]
 
 
 def mat3_det(m):
@@ -263,75 +286,96 @@ class Poly3:
     def coefficient(self, key) -> FieldElement:
         return self.terms.get(tuple(key), self.field.zero())
 
-    def __add__(self, other: "Poly3") -> "Poly3":
-        out = dict(self.terms)
+    @classmethod
+    def _from_raw(cls, field: Field, raws: dict) -> "Poly3":
+        """The form with these raw coefficients; zero ones are dropped."""
+        f = cls.__new__(cls)
+        f.field = field
+        zero = field._zero
+        f.terms = {k: FieldElement(field, v) for k, v in raws.items() if v != zero}
+        return f
+
+    def _raw_terms(self) -> dict:
+        return {k: v.raw for k, v in self.terms.items()}
+
+    def _combine(self, other: "Poly3", op) -> "Poly3":
+        out = self._raw_terms()
+        zero = self.field._zero
         for k, v in other.terms.items():
-            s = out.get(k, self.field.zero()) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return Poly3(self.field, out)
+            out[k] = op(out.get(k, zero), v.raw)
+        return Poly3._from_raw(self.field, out)
+
+    def __add__(self, other: "Poly3") -> "Poly3":
+        return self._combine(other, self.field._add)
 
     def __sub__(self, other: "Poly3") -> "Poly3":
-        return self + other.scaled(self.field(-1))
+        return self._combine(other, self.field._sub)
 
     def scaled(self, c) -> "Poly3":
-        c = self.field(c)
-        return Poly3(self.field, {k: v * c for k, v in self.terms.items()})
+        c, mul = self.field(c).raw, self.field._mul
+        return Poly3._from_raw(self.field, {k: mul(v.raw, c) for k, v in self.terms.items()})
 
     def __mul__(self, other: "Poly3") -> "Poly3":
-        out: dict = {}
-        zero = self.field.zero()
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                s = out.get(k, zero) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return Poly3(self.field, out)
+        return Poly3._from_raw(
+            self.field, _raw_product(self.field, self._raw_terms(), other._raw_terms())
+        )
 
     def evaluate(self, coords) -> FieldElement:
-        cs = [self.field(c) for c in coords]
-        acc = self.field.zero()
-        for (a, b, c), v in self.terms.items():
-            acc = acc + v * cs[0] ** a * cs[1] ** b * cs[2] ** c
-        return acc
+        field = self.field
+        raws = [field(c).raw for c in coords]
+        return FieldElement(field, self.evaluate_raw(power_table(field, raws, self.degree())))
 
     def evaluate_point(self, p: ProjectivePoint) -> FieldElement:
         return self.evaluate(p.coords)
 
+    def evaluate_raw(self, powers):
+        """The value, as a raw, at the point whose `power_table` is powers;
+        the table must reach every exponent of the form.  One
+        multiplication per nonzero exponent of each term."""
+        field = self.field
+        mul, add = field._mul, field._add
+        px, py, pz = powers
+        acc = field._zero
+        for (a, b, c), v in self.terms.items():
+            v = v.raw
+            if a:
+                v = mul(v, px[a])
+            if b:
+                v = mul(v, py[b])
+            if c:
+                v = mul(v, pz[c])
+            acc = add(acc, v)
+        return acc
+
     def partial(self, i: int) -> "Poly3":
+        field = self.field
         out: dict = {}
         for k, v in self.terms.items():
             if k[i]:
                 nk = list(k)
                 nk[i] -= 1
-                c = v * k[i]
-                if c:
-                    out[tuple(nk)] = c
-        return Poly3(self.field, out)
+                out[tuple(nk)] = field._mul(v.raw, field.from_int(k[i]).raw)
+        return Poly3._from_raw(field, out)
 
     def compose_linear(self, m: Mat3) -> "Poly3":
         """F(M x): substitute each variable by the linear form from M's rows."""
-        forms = [Poly3.linear_form(self.field, row) for row in m]
-        # cache powers of each form up to its maximal exponent
-        max_exp = [0, 0, 0]
-        for k in self.terms:
-            for i in range(3):
-                max_exp[i] = max(max_exp[i], k[i])
-        powers = []
-        for i in range(3):
-            cache = [Poly3.monomial(self.field, (0, 0, 0), 1)]
-            for _ in range(max_exp[i]):
-                cache.append(cache[-1] * forms[i])
+        field = self.field
+        mul, add, zero = field._mul, field._add, field._zero
+        max_exp = [max((k[i] for k in self.terms), default=0) for i in range(3)]
+        powers = []  # powers of each row's linear form, as raw term maps
+        for row, top in zip(m, max_exp):
+            form = {k: x.raw for k, x in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), row) if x}
+            cache = [{(0, 0, 0): field._one}]
+            for _ in range(top):
+                cache.append(_raw_product(field, cache[-1], form))
             powers.append(cache)
-        out = Poly3.zero(self.field)
+        out: dict = {}
         for (a, b, c), v in self.terms.items():
-            out = out + (powers[0][a] * powers[1][b] * powers[2][c]).scaled(v)
-        return out
+            term = _raw_product(field, powers[0][a], powers[1][b])
+            term = _raw_product(field, term, powers[2][c])
+            for k, x in term.items():
+                out[k] = add(out.get(k, zero), mul(x, v.raw))
+        return Poly3._from_raw(field, out)
 
     def to_coeff_map(self) -> dict:
         out = {}
@@ -368,33 +412,30 @@ class Poly3:
         return "Poly3(" + " + ".join(bits) + ")"
 
 
+def power_table(field: Field, xs: Sequence, d: int) -> list[list]:
+    """x^0, ..., x^d on raws for each coordinate x in xs."""
+    mul = field._mul
+    table = []
+    for x in xs:
+        row = [field._one, x][: d + 1]
+        while len(row) <= d:
+            row.append(mul(row[-1], x))
+        table.append(row)
+    return table
+
+
+def _raw_product(field: Field, f: dict, g: dict) -> dict:
+    """The product of two forms given as raw term maps; zero terms may stay."""
+    mul, add, zero = field._mul, field._add, field._zero
+    out: dict = {}
+    for (a, b, c), x in f.items():
+        for (d, e, h), y in g.items():
+            k = (a + d, b + e, c + h)
+            out[k] = add(out.get(k, zero), mul(x, y))
+    return out
+
+
 def monomial_exponents(d: int) -> list[tuple[int, int, int]]:
     """All (a, b, c) with a+b+c = d, lexicographically descending."""
     out = [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
     return out
-
-
-def restrict_to_line(f: Poly3, p: ProjectivePoint, q: ProjectivePoint) -> list[FieldElement]:
-    """Coefficients [s^d, s^(d-1)u, ..., u^d] of F(s p + u q)."""
-    field = f.field
-    d = f.degree()
-    # binary polynomials as dicts {exponent of s: coeff}, homogeneous of known degree
-    coeffs = [field.zero()] * (d + 1)
-    for key, v in f.terms.items():
-        term = {0: field.one()}  # degree-0 binary form
-        deg = 0
-        for i in range(3):
-            for _ in range(key[i]):
-                new: dict[int, FieldElement] = {}
-                for e, c in term.items():
-                    a = c * p.coords[i]
-                    if a:
-                        new[e + 1] = new.get(e + 1, field.zero()) + a
-                    b = c * q.coords[i]
-                    if b:
-                        new[e] = new.get(e, field.zero()) + b
-                term = {e: c for e, c in new.items() if c}
-                deg += 1
-        for e, c in term.items():
-            coeffs[d - e] = coeffs[d - e] + v * c
-    return coeffs

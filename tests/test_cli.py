@@ -287,6 +287,14 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "classify", "--n", "10")
         assert code == 1
 
+    def test_list_params_over_a_prime_field_are_a_domain_error(self, capsys, params_file):
+        # coefficient lists with the default --e 1 once escaped as a TypeError
+        code, out, err = run(capsys, "harbourne-check", "--p", "5", "--params", params_file)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: expected a scalar in GF(5), got a list")
+        assert err.count("\n") == 1
+
     def test_bad_json_file_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -35,7 +35,9 @@ from picweyl import (
     unnodal_by_kernel,
     vector,
 )
-from picweyl.cubic import image_order
+from picweyl.cubic import RestrictionLayer, _group_sum, image_order
+from picweyl.fields import FieldElement
+from picweyl.projgeom import kernel_basis, mat3, mat3_det, monomial_exponents
 
 F = PrimeField(101)
 F7 = PrimeField(7)
@@ -474,3 +476,187 @@ class TestRestrictionLayer:
         pts = [m.point_from_parameter(Q.from_int(i)).point for i in range(1, 10)]
         with pytest.raises(DomainError):
             restriction_hom(m, pts, vector(0, 1, -1, 0, 0, 0, 0, 0, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the Taylor-form law and the basis-coordinate layer against the old geometry
+
+
+def _restrict_to_line(f, p, q):
+    """Reference: the coefficients [s^3, s^2 u, s u^2, u^3] of F(s p + u q),
+    each term of F expanded as a binary form."""
+    field = f.field
+    coeffs = [field.zero()] * 4
+    for key, v in f.terms.items():
+        term = {0: field.one()}  # exponent of s -> coefficient
+        for i in range(3):
+            for _ in range(key[i]):
+                new = {}
+                for e, c in term.items():
+                    new[e + 1] = new.get(e + 1, field.zero()) + c * p.coords[i]
+                    new[e] = new.get(e, field.zero()) + c * q.coords[i]
+                term = new
+        for e, c in term.items():
+            coeffs[3 - e] = coeffs[3 - e] + v * c
+    return coeffs
+
+
+def _reference_third(model, a, b):
+    """The residual intersection read off the restriction to the line."""
+    field = model.field
+    if a == b:
+        grad = [model.poly.partial(i).evaluate_point(a) for i in range(3)]
+        units = [[field(int(i == j)) for j in range(3)] for i in range(3)]
+        crossings = [
+            [grad[1] * e[2] - grad[2] * e[1], grad[2] * e[0] - grad[0] * e[2],
+             grad[0] * e[1] - grad[1] * e[0]]
+            for e in units
+        ]
+        others = [ProjectivePoint(field, c) for c in crossings if any(c)]
+        others = [q for q in others if q != a]
+        if not others:  # a singular point has no tangent line
+            raise DomainError("no tangent line")
+        q = others[0]
+        c = _restrict_to_line(model.poly, a, q)
+        if c[0] or c[1]:
+            raise DomainError("not a smooth curve point")
+        s, u = -c[3], c[2]
+    else:
+        q = b
+        c = _restrict_to_line(model.poly, a, b)
+        if c[0] or c[3]:
+            raise DomainError("chord endpoint off the curve")
+        s, u = -c[2], c[1]
+    if not s and not u:
+        raise ReducibleCurveError("a line lies on the cubic")
+    return ProjectivePoint(field, [s * x + u * y for x, y in zip(a.coords, q.coords)])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, ReducibleCurveError) as err:
+        return type(err)
+
+
+def _random_point(field, rng):
+    while True:
+        c = [field.random_element(rng) for _ in range(3)]
+        if any(c):
+            return ProjectivePoint(field, c)
+
+
+def _cubic_through(field, pts, rng):
+    """A random nonzero cubic through the given points."""
+    monos = monomial_exponents(3)
+    rows = [[(p[0] ** a * p[1] ** b * p[2] ** c).raw for a, b, c in monos] for p in pts]
+    ker = kernel_basis(rows, field)
+    while True:
+        coeffs = [field.zero()] * len(monos)
+        for v in ker:
+            r = field.random_element(rng)
+            coeffs = [c + r * FieldElement(field, x) for c, x in zip(coeffs, v)]
+        f = Poly3(field, dict(zip(monos, coeffs)))
+        if not f.is_zero():
+            return f
+
+
+TAYLOR_FIELDS = (
+    PrimeField(2), PrimeField(3), ExtensionField(2, 3), ExtensionField(3, 2),
+    PrimeField(7), PrimeField(10007), RationalField(),
+)
+
+
+@pytest.mark.parametrize("field", TAYLOR_FIELDS, ids=repr)
+def test_third_intersection_matches_line_restriction(field):
+    rng = random.Random(f"taylor/{field}")
+    outcomes = set()
+    for trial in range(80):
+        a = _random_point(field, rng)
+        b = a if trial % 3 == 0 else _random_point(field, rng)
+        model = CubicCurveModel(_cubic_through(field, [a, b], rng), "smooth", a)
+        got = _outcome(model.third_intersection, a, b)
+        assert got == _outcome(_reference_third, model, a, b), (model.poly, a, b)
+        outcomes.add(got if isinstance(got, type) else "chord" if a != b else "tangent")
+        if not isinstance(got, type):
+            assert model.contains(got)
+    # off-curve endpoints are refused, and both kinds of line were computed
+    c = _random_point(field, rng)
+    model = CubicCurveModel(_cubic_through(field, [a], rng), "smooth", a)
+    if model.poly.evaluate_point(c):
+        assert _outcome(model.third_intersection, a, c) is DomainError
+        assert _outcome(model.third_intersection, c, c) is DomainError
+    assert {"chord", "tangent"} <= outcomes
+
+
+def test_off_curve_and_singular_points_raise():
+    for m in (nodal_model(), cusp_model()):
+        s, off = m.singular_point, ProjectivePoint(F, (1, 2, 1))
+        on = m.point_from_parameter(F(3)).point
+        assert m.poly.evaluate_point(off)
+        for a, b in ((off, on), (on, off), (off, off), (s, s)):
+            with pytest.raises(DomainError):
+                m.third_intersection(a, b)
+        for p in (off, s):
+            with pytest.raises(DomainError):
+                m.smooth_point(p)
+            with pytest.raises(DomainError):
+                generator_images(m, [p] + [on] * 8)
+    m = smooth_model()
+    with pytest.raises(DomainError):
+        m.third_intersection(ProjectivePoint(F, (1, 1, 1)), m.origin)
+
+
+def _moved(field, coeffs, rng):
+    """The canonical form composed with a random invertible frame."""
+    while True:
+        m = mat3(field, [[field.random_element(rng) for _ in range(3)] for _ in range(3)])
+        if mat3_det(m):
+            return Poly3.from_coeff_map(field, coeffs).compose_linear(m)
+
+
+def _unit_logs(p):
+    """Discrete logs mod p to the least primitive root."""
+    for g in range(2, p):
+        logs, x = {}, 1
+        for k in range(p - 1):
+            logs.setdefault(x, k)
+            x = x * g % p
+        if len(logs) == p - 1:
+            return logs
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [("cuspidal", PrimeField(5))]
+    + [("cuspidal", ExtensionField(5, e)) for e in (2, 3, 4)]
+    + [("nodal", PrimeField(p)) for p in (7, 13, 31, 101)],
+    ids=repr,
+)
+def test_layer_rows_match_the_group_law(kind, field):
+    """Rows from the basis coordinates equal the coordinates of the simple-
+    root images summed with the group law."""
+    rng = random.Random(f"layer/{kind}/{field}")
+    for n in (9, 10, 11):
+        model = classify_cubic(_moved(field, CUSPIDAL if kind == "cuspidal" else NODAL, rng))
+        assert model.kind == kind
+        params = []
+        while len(params) < n:
+            t = field.random_element(rng)
+            if t or kind == "cuspidal":
+                params.append(t)
+        pts = tuple(model.point_from_parameter(t).point for t in params)
+        line = model.smooth_point(model.third_intersection(model.origin, model.origin))
+        basis = [line] + [model.smooth_point(p) for p in pts]
+        images = [_group_sum(model, zip(a.coords, basis)) for a in simple_roots(n)]
+        if kind == "cuspidal":
+            raws = [img.param.raw for img in images]
+            rows = [r if isinstance(r, tuple) else (r,) for r in raws]
+            moduli = (5,) * len(rows[0])
+        else:
+            logs = _unit_logs(field.p)
+            rows = [(logs[img.param.raw],) for img in images]
+            moduli = (field.p - 1,)
+        layer = RestrictionLayer(model, pts)
+        assert (layer.moduli, layer.rows) == (moduli, rows)
+

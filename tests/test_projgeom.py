@@ -32,7 +32,6 @@ from picweyl.projgeom import (
     mat3_mul,
     matrix_rank,
     monomial_exponents,
-    restrict_to_line,
     row_reduce,
 )
 from picweyl import polys
@@ -310,18 +309,24 @@ class TestPoly3:
         assert len(monomial_exponents(6)) == 28
         assert all(sum(e) == 4 for e in monomial_exponents(4))
 
-    def test_restrict_to_line(self):
+    def test_taylor_form_on_a_line(self):
+        # F(s p + u q) = F(p) s^3 + (q . grad F(p)) s^2 u + (p . grad F(q)) s u^2
+        # + F(q) u^3: the coefficients the chord-tangent law reads
         f = Poly3.from_coeff_map(F, {"021": 1, "300": -1, "003": 6})
         p, q = pt(0, 1, 0), pt(1, 5, 1)
-        coeffs = restrict_to_line(f, p, q)
-        assert len(coeffs) == 4
-        # value at s=1, u=3 must match direct evaluation at p + 3q
-        s, u = F(1), F(3)
-        direct = f.evaluate([s * a + u * b for a, b in zip(p.coords, q.coords)])
-        horner = sum(
-            (c * s ** (3 - i) * u ** i for i, c in enumerate(coeffs)), F.zero()
-        )
-        assert horner == direct
+        grad = [f.partial(i) for i in range(3)]
+
+        def dot(u, v):  # u . grad F(v)
+            return sum((c * g.evaluate_point(v) for c, g in zip(u.coords, grad)), F.zero())
+
+        coeffs = [f.evaluate_point(p), dot(q, p), dot(p, q), f.evaluate_point(q)]
+        # the value at (s, u) must match direct evaluation at s p + u q
+        for s, u in ((F(1), F(3)), (F(2), F(7)), (F(0), F(1)), (F(5), F(0))):
+            direct = f.evaluate([s * a + u * b for a, b in zip(p.coords, q.coords)])
+            horner = sum(
+                (c * s ** (3 - i) * u ** i for i, c in enumerate(coeffs)), F.zero()
+            )
+            assert horner == direct
 
 
 class TestUnivariate:
