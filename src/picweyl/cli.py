@@ -115,6 +115,8 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_enumerate_roots(args) -> int:
+    if args.max_degree < 0:
+        raise _CliUsage("--max-degree must be nonnegative")
     if args.n > _ENUMERATION_CAP:
         raise DomainError(f"--n capped at {_ENUMERATION_CAP} for enumeration")
     roots = enumerate_roots(args.n, args.max_degree)
@@ -295,6 +297,8 @@ def _cmd_orbit_fixed(args) -> int:
 
 
 def _cmd_find_root_mod(args) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise _CliUsage("--budget must be nonnegative")
     data = _load_json(args.gens)
     if isinstance(data, dict):
         data = data["generators"]

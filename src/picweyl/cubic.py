@@ -43,10 +43,11 @@ from .projgeom import (
     Mat3,
     Poly3,
     ProjectivePoint,
+    cross,
+    dot,
     frame_with_last_column,
     kernel_basis,
     mat3_apply,
-    mat3_apply_raw,
     mat3_det,
     mat3_from_columns,
     mat3_inverse,
@@ -63,13 +64,18 @@ _CATALOG_BOUND = 4
 
 class SmoothPoint:
     """A point on the smooth locus, with its parameter when the curve is
-    singular (parameters live in K for cusps, K^* for split nodes)."""
+    singular (parameters live in K for cusps, K^* for split nodes).  The
+    parameter is kept as a raw, t; `param` boxes it."""
 
-    __slots__ = ("point", "param")
+    __slots__ = ("point", "t")
 
-    def __init__(self, point: ProjectivePoint, param: FieldElement | None = None):
+    def __init__(self, point: ProjectivePoint, t=None):
         self.point = point
-        self.param = param
+        self.t = t
+
+    @property
+    def param(self) -> FieldElement | None:
+        return None if self.t is None else FieldElement(self.point.field, self.t)
 
     def __eq__(self, other):
         if isinstance(other, SmoothPoint):
@@ -88,7 +94,8 @@ class SmoothPoint:
 class CubicCurveModel:
     """A classified cubic.  kind is one of smooth, nodal, cuspidal; the
     smooth locus carries an elliptic, multiplicative or additive group law
-    respectively."""
+    respectively.  On the singular kinds from_canonical maps the canonical
+    model onto the curve and to_canonical back, as 3x3 matrices of raws."""
 
     def __init__(
         self,
@@ -105,7 +112,9 @@ class CubicCurveModel:
         self.origin = origin
         self.singular_point = singular_point
         self.from_canonical = from_canonical
-        self.to_canonical = mat3_inverse(from_canonical) if from_canonical else None
+        self.to_canonical = (
+            None if from_canonical is None else mat3_inverse(from_canonical, self.field)
+        )
         self.relaxed_origin = relaxed_origin
         self._forms = [poly] + [poly.partial(i) for i in range(3)]
         self._layers: dict[tuple, RestrictionLayer] = {}  # see restriction_layer
@@ -119,12 +128,12 @@ class CubicCurveModel:
     def _jet(self, xs) -> list:
         """[F, F_x, F_y, F_z] at the raw coordinates xs, from one power table."""
         powers = power_table(self.field, xs, 3)
-        return [g.evaluate_raw(powers) for g in self._forms]
+        return [g.evaluate_table(powers) for g in self._forms]
 
     # -- point predicates ----------------------------------------------------
 
     def contains(self, p: ProjectivePoint) -> bool:
-        return not self.poly.evaluate_point(p)
+        return self.poly.evaluate_raw(p.raw) == self.field._zero
 
     def is_smooth_point(self, p: ProjectivePoint) -> bool:
         zero = self.field._zero
@@ -142,32 +151,38 @@ class CubicCurveModel:
             raise DomainError(f"{p} is a singular point of the curve")
         if self.kind == "smooth":
             return SmoothPoint(p)
-        return SmoothPoint(p, self.parameter(p))
+        return SmoothPoint(p, self._parameter(p.raw))
 
     # -- parameters on singular curves ----------------------------------------
 
     def parameter(self, p: ProjectivePoint) -> FieldElement:
         if self.kind == "smooth":
             raise DomainError("smooth cubics are not rational: no parameter")
+        return FieldElement(self.field, self._parameter(p.raw))
+
+    def _parameter(self, xs):
+        """The raw parameter of the point with raw coordinates xs."""
         field = self.field
         zero, mul, inv = field._zero, field._mul, field._inv
-        x, y, _ = mat3_apply_raw(self.to_canonical, p.raw, field)
+        x, y, _ = mat3_apply(self.to_canonical, xs, field)
         if self.kind == "cuspidal":
             if y == zero:
                 raise DomainError("the cusp has no parameter")
-            return FieldElement(field, mul(x, inv(y)))
+            return mul(x, inv(y))
         den = field._sub(y, x)
         if den == zero:
             raise DomainError("the node has no parameter")
         t = mul(field._add(y, x), inv(den))
         if t == zero:
             raise DomainError("the node has no parameter")
-        return FieldElement(field, t)
+        return t
 
     def point_from_parameter(self, t) -> SmoothPoint:
+        return self._point_at(self.field(t).raw)
+
+    def _point_at(self, r) -> SmoothPoint:
+        """The smooth point with raw parameter r."""
         field = self.field
-        t = field(t)
-        r = t.raw
         zero, one, mul = field._zero, field._one, field._mul
         if self.kind == "cuspidal":
             q = (r, one, mul(mul(r, r), r))
@@ -182,8 +197,8 @@ class CubicCurveModel:
                 q = (x, mul(s, x), one)
         else:
             raise DomainError("smooth cubics are not parametrized")
-        pt = ProjectivePoint.from_raw(field, mat3_apply_raw(self.from_canonical, q, field))
-        return SmoothPoint(pt, t)
+        pt = ProjectivePoint.from_raw(field, mat3_apply(self.from_canonical, q, field))
+        return SmoothPoint(pt, r)
 
     # -- chord-tangent geometry ------------------------------------------------
 
@@ -212,12 +227,12 @@ class CubicCurveModel:
                 raise DomainError("tangent construction requires a smooth curve point")
             b = _second_point_on_line(field, ga, a)
             fb, *gb = self._jet(b)
-            s, u = sub(zero, fb), _dot(field, a, gb)
+            s, u = sub(zero, fb), dot(a, gb, field)
         else:
             fb, *gb = self._jet(b)
             if fa != zero or fb != zero:
                 raise DomainError("chord endpoints must lie on the curve")
-            s, u = sub(zero, _dot(field, a, gb)), _dot(field, b, ga)
+            s, u = sub(zero, dot(a, gb, field)), dot(b, ga, field)
         if s == zero and u == zero:
             raise ReducibleCurveError("a line lies on the cubic")
         return [add(mul(s, x), mul(u, y)) for x, y in zip(a, b)]
@@ -227,25 +242,24 @@ class CubicCurveModel:
     def zero(self) -> SmoothPoint:
         if self.kind == "smooth":
             return SmoothPoint(self.origin)
-        return SmoothPoint(
-            self.origin,
-            self.field.zero() if self.kind == "cuspidal" else self.field.one(),
-        )
+        field = self.field
+        return SmoothPoint(self.origin, field._zero if self.kind == "cuspidal" else field._one)
 
     def add(self, a: SmoothPoint, b: SmoothPoint) -> SmoothPoint:
-        if self.kind == "cuspidal":
-            return self.point_from_parameter(a.param + b.param)
-        if self.kind == "nodal":
-            return self.point_from_parameter(a.param * b.param)
         field = self.field
+        if self.kind == "cuspidal":
+            return self._point_at(field._add(a.t, b.t))
+        if self.kind == "nodal":
+            return self._point_at(field._mul(a.t, b.t))
         chord = normalized(field, self._third(a.point.raw, b.point.raw))
         return SmoothPoint(ProjectivePoint.from_raw(field, self._third(self.origin.raw, chord)))
 
     def negate(self, a: SmoothPoint) -> SmoothPoint:
+        field = self.field
         if self.kind == "cuspidal":
-            return self.point_from_parameter(-a.param)
+            return self._point_at(field._sub(field._zero, a.t))
         if self.kind == "nodal":
-            return self.point_from_parameter(a.param.inverse())
+            return self._point_at(field._inv(a.t))
         oo = self.third_intersection(self.origin, self.origin)
         return SmoothPoint(self.third_intersection(oo, a.point))
 
@@ -292,7 +306,8 @@ def classify_cubic(f: Poly3, seed: int = 0) -> CubicCurveModel:
     system = [g for g in grad if not g.is_zero()]
     system.append(f)
     sing, certified_empty = _common_rational_points(system, seed)
-    sing = [p for p in sing if all(not g.evaluate_point(p) for g in grad)]
+    zero = f.field._zero
+    sing = [p for p in sing if all(g.evaluate_raw(p.raw) == zero for g in grad)]
 
     if len(sing) >= 2:
         raise ReducibleCurveError(
@@ -314,45 +329,33 @@ def _recognize_canonical(f: Poly3) -> CubicCurveModel | None:
     characteristics 2 and 3, where the general normalization machinery
     bows out."""
     field = f.field
-    keys = set(f.terms)
-    o = ProjectivePoint(field, (0, 1, 0))
-    s = ProjectivePoint(field, (0, 0, 1))
-    id3 = mat3_from_columns(
-        [
-            (field.one(), field.zero(), field.zero()),
-            (field.zero(), field.one(), field.zero()),
-            (field.zero(), field.zero(), field.one()),
-        ]
-    )
-    if keys == {(0, 2, 1), (3, 0, 0)} and f.coefficient((3, 0, 0)) == -f.coefficient(
-        (0, 2, 1)
-    ):
-        return CubicCurveModel(f, "cuspidal", o, s, id3)
-    if (
-        keys == {(0, 2, 1), (3, 0, 0), (2, 0, 1)}
-        and f.coefficient((3, 0, 0)) == -f.coefficient((0, 2, 1))
-        and f.coefficient((2, 0, 1)) == -f.coefficient((0, 2, 1))
-    ):
-        if field.char == 2:
-            raise UnsupportedCurveError(
-                "the split-node model degenerates in characteristic 2"
-            )
-        return CubicCurveModel(f, "nodal", o, s, id3)
-    return None
+    one, zero, add = field._one, field._zero, field._add
+    terms = f.terms
+    keys = set(terms)
+    c = terms.get((0, 2, 1))
+    cusp = keys == {(0, 2, 1), (3, 0, 0)}
+    node = keys == {(0, 2, 1), (3, 0, 0), (2, 0, 1)} and add(terms[2, 0, 1], c) == zero
+    if not ((cusp or node) and add(terms[3, 0, 0], c) == zero):
+        return None
+    if node and field.char == 2:
+        raise UnsupportedCurveError("the split-node model degenerates in characteristic 2")
+    o = ProjectivePoint.from_raw(field, (zero, one, zero))
+    s = ProjectivePoint.from_raw(field, (zero, zero, one))
+    id3 = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+    return CubicCurveModel(f, "nodal" if node else "cuspidal", o, s, id3)
 
 
 def _classify_singular(f: Poly3, s: ProjectivePoint, seed: int) -> CubicCurveModel:
     field = f.field
+    zero = field._zero
     frame = frame_with_last_column(s)
     g = f.compose_linear(frame)  # the singular point is now (0:0:1)
-    if g.coefficient((0, 0, 3)) or g.coefficient((1, 0, 2)) or g.coefficient((0, 1, 2)):
+    if any(k in g.terms for k in ((0, 0, 3), (1, 0, 2), (0, 1, 2))):
         raise AssertionError("frame change lost the singularity")
-    qa = g.coefficient((2, 0, 1))
-    qb = g.coefficient((1, 1, 1))
-    qc = g.coefficient((0, 2, 1))
-    if not (qa or qb or qc):
+    qa, qb, qc = (g.terms.get(k, zero) for k in ((2, 0, 1), (1, 1, 1), (0, 2, 1)))
+    if qa == qb == qc == zero:
         raise ReducibleCurveError("triple point: the cubic is three concurrent lines")
-    split = _binary_quadratic_split(qa, qb, qc)
+    split = _binary_quadratic_split(field, qa, qb, qc)
     if split[0] == "nonsplit":
         raise UnsupportedCurveError(
             "node with conjugate tangents (non-split torus) is not supported"
@@ -361,9 +364,9 @@ def _classify_singular(f: Poly3, s: ProjectivePoint, seed: int) -> CubicCurveMod
     # g = z q(x, y) + c(x, y).  A tangent line at (0:0:1) runs to a point d
     # at infinity with q(d) = 0, so g restricts to it as c(d) u^3: the line
     # is a component iff g(d) = c(d) = 0
+    dirs = [_direction_point(field, line) for line in split[1:]]
     if split[0] == "double":
-        line = split[1]
-        if not g.evaluate_point(_direction_point(field, line)):
+        if g.evaluate_raw(dirs[0]) == zero:
             raise ReducibleCurveError(
                 "the tangent line is a component (line plus tangent conic)"
             )
@@ -372,60 +375,53 @@ def _classify_singular(f: Poly3, s: ProjectivePoint, seed: int) -> CubicCurveMod
                 "cuspidal normalization is unavailable in characteristic 2 unless "
                 "the curve is already in canonical form"
             )
-        tangent_pt = mat3_apply(frame, _direction_point(field, line))
+        tangent_pt = ProjectivePoint.from_raw(field, mat3_apply(frame, dirs[0], field))
         return _build_cuspidal_model(f, s, tangent_pt, seed)
 
-    line1, line2 = split[1], split[2]
-    for line in (line1, line2):
-        if not g.evaluate_point(_direction_point(field, line)):
-            raise ReducibleCurveError("a nodal tangent line is a component of the cubic")
-    dirs = sorted(
-        (
-            mat3_apply(frame, _direction_point(field, line1)),
-            mat3_apply(frame, _direction_point(field, line2)),
-        ),
+    if any(g.evaluate_raw(d) == zero for d in dirs):
+        raise ReducibleCurveError("a nodal tangent line is a component of the cubic")
+    dir1, dir2 = sorted(
+        (ProjectivePoint.from_raw(field, mat3_apply(frame, d, field)) for d in dirs),
         key=_point_key,
     )
     if field.char == 2:
         raise UnsupportedCurveError(
             "split-node normalization is unavailable in characteristic 2"
         )
-    return _build_nodal_model(f, s, dirs[0], dirs[1], seed)
+    return _build_nodal_model(f, s, dir1, dir2, seed)
 
 
-def _binary_quadratic_split(qa, qb, qc):
-    """Factor A x^2 + B xy + C y^2 over the coefficient field.
+def _binary_quadratic_split(field: Field, qa, qb, qc):
+    """Factor A x^2 + B xy + C y^2, raws, over the coefficient field.
 
     Returns ('double', (alpha, beta)), ('split', L1, L2) with L = (alpha,
     beta) meaning alpha*x + beta*y, or ('nonsplit',).  Uniform over every
     characteristic: the distinct roots of the dehomogenized quadratic
     decide, one distinct root meaning a repeated factor.
     """
-    field = qa.field
-    one, zero = field.one(), field.zero()
-    if not qa:
-        if not qb:
+    one, zero, sub = field._one, field._zero, field._sub
+    if qa == zero:
+        if qb == zero:
             return ("double", (zero, one))  # C y^2
         return ("split", (zero, one), (qb, qc))  # y (B x + C y)
-    rts = [field.element(r) for r in roots_in_field(field, [qc.raw, qb.raw, qa.raw])]
-    if len(rts) == 0:
+    rts = roots_in_field(field, [qc, qb, qa])
+    if not rts:
         return ("nonsplit",)
-    if len(rts) == 1:
-        return ("double", (one, -rts[0]))
-    return ("split", (one, -rts[0]), (one, -rts[1]))
+    return ("double" if len(rts) == 1 else "split", *((one, sub(zero, r)) for r in rts))
 
 
-def _direction_point(field: Field, line) -> ProjectivePoint:
-    """The point at infinity of the singular chart cut out by the
+def _direction_point(field: Field, line) -> tuple:
+    """The point at infinity, as raws, of the singular chart cut out by the
     tangent-cone factor alpha*x + beta*y."""
     alpha, beta = line
-    return ProjectivePoint(field, (-beta, alpha, field.zero()))
+    return (field._sub(field._zero, beta), alpha, field._zero)
 
 
 def _build_cuspidal_model(
     f: Poly3, cusp: ProjectivePoint, tangent_pt: ProjectivePoint, seed: int
 ) -> CubicCurveModel:
     field = f.field
+    mul = field._mul
     inflections = _rational_inflections(f, exclude=cusp, seed=seed)
     if not inflections:
         raise UnsupportedCurveError(
@@ -433,18 +429,16 @@ def _build_cuspidal_model(
             "it must be rational, so this input is outside the supported scope"
         )
     o = inflections[0]
-    cusp_tangent = _line_through(cusp, tangent_pt)
-    o_tangent = _tangent_line_coeffs(f, o)
-    v1 = _line_intersection(field, cusp_tangent, o_tangent)
-    m = mat3_from_columns([v1.coords, o.coords, cusp.coords])
-    g = f.compose_linear(m)
-    c = g.coefficient((0, 2, 1))
-    kappa = g.coefficient((3, 0, 0))
+    cusp_tangent = cross(cusp.raw, tangent_pt.raw, field)
+    v1 = normalized(field, cross(cusp_tangent, _tangent_line_coeffs(f, o), field))
+    g = f.compose_linear(mat3_from_columns([v1, o.raw, cusp.raw]))
+    c = g.terms.get((0, 2, 1))
+    kappa = g.terms.get((3, 0, 0))
     extra = set(g.terms) - {(0, 2, 1), (3, 0, 0)}
-    if extra or not c or not kappa:
+    if extra or c is None or kappa is None:
         raise AssertionError(f"cusp frame failed, leftover terms {sorted(extra)}")
-    t = -kappa / c
-    cols = [v1.coords, o.coords, tuple(x * t for x in cusp.coords)]
+    t = field._sub(field._zero, mul(kappa, field._inv(c)))
+    cols = [v1, o.raw, [mul(x, t) for x in cusp.raw]]
     return CubicCurveModel(f, "cuspidal", o, cusp, mat3_from_columns(cols))
 
 
@@ -456,6 +450,7 @@ def _build_nodal_model(
     seed: int,
 ) -> CubicCurveModel:
     field = f.field
+    zero, mul, add, sub = field._zero, field._mul, field._add, field._sub
     inflections = _rational_inflections(f, exclude=node, seed=seed)
     if not inflections:
         raise UnsupportedCurveError(
@@ -463,36 +458,31 @@ def _build_nodal_model(
             "node at least one inflection is rational, so this input is outside scope"
         )
     o = inflections[0]
-    t1 = _line_through(node, dir1)
-    t2 = _line_through(node, dir2)
     to = _tangent_line_coeffs(f, o)
-    v1 = _line_intersection(field, t1, to)
-    v2 = _line_intersection(field, t2, to)
+    v1, v2 = (
+        normalized(field, cross(cross(node.raw, d.raw, field), to, field)) for d in (dir1, dir2)
+    )
     # columns: c1 + c2 ~ v1, c1 - c2 ~ v2, c2 ~ o, c3 = node
-    rows = [[x.raw for x in (v1[i], -v2[i], field(-2) * o[i])] for i in range(3)]
+    minus2 = field.from_int(-2).raw
+    rows = [[v1[i], sub(zero, v2[i]), mul(minus2, o.raw[i])] for i in range(3)]
     ker = kernel_basis(rows, field)
     if len(ker) != 1:
         raise AssertionError("nodal frame solve degenerated")
-    lam1, lam2, mu = (FieldElement(field, x) for x in ker[0])
-    if not (lam1 and lam2 and mu):
+    lam1, lam2, mu = ker[0]
+    if zero in (lam1, lam2, mu):
         raise AssertionError("nodal frame solve hit a zero scale")
-    half = field(2).inverse()
-    c1 = tuple((lam1 * a + lam2 * b) * half for a, b in zip(v1.coords, v2.coords))
-    c2 = tuple((lam1 * a - lam2 * b) * half for a, b in zip(v1.coords, v2.coords))
-    m = mat3_from_columns([c1, c2, node.coords])
-    g = f.compose_linear(m)
-    qa = g.coefficient((0, 2, 1))
-    kappa = g.coefficient((3, 0, 0))
+    half = field._inv(field.from_int(2).raw)
+    c1 = [mul(add(mul(lam1, a), mul(lam2, b)), half) for a, b in zip(v1, v2)]
+    c2 = [mul(sub(mul(lam1, a), mul(lam2, b)), half) for a, b in zip(v1, v2)]
+    g = f.compose_linear(mat3_from_columns([c1, c2, node.raw]))
+    qa = g.terms.get((0, 2, 1))
+    kappa = g.terms.get((3, 0, 0))
     extra = set(g.terms) - {(0, 2, 1), (2, 0, 1), (3, 0, 0)}
-    if extra or not qa or not kappa or g.coefficient((2, 0, 1)) != -qa:
+    if extra or qa is None or kappa is None or g.terms.get((2, 0, 1)) != sub(zero, qa):
         raise AssertionError(f"node frame failed, leftover terms {sorted(extra)}")
-    lam = -qa / kappa
-    mu_y = qa / kappa
-    cols = [
-        tuple(x * lam for x in c1),
-        tuple(x * mu_y for x in c2),
-        node.coords,
-    ]
+    mu_y = mul(qa, field._inv(kappa))
+    lam = sub(zero, mu_y)
+    cols = [[mul(x, lam) for x in c1], [mul(x, mu_y) for x in c2], node.raw]
     return CubicCurveModel(f, "nodal", o, node, mat3_from_columns(cols))
 
 
@@ -571,9 +561,9 @@ def _affine_zeros(system, field, seed, points) -> bool:
         if not _splits_rationally(h, yrts, field):
             complete = False
         for y0 in yrts:
-            pt = ProjectivePoint(field, (field.element(x0), field.element(y0), field.one()))
-            if all(not gg.evaluate_point(pt) for gg in system):
-                points.add(pt)
+            pt = (x0, y0, field._one)
+            if all(gg.evaluate_raw(pt) == field._zero for gg in system):
+                points.add(ProjectivePoint.from_raw(field, pt))
     return complete
 
 
@@ -584,6 +574,7 @@ def _infinity_zeros(system, field, seed, points) -> bool:
     # line, so it cuts nothing out; only the remaining restrictions matter.
     # If every restriction dies the whole line sits inside the locus and the
     # census cannot be finite.
+    one, zero = field._one, field._zero
     nonzero = [u for u in (_restrict_to_infinity(g) for g in system) if u]
     complete = bool(nonzero)
     if nonzero:
@@ -593,12 +584,12 @@ def _infinity_zeros(system, field, seed, points) -> bool:
             if not _splits_rationally(h, rts, field):
                 complete = False
             for t0 in rts:
-                pt = ProjectivePoint(field, (field.element(t0), field.one(), field.zero()))
-                if all(not g.evaluate_point(pt) for g in system):
-                    points.add(pt)
-    e100 = ProjectivePoint(field, (field.one(), field.zero(), field.zero()))
-    if all(not g.evaluate_point(e100) for g in system):
-        points.add(e100)
+                pt = (t0, one, zero)
+                if all(g.evaluate_raw(pt) == zero for g in system):
+                    points.add(ProjectivePoint.from_raw(field, pt))
+    e100 = (one, zero, zero)
+    if all(g.evaluate_raw(e100) == zero for g in system):
+        points.add(ProjectivePoint.from_raw(field, e100))
     return complete
 
 
@@ -640,13 +631,13 @@ def _poly3_chart(g: Poly3) -> list[Poly]:
     field = g.field
     by_y: dict[int, dict] = {}
     for (a, b, _), v in g.terms.items():
-        by_y.setdefault(b, {})[a] = v.raw
+        by_y.setdefault(b, {})[a] = v
     return [_dense(field, by_y.get(j, {})) for j in range(max(by_y, default=-1) + 1)]
 
 
 def _restrict_to_infinity(g: Poly3) -> Poly:
     """g(x, 1, 0): a homogeneous form on the line z = 0, as a polynomial in x."""
-    return _dense(g.field, {a: v.raw for (a, _, c), v in g.terms.items() if c == 0})
+    return _dense(g.field, {a: v for (a, _, c), v in g.terms.items() if c == 0})
 
 
 def _dense(field: Field, coeffs: dict) -> Poly:
@@ -726,11 +717,12 @@ def _rational_inflections(
         return []
     pts, _ = _common_rational_points([f, h], seed)
     grad = [f.partial(i) for i in range(3)]
+    zero = field._zero
     out = []
     for p in pts:
         if exclude is not None and p == exclude:
             continue
-        if any(g.evaluate_point(p) for g in grad):
+        if any(g.evaluate_raw(p.raw) != zero for g in grad):
             out.append(p)
     return out
 
@@ -741,39 +733,17 @@ def _hessian(f: Poly3) -> Poly3:
 
 def _tangent_line_coeffs(f: Poly3, p: ProjectivePoint) -> list:
     """The tangent line at p as raw coefficients: the gradient there."""
-    grad = [f.partial(i).evaluate_point(p).raw for i in range(3)]
+    grad = [f.partial(i).evaluate_raw(p.raw) for i in range(3)]
     if all(g == f.field._zero for g in grad):
         raise DomainError("tangent line requested at a singular point")
     return grad
-
-
-def _line_through(p: ProjectivePoint, q: ProjectivePoint) -> list:
-    return _cross(p.field, p.raw, q.raw)
-
-
-def _line_intersection(field: Field, l1, l2) -> ProjectivePoint:
-    return ProjectivePoint.from_raw(field, _cross(field, l1, l2))
-
-
-def _cross(field: Field, u, v) -> list:
-    mul, sub = field._mul, field._sub
-    return [
-        sub(mul(u[1], v[2]), mul(u[2], v[1])),
-        sub(mul(u[2], v[0]), mul(u[0], v[2])),
-        sub(mul(u[0], v[1]), mul(u[1], v[0])),
-    ]
-
-
-def _dot(field: Field, u, v):
-    mul, add = field._mul, field._add
-    return add(add(mul(u[0], v[0]), mul(u[1], v[1])), mul(u[2], v[2]))
 
 
 def _second_point_on_line(field: Field, line, avoid: tuple) -> tuple:
     """A point of the line other than avoid, as normalized raws."""
     one, zero = field._one, field._zero
     for e in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):
-        c = _cross(field, line, e)
+        c = cross(line, e, field)
         if any(x != zero for x in c):
             pt = normalized(field, c)
             if pt != avoid:
@@ -786,23 +756,22 @@ def _point_key(p: ProjectivePoint):
 
 
 def _field_scan(field: Field, limit: int):
-    """A deterministic enumeration of field elements: integers 0, 1, 2, ...
-    for prime fields, base-p digit codes for extensions, small fractions
-    ordered by denominator then numerator over Q."""
+    """A deterministic enumeration of field elements, as raws: integers 0,
+    1, 2, ... for prime fields, base-p digit codes for extensions, small
+    fractions ordered by denominator then numerator over Q."""
     if isinstance(field, RationalField):
         from fractions import Fraction
 
         count = 0
         for den in range(1, 13):
             for num in range(-24, 25):
-                yield field.element(Fraction(num, den))
+                yield Fraction(num, den)
                 count += 1
                 if count >= limit:
                     return
         return
     if isinstance(field, PrimeField):
-        for i in range(min(field.p, limit)):
-            yield field.element(i)
+        yield from range(min(field.p, limit))
         return
     p, e = field.p, field.e
     for code in range(min(field.order, limit)):
@@ -811,27 +780,27 @@ def _field_scan(field: Field, limit: int):
         for _ in range(e):
             digits.append(c % p)
             c //= p
-        yield field.element(digits)
+        yield tuple(digits)
 
 
 def _first_rational_point(f: Poly3) -> ProjectivePoint | None:
     field = f.field
     chart = _poly3_chart(f)
+    one, zero = field._one, field._zero
     for x0 in _field_scan(field, _SCAN_LIMIT):
-        u = _evaluate_chart_at_x(chart, x0.raw, field)
+        u = _evaluate_chart_at_x(chart, x0, field)
         if not u:
             continue
         rts = roots_in_field(field, u)
         if rts:
-            return ProjectivePoint(field, (x0, field.element(rts[0]), field.one()))
+            return ProjectivePoint.from_raw(field, (x0, rts[0], one))
     u = _restrict_to_infinity(f)
     if u:
         rts = roots_in_field(field, u)
         if rts:
-            return ProjectivePoint(field, (field.element(rts[0]), field.one(), field.zero()))
-    p100 = ProjectivePoint(field, (field.one(), field.zero(), field.zero()))
-    if not f.evaluate_point(p100):
-        return p100
+            return ProjectivePoint.from_raw(field, (rts[0], one, zero))
+    if f.evaluate_raw((one, zero, zero)) == zero:
+        return ProjectivePoint.from_raw(field, (one, zero, zero))
     return None
 
 
@@ -944,11 +913,11 @@ def _coordinates(model: CubicCurveModel, basis: list[SmoothPoint], roots: list[t
     """
     field = model.field
     if field.char and model.group == "additive":
-        coords = [pt.param.raw for pt in basis]
+        coords = [pt.t for pt in basis]
         coords = [c if isinstance(c, tuple) else (c,) for c in coords]
         moduli = (field.char,) * len(coords[0])
     elif field.char and model.group == "multiplicative":
-        coords = [(x,) for x in _discrete_logs([pt.param.raw for pt in basis], field)]
+        coords = [(x,) for x in _discrete_logs([pt.t for pt in basis], field)]
         moduli = (field.order - 1,)
     else:
         images = [_group_sum(model, zip(a, basis)) for a in roots]
@@ -968,9 +937,9 @@ def _discrete_logs(xs: list, field: Field) -> list[int]:
     primes = factor(n)
     one, mul, pw = field._one, field._mul, field._pow
     g = next(
-        x.raw
+        x
         for x in _field_scan(field, field.order)
-        if x and all(pw(x.raw, n // r) != one for r in primes)
+        if x != field._zero and all(pw(x, n // r) != one for r in primes)
     )
     logs = [0] * len(xs)
     done = 1  # the logs are known modulo done

@@ -1,8 +1,11 @@
 """Exact coefficient fields: GF(p), GF(p^e) and Q.
 
-Elements are lightweight wrappers with operator overloading so geometry code
-can be written the obvious way.  Raws are canonical: ints in [0, p) for prime
-fields, coefficient tuples of length e for extensions, Fraction for Q.
+The library computes on raws, which are canonical: ints in [0, p) for prime
+fields, coefficient tuples of length e for extensions, Fraction for Q.  A
+field's ``_add``, ``_sub``, ``_mul``, ``_inv`` and ``_pow`` act on them, and
+every layer below the public API calls those directly.  ``FieldElement``
+boxes one raw with its field and overloads the operators; it is the type
+the public API takes and hands back, for callers to compute with.
 
 Extension fields are built on a fixed modulus: the minimal monic irreducible
 of degree e over F_p, "minimal" meaning smallest when the non-leading

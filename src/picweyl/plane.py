@@ -13,21 +13,23 @@ from typing import Sequence
 
 from .catalog import halphen_prohibited_classes
 from .errors import DomainError
-from .fields import Field, FieldElement, field_from_descriptor
+from .fields import Field, field_from_descriptor
 from .lattice import LatticeVector
 from .projgeom import (
     Mat3,
     Poly3,
     ProjectivePoint,
+    cross,
+    dot,
     extend_echelon,
     frame_transform,
     kernel_basis,
     mat3_apply,
-    mat3_det,
     mat3_from_columns,
     mat3_inverse,
     mat3_mul,
     monomial_exponents,
+    normalized,
 )
 
 
@@ -185,9 +187,9 @@ def _hasse_row(p: ProjectivePoint, d: int, a: int, b: int) -> list:
     p_2 != 0, (0, 2) if p_1 != 0, else (1, 2).  The normalised p has 1 in
     the remaining coordinate, so the monomial with exponents i gives
     C(i_s, a) C(i_t, b) p_s^(i_s - a) p_t^(i_t - b)."""
-    field, c = p.field, p.coords
-    s, t = (0, 1) if c[2] else (0, 2) if c[1] else (1, 2)
-    hs, ht = _hasse_column(field, c[s].raw, a, d), _hasse_column(field, c[t].raw, b, d)
+    field, c, zero = p.field, p.raw, p.field._zero
+    s, t = (0, 1) if c[2] != zero else (0, 2) if c[1] != zero else (1, 2)
+    hs, ht = _hasse_column(field, c[s], a, d), _hasse_column(field, c[t], b, d)
     mul = field._mul
     return [mul(hs[e[s]], ht[e[t]]) for e in monomial_exponents(d)]
 
@@ -211,10 +213,7 @@ def effective_curves_basis(cfg: PointConfiguration, cls: LatticeVector) -> list[
     rows = _condition_rows(cfg, d, _clamped_multiplicities(cls))
     if not rows:
         return [Poly3.monomial(field, key) for key in monos]
-    return [
-        Poly3(field, {key: FieldElement(field, c) for key, c in zip(monos, v)})
-        for v in kernel_basis(rows, field)
-    ]
+    return [Poly3.from_raw(field, dict(zip(monos, v))) for v in kernel_basis(rows, field)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +284,22 @@ def cremona_quadratic(cfg: PointConfiguration, i: int, j: int, k: int) -> PointC
     if len({i, j, k}) != 3 or not all(1 <= t <= n for t in (i, j, k)):
         raise DomainError(f"base indices ({i},{j},{k}) invalid for {n} points")
     field = cfg.field
-    base = (cfg.point(i), cfg.point(j), cfg.point(k))
-    m = mat3_from_columns([p.coords for p in base])
-    if not mat3_det(m):
-        raise DomainError("base points are collinear")
-    t = mat3_inverse(m)
+    zero, mul = field._zero, field._mul
+    try:
+        t = mat3_inverse(mat3_from_columns([cfg.point(b).raw for b in (i, j, k)]), field)
+    except ZeroDivisionError:
+        raise DomainError("base points are collinear") from None
     new_points: list[ProjectivePoint] = []
     for idx0, p in enumerate(cfg.points, start=1):
-        if idx0 in (i, j, k):
-            new_points.append(mat3_apply(t, p))  # a coordinate-triangle vertex
+        x, y, z = mat3_apply(t, p.raw, field)
+        if idx0 in (i, j, k):  # a coordinate-triangle vertex
+            new_points.append(ProjectivePoint.from_raw(field, (x, y, z)))
             continue
-        q = mat3_apply(t, p)
-        x, y, z = q.coords
-        if not (x and y and z):
+        if zero in (x, y, z):
             raise DomainError(
                 f"point {idx0} lies on a line through two base points"
             )
-        new_points.append(ProjectivePoint(field, (y * z, x * z, x * y)))
+        new_points.append(ProjectivePoint.from_raw(field, (mul(y, z), mul(x, z), mul(x, y))))
     return PointConfiguration(field, new_points)
 
 
@@ -333,8 +331,9 @@ def projectively_equivalent(
     """Index-preserving projective equivalence.
 
     Builds the candidate transform from the first four points of `a` in
-    general position and checks it on everything.  Raises DomainError when
-    `a` has no such four points (the notion is then not decided by a frame).
+    general position and checks it on everything; the transform returned
+    is a 3x3 matrix of raws.  Raises DomainError when `a` has no such four
+    points (the notion is then not decided by a frame).
     """
     if a.field != b.field or len(a) != len(b):
         return False, None
@@ -349,15 +348,17 @@ def projectively_equivalent(
         return False, None
     ta = frame_transform(*[a.points[t] for t in frame_idx])
     tb = frame_transform(*[b.points[t] for t in frame_idx])
-    m = mat3_mul(tb, mat3_inverse(ta))
+    field = a.field
+    m = mat3_mul(tb, mat3_inverse(ta, field), field)
     for pa, pb in zip(a.points, b.points):
-        if mat3_apply(m, pa) != pb:
+        if normalized(field, mat3_apply(m, pa.raw, field)) != pb.raw:
             return False, None
     return True, m
 
 
 def _general_position(pts: list[ProjectivePoint]) -> bool:
-    for triple in combinations(pts, 3):
-        if not mat3_det(mat3_from_columns([p.coords for p in triple])):
-            return False
-    return True
+    field = pts[0].field
+    return all(
+        dot(p.raw, cross(q.raw, r.raw, field), field) != field._zero
+        for p, q, r in combinations(pts, 3)
+    )

@@ -1,6 +1,13 @@
 """Projective plane over an exact field: points, 3x3 transforms, ternary
 forms, and generic Gaussian elimination.
 
+Everything here stores raws, the field's own canonical values (see
+``fields``): point coordinates, form coefficients, and 3x3 matrices, which
+are tuples of rows passed together with their field.  ``FieldElement``
+appears only where a public accessor hands a value out: a point's
+``coords``, ``p[i]`` and ``to_json``, and a form's ``coefficient`` and
+``evaluate``.
+
 Points normalize their last nonzero coordinate to 1, so equality of
 projective points is plain tuple equality.
 """
@@ -13,25 +20,29 @@ from .fields import Field, FieldElement
 
 
 class ProjectivePoint:
-    __slots__ = ("field", "raw", "coords")
+    """A point of the plane, stored as its normalized raw coordinates.
+    `coords`, indexing and `to_json` box them on demand."""
+
+    __slots__ = ("field", "raw")
 
     def __init__(self, field: Field, coords: Sequence):
         raws = [field(c).raw for c in coords]
         if len(raws) != 3:
             raise ValueError("points live in the projective plane")
-        self._set(field, raws)
+        self.field = field
+        self.raw = normalized(field, raws)
 
     @classmethod
     def from_raw(cls, field: Field, raws: Sequence) -> "ProjectivePoint":
         """The point with these three raw coordinates, not yet normalized."""
         pt = cls.__new__(cls)
-        pt._set(field, raws)
+        pt.field = field
+        pt.raw = normalized(field, raws)
         return pt
 
-    def _set(self, field: Field, raws: Sequence) -> None:
-        self.field = field
-        self.raw = normalized(field, raws)
-        self.coords = tuple(FieldElement(field, c) for c in self.raw)
+    @property
+    def coords(self) -> tuple:
+        return tuple(FieldElement(self.field, c) for c in self.raw)
 
     def __eq__(self, other):
         return (
@@ -44,13 +55,13 @@ class ProjectivePoint:
         return hash(self.raw)
 
     def __getitem__(self, i: int) -> FieldElement:
-        return self.coords[i]
+        return FieldElement(self.field, self.raw[i])
 
     def __repr__(self):
         return "(" + " : ".join(repr(c) for c in self.raw) + ")"
 
     def to_json(self):
-        return [c.to_json() for c in self.coords]
+        return [self.field.raw_to_json(c) for c in self.raw]
 
     @classmethod
     def from_json(cls, field: Field, data) -> "ProjectivePoint":
@@ -72,47 +83,46 @@ def normalized(field: Field, raws: Sequence) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# 3x3 matrices as row tuples of FieldElement
+# 3-vectors and 3x3 matrices on raws.  A matrix is a tuple of three rows of
+# raws, passed with its field like the rows of `kernel_basis`.
 
 Mat3 = tuple
 
 
-def mat3(field: Field, rows) -> Mat3:
-    return tuple(tuple(field(x) for x in row) for row in rows)
+def dot(u: Sequence, v: Sequence, field: Field):
+    mul, add = field._mul, field._add
+    return add(add(mul(u[0], v[0]), mul(u[1], v[1])), mul(u[2], v[2]))
 
 
-def mat3_identity(field: Field) -> Mat3:
-    o, z = field.one(), field.zero()
-    return ((o, z, z), (z, o, z), (z, z, o))
+def cross(u: Sequence, v: Sequence, field: Field) -> tuple:
+    """u x v: the line through two points, or the point on two lines."""
+    mul, sub = field._mul, field._sub
+    return (
+        sub(mul(u[1], v[2]), mul(u[2], v[1])),
+        sub(mul(u[2], v[0]), mul(u[0], v[2])),
+        sub(mul(u[0], v[1]), mul(u[1], v[0])),
+    )
 
 
 def mat3_from_columns(cols) -> Mat3:
     return tuple(zip(*cols))
 
 
-def mat3_mul(a: Mat3, b: Mat3) -> Mat3:
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), row[0].field.zero()) for col in bt)
-        for row in a
-    )
+def mat3_mul(a: Mat3, b: Mat3, field: Field) -> Mat3:
+    cols = list(zip(*b))
+    return tuple(tuple(dot(row, col, field) for col in cols) for row in a)
 
 
-def mat3_apply(m: Mat3, p: ProjectivePoint) -> ProjectivePoint:
-    return ProjectivePoint.from_raw(p.field, mat3_apply_raw(m, p.raw, p.field))
-
-
-def mat3_apply_raw(m: Mat3, xs: Sequence, field: Field) -> list:
+def mat3_apply(m: Mat3, xs: Sequence, field: Field) -> tuple:
     """M x on the raw coordinates xs, unnormalized."""
-    mul, add = field._mul, field._add
-    return [
-        add(add(mul(a.raw, xs[0]), mul(b.raw, xs[1])), mul(c.raw, xs[2]))
-        for a, b, c in m
-    ]
+    return tuple(dot(row, xs, field) for row in m)
 
 
 def mat3_det(m):
-    """Cofactor expansion; the entries may be field elements, Poly3s or ints."""
+    """Cofactor expansion over entries with ring operators, Poly3s or ints.
+    Over a field the determinant of raws is dot(m[0], cross(m[1], m[2]));
+    here raw ints would give the integer determinant, which can be nonzero
+    where the determinant mod p is zero."""
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -120,20 +130,16 @@ def mat3_det(m):
     )
 
 
-def mat3_inverse(m: Mat3) -> Mat3:
-    d = mat3_det(m)
-    if not d:
+def mat3_inverse(m: Mat3, field: Field) -> Mat3:
+    """The rows of the inverse are the cross products of pairs of columns,
+    divided by the determinant."""
+    c0, c1, c2 = zip(*m)
+    rows = (cross(c1, c2, field), cross(c2, c0, field), cross(c0, c1, field))
+    det = dot(c0, rows[0], field)
+    if det == field._zero:
         raise ZeroDivisionError("matrix is singular")
-    dinv = d.inverse()
-    c = [
-        [
-            (m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-             - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]) * dinv
-            for i in range(3)
-        ]
-        for j in range(3)
-    ]
-    return tuple(tuple(row) for row in c)
+    inv, mul = field._inv(det), field._mul
+    return tuple(tuple(mul(x, inv) for x in row) for row in rows)
 
 
 def frame_transform(
@@ -142,32 +148,26 @@ def frame_transform(
     """The transform sending the standard frame e1, e2, e3, (1:1:1) to the
     four given points.  Exists iff no three of them are collinear."""
     field = p1.field
-    # the matrix [p1 p2 p3] by rows, as raws
-    rows = [[c.raw for c in row] for row in zip(p1.coords, p2.coords, p3.coords)]
-    lam = linear_solve(rows, [c.raw for c in p4.coords], field)
+    cols = (p1.raw, p2.raw, p3.raw)
+    lam = linear_solve([list(row) for row in zip(*cols)], list(p4.raw), field)
     if lam is None or field._zero in lam:
         raise ValueError("points are not in general position")
-    lam = [FieldElement(field, l) for l in lam]
-    return mat3_from_columns(
-        [tuple(l * c for c in p.coords) for l, p in zip(lam, (p1, p2, p3))]
-    )
+    mul = field._mul
+    return mat3_from_columns([[mul(l, c) for c in col] for l, col in zip(lam, cols)])
 
 
 def frame_with_last_column(p: ProjectivePoint) -> Mat3:
     """Invertible matrix whose last column is p; the first two columns are
-    standard basis vectors chosen off p's support."""
-    field = p.field
-    o, z = field.one(), field.zero()
-    e = [(o, z, z), (z, o, z), (z, z, o)]
-    if p.coords[2]:
-        cols = [e[0], e[1], p.coords]
-    elif p.coords[1]:
-        cols = [e[0], e[2], p.coords]
-    else:
-        cols = [e[1], e[2], p.coords]
-    m = mat3_from_columns(cols)
-    assert mat3_det(m)
-    return m
+    standard basis vectors chosen off p's support.  Its determinant is, up
+    to sign, the coordinate of p the choice tests, so it is nonzero."""
+    one, zero = p.field._one, p.field._zero
+    e = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
+    x = p.raw
+    if x[2] != zero:
+        return mat3_from_columns([e[0], e[1], x])
+    if x[1] != zero:
+        return mat3_from_columns([e[0], e[2], x])
+    return mat3_from_columns([e[1], e[2], x])
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,8 @@ def linear_solve(rows: list[list], rhs: list, field: Field):
 class Poly3:
     """Polynomial in three variables as a sparse exponent map.
 
-    Keys are (a, b, c) exponent triples; values are nonzero field elements.
+    Keys are (a, b, c) exponent triples; values are nonzero raws of field.
+    `coefficient`, `evaluate` and `evaluate_point` box what they return.
     The geometry code only ever feeds homogeneous forms to the projective
     routines, but the representation does not insist on it.
     """
@@ -256,10 +257,20 @@ class Poly3:
         self.field = field
         self.terms = {}
         if terms:
+            zero = field._zero
             for k, v in terms.items():
-                v = field(v)
-                if v:
+                v = field(v).raw
+                if v != zero:
                     self.terms[tuple(k)] = v
+
+    @classmethod
+    def from_raw(cls, field: Field, raws: dict) -> "Poly3":
+        """The form with these raw coefficients; zero ones are dropped."""
+        f = cls.__new__(cls)
+        f.field = field
+        zero = field._zero
+        f.terms = {k: v for k, v in raws.items() if v != zero}
+        return f
 
     @classmethod
     def zero(cls, field: Field) -> "Poly3":
@@ -284,26 +295,14 @@ class Poly3:
         return len(degs) <= 1
 
     def coefficient(self, key) -> FieldElement:
-        return self.terms.get(tuple(key), self.field.zero())
-
-    @classmethod
-    def _from_raw(cls, field: Field, raws: dict) -> "Poly3":
-        """The form with these raw coefficients; zero ones are dropped."""
-        f = cls.__new__(cls)
-        f.field = field
-        zero = field._zero
-        f.terms = {k: FieldElement(field, v) for k, v in raws.items() if v != zero}
-        return f
-
-    def _raw_terms(self) -> dict:
-        return {k: v.raw for k, v in self.terms.items()}
+        return FieldElement(self.field, self.terms.get(tuple(key), self.field._zero))
 
     def _combine(self, other: "Poly3", op) -> "Poly3":
-        out = self._raw_terms()
+        out = dict(self.terms)
         zero = self.field._zero
         for k, v in other.terms.items():
-            out[k] = op(out.get(k, zero), v.raw)
-        return Poly3._from_raw(self.field, out)
+            out[k] = op(out.get(k, zero), v)
+        return Poly3.from_raw(self.field, out)
 
     def __add__(self, other: "Poly3") -> "Poly3":
         return self._combine(other, self.field._add)
@@ -313,22 +312,23 @@ class Poly3:
 
     def scaled(self, c) -> "Poly3":
         c, mul = self.field(c).raw, self.field._mul
-        return Poly3._from_raw(self.field, {k: mul(v.raw, c) for k, v in self.terms.items()})
+        return Poly3.from_raw(self.field, {k: mul(v, c) for k, v in self.terms.items()})
 
     def __mul__(self, other: "Poly3") -> "Poly3":
-        return Poly3._from_raw(
-            self.field, _raw_product(self.field, self._raw_terms(), other._raw_terms())
-        )
+        return Poly3.from_raw(self.field, _raw_product(self.field, self.terms, other.terms))
 
     def evaluate(self, coords) -> FieldElement:
         field = self.field
-        raws = [field(c).raw for c in coords]
-        return FieldElement(field, self.evaluate_raw(power_table(field, raws, self.degree())))
+        return FieldElement(field, self.evaluate_raw([field(c).raw for c in coords]))
 
     def evaluate_point(self, p: ProjectivePoint) -> FieldElement:
-        return self.evaluate(p.coords)
+        return FieldElement(self.field, self.evaluate_raw(p.raw))
 
-    def evaluate_raw(self, powers):
+    def evaluate_raw(self, xs: Sequence):
+        """The value at the raw coordinates xs, as a raw."""
+        return self.evaluate_table(power_table(self.field, xs, self.degree()))
+
+    def evaluate_table(self, powers):
         """The value, as a raw, at the point whose `power_table` is powers;
         the table must reach every exponent of the form.  One
         multiplication per nonzero exponent of each term."""
@@ -337,7 +337,6 @@ class Poly3:
         px, py, pz = powers
         acc = field._zero
         for (a, b, c), v in self.terms.items():
-            v = v.raw
             if a:
                 v = mul(v, px[a])
             if b:
@@ -354,17 +353,18 @@ class Poly3:
             if k[i]:
                 nk = list(k)
                 nk[i] -= 1
-                out[tuple(nk)] = field._mul(v.raw, field.from_int(k[i]).raw)
-        return Poly3._from_raw(field, out)
+                out[tuple(nk)] = field._mul(v, field.from_int(k[i]).raw)
+        return Poly3.from_raw(field, out)
 
     def compose_linear(self, m: Mat3) -> "Poly3":
-        """F(M x): substitute each variable by the linear form from M's rows."""
+        """F(M x): substitute each variable by the linear form from M's rows,
+        raws of the form's field."""
         field = self.field
         mul, add, zero = field._mul, field._add, field._zero
         max_exp = [max((k[i] for k in self.terms), default=0) for i in range(3)]
         powers = []  # powers of each row's linear form, as raw term maps
         for row, top in zip(m, max_exp):
-            form = {k: x.raw for k, x in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), row) if x}
+            form = {k: x for k, x in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), row) if x != zero}
             cache = [{(0, 0, 0): field._one}]
             for _ in range(top):
                 cache.append(_raw_product(field, cache[-1], form))
@@ -374,13 +374,13 @@ class Poly3:
             term = _raw_product(field, powers[0][a], powers[1][b])
             term = _raw_product(field, term, powers[2][c])
             for k, x in term.items():
-                out[k] = add(out.get(k, zero), mul(x, v.raw))
-        return Poly3._from_raw(field, out)
+                out[k] = add(out.get(k, zero), mul(x, v))
+        return Poly3.from_raw(field, out)
 
     def to_coeff_map(self) -> dict:
         out = {}
         for k in sorted(self.terms, reverse=True):
-            out["".join(str(d) for d in k)] = self.terms[k].to_json()
+            out["".join(str(d) for d in k)] = self.field.raw_to_json(self.terms[k])
         return out
 
     @classmethod
@@ -408,7 +408,7 @@ class Poly3:
             return "Poly3(0)"
         bits = []
         for k in sorted(self.terms, reverse=True):
-            bits.append(f"{self.terms[k].raw!r}*x^{k[0]}y^{k[1]}z^{k[2]}")
+            bits.append(f"{self.terms[k]!r}*x^{k[0]}y^{k[1]}z^{k[2]}")
         return "Poly3(" + " + ".join(bits) + ")"
 
 

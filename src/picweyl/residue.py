@@ -517,11 +517,10 @@ def find_root_in_submodule(
         raise DomainError(
             f"free rank {sub.free_rank} < 8: the submodule is too small"
         )
-    name = method.strip().lower().replace("_", "-")
     depth = _WORD_DEPTH if max_depth is None else max_depth
-    if name == "theory":
+    if method == "theory":
         return _root_by_theory(sub, depth, max_visited)
-    if name in ("orbit-bfs", "orbitbfs", "bfs"):
+    if method == "orbit-bfs":
         return _root_by_orbit(sub, depth, max_visited)
     raise ValueError(f"unknown method {method!r}: use theory or orbit-bfs")
 

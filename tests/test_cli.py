@@ -287,6 +287,23 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "classify", "--n", "10")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["find-root-mod", "--m", "6", "--gens", "{gens}", "--budget", "-1"],
+            ["find-root-mod", "--m", "6", "--gens", "{gens}", "--budget", "-1",
+             "--method", "bfs"],
+            ["enumerate-roots", "--n", "10", "--max-degree", "-3"],
+        ],
+        ids=["budget", "budget-bfs", "max-degree"],
+    )
+    def test_negative_bounds_are_usage_errors(self, capsys, gens_file, argv):
+        # these once ran a search bounded by a negative depth or degree
+        code, out, err = run(capsys, *(a.format(gens=gens_file) for a in argv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
     def test_list_params_over_a_prime_field_are_a_domain_error(self, capsys, params_file):
         # coefficient lists with the default --e 1 once escaped as a TypeError
         code, out, err = run(capsys, "harbourne-check", "--p", "5", "--params", params_file)
@@ -397,3 +414,30 @@ def test_no_module_level_mutable_containers():
             if isinstance(value, (list, dict, set)):
                 found.append(f"{info.name}.{name}")
     assert found == []
+
+
+def test_benchmark_trace_bindings_exist():
+    # perfbench/trace.py patches owner.__dict__[attr] for every binding it
+    # wraps; one dropped by a refactor would fail only at benchmark time
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "trace.py"
+    spec = importlib.util.spec_from_file_location("perfbench_trace", path)
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+
+    def module(name):
+        return importlib.import_module(f"picweyl.{name}")
+
+    missing = [
+        f"{mod}.{attr}" for mod, attr, _ in trace.SPANS if attr not in vars(module(mod))
+    ]
+    if "find_root_in_submodule" not in vars(module("residue")):
+        missing.append("residue.find_root_in_submodule")
+    for path_, attr, _ in trace.COUNTS:
+        mod, cls = path_.split(".")
+        owner = vars(module(mod)).get(cls)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{path_}.{attr}")
+    assert missing == []

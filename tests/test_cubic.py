@@ -4,7 +4,10 @@ The smooth fixture over F_101 was verified offline with a standalone
 Weierstrass-law script: exactly 100 rational points, (0:14:1) of order 100.
 """
 
+import itertools
 import random
+from collections import Counter
+from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
@@ -12,6 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from picweyl import (
     CubicCurveModel,
+    configuration,
+    cremona_quadratic,
+    is_unnodal_halphen,
+    projectively_equivalent,
     CurveError,
     DomainError,
     ExtensionField,
@@ -37,7 +44,7 @@ from picweyl import (
 )
 from picweyl.cubic import RestrictionLayer, _group_sum, image_order
 from picweyl.fields import FieldElement
-from picweyl.projgeom import kernel_basis, mat3, mat3_det, monomial_exponents
+from picweyl.projgeom import cross, dot, kernel_basis, mat3_apply, monomial_exponents
 
 F = PrimeField(101)
 F7 = PrimeField(7)
@@ -79,9 +86,7 @@ class TestClassification:
         assert smooth_model().singular_point is None
 
     def test_classification_is_invariant_under_coordinate_change(self):
-        from picweyl.projgeom import mat3
-
-        m = mat3(F, [[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+        m = ((1, 2, 0), (0, 1, 3), (1, 0, 1))  # raws of F
         f = Poly3.from_coeff_map(F, NODAL).compose_linear(m)
         moved = classify_cubic(f)
         assert moved.kind == "nodal"
@@ -487,7 +492,8 @@ def _restrict_to_line(f, p, q):
     each term of F expanded as a binary form."""
     field = f.field
     coeffs = [field.zero()] * 4
-    for key, v in f.terms.items():
+    for key in f.terms:
+        v = f.coefficient(key)
         term = {0: field.one()}  # exponent of s -> coefficient
         for i in range(3):
             for _ in range(key[i]):
@@ -610,8 +616,8 @@ def test_off_curve_and_singular_points_raise():
 def _moved(field, coeffs, rng):
     """The canonical form composed with a random invertible frame."""
     while True:
-        m = mat3(field, [[field.random_element(rng) for _ in range(3)] for _ in range(3)])
-        if mat3_det(m):
+        m = tuple(tuple(field.random_element(rng).raw for _ in range(3)) for _ in range(3))
+        if dot(m[0], cross(m[1], m[2], field), field) != field._zero:  # det over the field
             return Poly3.from_coeff_map(field, coeffs).compose_linear(m)
 
 
@@ -660,3 +666,80 @@ def test_layer_rows_match_the_group_law(kind, field):
         layer = RestrictionLayer(model, pts)
         assert (layer.moduli, layer.rows) == (moduli, rows)
 
+
+
+# ---------------------------------------------------------------------------
+# the plane layer computes on raws: FieldElement arithmetic is for callers
+
+BOXED_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inverse",
+)
+
+
+@contextmanager
+def _boxed_arithmetic_counts():
+    """Count calls of each FieldElement arithmetic method while open."""
+    counts = Counter()
+    saved = {name: vars(FieldElement)[name] for name in BOXED_ARITHMETIC}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    try:
+        for name, fn in saved.items():
+            setattr(FieldElement, name, counting(name, fn))
+        yield counts
+    finally:
+        for name, fn in saved.items():
+            setattr(FieldElement, name, fn)
+
+
+def _curve_points(f, count):
+    """The first count rational points of the form f, by brute force."""
+    field, out = f.field, []
+    for y, x in itertools.product(field.elements(), repeat=2):
+        p = ProjectivePoint(field, (x, y, 1))
+        if not f.evaluate_point(p):
+            out.append(p)
+            if len(out) == count:
+                return out
+    raise AssertionError("too few rational points")
+
+
+def test_no_boxed_arithmetic_below_the_api():
+    rng = random.Random("raws")
+    gf125, f31 = ExtensionField(5, 3), PrimeField(31)
+    cusp = _moved(gf125, CUSPIDAL, rng)
+    cusp_params = [gf125.random_element(rng) for _ in range(10)]
+    node = _moved(f31, NODAL, rng)
+    node_params = [f31(t) for t in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
+    smooth = _moved(F7, ELLIPTIC_F7, rng)
+    smooth_pts = _curve_points(smooth, 9)
+    cfg = configuration(F, [(rng.randrange(101), rng.randrange(101), 1) for _ in range(9)])
+    m = ((1, 2, 0), (0, 1, 5), (3, 0, 1))  # raws of F
+    moved = configuration(F, [mat3_apply(m, p.raw, F) for p in cfg.points])
+    with _boxed_arithmetic_counts() as counts:
+        F7(2) * F7(3)  # the hooks are live
+        assert counts == {"__mul__": 1}
+        counts.clear()
+        model = classify_cubic(cusp)
+        pts = [model.point_from_parameter(t).point for t in cusp_params]
+        harbourne_check(model, pts)
+        unnodal_by_kernel(model, pts)
+        model = classify_cubic(node)
+        pts = [model.point_from_parameter(t).point for t in node_params]
+        unnodal_by_kernel(model, pts)
+        halphen_index_check(model, pts, 2)
+        model = classify_cubic(smooth)
+        torsion_set_check(model, smooth_pts)
+        unnodal_by_kernel(model, smooth_pts)
+        is_unnodal_halphen(cfg, 2)
+        cremona_quadratic(cfg, 1, 2, 3)
+        assert projectively_equivalent(cfg, moved)[0]
+    assert (model.kind, counts) == ("smooth", {})
+    assert vars(FieldElement)["__mul__"] is FieldElement.__rmul__  # restored

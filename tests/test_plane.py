@@ -363,11 +363,13 @@ class TestWordAction:
 
 class TestProjectiveEquivalence:
     def test_detects_transformed_copy(self):
-        from picweyl.projgeom import mat3, mat3_apply
+        from picweyl.projgeom import mat3_apply
 
         cfg = cfg_nine()
-        m = mat3(F, [[1, 2, 0], [0, 1, 5], [3, 0, 1]])
-        moved = PointConfiguration(F, [mat3_apply(m, p) for p in cfg.points])
+        m = ((1, 2, 0), (0, 1, 5), (3, 0, 1))  # raws of F
+        moved = PointConfiguration(
+            F, [ProjectivePoint.from_raw(F, mat3_apply(m, p.raw, F)) for p in cfg.points]
+        )
         same, transform = projectively_equivalent(cfg, moved)
         assert same and transform is not None
 

@@ -2,6 +2,7 @@
 and exact elimination checked against independent implementations."""
 
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,14 +21,14 @@ from picweyl import (
     RationalField,
 )
 from picweyl.projgeom import (
+    cross,
+    dot,
     extend_echelon,
     frame_transform,
     kernel_basis,
     linear_solve,
-    mat3,
     mat3_apply,
     mat3_det,
-    mat3_identity,
     mat3_inverse,
     mat3_mul,
     matrix_rank,
@@ -62,30 +63,63 @@ class TestProjectivePoint:
         assert ProjectivePoint.from_json(F, p.to_json()) == p
 
 
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def det(m, field=F):
+    """The determinant of a matrix of raws, over the field."""
+    return dot(m[0], cross(m[1], m[2], field), field)
+
+
+def moved(m, p):
+    return ProjectivePoint.from_raw(p.field, mat3_apply(m, p.raw, p.field))
+
+
 class TestMat3:
+    # matrices are tuples of rows of raws; the raws of F are ints mod 101
+
     def test_mul_apply_consistency(self):
-        m = mat3(F, [[1, 2, 0], [0, 1, 0], [3, 0, 1]])
-        n = mat3(F, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        m = ((1, 2, 0), (0, 1, 0), (3, 0, 1))
+        n = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
         p = pt(5, 7, 1)
-        assert mat3_apply(mat3_mul(m, n), p) == mat3_apply(m, mat3_apply(n, p))
+        assert moved(mat3_mul(m, n, F), p) == moved(m, moved(n, p))
 
     def test_inverse(self):
-        m = mat3(F, [[2, 1, 0], [1, 1, 0], [0, 5, 3]])
-        assert mat3_mul(m, mat3_inverse(m)) == mat3_identity(F)
-        assert mat3_det(mat3_identity(F)) == F.one()
+        m = ((2, 1, 0), (1, 1, 0), (0, 5, 3))
+        assert mat3_mul(m, mat3_inverse(m, F), F) == IDENTITY
+        assert det(IDENTITY) == 1
+
+    @pytest.mark.parametrize("field", [ExtensionField(3, 2), QQ_FIELD], ids=repr)
+    def test_inverse_over_other_fields(self, field):
+        rng = random.Random(f"inverse/{field}")
+        one, zero = field._one, field._zero
+        identity = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+        for _ in range(20):
+            m = tuple(tuple(field.random_element(rng).raw for _ in range(3)) for _ in range(3))
+            if det(m, field) == zero:
+                with pytest.raises(ZeroDivisionError):
+                    mat3_inverse(m, field)
+                continue
+            inv = mat3_inverse(m, field)
+            assert mat3_mul(m, inv, field) == mat3_mul(inv, m, field) == identity
 
     def test_singular_has_no_inverse(self):
-        m = mat3(F, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-        assert not mat3_det(m)
+        m = ((1, 2, 3), (2, 4, 6), (0, 0, 1))
+        assert det(m) == 0
         with pytest.raises((ValueError, ZeroDivisionError)):
-            mat3_inverse(m)
+            mat3_inverse(m, F)
+
+    def test_integer_determinant_is_not_the_field_one(self):
+        # mat3_det on raw ints is the integer determinant: 101 here, 0 in F
+        m = ((101, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert mat3_det(m) == 101 and det(m) == 0
 
     def test_frame_transform(self):
         ps = [pt(1, 2, 3), pt(1, 1, 0), pt(0, 1, 1), pt(2, 1, 1)]
         m = frame_transform(*ps)
         frame = [pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(1, 1, 1)]
         for src, dst in zip(frame, ps):
-            assert mat3_apply(m, src) == dst
+            assert moved(m, src) == dst
 
     def test_frame_transform_needs_general_position(self):
         with pytest.raises(ValueError):
@@ -297,7 +331,7 @@ class TestPoly3:
 
     def test_compose_linear_is_substitution(self):
         f = Poly3.from_coeff_map(F, {"300": 1, "021": 2})
-        m = mat3(F, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])  # swap x, y
+        m = ((0, 1, 0), (1, 0, 0), (0, 0, 1))  # swap x, y
         g = f.compose_linear(m)
         for coords in [(1, 2, 3), (4, 0, 1), (9, 9, 1)]:
             p = [F(c) for c in coords]

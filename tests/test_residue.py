@@ -421,9 +421,11 @@ class TestRootSearch:
             find_root_in_submodule(sub)
 
     def test_unknown_method(self):
+        # exactly "theory" and "orbit-bfs"; the CLI maps --method bfs itself
         M = ResidueModule(3)
-        with pytest.raises((DomainError, ValueError)):
-            find_root_in_submodule(M.full_submodule(), "dowsing")
+        for method in ("dowsing", "bfs", "orbit_bfs", " Theory"):
+            with pytest.raises(ValueError):
+                find_root_in_submodule(M.full_submodule(), method)
 
 
 def test_error_hierarchy():
