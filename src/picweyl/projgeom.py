@@ -310,10 +310,6 @@ class Poly3:
     def __sub__(self, other: "Poly3") -> "Poly3":
         return self._combine(other, self.field._sub)
 
-    def scaled(self, c) -> "Poly3":
-        c, mul = self.field(c).raw, self.field._mul
-        return Poly3.from_raw(self.field, {k: mul(v, c) for k, v in self.terms.items()})
-
     def __mul__(self, other: "Poly3") -> "Poly3":
         return Poly3.from_raw(self.field, _raw_product(self.field, self.terms, other.terms))
 

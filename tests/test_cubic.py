@@ -15,10 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from picweyl import (
     CubicCurveModel,
-    configuration,
-    cremona_quadratic,
-    is_unnodal_halphen,
-    projectively_equivalent,
     CurveError,
     DomainError,
     ExtensionField,
@@ -32,10 +28,14 @@ from picweyl import (
     UnsupportedCurveError,
     canonical_vector,
     classify_cubic,
+    configuration,
+    cremona_quadratic,
     generator_images,
     halphen_index_check,
     harbourne_check,
+    is_unnodal_halphen,
     kernel_submodule_generators,
+    projectively_equivalent,
     restriction_hom,
     simple_roots,
     torsion_set_check,
@@ -665,7 +665,6 @@ def test_layer_rows_match_the_group_law(kind, field):
             moduli = (field.p - 1,)
         layer = RestrictionLayer(model, pts)
         assert (layer.moduli, layer.rows) == (moduli, rows)
-
 
 
 # ---------------------------------------------------------------------------
