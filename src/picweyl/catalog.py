@@ -85,6 +85,7 @@ def enumerate_roots(n: int, max_degree: int) -> tuple[LatticeVector, ...]:
     nonzero coordinate (e_i - e_j with i < j).  Positive degrees need no
     normalization since their negatives have negative degree.
     """
+    k = canonical_vector(n)  # raises for n < 3
     out: list[LatticeVector] = []
     for m0 in range(max_degree + 1):
         bound = m0 + 1
@@ -99,10 +100,7 @@ def enumerate_roots(n: int, max_degree: int) -> tuple[LatticeVector, ...]:
                         continue
                 out.append(LatticeVector(coords))
     out.sort(key=lambda v: v.coords)
-    k = None
     for r in out:
-        if k is None:
-            k = canonical_vector(r.n)
         assert r.is_root(k)
     return tuple(out)
 

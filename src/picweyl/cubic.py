@@ -10,17 +10,32 @@ nodes, tangent lines hiding curve components) raise explicit errors instead
 of being guessed at; the tangent-cone divisibility tests below make those
 cases detectable from rational data alone.
 
+A singular cubic is parametrized by the lines through its singular point,
+and its inflections come from that parametrization, not from a search:
+three points are collinear iff their slopes sum to a constant tau (cusp) or
+multiply to a constant kappa (split node), both read off the cubic part of
+the equation.  A cusp has its one inflection at slope tau/3; the
+inflections of a split node are the rational cube roots of kappa, and when
+there is none the origin is relaxed to another smooth rational point.  Only
+smooth cubics look for inflections, on the intersection with the Hessian.
+
 Canonical models and parameters:
 
 * cuspidal: y^2 z = x^3, cusp (0:0:1), inflection origin (0:1:0),
-  parameter t = x/y, three points collinear iff the parameters sum to 0;
+  parameter t = x/y, three points collinear iff the parameters sum to 0
+  (characteristic 3 only in this canonical form);
 * split nodal: y^2 z = x^3 + x^2 z, node (0:0:1), inflection origin
-  (0:1:0), parameter t = (y+x)/(y-x) in K^*, collinear iff the product is 1;
+  (0:1:0), parameter t = (y+x)/(y-x) in K^*, collinear iff the product is 1.
+  With a relaxed origin (relaxed_origin=True) the canonical curve is
+  8 (y^2 z - x^3 - x^2 z) = (1 - kappa) (y - x)^3, the origin has t = 1 and
+  three points are collinear iff the product is the model's kappa;
 * smooth: chord-tangent law with an inflection origin when one is rational,
   otherwise the first rational point in a deterministic scan
-  (relaxed_origin=True).  The line class is represented by the third
-  intersection of the tangent at the origin, which keeps the restriction
-  map a homomorphism for any origin.
+  (relaxed_origin=True).
+
+With a relaxed origin the line class is represented by the third
+intersection of the tangent at the origin, which keeps the restriction map
+a homomorphism for any origin.
 """
 
 from __future__ import annotations
@@ -95,7 +110,9 @@ class CubicCurveModel:
     """A classified cubic.  kind is one of smooth, nodal, cuspidal; the
     smooth locus carries an elliptic, multiplicative or additive group law
     respectively.  On the singular kinds from_canonical maps the canonical
-    model onto the curve and to_canonical back, as 3x3 matrices of raws."""
+    model onto the curve and to_canonical back, as 3x3 matrices of raws.
+    On a nodal curve kappa is the raw product of the parameters of three
+    collinear points: 1 when the origin is an inflection."""
 
     def __init__(
         self,
@@ -105,6 +122,7 @@ class CubicCurveModel:
         singular_point: ProjectivePoint | None = None,
         from_canonical: Mat3 | None = None,
         relaxed_origin: bool = False,
+        kappa=None,
     ):
         self.field = poly.field
         self.poly = poly
@@ -116,6 +134,7 @@ class CubicCurveModel:
             None if from_canonical is None else mat3_inverse(from_canonical, self.field)
         )
         self.relaxed_origin = relaxed_origin
+        self.kappa = self.field._one if kappa is None else kappa
         self._forms = [poly] + [poly.partial(i) for i in range(3)]
         self._layers: dict[tuple, RestrictionLayer] = {}  # see restriction_layer
 
@@ -189,12 +208,14 @@ class CubicCurveModel:
         elif self.kind == "nodal":
             if r == zero:
                 raise DomainError("0 is not a parameter value on a split node")
-            if r == one:
-                q = (zero, one, zero)
-            else:
-                s = mul(field._add(r, one), field._inv(field._sub(r, one)))
-                x = field._sub(mul(s, s), one)
-                q = (x, mul(s, x), one)
+            # (4 (r^2 - r) : 4 (r^2 + r) : r^3 - 3 (r^2 - r) - kappa) lies on
+            # 8 (y^2 z - x^3 - x^2 z) = (1 - kappa) (y - x)^3, the canonical
+            # node when kappa = 1, and has parameter (y + x)/(y - x) = r
+            sub, r2 = field._sub, mul(r, r)
+            d = sub(r2, r)
+            four = field._from_int(4)
+            w = sub(sub(mul(r2, r), self.kappa), mul(field._from_int(3), d))
+            q = (mul(four, d), mul(four, field._add(r2, r)), w)
         else:
             raise DomainError("smooth cubics are not parametrized")
         pt = ProjectivePoint.from_raw(field, mat3_apply(self.from_canonical, q, field))
@@ -314,7 +335,7 @@ def classify_cubic(f: Poly3, seed: int = 0) -> CubicCurveModel:
             f"{len(sing)} singular points found; a cubic with more than one is reducible"
         )
     if len(sing) == 1:
-        return _classify_singular(f, sing[0], seed)
+        return _classify_singular(f, sing[0])
     if not certified_empty:
         raise UnsupportedCurveError(
             "no rational singular point, but smoothness could not be certified "
@@ -345,7 +366,7 @@ def _recognize_canonical(f: Poly3) -> CubicCurveModel | None:
     return CubicCurveModel(f, "nodal" if node else "cuspidal", o, s, id3)
 
 
-def _classify_singular(f: Poly3, s: ProjectivePoint, seed: int) -> CubicCurveModel:
+def _classify_singular(f: Poly3, s: ProjectivePoint) -> CubicCurveModel:
     field = f.field
     zero = field._zero
     frame = frame_with_last_column(s)
@@ -370,25 +391,28 @@ def _classify_singular(f: Poly3, s: ProjectivePoint, seed: int) -> CubicCurveMod
             raise ReducibleCurveError(
                 "the tangent line is a component (line plus tangent conic)"
             )
-        if field.char == 2:
+        if field.char in (2, 3):
             raise UnsupportedCurveError(
-                "cuspidal normalization is unavailable in characteristic 2 unless "
-                "the curve is already in canonical form"
+                f"cuspidal normalization is unavailable in characteristic {field.char} "
+                "unless the curve is already in canonical form"
             )
-        tangent_pt = ProjectivePoint.from_raw(field, mat3_apply(frame, dirs[0], field))
-        return _build_cuspidal_model(f, s, tangent_pt, seed)
+        # a second direction off the tangent line
+        d1 = (zero, field._one, zero) if split[1][0] == zero else (field._one, zero, zero)
+        return _build_cuspidal_model(f, s, g, frame, dirs[0], d1)
 
     if any(g.evaluate_raw(d) == zero for d in dirs):
         raise ReducibleCurveError("a nodal tangent line is a component of the cubic")
-    dir1, dir2 = sorted(
-        (ProjectivePoint.from_raw(field, mat3_apply(frame, d, field)) for d in dirs),
-        key=_point_key,
-    )
     if field.char == 2:
         raise UnsupportedCurveError(
             "split-node normalization is unavailable in characteristic 2"
         )
-    return _build_nodal_model(f, s, dir1, dir2, seed)
+    # the parameter tends to 0 along the first tangent by `_point_key`
+    d1, d2 = sorted(
+        dirs,
+        key=lambda d: _point_key(ProjectivePoint.from_raw(field, mat3_apply(frame, d, field))),
+        reverse=True,
+    )
+    return _build_nodal_model(f, s, g, frame, d1, d2)
 
 
 def _binary_quadratic_split(field: Field, qa, qb, qc):
@@ -417,73 +441,116 @@ def _direction_point(field: Field, line) -> tuple:
     return (field._sub(field._zero, beta), alpha, field._zero)
 
 
+# The builders below parametrize the curve through its singular point.  In
+# g = z q(x, y) + c(x, y) the line from (0:0:1) to the point w at infinity
+# meets the curve again at (q(w) w_x : q(w) w_y : -c(w)).  In a basis u, v
+# of directions, w = x u + y v, c is the binary cubic with coefficients
+# c(u), v . grad c(u), u . grad c(v), c(v) of x^3, x^2 y, x y^2, y^3 (its
+# Taylor form).  A line missing (0:0:1) meets the curve where a binary
+# cubic in the slope x/y vanishes whose x^3 and y^3 coefficients, or x^3
+# and x^2 y coefficients for a cusp, are those of -c times one scalar; so
+# the product, or sum, of the three slopes is read off c.
+
+
+def _binary_cubic(g: Poly3, u: tuple, v: tuple) -> tuple:
+    """The coefficients of c(x u + y v) for c = g(x, y, 0), directions u, v."""
+    field = g.field
+    grad = [g.partial(i) for i in range(2)]
+    du = [h.evaluate_raw(u) for h in grad] + [field._zero]
+    dv = [h.evaluate_raw(v) for h in grad] + [field._zero]
+    return g.evaluate_raw(u), dot(v, du, field), dot(u, dv, field), g.evaluate_raw(v)
+
+
+def _quadratic_part(g: Poly3, w: tuple):
+    """q(w) for a direction w: g(w + (0:0:1)) - g(w)."""
+    field = g.field
+    return field._sub(g.evaluate_raw((w[0], w[1], field._one)), g.evaluate_raw(w))
+
+
+def _chart_point(field: Field, frame: Mat3, a, u: tuple, b, v: tuple, z) -> tuple:
+    """frame (a u + b v + z (0:0:1)) on raws, for directions u and v."""
+    mul, add = field._mul, field._add
+    w = (add(mul(a, u[0]), mul(b, v[0])), add(mul(a, u[1]), mul(b, v[1])), z)
+    return mat3_apply(frame, w, field)
+
+
 def _build_cuspidal_model(
-    f: Poly3, cusp: ProjectivePoint, tangent_pt: ProjectivePoint, seed: int
+    f: Poly3, cusp: ProjectivePoint, g: Poly3, frame: Mat3, d0: tuple, d1: tuple
 ) -> CubicCurveModel:
+    """The cusp's tangent runs in the direction d0.  In the basis d0, d1 of
+    directions q = A y^2, and the line of slope lam = x/y meets the curve
+    again at P(lam) = (A lam : A : -c(lam, 1)).  Three such points are
+    collinear iff their slopes sum to tau = -c1/c0, so the one inflection is
+    P(lam0), lam0 = tau/3.  With lam = lam0 + k t, c(lam, 1) has no t^2
+    term, so the canonical point (t : 1 : t^3) maps to P(lam) linearly, by
+    the columns k (A d0 - c'(lam0) (0:0:1)), P(lam0) and k^3 (0, 0, -c0).
+    The scale k is the one that normalizes the first two columns."""
     field = f.field
-    mul = field._mul
-    inflections = _rational_inflections(f, exclude=cusp, seed=seed)
-    if not inflections:
-        raise UnsupportedCurveError(
-            "no rational inflection found; a cuspidal cubic has exactly one and "
-            "it must be rational, so this input is outside the supported scope"
-        )
-    o = inflections[0]
-    cusp_tangent = cross(cusp.raw, tangent_pt.raw, field)
-    v1 = normalized(field, cross(cusp_tangent, _tangent_line_coeffs(f, o), field))
-    g = f.compose_linear(mat3_from_columns([v1, o.raw, cusp.raw]))
-    c = g.terms.get((0, 2, 1))
-    kappa = g.terms.get((3, 0, 0))
-    extra = set(g.terms) - {(0, 2, 1), (3, 0, 0)}
-    if extra or c is None or kappa is None:
-        raise AssertionError(f"cusp frame failed, leftover terms {sorted(extra)}")
-    t = field._sub(field._zero, mul(kappa, field._inv(c)))
-    cols = [v1, o.raw, [mul(x, t) for x in cusp.raw]]
-    return CubicCurveModel(f, "cuspidal", o, cusp, mat3_from_columns(cols))
+    zero, mul, add, sub, inv = field._zero, field._mul, field._add, field._sub, field._inv
+    c0, c1, c2, c3 = _binary_cubic(g, d0, d1)
+    a = _quadratic_part(g, d1)
+    lam = sub(zero, mul(c1, inv(mul(field._from_int(3), c0))))
+    slope = add(mul(c1, lam), c2)  # 3 c0 lam0^2 + 2 c1 lam0 + c2
+    value = add(mul(add(mul(add(mul(c0, lam), c1), lam), c2), lam), c3)
+    u1 = _chart_point(field, frame, a, d0, zero, d1, sub(zero, slope))
+    u2 = _chart_point(field, frame, mul(a, lam), d0, a, d1, sub(zero, value))
+    l1, l2 = _last_nonzero(field, u1), _last_nonzero(field, u2)
+    k3 = sub(zero, mul(mul(mul(l2, l2), c0), inv(mul(mul(l1, l1), l1))))
+    cols = [normalized(field, u1), normalized(field, u2), [mul(k3, x) for x in cusp.raw]]
+    origin = ProjectivePoint.from_raw(field, cols[1])
+    return CubicCurveModel(f, "cuspidal", origin, cusp, mat3_from_columns(cols))
 
 
 def _build_nodal_model(
-    f: Poly3,
-    node: ProjectivePoint,
-    dir1: ProjectivePoint,
-    dir2: ProjectivePoint,
-    seed: int,
+    f: Poly3, node: ProjectivePoint, g: Poly3, frame: Mat3, d1: tuple, d2: tuple
 ) -> CubicCurveModel:
+    """The node's tangents run in the directions d1 and d2.  In that basis
+    q = A x y, and the line of slope s = x/y meets the curve again at P(s) =
+    (A s^2 : A s : -c(s, 1)).  Three such points are collinear iff the
+    product of their slopes is kappa = -c3/c0, so the inflections are P(s)
+    for the rational cube roots s of kappa.  The origin is the first of them
+    by `_point_key` or, when there is none, the relaxed origin P(1).  The
+    parameter is t = s/s0 for the origin's slope s0, so three collinear
+    points have product kappa/s0^3.  P(s0 t) and the canonical point of
+    parameter t (see `CubicCurveModel._point_at`) are both linear in t^2, t
+    and t^3 - kappa/s0^3, which gives the frame."""
     field = f.field
-    zero, mul, add, sub = field._zero, field._mul, field._add, field._sub
-    inflections = _rational_inflections(f, exclude=node, seed=seed)
-    if not inflections:
-        raise UnsupportedCurveError(
-            "no rational inflection found on a split nodal cubic; with a split "
-            "node at least one inflection is rational, so this input is outside scope"
-        )
-    o = inflections[0]
-    to = _tangent_line_coeffs(f, o)
-    v1, v2 = (
-        normalized(field, cross(cross(node.raw, d.raw, field), to, field)) for d in (dir1, dir2)
+    zero, one, mul, add, sub, inv = (
+        field._zero, field._one, field._mul, field._add, field._sub, field._inv
     )
-    # columns: c1 + c2 ~ v1, c1 - c2 ~ v2, c2 ~ o, c3 = node
-    minus2 = field.from_int(-2).raw
-    rows = [[v1[i], sub(zero, v2[i]), mul(minus2, o.raw[i])] for i in range(3)]
-    ker = kernel_basis(rows, field)
-    if len(ker) != 1:
-        raise AssertionError("nodal frame solve degenerated")
-    lam1, lam2, mu = ker[0]
-    if zero in (lam1, lam2, mu):
-        raise AssertionError("nodal frame solve hit a zero scale")
-    half = field._inv(field.from_int(2).raw)
-    c1 = [mul(add(mul(lam1, a), mul(lam2, b)), half) for a, b in zip(v1, v2)]
-    c2 = [mul(sub(mul(lam1, a), mul(lam2, b)), half) for a, b in zip(v1, v2)]
-    g = f.compose_linear(mat3_from_columns([c1, c2, node.raw]))
-    qa = g.terms.get((0, 2, 1))
-    kappa = g.terms.get((3, 0, 0))
-    extra = set(g.terms) - {(0, 2, 1), (2, 0, 1), (3, 0, 0)}
-    if extra or qa is None or kappa is None or g.terms.get((2, 0, 1)) != sub(zero, qa):
-        raise AssertionError(f"node frame failed, leftover terms {sorted(extra)}")
-    mu_y = mul(qa, field._inv(kappa))
-    lam = sub(zero, mu_y)
-    cols = [[mul(x, lam) for x in c1], [mul(x, mu_y) for x in c2], node.raw]
-    return CubicCurveModel(f, "nodal", o, node, mat3_from_columns(cols))
+    c0, c1, c2, c3 = _binary_cubic(g, d1, d2)
+    a = _quadratic_part(g, (add(d1[0], d2[0]), add(d1[1], d2[1]), zero))
+    kappa = sub(zero, mul(c3, inv(c0)))
+
+    def point(s) -> ProjectivePoint:
+        c = add(mul(add(mul(add(mul(c0, s), c1), s), c2), s), c3)
+        xs = _chart_point(field, frame, mul(a, mul(s, s)), d1, mul(a, s), d2, sub(zero, c))
+        return ProjectivePoint.from_raw(field, xs)
+
+    flexes = [(point(s), s) for s in roots_in_field(field, [sub(zero, kappa), zero, zero, one])]
+    origin, s0 = min(flexes, key=lambda ps: _point_key(ps[0])) if flexes else (point(one), one)
+    s2 = mul(s0, s0)
+    c0s3 = mul(c0, mul(s2, s0))
+    c1s2, c2s = mul(c1, s2), mul(c2, s0)
+    # the frame on the chart, times -8 c0 s0^3: columns (A s0^2, -A s0, c2 s0
+    # - c1 s0^2 - 6 c0 s0^3), (A s0^2, A s0, -c1 s0^2 - c2 s0), (0, 0, -8 c0 s0^3)
+    scale = inv(sub(zero, mul(field._from_int(8), c0s3)))
+    a2, a1 = mul(scale, mul(a, s2)), mul(scale, mul(a, s0))
+    z1 = mul(scale, sub(sub(c2s, c1s2), mul(field._from_int(6), c0s3)))
+    z2 = mul(scale, sub(zero, add(c1s2, c2s)))
+    cols = [
+        _chart_point(field, frame, a2, d1, sub(zero, a1), d2, z1),
+        _chart_point(field, frame, a2, d1, a1, d2, z2),
+        node.raw,
+    ]
+    return CubicCurveModel(
+        f, "nodal", origin, node, mat3_from_columns(cols),
+        relaxed_origin=not flexes, kappa=mul(kappa, inv(mul(s2, s0))),
+    )
+
+
+def _last_nonzero(field: Field, xs: tuple):
+    return next(x for x in reversed(xs) if x != field._zero)
 
 
 def _build_smooth_model(f: Poly3, seed: int) -> CubicCurveModel:
@@ -729,14 +796,6 @@ def _rational_inflections(
 
 def _hessian(f: Poly3) -> Poly3:
     return mat3_det([[f.partial(i).partial(j) for j in range(3)] for i in range(3)])
-
-
-def _tangent_line_coeffs(f: Poly3, p: ProjectivePoint) -> list:
-    """The tangent line at p as raw coefficients: the gradient there."""
-    grad = [f.partial(i).evaluate_raw(p.raw) for i in range(3)]
-    if all(g == f.field._zero for g in grad):
-        raise DomainError("tangent line requested at a singular point")
-    return grad
 
 
 def _second_point_on_line(field: Field, line, avoid: tuple) -> tuple:

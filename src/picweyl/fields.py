@@ -2,10 +2,11 @@
 
 The library computes on raws, which are canonical: ints in [0, p) for prime
 fields, coefficient tuples of length e for extensions, Fraction for Q.  A
-field's ``_add``, ``_sub``, ``_mul``, ``_inv`` and ``_pow`` act on them, and
-every layer below the public API calls those directly.  ``FieldElement``
-boxes one raw with its field and overloads the operators; it is the type
-the public API takes and hands back, for callers to compute with.
+field's ``_add``, ``_sub``, ``_mul``, ``_inv`` and ``_pow`` act on them,
+``_from_int`` makes one from an integer, and every layer below the public
+API calls those directly.  ``FieldElement`` boxes one raw with its field
+and overloads the operators; it is the type the public API takes and hands
+back, for callers to compute with.
 
 Extension fields are built on a fixed modulus: the minimal monic irreducible
 of degree e over F_p, "minimal" meaning smallest when the non-leading
@@ -41,7 +42,7 @@ class FieldElement:
                 raise ValueError(f"mixed fields: {self.field} vs {other.field}")
             return other.raw
         if isinstance(other, int):
-            return self.field.from_int(other).raw
+            return self.field._from_int(other)
         return None
 
     def __add__(self, other):
@@ -102,7 +103,7 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return self.field == other.field and self.raw == other.raw
         if isinstance(other, int):
-            return self.raw == self.field.from_int(other).raw
+            return self.raw == self.field._from_int(other)
         return NotImplemented
 
     def __hash__(self):
@@ -145,7 +146,7 @@ class Field:
         raise NotImplementedError
 
     def from_int(self, n: int) -> FieldElement:
-        raise NotImplementedError
+        return FieldElement(self, self._from_int(n))
 
     def elements(self) -> Iterator[FieldElement]:
         raise NotImplementedError
@@ -160,6 +161,10 @@ class Field:
         raise NotImplementedError
 
     def descriptor(self) -> dict:
+        raise NotImplementedError
+
+    def _from_int(self, n: int):
+        """The raw of the integer n: n times one."""
         raise NotImplementedError
 
     def _pow(self, a, n: int):
@@ -244,8 +249,8 @@ class PrimeField(Field):
     def element(self, raw) -> FieldElement:
         return FieldElement(self, int(raw) % self.p)
 
-    def from_int(self, n: int) -> FieldElement:
-        return FieldElement(self, n % self.p)
+    def _from_int(self, n: int):
+        return n % self.p
 
     def elements(self) -> Iterator[FieldElement]:
         return (FieldElement(self, i) for i in range(self.p))
@@ -299,8 +304,8 @@ class RationalField(Field):
     def element(self, raw) -> FieldElement:
         return FieldElement(self, Fraction(raw))
 
-    def from_int(self, n: int) -> FieldElement:
-        return FieldElement(self, Fraction(n))
+    def _from_int(self, n: int):
+        return Fraction(n)
 
     def random_element(self, rng) -> FieldElement:
         return FieldElement(self, Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
@@ -389,9 +394,8 @@ class ExtensionField(Field):
         cs += [0] * (self.e - len(cs))
         return FieldElement(self, tuple(cs))
 
-    def from_int(self, n: int) -> FieldElement:
-        raw = [n % self.p] + [0] * (self.e - 1)
-        return FieldElement(self, tuple(raw))
+    def _from_int(self, n: int):
+        return (n % self.p,) + self._zero[1:]
 
     def elements(self) -> Iterator[FieldElement]:
         if self.order > 1 << 20:

@@ -200,7 +200,7 @@ def _hasse_column(field: Field, x, a: int, d: int) -> list:
     mul = field._mul
     out, power = [field._zero] * a, field._one
     for i in range(a, d + 1):
-        out.append(mul(field.from_int(comb(i, a)).raw, power))
+        out.append(mul(field._from_int(comb(i, a)), power))
         power = mul(power, x)
     return out
 

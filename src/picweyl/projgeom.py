@@ -349,7 +349,7 @@ class Poly3:
             if k[i]:
                 nk = list(k)
                 nk[i] -= 1
-                out[tuple(nk)] = field._mul(v, field.from_int(k[i]).raw)
+                out[tuple(nk)] = field._mul(v, field._from_int(k[i]))
         return Poly3.from_raw(field, out)
 
     def compose_linear(self, m: Mat3) -> "Poly3":

@@ -70,6 +70,8 @@ def apply_word(v: LatticeVector, word: Sequence[int]) -> LatticeVector:
 def word_to_isometry(word: Sequence[int], n: int) -> LatticeIsometry:
     """Matrix of the word's composite, compatible with apply_word:
     word_to_isometry(w, n).apply(v) == apply_word(v, w)."""
+    if n < 3:
+        raise ValueError("need n >= 3")
     cols = [apply_word(basis_vector(j, n), word).coords for j in range(n + 1)]
     return LatticeIsometry(tuple(zip(*cols)))
 

@@ -304,6 +304,22 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbit-fixed", "--n", "-2", "--word", "0"],
+            ["enumerate-roots", "--n", "-2"],
+            ["enumerate-roots", "--n", "1"],
+        ],
+        ids=["orbit-fixed", "enumerate-roots", "enumerate-roots-1"],
+    )
+    def test_too_few_points_are_a_domain_error(self, capsys, argv):
+        # these once printed an empty answer and exited 0
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: need n >= 3") and err.count("\n") == 1
+
     def test_list_params_over_a_prime_field_are_a_domain_error(self, capsys, params_file):
         # coefficient lists with the default --e 1 once escaped as a TypeError
         code, out, err = run(capsys, "harbourne-check", "--p", "5", "--params", params_file)

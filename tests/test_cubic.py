@@ -5,6 +5,7 @@ Weierstrass-law script: exactly 100 rational points, (0:14:1) of order 100.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 from contextlib import contextmanager
@@ -42,9 +43,28 @@ from picweyl import (
     unnodal_by_kernel,
     vector,
 )
-from picweyl.cubic import RestrictionLayer, _group_sum, image_order
+from picweyl.catalog import enumerate_roots
+from picweyl.cubic import (
+    RestrictionLayer,
+    _binary_quadratic_split,
+    _direction_point,
+    _group_sum,
+    _point_key,
+    _rational_inflections,
+    image_order,
+)
 from picweyl.fields import FieldElement
-from picweyl.projgeom import cross, dot, kernel_basis, mat3_apply, monomial_exponents
+from picweyl.projgeom import (
+    cross,
+    dot,
+    frame_with_last_column,
+    kernel_basis,
+    mat3_apply,
+    mat3_from_columns,
+    mat3_inverse,
+    monomial_exponents,
+    normalized,
+)
 
 F = PrimeField(101)
 F7 = PrimeField(7)
@@ -613,12 +633,23 @@ def test_off_curve_and_singular_points_raise():
         m.third_intersection(ProjectivePoint(F, (1, 1, 1)), m.origin)
 
 
+def _frame(field, rng):
+    """A random invertible 3x3 matrix of raws (small integers over Q)."""
+    while True:
+        m = tuple(
+            tuple(
+                field.random_element(rng).raw if field.char else field.from_int(rng.randint(-3, 3)).raw
+                for _ in range(3)
+            )
+            for _ in range(3)
+        )
+        if dot(m[0], cross(m[1], m[2], field), field) != field._zero:  # det over the field
+            return m
+
+
 def _moved(field, coeffs, rng):
     """The canonical form composed with a random invertible frame."""
-    while True:
-        m = tuple(tuple(field.random_element(rng).raw for _ in range(3)) for _ in range(3))
-        if dot(m[0], cross(m[1], m[2], field), field) != field._zero:  # det over the field
-            return Poly3.from_coeff_map(field, coeffs).compose_linear(m)
+    return Poly3.from_coeff_map(field, coeffs).compose_linear(_frame(field, rng))
 
 
 def _unit_logs(p):
@@ -665,6 +696,133 @@ def test_layer_rows_match_the_group_law(kind, field):
             moduli = (field.p - 1,)
         layer = RestrictionLayer(model, pts)
         assert (layer.moduli, layer.rows) == (moduli, rows)
+
+
+# ---------------------------------------------------------------------------
+# singular cubics: inflections and frames read off the parametrization
+
+
+def _census_frame(f, sing, o):
+    """from_canonical as the tangent-line construction builds it from the
+    inflection o: the reference the parametrized frames must reproduce."""
+    field = f.field
+    zero, mul, add, sub, inv = field._zero, field._mul, field._add, field._sub, field._inv
+    frame = frame_with_last_column(sing)
+    g = f.compose_linear(frame)
+    split = _binary_quadratic_split(
+        field, *(g.terms.get(k, zero) for k in ((2, 0, 1), (1, 1, 1), (0, 2, 1)))
+    )
+    dirs = sorted(
+        (
+            ProjectivePoint.from_raw(field, mat3_apply(frame, _direction_point(field, line), field))
+            for line in split[1:]
+        ),
+        key=_point_key,
+    )
+    to = [f.partial(i).evaluate_raw(o.raw) for i in range(3)]
+    # where each tangent at the singular point meets the tangent at o
+    meets = [normalized(field, cross(cross(sing.raw, d.raw, field), to, field)) for d in dirs]
+    if split[0] == "double":
+        (v1,) = meets
+        h = f.compose_linear(mat3_from_columns([v1, o.raw, sing.raw]))
+        t = sub(zero, mul(h.terms[3, 0, 0], inv(h.terms[0, 2, 1])))
+        return mat3_from_columns([v1, o.raw, [mul(x, t) for x in sing.raw]])
+    # columns c1 + c2 ~ v1, c1 - c2 ~ v2, c2 ~ o
+    v1, v2 = meets
+    minus2 = field.from_int(-2).raw
+    rows = [[v1[i], sub(zero, v2[i]), mul(minus2, o.raw[i])] for i in range(3)]
+    lam1, lam2, _ = kernel_basis(rows, field)[0]
+    half = inv(field.from_int(2).raw)
+    c1 = [mul(add(mul(lam1, a), mul(lam2, b)), half) for a, b in zip(v1, v2)]
+    c2 = [mul(sub(mul(lam1, a), mul(lam2, b)), half) for a, b in zip(v1, v2)]
+    h = f.compose_linear(mat3_from_columns([c1, c2, sing.raw]))
+    mu = mul(h.terms[0, 2, 1], inv(h.terms[3, 0, 0]))
+    cols = [[mul(x, sub(zero, mu)) for x in c1], [mul(x, mu) for x in c2], sing.raw]
+    return mat3_from_columns(cols)
+
+
+PARITY_FIELDS = (PrimeField(7), PrimeField(13), ExtensionField(5, 3), ExtensionField(7, 2), RationalField())
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [("cuspidal", k) for k in PARITY_FIELDS]
+    + [("nodal", k) for k in PARITY_FIELDS + (ExtensionField(3, 2), PrimeField(3))],
+    ids=repr,
+)
+def test_parametrized_models_match_the_inflection_census(kind, field):
+    """The origin is the first inflection of the F-and-Hessian census, and
+    the frame is the one built from it through the tangent lines."""
+    rng = random.Random(f"parity/{kind}/{field}")
+    for _ in range(4):
+        f = _moved(field, CUSPIDAL if kind == "cuspidal" else NODAL, rng)
+        model = classify_cubic(f)
+        assert (model.kind, model.relaxed_origin) == (kind, False)
+        flexes = _rational_inflections(f, exclude=model.singular_point, seed=0)
+        assert model.origin == flexes[0]
+        assert model.from_canonical == _census_frame(f, model.singular_point, flexes[0])
+
+
+def test_cusp_in_characteristic_three_is_refused():
+    f3, rng = PrimeField(3), random.Random("cusp/3")
+    for _ in range(4):
+        f = _moved(f3, CUSPIDAL, rng)
+        assert not _rational_inflections(f, exclude=None, seed=0)
+        with pytest.raises(UnsupportedCurveError):
+            classify_cubic(f)
+
+
+# x y z + x^3 + 2 y^3: the line of slope s = x/y through the node meets it
+# again at P(s) = (s^2 : s : -s^3 - 2), and three such points are collinear
+# iff their slopes multiply to kappa = -2, which is no cube mod 7 or mod 13:
+# no inflection is rational
+NO_FLEX = {"111": 1, "300": 1, "030": 2}
+
+
+@pytest.mark.parametrize("field", (PrimeField(7), PrimeField(13)), ids=repr)
+def test_split_node_without_rational_inflection(field):
+    p, kappa = field.p, -2 % field.p
+    rng = random.Random(f"no-flex/{field}")
+    m = _frame(field, rng)
+    f = Poly3.from_coeff_map(field, NO_FLEX).compose_linear(m)
+    model = classify_cubic(f)
+    assert (model.kind, model.relaxed_origin) == ("nodal", True)
+    assert not _rational_inflections(f, exclude=model.singular_point, seed=0)
+    back = mat3_inverse(m, field)
+
+    def point(s):
+        return ProjectivePoint.from_raw(field, mat3_apply(back, (s * s % p, s, -(s**3 + 2) % p), field))
+
+    # three collinear points have parameter product kappa / s_origin^3
+    a, b = model.smooth_point(point(3)), model.smooth_point(point(5))
+    c = model.smooth_point(model.third_intersection(a.point, b.point))
+    assert a.param * b.param * c.param == FieldElement(field, model.kappa)
+    assert model.zero().param == field.one()
+    assert model.chord_add(a, b) == model.add(a, b)
+
+    # the oracle: the class d e_0 - sum m_i e_i restricts to kappa^d / prod s_i^m_i
+    slopes = (rng.sample(range(1, p), p - 1) * 2)[:9]  # distinct when p > 9
+    pts = [point(s) for s in slopes]
+
+    def image(cls):
+        d, *coords = cls.coords  # coords[i] = -m_i
+        return pow(kappa, d, p) * math.prod(pow(s, c, p) for s, c in zip(slopes, coords)) % p
+
+    def order(x):
+        return next(k for k in range(1, p) if pow(x, k, p) == 1)
+
+    assert torsion_set_check(model, pts) == (
+        True, math.lcm(*(order(image(r)) for r in simple_roots(9)))
+    )
+    for index in range(1, p):
+        assert halphen_index_check(model, pts, index) == (
+            order(image(-canonical_vector(9))) == index
+        )
+    # the catalog search returns the first root of degree at most 4 that
+    # restricts to zero
+    killed = [r for r in enumerate_roots(9, 4) if image(r) == 1]
+    verdict, witness, _ = unnodal_by_kernel(model, pts)
+    assert (verdict, witness) == (not killed, killed[0] if killed else None)
 
 
 # ---------------------------------------------------------------------------

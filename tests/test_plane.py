@@ -33,6 +33,7 @@ from picweyl import (
     vector,
     word_to_isometry,
 )
+from picweyl.fields import FieldElement
 from picweyl.plane import _condition_rows, _hasse_row
 from picweyl.projgeom import frame_with_last_column, matrix_rank, monomial_exponents
 
@@ -184,6 +185,17 @@ class TestHalphenVerdict:
     def test_wrong_point_count(self):
         with pytest.raises(DomainError):
             is_unnodal_halphen(cfg_ten(), 2)
+
+    def test_verdict_boxes_no_field_element(self, monkeypatch):
+        # integers enter the interpolation rows as raws (binomial
+        # coefficients, exponents), never through a boxed element
+        cfg, made = cfg_nine(), []
+        init = FieldElement.__init__
+        monkeypatch.setattr(
+            FieldElement, "__init__", lambda self, *args: made.append(1) or init(self, *args)
+        )
+        assert is_unnodal_halphen(cfg, 4)[0]
+        assert not made
 
 
 class TestCallOrder:
