@@ -13,7 +13,7 @@ length on both sides, the parent first in even pairs and the change
 first in odd ones.  Every run's last (JSON) stdout line is written, with
 its pair, side, seed and exit code, to BENCH_<N>_pairs.json at the root of
 the checkout; the file is rewritten after every pair, so an interrupted
-session keeps the pairs it finished.  The exit code is 1 when any run
+run keeps the pairs it finished.  The exit code is 1 when any run
 failed.
 """
 
