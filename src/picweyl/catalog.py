@@ -12,9 +12,9 @@ bounds are asserted below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .lattice import LatticeVector, canonical_vector, inner, simple_roots
 from .residue import ResidueModule
@@ -158,8 +158,7 @@ def _distinct_permutations(values: tuple[int, ...]):
 # the 496 nodal conditions mod 2 on ten points
 
 
-@dataclass(frozen=True)
-class ClassFamily:
+class ClassFamily(NamedTuple):
     """One mod-2 condition: a residue class together with every integral
     root of degree <= 4 representing it, and the point indices involved."""
 

@@ -8,7 +8,6 @@ basis, index 0 first.  Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -21,8 +20,22 @@ def inner(u: "LatticeVector", v: "LatticeVector") -> int:
     return a[0] * b[0] - sum(map(operator.mul, a[1:], b[1:]))
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+class _Immutable:
+    """Slotted value objects that __init__ fills with object.__setattr__
+    and nothing changes afterwards.  Plain classes rather than frozen
+    dataclasses: importing dataclasses loads inspect and ast, about 1 MB of
+    memory in every process."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class LatticeVector(_Immutable):
     """Immutable integer vector in the geometric basis.
 
     coords[0] is the coefficient of e_0 (the degree for a curve class);
@@ -30,13 +43,25 @@ class LatticeVector:
     has coords (d, -m_1, ..., -m_n).
     """
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self) -> None:
-        if len(self.coords) < 2:
+    def __init__(self, coords: tuple[int, ...]):
+        if len(coords) < 2:
             raise ValueError("need at least e_0 and e_1")
-        if not all(isinstance(c, int) for c in self.coords):
+        if not all(isinstance(c, int) for c in coords):
             raise TypeError("coordinates must be ints")
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not LatticeVector:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __reduce__(self):
+        return LatticeVector, (self.coords,)
 
     @property
     def n(self) -> int:
@@ -199,8 +224,7 @@ def mat_transpose(a) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*a))
 
 
-@dataclass(frozen=True)
-class LatticeIsometry:
+class LatticeIsometry(_Immutable):
     """Integer matrix preserving the (1, n) form, acting on column vectors.
 
     Validation happens on construction: rows must satisfy G^t J G = J where
@@ -208,14 +232,15 @@ class LatticeIsometry:
     G^{-1} = J G^t J for any such G.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        dim = len(self.rows)
-        if any(len(r) != dim for r in self.rows):
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        dim = len(rows)
+        if any(len(r) != dim for r in rows):
             raise ValueError("matrix not square")
         # (G^t J G)[a][b] is the pairing of columns a and b; it is symmetric
-        cols = mat_transpose(self.rows)
+        cols = mat_transpose(rows)
         for a, u in enumerate(cols):
             for b in range(a, dim):
                 v = cols[b]
@@ -253,6 +278,17 @@ class LatticeIsometry:
     @classmethod
     def identity(cls, n: int) -> "LatticeIsometry":
         return cls(mat_identity(n + 1))
+
+    def __eq__(self, other):
+        if other.__class__ is not LatticeIsometry:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
+
+    def __reduce__(self):
+        return LatticeIsometry, (self.rows,)
 
     def __repr__(self) -> str:
         return f"LatticeIsometry(n={self.n})"

@@ -13,9 +13,9 @@ searches cheap.  The root searches need the unimodular case n = 10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .errors import BudgetError, DomainError
 from .fields import PrimeField
@@ -480,8 +480,7 @@ def adjust_to_spin(prod: ReflectionProduct, m0: ResidueSubmodule) -> ReflectionP
 # -- root search -------------------------------------------------------------
 
 
-@dataclass
-class RootSearchResult:
+class RootSearchResult(NamedTuple):
     status: str  # "found" | "inconclusive"
     root: LatticeVector | None
     certificate: dict

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import polys
 from .fields import QQ
@@ -130,8 +129,7 @@ def translation_isometry(a: LatticeVector, m: int) -> LatticeIsometry:
 # trichotomy
 
 
-@dataclass(frozen=True)
-class IsometryClass:
+class IsometryClass(NamedTuple):
     """Result of classify_isometry.
 
     kind is "Elliptic", "Parabolic" or "Hyperbolic".  Elliptic carries the

@@ -415,6 +415,17 @@ class TestImportGuard:
             assert numpy_loaded == "False"
 
 
+def test_import_loads_no_dataclasses():
+    # dataclasses imports inspect, ast and dis: about 1 MB of memory in every
+    # process, which the benchmark's peak RSS counts
+    src = str(Path(picweyl.__file__).resolve().parent.parent)
+    probe = "import sys, picweyl; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_no_module_level_mutable_containers():
     # state shared by every caller in the process makes results depend on
     # call order; the command table is the one container allowed
