@@ -159,8 +159,10 @@ def _distinct_permutations(values: tuple[int, ...]):
 
 
 class ClassFamily(NamedTuple):
-    """One mod-2 condition: a residue class together with every integral
-    root of degree <= 4 representing it, and the point indices involved."""
+    """One mod-2 condition: a residue class, the roots of Coble's shape that
+    represent it, and the point indices involved.  The five shapes are
+    listed in `coble_conditions`; a conic_six residue is also represented by
+    four quartics 4e_0 - 2(e_a + e_b + e_c) - (the six), which are not."""
 
     label: str
     representative: LatticeVector

@@ -1,14 +1,15 @@
 """Plane cubics: classification, canonical singular models, the
 chord-tangent group law, and lattice-class restriction to the curve.
 
-The classification finds rational singular points by exact resultant
-elimination.  That census is decisive for everything this module supports:
-an irreducible cubic has at most one singular point, and a unique singular
-point is fixed by Galois, hence rational.  Configurations that would need
-factorization over proper extensions (conjugate singular points, non-split
-nodes, tangent lines hiding curve components) raise explicit errors instead
-of being guessed at; the tangent-cone divisibility tests below make those
-cases detectable from rational data alone.
+The classification finds rational singular points as the rational common
+zeros of f and its nonzero partials, by exact resultant elimination; the
+census depends on f alone.  It is decisive for everything this module
+supports: an irreducible cubic has at most one singular point, and a unique
+singular point is fixed by Galois, hence rational.  Configurations that
+would need factorization over proper extensions (conjugate singular points,
+non-split nodes, tangent lines hiding curve components) raise explicit
+errors instead of being guessed at; the tangent-cone divisibility tests
+below make those cases detectable from rational data alone.
 
 A singular cubic is parametrized by the lines through its singular point,
 and its inflections come from that parametrization, not from a search:
@@ -40,6 +41,7 @@ a homomorphism for any origin.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import polys
@@ -51,7 +53,7 @@ from .errors import (
     ReducibleCurveError,
     UnsupportedCurveError,
 )
-from .fields import Field, FieldElement, PrimeField, RationalField
+from .fields import Field, FieldElement, PrimeField
 from .lattice import LatticeVector, canonical_vector, simple_roots
 from .polys import Poly, roots_in_field
 from .projgeom import (
@@ -312,7 +314,7 @@ class CubicCurveModel:
 # classification
 
 
-def classify_cubic(f: Poly3, seed: int = 0) -> CubicCurveModel:
+def classify_cubic(f: Poly3) -> CubicCurveModel:
     """Classify a reduced, geometrically irreducible plane cubic and build
     its group model.  Raises ReducibleCurveError or UnsupportedCurveError
     when the input is outside that scope (see the module docstring)."""
@@ -323,12 +325,9 @@ def classify_cubic(f: Poly3, seed: int = 0) -> CubicCurveModel:
     if shortcut is not None:
         return shortcut
 
-    grad = [f.partial(i) for i in range(3)]
-    system = [g for g in grad if not g.is_zero()]
+    system = [g for g in (f.partial(i) for i in range(3)) if not g.is_zero()]
     system.append(f)
-    sing, certified_empty = _common_rational_points(system, seed)
-    zero = f.field._zero
-    sing = [p for p in sing if all(g.evaluate_raw(p.raw) == zero for g in grad)]
+    sing, certified_empty = _common_rational_points(system)
 
     if len(sing) >= 2:
         raise ReducibleCurveError(
@@ -341,7 +340,7 @@ def classify_cubic(f: Poly3, seed: int = 0) -> CubicCurveModel:
             "no rational singular point, but smoothness could not be certified "
             "(possible singularities over an extension field)"
         )
-    return _build_smooth_model(f, seed)
+    return _build_smooth_model(f)
 
 
 def _recognize_canonical(f: Poly3) -> CubicCurveModel | None:
@@ -553,8 +552,8 @@ def _last_nonzero(field: Field, xs: tuple):
     return next(x for x in reversed(xs) if x != field._zero)
 
 
-def _build_smooth_model(f: Poly3, seed: int) -> CubicCurveModel:
-    inflections = _rational_inflections(f, exclude=None, seed=seed)
+def _build_smooth_model(f: Poly3) -> CubicCurveModel:
+    inflections = _rational_inflections(f)
     if inflections:
         return CubicCurveModel(f, "smooth", inflections[0])
     p = _first_rational_point(f)
@@ -570,42 +569,37 @@ def _build_smooth_model(f: Poly3, seed: int) -> CubicCurveModel:
 # rational common zeros of form systems, by resultant elimination
 
 
-def _common_rational_points(
-    system: list[Poly3], seed: int
-) -> tuple[list[ProjectivePoint], bool]:
-    """Rational common zeros of the given forms, plus a certificate flag:
-    True means the forms provably have no common zero at all, even over
-    the algebraic closure, so an empty list is conclusive."""
+def _common_rational_points(system: list[Poly3]) -> tuple[list[ProjectivePoint], bool]:
+    """Rational common zeros of the given forms, each checked against every
+    form and sorted by `_point_key`, plus a certificate flag: True means the
+    forms provably have no common zero at all, even over the algebraic
+    closure, so an empty list is conclusive."""
     field = system[0].field
     points: set[ProjectivePoint] = set()
 
-    affine_complete = _affine_zeros(system, field, seed, points)
-    inf_complete = _infinity_zeros(system, field, seed, points)
+    affine_complete = _affine_zeros(system, field, points)
+    inf_complete = _infinity_zeros(system, field, points)
 
     certified_empty = affine_complete and inf_complete and not points
     return sorted(points, key=_point_key), certified_empty
 
 
-def _affine_zeros(system, field, seed, points) -> bool:
+def _affine_zeros(system, field, points) -> bool:
     """Collect common zeros in the chart z = 1.  Returns True when the
     census there is provably complete over the closure."""
     chart = [c for c in (_poly3_chart(g) for g in system) if c]
     if not chart:
         return False  # the system is identically zero on the chart
-    with_y = [c for c in chart if len(c) > 1]
-    constants_in_y = [c[0] for c in chart if len(c) == 1]
-
-    if not with_y:
-        g = _poly_list_gcd(constants_in_y, field)
+    if all(len(c) == 1 for c in chart):
+        g = _poly_list_gcd([c[0] for c in chart], field)
         return len(g) == 1  # else a common vertical line: uncertified
 
     res_list = []
-    pool = with_y + [[u] for u in constants_in_y]
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            if len(pool[i]) == 1 and len(pool[j]) == 1:
+    for i, a in enumerate(chart):
+        for b in chart[i + 1 :]:
+            if len(a) == 1 and len(b) == 1:
                 continue  # the resultant of two y-constants is 1 and carries nothing
-            r = _resultant_y(pool[i], pool[j], field)
+            r = _resultant_y(a, b, field)
             if r:
                 res_list.append(r)
     if not res_list:
@@ -614,7 +608,7 @@ def _affine_zeros(system, field, seed, points) -> bool:
     if len(g) == 1:
         return True
 
-    rts = roots_in_field(field, g, seed)
+    rts = roots_in_field(field, g)
     complete = _splits_rationally(g, rts, field)
     for x0 in rts:
         fibers = [u for u in (_evaluate_chart_at_x(c, x0, field) for c in chart) if u]
@@ -624,7 +618,7 @@ def _affine_zeros(system, field, seed, points) -> bool:
         h = _poly_list_gcd(fibers, field)
         if len(h) == 1:
             continue
-        yrts = roots_in_field(field, h, seed)
+        yrts = roots_in_field(field, h)
         if not _splits_rationally(h, yrts, field):
             complete = False
         for y0 in yrts:
@@ -634,7 +628,7 @@ def _affine_zeros(system, field, seed, points) -> bool:
     return complete
 
 
-def _infinity_zeros(system, field, seed, points) -> bool:
+def _infinity_zeros(system, field, points) -> bool:
     """Collect common zeros on the line z = 0.  Returns True when that part
     of the census is provably complete over the closure."""
     # A form restricting to the zero polynomial vanishes everywhere on the
@@ -647,7 +641,7 @@ def _infinity_zeros(system, field, seed, points) -> bool:
     if nonzero:
         h = _poly_list_gcd(nonzero, field)
         if len(h) >= 2:
-            rts = roots_in_field(field, h, seed)
+            rts = roots_in_field(field, h)
             if not _splits_rationally(h, rts, field):
                 complete = False
             for t0 in rts:
@@ -714,26 +708,12 @@ def _dense(field: Field, coeffs: dict) -> Poly:
 
 
 def _resultant_y(ca: list[Poly], cb: list[Poly], field: Field) -> Poly:
-    """Resultant in y of two chart polynomials (coefficients in K[x]),
-    via the Sylvester determinant expanded over K[x].  Sizes here stay at
-    most 6x6, so cofactor expansion is exact and cheap."""
+    """Resultant in y of two nonempty chart polynomials (coefficients in
+    K[x]), not both constant in y, via the Sylvester determinant expanded
+    over K[x].  A chart constant in y makes the matrix diagonal.  Sizes
+    here stay at most 6x6, so cofactor expansion is exact and cheap."""
     m = len(ca) - 1
     n = len(cb) - 1
-    if m < 0 or n < 0:
-        return []
-    one = [field._one]
-    if m == 0 and n == 0:
-        return one
-    if m == 0:
-        out = one
-        for _ in range(n):
-            out = polys.mul(field, out, ca[0])
-        return out
-    if n == 0:
-        out = one
-        for _ in range(m):
-            out = polys.mul(field, out, cb[0])
-        return out
     size = m + n
     zero: Poly = []
     arev = list(reversed(ca))
@@ -770,32 +750,17 @@ def _poly_det(rows: list[list[Poly]], field: Field) -> Poly:
 # inflections, tangents, deterministic scans
 
 
-def _rational_inflections(
-    f: Poly3, exclude: ProjectivePoint | None, seed: int
-) -> list[ProjectivePoint]:
-    """Rational smooth points of f where the Hessian vanishes, sorted
-    deterministically.  Empty when the Hessian route is unavailable
-    (characteristic 2, or an identically vanishing Hessian)."""
-    field = f.field
-    if field.char == 2:
+def _rational_inflections(f: Poly3) -> list[ProjectivePoint]:
+    """Rational common zeros of f and its Hessian, sorted by `_point_key`:
+    the rational inflections when f is smooth (on a singular cubic the
+    singular point is among them).  Empty when the Hessian route is
+    unavailable (characteristic 2, or an identically vanishing Hessian)."""
+    if f.field.char == 2:
         return []
-    h = _hessian(f)
+    h = mat3_det([[f.partial(i).partial(j) for j in range(3)] for i in range(3)])
     if h.is_zero():
         return []
-    pts, _ = _common_rational_points([f, h], seed)
-    grad = [f.partial(i) for i in range(3)]
-    zero = field._zero
-    out = []
-    for p in pts:
-        if exclude is not None and p == exclude:
-            continue
-        if any(g.evaluate_raw(p.raw) != zero for g in grad):
-            out.append(p)
-    return out
-
-
-def _hessian(f: Poly3) -> Poly3:
-    return mat3_det([[f.partial(i).partial(j) for j in range(3)] for i in range(3)])
+    return _common_rational_points([f, h])[0]
 
 
 def _second_point_on_line(field: Field, line, avoid: tuple) -> tuple:
@@ -814,39 +779,11 @@ def _point_key(p: ProjectivePoint):
     return tuple(raw if isinstance(raw, tuple) else (raw,) for raw in p.raw)
 
 
-def _field_scan(field: Field, limit: int):
-    """A deterministic enumeration of field elements, as raws: integers 0,
-    1, 2, ... for prime fields, base-p digit codes for extensions, small
-    fractions ordered by denominator then numerator over Q."""
-    if isinstance(field, RationalField):
-        from fractions import Fraction
-
-        count = 0
-        for den in range(1, 13):
-            for num in range(-24, 25):
-                yield Fraction(num, den)
-                count += 1
-                if count >= limit:
-                    return
-        return
-    if isinstance(field, PrimeField):
-        yield from range(min(field.p, limit))
-        return
-    p, e = field.p, field.e
-    for code in range(min(field.order, limit)):
-        digits = []
-        c = code
-        for _ in range(e):
-            digits.append(c % p)
-            c //= p
-        yield tuple(digits)
-
-
 def _first_rational_point(f: Poly3) -> ProjectivePoint | None:
     field = f.field
     chart = _poly3_chart(f)
     one, zero = field._one, field._zero
-    for x0 in _field_scan(field, _SCAN_LIMIT):
+    for x0 in itertools.islice(field._raws(), _SCAN_LIMIT):
         u = _evaluate_chart_at_x(chart, x0, field)
         if not u:
             continue
@@ -997,7 +934,7 @@ def _discrete_logs(xs: list, field: Field) -> list[int]:
     one, mul, pw = field._one, field._mul, field._pow
     g = next(
         x
-        for x in _field_scan(field, field.order)
+        for x in field._raws()
         if x != field._zero and all(pw(x, n // r) != one for r in primes)
     )
     logs = [0] * len(xs)

@@ -3,9 +3,10 @@
 The library computes on raws, which are canonical: ints in [0, p) for prime
 fields, coefficient tuples of length e for extensions, Fraction for Q.  A
 field's ``_add``, ``_sub``, ``_mul``, ``_inv`` and ``_pow`` act on them,
-``_from_int`` makes one from an integer, and every layer below the public
-API calls those directly.  ``FieldElement`` boxes one raw with its field
-and overloads the operators; it is the type the public API takes and hands
+``_from_int`` makes one from an integer, ``_raws`` walks them in the one
+fixed order every search uses, and every layer below the public API calls
+those directly.  ``FieldElement`` boxes one raw with its field and
+overloads the operators; it is the type the public API takes and hands
 back, for callers to compute with.
 
 Extension fields are built on a fixed modulus: the minimal monic irreducible
@@ -23,6 +24,7 @@ import itertools
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterator
 
 from . import polys
@@ -151,6 +153,13 @@ class Field:
     def elements(self) -> Iterator[FieldElement]:
         raise NotImplementedError
 
+    def _raws(self) -> Iterator:
+        """The field's raws, each once, in a fixed order: 0, 1, 2, ... over
+        GF(p), the base-p codes with the constant digit least significant
+        over GF(p^e), and over Q the finite walk of fractions num/den in
+        lowest terms, |num| <= 24 and den <= 12, by denominator, then numerator."""
+        raise NotImplementedError
+
     def random_element(self, rng) -> FieldElement:
         raise NotImplementedError
 
@@ -255,6 +264,9 @@ class PrimeField(Field):
     def elements(self) -> Iterator[FieldElement]:
         return (FieldElement(self, i) for i in range(self.p))
 
+    def _raws(self) -> Iterator[int]:
+        return iter(range(self.p))
+
     def random_element(self, rng) -> FieldElement:
         return FieldElement(self, rng.randrange(self.p))
 
@@ -306,6 +318,9 @@ class RationalField(Field):
 
     def _from_int(self, n: int):
         return Fraction(n)
+
+    def _raws(self) -> Iterator[Fraction]:
+        return (Fraction(n, d) for d in range(1, 13) for n in range(-24, 25) if gcd(n, d) == 1)
 
     def random_element(self, rng) -> FieldElement:
         return FieldElement(self, Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
@@ -403,6 +418,9 @@ class ExtensionField(Field):
         for combo in itertools.product(range(self.p), repeat=self.e):
             yield FieldElement(self, combo)
 
+    def _raws(self) -> Iterator[tuple[int, ...]]:
+        return _digit_tuples(self.p, self.e)
+
     def random_element(self, rng) -> FieldElement:
         return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.e)))
 
@@ -450,13 +468,13 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     part in the base-p encoding (constant digit least significant).
     Returns ascending coefficients, length e + 1."""
     base = PrimeField(p)
-    for code in range(p**e):
-        tail = []
-        c = code
-        for _ in range(e):
-            tail.append(c % p)
-            c //= p
-        f = tail + [1]
+    for tail in _digit_tuples(p, e):
+        f = [*tail, 1]
         if polys.is_irreducible(base, f):
             return tuple(f)
     raise AssertionError("no irreducible found, which cannot happen")
+
+
+def _digit_tuples(p: int, e: int) -> Iterator[tuple[int, ...]]:
+    """The base-p digits of 0, 1, ..., p^e - 1, least significant first."""
+    return (digits[::-1] for digits in itertools.product(range(p), repeat=e))

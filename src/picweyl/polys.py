@@ -10,8 +10,10 @@ module imports nothing from ``fields`` (``fields`` imports it).
 This is the package's one univariate polynomial layer: euclidean
 arithmetic, gcds, modular powers and inverses, Rabin's irreducibility test
 (which picks and checks the GF(p^e) moduli) and distinct-root extraction in
-the coefficient field.  Over Q (``K.char == 0``) only rational roots are
-found.
+the coefficient field.  Root finding depends on its inputs alone: a small
+field is walked raw by raw (``K._raws()``), a large one is split by an
+equal-degree splitting whose random draws are seeded by the field order and
+the polynomial.  Over Q (``K.char == 0``) only rational roots are found.
 """
 
 from __future__ import annotations
@@ -151,12 +153,13 @@ def is_irreducible(K, f: Poly) -> bool:
 _BRUTE_FORCE_ORDER = 4096
 
 
-def roots_in_field(K, f: Poly, seed: int = 0) -> list:
+def roots_in_field(K, f: Poly) -> list:
     """All distinct roots of f lying in K, as sorted raws.
 
-    Finite fields: complete (gcd with x^q - x, then seeded equal-degree
-    splitting).  Over Q: complete for rational roots via the rational root
-    theorem; irrational roots are simply not returned.
+    Finite fields: complete, by evaluation at every raw of a field of order
+    at most 4096, otherwise by the gcd with x^q - x and an equal-degree
+    splitting seeded by q and f.  Over Q: complete for rational roots via
+    the rational root theorem; irrational roots are simply not returned.
     """
     f = trim(K, f[:])
     if not f:
@@ -167,11 +170,11 @@ def roots_in_field(K, f: Poly, seed: int = 0) -> list:
         return _rational_roots(f)
     if K.order <= _BRUTE_FORCE_ORDER:
         zero = K._zero
-        return sorted(x.raw for x in K.elements() if evaluate(K, f, x.raw) == zero)
-    return sorted(_finite_field_roots(K, f, seed))
+        return sorted(x for x in K._raws() if evaluate(K, f, x) == zero)
+    return sorted(_finite_field_roots(K, f))
 
 
-def _finite_field_roots(K, f: Poly, seed: int) -> list:
+def _finite_field_roots(K, f: Poly) -> list:
     q, zero = K.order, K._zero
     fm = monic(K, f)
     # strip a root at zero
@@ -186,7 +189,7 @@ def _finite_field_roots(K, f: Poly, seed: int) -> list:
     g = gcd(K, sub(K, pow_mod(K, x, q, fm), x), fm)
     if len(g) < 2:
         return out
-    rng = random.Random(f"{seed}|{q}|{[c if isinstance(c, tuple) else (c,) for c in f]}")
+    rng = random.Random(f"{q}|{[c if isinstance(c, tuple) else (c,) for c in f]}")
     out.extend(_split_linear(K, g, rng))
     return out
 

@@ -20,7 +20,6 @@ from typing import NamedTuple, Sequence
 from . import polys
 from .fields import QQ
 from .lattice import (
-    HyperbolicLattice,
     LatticeIsometry,
     LatticeVector,
     basis_vector,

@@ -138,6 +138,27 @@ def test_coble_family_internals():
     assert len(quartic[0].representatives) == 10
 
 
+def test_coble_families_against_the_root_census():
+    # every root of degree <= 4, by residue: each family's roots are among
+    # them up to sign, and only conic_six leaves some out (four quartics)
+    census = {}
+    for r in enumerate_roots(10, 4):
+        census.setdefault(residue_mod2(r), set()).add(r.coords)
+    listed = {}
+    for f in coble_conditions():
+        roots = census[f.residue]
+        for r in f.representatives:
+            assert r.coords in roots or (-r).coords in roots
+        listed.setdefault(f.label, set()).add((len(f.representatives), len(roots)))
+    assert listed == {
+        "coincident_pair": {(1, 1)},
+        "collinear_triple": {(1, 1)},
+        "conic_six": {(1, 5)},
+        "singular_cubic_eight": {(3, 3)},
+        "triple_point_quartic": {(10, 10)},
+    }
+
+
 def test_catalog_csv_header_and_size():
     fams = coble_conditions()
     text = catalog_to_csv(fams)

@@ -1,7 +1,9 @@
 """Shell contract: exit codes, exact lines, JSON shapes, determinism."""
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -212,8 +214,6 @@ class TestPointCommands:
 
 @pytest.fixture()
 def gens_file(tmp_path):
-    import random
-
     rng = random.Random(0)
     from picweyl import ResidueModule
 
@@ -367,6 +367,127 @@ class TestReport:
         assert out.startswith("picweyl ")
 
 
+# -- pinned output ---------------------------------------------------------------
+# Exact stdout and exit code of the paths no other test runs.  A long stdout
+# is pinned by its SHA-256.
+
+PINNED = [
+    ("enumerate-roots-json", 0,
+     ["enumerate-roots", "--n", "10", "--max-degree", "2", "--json"],
+     "sha256:005c145bbb41db6388d685abde8714b43522e7ee06d48e8245a4e79eb092d191"),
+    ("coble-conditions-json", 0,
+     ["coble-conditions", "--json"],
+     "sha256:791a217548fc20dad65d26b72c72df0ffe2d6d8d06942b54ae5974f15b488fe6"),
+    ("residue-counts-json", 0,
+     ["residue-counts", "--json"],
+     '{"isotropic":528,"norm_one":496}\n'),
+    ("halphen-check-json", 0,
+     ["halphen-check", "--p", "101", "--m", "2", "--points", "{nine}", "--json"],
+     '{"halphen":true}\n'),
+    ("halphen-check-json-false", 0,
+     ["halphen-check", "--p", "101", "--m", "2", "--points", "{nine_collinear}", "--json"],
+     '{"halphen":false,"witness":[1,-1,-1,-1,0,0,0,0,0,0]}\n'),
+    ("halphen-check-false", 0,
+     ["halphen-check", "--p", "101", "--m", "2", "--points", "{nine_collinear}"],
+     "halphen=false witness=[1,-1,-1,-1,0,0,0,0,0,0]\n"),
+    ("coble-check-json", 0,
+     ["coble-check", "--p", "101", "--points", "{ten}", "--json"],
+     '{"coble":true,"report":{"sextic_dimension":0,"sextic_effective":true,"violations":[]}}\n'),
+    ("coble-check-false", 0,
+     ["coble-check", "--p", "101", "--points", "{ten_collinear}"],
+     "coble=false violations=6\n"),
+    ("harbourne-check-json", 0,
+     ["harbourne-check", "--p", "5", "--e", "12", "--params", "{params}", "--json"],
+     '{"harbourne":true,"info":{"kernel":"5 * (canonical complement)","rank":10}}\n'),
+    ("report-json", 0,
+     ["report", "--seed", "2", "--json"],
+     "sha256:eb313fa05331961bf655ae7c26117edaf467da470aaf69f3aa48f495f9a1cb3b"),
+    ("find-root-mod", 0,
+     ["find-root-mod", "--m", "6", "--gens", "{gens}"],
+     "status=found root=[0,0,1,-1,0,0,0,0,0,0,0]\nword=[2,1]\n"),
+    ("find-root-mod-trace", 0,
+     ["find-root-mod", "--m", "6", "--method", "bfs", "--gens", "{gens}", "--trace"],
+     "trace: search depth 0\nstatus=found root=[0,0,1,-1,0,0,0,0,0,0,0]\nword=[]\n"),
+    ("find-root-mod-inconclusive-json", 3,
+     ["find-root-mod", "--m", "6", "--budget", "0", "--gens", "{gens}", "--json"],
+     '{"certificate":{"method":"Theory","modulus":6,"reason":"no word of length <= 0 '
+     'carries the base root into the combined rank-8 piece","residue":[0,0,0,4,0,0,0,4,1,'
+     '2]},"status":"inconclusive"}\n'),
+    ("cremona-act", 0,
+     ["cremona-act", "--p", "101", "--word", "0", "--points", "{five}"],
+     '["1","0","0"]\n["0","1","0"]\n["0","0","1"]\n["1","1","1"]\n["34","29","1"]\n'),
+    ("orbit-fixed", 0,
+     ["orbit-fixed", "--n", "9", "--word", "0"],
+     "fixed_rank=9\n[-1,1,0,0,0,0,0,0,0,0]\n[-1,0,1,0,0,0,0,0,0,0]\n[-1,0,0,1,0,0,0,0,0,0]\n"
+     "[0,0,0,0,1,0,0,0,0,0]\n[0,0,0,0,0,1,0,0,0,0]\n[0,0,0,0,0,0,1,0,0,0]\n[0,0,0,0,0,0,0,1,"
+     "0,0]\n[0,0,0,0,0,0,0,0,1,0]\n[0,0,0,0,0,0,0,0,0,1]\n"),
+    ("classify-matrix", 0,
+     ["classify", "{matrix}"],
+     "kind=Elliptic order=6 witness=[9,-3,-3,-3,0,0,0,0,0,0,0]\n"),
+    ("classify-parabolic", 0,
+     ["classify", "--n", "9", "--word", "0,1,2,3,4,5,6,7,8"],
+     "kind=Parabolic witness=[3,-1,-1,-1,-1,-1,-1,-1,-1,-1]\n"),
+    ("classify-json-hyperbolic", 0,
+     ["classify", "--n", "10", "--word", "0,1,2,3,4,5,6,7,8,9", "--json"],
+     '{"kind":"Hyperbolic","spectral_radius":1.1762808182599171}\n'),
+    ("reduce-json-trace", 0,
+     ["reduce", "--n", "10", "--vector", "[3,-2,-1,-1,-1,-1,-1,-1,-1,0,0]", "--json", "--trace"],
+     "sha256:b178cb042072017e2e817c8843fc2331bd605672f93f08005bd8ad92ed8a2ac0"),
+    ("reduce-no-vector", 1,
+     ["reduce", "--n", "10"],
+     ""),
+    ("reduce-wrong-length", 2,
+     ["reduce", "--n", "10", "--vector", "[1,-1,0]"],
+     ""),
+    ("reduce-not-a-list", 2,
+     ["reduce", "--n", "10", "--vector", "3"],
+     ""),
+    ("classify-word-file", 0,
+     ["classify", "--n", "10", "{word}"],
+     "kind=Elliptic order=6 witness=[9,-3,-3,-3,0,0,0,0,0,0,0]\n"),
+    ("orbit-fixed-word-file", 0,
+     ["orbit-fixed", "--n", "10", "{word}", "--json"],
+     '{"basis":[[-3,1,1,1,0,0,0,0,0,0,0],[0,0,0,0,1,0,0,0,0,0,0],[0,0,0,0,0,1,0,0,0,0,0],[0,'
+     '0,0,0,0,0,1,0,0,0,0],[0,0,0,0,0,0,0,1,0,0,0],[0,0,0,0,0,0,0,0,1,0,0],[0,0,0,0,0,0,0,0,'
+     '0,1,0],[0,0,0,0,0,0,0,0,0,0,1]],"fixed_rank":8}\n'),
+    ("cremona-act-word-file", 0,
+     ["cremona-act", "--p", "101", "--points", "{five}", "{word}", "--json"],
+     '{"points":[["0","1","0"],["0","0","1"],["1","0","0"],["1","1","1"],["34","29","1"]]}\n'),
+]
+
+
+@pytest.fixture()
+def pin_files(tmp_path, nine_points_file, ten_points_file, params_file, gens_file):
+    from picweyl import word_to_isometry
+
+    def points(pairs):
+        return [[str(x), str(y), "1"] for x, y in pairs]
+
+    data = {
+        "nine_collinear": points([(1, 1), (2, 2), (3, 3)] + NINE[3:]),
+        "ten_collinear": points([(1, 1), (2, 2), (3, 3)] + TEN[3:]),
+        "five": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "1"],
+                 ["3", "7", "1"]],
+        "matrix": {"matrix": [list(r) for r in word_to_isometry([0, 1, 2], 10).rows]},
+        "word": {"word": [0, 1, 2]},
+    }
+    paths = dict(nine=nine_points_file, ten=ten_points_file, params=params_file, gens=gens_file)
+    for name, content in data.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(content))
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("code, argv, expected", [c[1:] for c in PINNED],
+                         ids=[c[0] for c in PINNED])
+def test_pinned_output(capsys, pin_files, code, argv, expected):
+    got_code, out, _ = run(capsys, *(a.format(**pin_files) for a in argv))
+    if expected.startswith("sha256:"):
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    assert (got_code, out) == (code, expected)
+
+
 # Runs one command in a fresh interpreter and reports which heavy modules it
 # loaded: importing sympy or numpy costs more than most verdicts.
 IMPORT_PROBE = """
@@ -440,6 +561,27 @@ def test_no_module_level_mutable_containers():
                 continue
             if isinstance(value, (list, dict, set)):
                 found.append(f"{info.name}.{name}")
+    assert found == []
+
+
+def test_no_unused_imports():
+    # a name imported and never read is dead weight; __init__ re-exports
+    import ast
+
+    found = []
+    for path in sorted(Path(picweyl.__file__).resolve().parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.stem}.{name}")
     assert found == []
 
 

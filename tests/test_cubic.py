@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from picweyl import (
@@ -32,6 +33,7 @@ from picweyl import (
     configuration,
     cremona_quadratic,
     generator_images,
+    gram_matrix,
     halphen_index_check,
     harbourne_check,
     is_unnodal_halphen,
@@ -50,7 +52,9 @@ from picweyl.cubic import (
     _direction_point,
     _group_sum,
     _point_key,
+    _poly3_chart,
     _rational_inflections,
+    _resultant_y,
     image_order,
 )
 from picweyl.fields import FieldElement
@@ -368,6 +372,29 @@ class TestHarbourne:
         pts = [m.point_from_parameter(t).point for t in self.params()]
         with pytest.raises(DomainError):
             kernel_submodule_generators(m, pts, 3)
+
+    def test_mod_2_exclusion_on_the_cusp_in_characteristic_two(self):
+        # y^2 z = x^3 over GF(2^8) with nine parameters whose kernel has
+        # residues mod 2 but no catalog root
+        K = ExtensionField(2, 8)
+        m = cusp_model(K)
+        params = ("00101111 00110011 00111000 10000101 10011001 10101001 11000111 "
+                  "11101010 11111010").split()
+        pts = [m.point_from_parameter(K.element([int(c) for c in t])).point for t in params]
+        assert unnodal_by_kernel(m, pts) == (
+            True, None, {"certificate": "mod-2-exclusion", "modulus": 2, "complete": True}
+        )
+        # a root r has q(r) = r.r/2 = -1, odd; q = x.G.x/2 is even on the
+        # whole F_2-span of the kernel residues, so no root restricts to zero
+        g = gram_matrix(simple_roots(9))
+        gens = kernel_submodule_generators(m, pts, 2)
+        span = {
+            tuple(sum(c * v[i] for c, v in zip(cs, gens)) % 2 for i in range(9))
+            for cs in itertools.product((0, 1), repeat=len(gens))
+        }
+        assert len(span) > 1
+        for x in span:
+            assert sum(x[i] * g[i][j] * x[j] for i in range(9) for j in range(9)) % 4 == 0
 
     def test_needs_cuspidal_finite(self):
         with pytest.raises(DomainError):
@@ -699,6 +726,38 @@ def test_layer_rows_match_the_group_law(kind, field):
 
 
 # ---------------------------------------------------------------------------
+# the census's elimination against sympy
+
+
+@pytest.mark.parametrize("p", (5, 7, 101))
+def test_resultant_in_y_matches_sympy(p):
+    """Charts of random forms of degree <= 3, some constant in y on either
+    side (never both, a pair the census skips)."""
+    x, y = sympy.symbols("x y")
+    field, rng = PrimeField(p), random.Random(f"resultant/{p}")
+
+    def random_chart(top):
+        while True:
+            d = rng.randint(1, 3)
+            terms = {k: rng.randrange(p) for k in monomial_exponents(d) if k[1] <= top}
+            chart = _poly3_chart(Poly3.from_raw(field, terms))
+            if len(chart) == top + 1:
+                return chart
+
+    def as_sympy(chart):
+        return sum(c * x**i * y**j for j, cy in enumerate(chart) for i, c in enumerate(cy))
+
+    pairs = [(0, 1), (2, 0), (0, 3)] + [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(12)]
+    for ya, yb in pairs:
+        a, b = random_chart(ya), random_chart(yb)
+        expected = sympy.resultant(as_sympy(a), as_sympy(b), y)
+        if ya < yb:  # sympy takes the pair in descending y-degree
+            expected *= (-1) ** (ya * yb)
+        expected = sympy.Poly(expected, x, modulus=p).all_coeffs()
+        assert (_resultant_y(a, b, field) or [0]) == [c % p for c in reversed(expected)], (a, b)
+
+
+# ---------------------------------------------------------------------------
 # singular cubics: inflections and frames read off the parametrization
 
 
@@ -758,7 +817,7 @@ def test_parametrized_models_match_the_inflection_census(kind, field):
         f = _moved(field, CUSPIDAL if kind == "cuspidal" else NODAL, rng)
         model = classify_cubic(f)
         assert (model.kind, model.relaxed_origin) == (kind, False)
-        flexes = _rational_inflections(f, exclude=model.singular_point, seed=0)
+        flexes = [p for p in _rational_inflections(f) if p != model.singular_point]
         assert model.origin == flexes[0]
         assert model.from_canonical == _census_frame(f, model.singular_point, flexes[0])
 
@@ -767,7 +826,7 @@ def test_cusp_in_characteristic_three_is_refused():
     f3, rng = PrimeField(3), random.Random("cusp/3")
     for _ in range(4):
         f = _moved(f3, CUSPIDAL, rng)
-        assert not _rational_inflections(f, exclude=None, seed=0)
+        assert not _rational_inflections(f)
         with pytest.raises(UnsupportedCurveError):
             classify_cubic(f)
 
@@ -787,7 +846,7 @@ def test_split_node_without_rational_inflection(field):
     f = Poly3.from_coeff_map(field, NO_FLEX).compose_linear(m)
     model = classify_cubic(f)
     assert (model.kind, model.relaxed_origin) == ("nodal", True)
-    assert not _rational_inflections(f, exclude=model.singular_point, seed=0)
+    assert _rational_inflections(f) == [model.singular_point]
     back = mat3_inverse(m, field)
 
     def point(s):

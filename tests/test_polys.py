@@ -3,6 +3,7 @@ GF(101), root extraction against brute force and, over Q, against sympy,
 and the default GF(p^e) moduli against a galoistools irreducibility scan."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from sympy.polys.galoistools import (
 )
 
 from picweyl import ExtensionField, PrimeField, polys
-from picweyl.fields import QQ, smallest_irreducible
+from picweyl.fields import QQ, FieldElement, smallest_irreducible
 
 PRIMES = (2, 3, 5, 101)
 
@@ -99,7 +100,7 @@ class TestRoots:
     def test_prime_field_against_brute_force(self, p, data):
         f = data.draw(poly(p, min_degree=0))
         brute = [x for x in range(p) if gf_eval(to_gf(f), x, p, ZZ) == 0]
-        assert polys.roots_in_field(PrimeField(p), f, seed=data.draw(st.integers(0, 3))) == brute
+        assert polys.roots_in_field(PrimeField(p), f) == brute
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -114,7 +115,7 @@ class TestRoots:
             f = polys.mul(K, f, [-r % p, 1])
         _, factors = gf_factor(to_gf(f), p, ZZ)
         linear = sorted(-int(g[1]) % p for g, _ in factors if len(g) == 2)
-        assert polys.roots_in_field(K, f, seed=data.draw(st.integers(0, 3))) == linear
+        assert polys.roots_in_field(K, f) == linear
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -129,6 +130,24 @@ class TestRoots:
             if not sum((c * x**i for i, c in enumerate(boxed)), K.zero())
         )
         assert polys.roots_in_field(K, f) == brute
+
+    @pytest.mark.parametrize("K", (PrimeField(101), ExtensionField(5, 4)), ids=repr)
+    def test_small_field_roots_box_nothing(self, K, monkeypatch):
+        # a field within the brute-force bound is walked on raws
+        built = []
+        init = FieldElement.__init__
+
+        def counting(self, field, raw):
+            built.append(raw)
+            init(self, field, raw)
+
+        rng = random.Random(f"unboxed/{K}")
+        fs = [[K.random_element(rng).raw for _ in range(4)] + [K._one] for _ in range(5)]
+        monkeypatch.setattr(FieldElement, "__init__", counting)
+        for f in fs:
+            for r in polys.roots_in_field(K, f):
+                assert polys.evaluate(K, f, r) == K._zero
+        assert built == []
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)

@@ -377,7 +377,7 @@ class TestUnivariate:
         # (x - 3)(x - 5)(x^2 + 1) over F_101; x^2 + 1 has roots since
         # 101 = 1 mod 4, so expect four roots in total
         f = polys.mul(F, polys.mul(F, [F(-3).raw, 1], [F(-5).raw, 1]), [1, 0, 1])
-        rs = polys.roots_in_field(F, f, seed=5)
+        rs = polys.roots_in_field(F, f)
         assert 3 in rs and 5 in rs and len(rs) == 4
         for r in rs:
             assert polys.evaluate(F, f, r) == 0
@@ -386,7 +386,7 @@ class TestUnivariate:
         K = ExtensionField(5, 2)
         # x^2 - 2: 2 is a non-square in F_5, so the roots live upstairs
         f = [K.from_int(c).raw for c in (-2, 0, 1)]
-        rs = polys.roots_in_field(K, f, seed=0)
+        rs = polys.roots_in_field(K, f)
         assert len(rs) == 2
         assert all(K.element(r) * K.element(r) == K.from_int(2) for r in rs)
 

@@ -30,13 +30,9 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from bench_record import ROOT, git, run_bench
+
 SEED_BASE = 1100
-
-
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
 
 
 def _unpack(sha: str, dest: Path) -> None:
@@ -45,17 +41,6 @@ def _unpack(sha: str, dest: Path) -> None:
                           capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest, filter="data")
-
-
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    try:
-        return json.loads(lines[-1]), proc.returncode
-    except (IndexError, json.JSONDecodeError):
-        return {"correct": False, "error": proc.stderr.strip()[-500:]}, proc.returncode or 1
 
 
 def main() -> int:
@@ -75,10 +60,10 @@ def main() -> int:
 
     seconds = spec["run_seconds"]
     record = {
-        "change_sha": _git("rev-parse", args.change),
+        "change_sha": git("rev-parse", args.change),
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
-        "parent_sha": _git("rev-parse", args.parent),
+        "parent_sha": git("rev-parse", args.parent),
         "seconds": seconds,
         "what": f"alternating parent/change runs of perfbench/run.py --workload W --seed S "
                 f"--seconds {seconds} --trace 0, one fresh seed per pair, the first side of "
@@ -98,7 +83,7 @@ def main() -> int:
                 seed = SEED_BASE + pair
                 sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in sides:
-                    result, code = _run(checkouts[side], name, seed, seconds)
+                    result, code = run_bench(checkouts[side], name, seed, seconds, 0)
                     failed |= code != 0
                     runs.append({"exit": code, "pair": pair, "result": result,
                                  "seed": seed, "side": side})

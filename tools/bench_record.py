@@ -25,15 +25,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 
 
-def _git(*args: str) -> str:
+def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
-def _run(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, int]:
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: int) -> tuple[dict, int]:
+    """One perfbench/run.py run in checkout: its last (JSON) stdout line and
+    its exit code."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1]), proc.returncode
@@ -49,8 +52,8 @@ def main() -> int:
     args = ap.parse_args()
 
     record = {
-        "sha": _git("rev-parse", "HEAD"),
-        "dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "sha": git("rev-parse", "HEAD"),
+        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "seed": SEED,
         "seconds": spec["run_seconds"],
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
@@ -62,7 +65,7 @@ def main() -> int:
         name = wl["name"]
         runs = {}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            runs[key], code = _run(name, SEED, spec["run_seconds"], trace)
+            runs[key], code = run_bench(ROOT, name, SEED, spec["run_seconds"], trace)
             failed |= code != 0
             print(f"{name} {key}: exit {code}", file=sys.stderr)
         record["workloads"][name] = runs
