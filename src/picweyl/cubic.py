@@ -587,9 +587,7 @@ def _common_rational_points(system: list[Poly3]) -> tuple[list[ProjectivePoint],
 def _affine_zeros(system, field, points) -> bool:
     """Collect common zeros in the chart z = 1.  Returns True when the
     census there is provably complete over the closure."""
-    chart = [c for c in (_poly3_chart(g) for g in system) if c]
-    if not chart:
-        return False  # the system is identically zero on the chart
+    chart = [_poly3_chart(g) for g in system]
     if all(len(c) == 1 for c in chart):
         g = _poly_list_gcd([c[0] for c in chart], field)
         return len(g) == 1  # else a common vertical line: uncertified

@@ -151,7 +151,11 @@ class Field:
         return FieldElement(self, self._from_int(n))
 
     def elements(self) -> Iterator[FieldElement]:
-        raise NotImplementedError
+        """Every element once, in `_raws` order; finite fields of at most
+        2^20 elements only."""
+        if self.order is None or self.order > 1 << 20:
+            raise ValueError(f"refusing to enumerate {self}")
+        return (FieldElement(self, raw) for raw in self._raws())
 
     def _raws(self) -> Iterator:
         """The field's raws, each once, in a fixed order: 0, 1, 2, ... over
@@ -260,9 +264,6 @@ class PrimeField(Field):
 
     def _from_int(self, n: int):
         return n % self.p
-
-    def elements(self) -> Iterator[FieldElement]:
-        return (FieldElement(self, i) for i in range(self.p))
 
     def _raws(self) -> Iterator[int]:
         return iter(range(self.p))
@@ -411,12 +412,6 @@ class ExtensionField(Field):
 
     def _from_int(self, n: int):
         return (n % self.p,) + self._zero[1:]
-
-    def elements(self) -> Iterator[FieldElement]:
-        if self.order > 1 << 20:
-            raise ValueError(f"refusing to enumerate GF({self.p}^{self.e})")
-        for combo in itertools.product(range(self.p), repeat=self.e):
-            yield FieldElement(self, combo)
 
     def _raws(self) -> Iterator[tuple[int, ...]]:
         return _digit_tuples(self.p, self.e)

@@ -6,14 +6,16 @@ rank-n canonical complement k_n^perp inside Z^{1,n} with respect to the
 simple roots.  In these coordinates the Gram matrix has -2 on the diagonal
 and 1 on the edges of the T-shaped tree, the lattice is even, and the
 half-norm q(x) = x.G.x / 2 is an integer with q(root) = -1.  Simple
-reflections act by changing a single coordinate, which keeps the orbit
-searches cheap.  The root searches need the unimodular case n = 10.
+reflections act by changing a single coordinate, which keeps the Weyl-word
+search cheap: both root-search methods run that one breadth-first search
+over integer roots, and differ only in the simple roots it starts from and
+in the certificate they report.  It needs the unimodular case n = 10.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
 
@@ -58,12 +60,11 @@ def _q_int(x) -> int:
     return _b_int(x, x) // 2
 
 
-def _reflect_coord(x, i, m=None):
+def _reflect_coord(x, i):
     """s_i in simple-root coordinates: only coordinate i moves."""
     gram, neighbours = _form(len(x))
-    t = sum(gram[i][j] * x[j] for j in neighbours[i])
     out = list(x)
-    out[i] = x[i] + t if m is None else (x[i] + t) % m
+    out[i] += sum(gram[i][j] * x[j] for j in neighbours[i])
     return tuple(out)
 
 
@@ -496,19 +497,18 @@ def find_root_in_submodule(
     """A norm -2 vector of the canonical complement whose residue mod m lies
     in the given submodule.
 
-    "theory": per prime power, represent q = -1 inside a free rank-8 piece,
-    Witt-extend the first simple root's residue onto it, adjust the product
-    into the spin part, combine the per-prime targets by CRT, then search
-    Weyl words realizing the combined target up to sign and up to the
-    spin-stage latitude (any landing spot inside the combined rank-8 piece
-    counts, because the adjustment reflections only ever move the tracked
-    residue around inside that piece).
-    "orbit-bfs": expand the Weyl orbit of the simple roots breadth-first
-    over the integers until some residue lands in the submodule.
+    Both methods run one breadth-first search over Weyl words on integer
+    roots and accept the first root whose residue lies in the submodule.
+    "theory" first builds a target residue: per prime power, represent
+    q = -1 inside a free rank-8 piece, Witt-extend the first simple root's
+    residue onto it, adjust the product into the spin part, and combine the
+    per-prime targets by CRT.  The target is reported in the certificate but
+    does not steer the search, which starts from the first simple root.
+    "orbit-bfs" starts the search from every simple root.
 
-    Both run the same word search, which keeps no state between calls.
-    Either search is bounded; exhaustion reports status "inconclusive",
-    never nonexistence.  The searches need the unimodular case n = 10.
+    The search keeps no state between calls.  It is bounded; exhaustion
+    reports status "inconclusive", never nonexistence.  The searches need
+    the unimodular case n = 10.
     """
     if sub.module.rank != 10:
         raise DomainError(f"root searches need n = 10, not n = {sub.module.rank}")
@@ -518,63 +518,32 @@ def find_root_in_submodule(
         )
     depth = _WORD_DEPTH if max_depth is None else max_depth
     if method == "theory":
-        return _root_by_theory(sub, depth, max_visited)
-    if method == "orbit-bfs":
-        return _root_by_orbit(sub, depth, max_visited)
-    raise ValueError(f"unknown method {method!r}: use theory or orbit-bfs")
-
-
-def _root_by_theory(sub: ResidueSubmodule, depth: int, cap: int) -> RootSearchResult:
-    module = sub.module
-    m = module.m
-    pieces = []
-    local_bases = []
-    for p, k in factor(m).items():
-        pk = p**k
-        local = ResidueModule(pk)
-        vloc = local.submodule(sub.generators)
-        basis = vloc.free_basis()[:8]
-        m0 = local.submodule(basis)
-        v = represent_unit(m0, (pk - 1) % pk)
-        start = local.simple_residue(1)
-        prod = witt_extend([start], [v], local)
-        prod = adjust_to_spin(prod, m0)
-        pieces.append((pk, prod.apply(start)))
-        local_bases.append((pk, basis))
-    target = _crt_combine(pieces, m)
-    if not sub.contains(target):
-        raise AssertionError("CRT target escaped the submodule")
-    # The spin adjustment composes reflections in vectors of the rank-8
-    # piece, which shuffle the tracked residue within that piece but never
-    # out of it, so every landing spot inside the combined piece realizes
-    # the construction for some choice of adjustment.  Accepting the whole
-    # piece instead of the single combined vector is what keeps the word
-    # length short: the exact vector can sit a hundred letters away even
-    # mod 3, while the piece is dense enough to meet a shallow ball.
-    accept = module.submodule(
-        [
-            _crt_combine([(pk, basis[i]) for pk, basis in local_bases], m)
-            for i in range(8)
-        ]
-    )
-    if not accept.contains(target):
-        raise AssertionError("combined rank-8 piece lost the target")
-
-    step = partial(_reflect_coord, m=m)
-    found = _word_search([module.simple_residue(1)], step, accept.contains, depth, cap)
-    if not isinstance(found, tuple):
-        reason = found or (
+        reason = (
             f"no word of length <= {depth} carries the base root"
             " into the combined rank-8 piece"
         )
-        return RootSearchResult(
-            "inconclusive",
-            None,
-            {"method": "Theory", "modulus": m, "residue": list(target), "reason": reason},
-        )
-    word = found[1]
-    root_alpha = _apply_word_alpha((0, 1) + (0,) * 8, word)
-    return _package(sub, root_alpha, 1, word, "Theory", {"target": list(target)})
+        return _search(sub, [1], depth, max_visited, "Theory", reason, _theory_target(sub))
+    if method == "orbit-bfs":
+        reason = f"no orbit root within depth {depth} has its residue in the submodule"
+        return _search(sub, range(10), depth, max_visited, "OrbitBFS", reason)
+    raise ValueError(f"unknown method {method!r}: use theory or orbit-bfs")
+
+
+def _theory_target(sub: ResidueSubmodule):
+    m = sub.module.m
+    pieces = []
+    for p, k in factor(m).items():
+        pk = p**k
+        local = ResidueModule(pk)
+        m0 = local.submodule(local.submodule(sub.generators).free_basis()[:8])
+        v = represent_unit(m0, (pk - 1) % pk)
+        start = local.simple_residue(1)
+        prod = adjust_to_spin(witt_extend([start], [v], local), m0)
+        pieces.append((pk, prod.apply(start)))
+    target = _crt_combine(pieces, m)
+    if not sub.contains(target):
+        raise AssertionError("CRT target escaped the submodule")
+    return target
 
 
 def _crt_combine(pieces, m: int):
@@ -588,42 +557,55 @@ def _crt_combine(pieces, m: int):
     return tuple(out)
 
 
-def _apply_word_alpha(x, word):
-    for letter in word:
-        x = _reflect_coord(x, letter)
-    return x
-
-
-def _root_by_orbit(sub: ResidueSubmodule, depth: int, cap: int) -> RootSearchResult:
-    n = sub.module.rank
-    starts = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    found = _word_search(starts, _reflect_coord, sub.contains, depth, cap)
+def _search(sub, bases, depth, cap, method, reason, target=None) -> RootSearchResult:
+    """Run the word search from the simple roots numbered in bases and package its
+    outcome.  A found certificate replays: the word applied to simple root
+    number base gives the root.  A theory target is reported as "target"
+    beside a found root, as "residue" beside an inconclusive one."""
+    module = sub.module
+    starts = [tuple(int(i == j) for j in range(module.rank)) for i in bases]
+    found = _word_search(starts, sub.contains, depth, cap)
     if not isinstance(found, tuple):
-        reason = found or (
-            f"no orbit root within depth {depth} has its residue in the submodule"
-        )
-        return RootSearchResult(
-            "inconclusive",
-            None,
-            {"method": "OrbitBFS", "modulus": sub.module.m, "reason": reason},
-        )
-    base, word, root_alpha = found
-    return _package(sub, root_alpha, base, word, "OrbitBFS")
+        certificate = {"method": method, "modulus": module.m}
+        if target is not None:
+            certificate["residue"] = list(target)
+        certificate["reason"] = found or reason
+        return RootSearchResult("inconclusive", None, certificate)
+    start, word, root_alpha = found
+    if _q_int(root_alpha) != -1:
+        raise AssertionError("search produced a non-root")
+    coords = [0] * (module.rank + 1)
+    for c, alpha in zip(root_alpha, simple_roots(module.rank)):
+        for i, a in enumerate(alpha.coords):
+            coords[i] += c * a
+    root = LatticeVector(tuple(coords))
+    certificate = {
+        "method": method,
+        "base": bases[start],
+        "word": word,
+        "root": root.to_json(),
+        "residue": list(module.reduce(root_alpha)),
+        "modulus": module.m,
+    }
+    if target is not None:
+        certificate["target"] = list(target)
+    return RootSearchResult("found", root, certificate)
 
 
-def _word_search(starts, step, accept, depth: int, cap: int):
-    """Breadth-first search over Weyl words for a vector that accept takes.
+def _word_search(starts, accept, depth: int, cap: int):
+    """Breadth-first search over Weyl words for an integer root that accept
+    takes, starting from the given roots.
 
-    step(x, letter) applies one simple reflection.  Vectors are discovered
-    parent by parent, letters 0..n-1 under each, and each level (words one
-    letter longer) is committed whole: a level that would take the search
-    past cap vectors ends it before any of its vectors is tested.  So the
-    first accepted vector has a shortest word, and the outcome depends on
-    the arguments alone.
+    Roots are discovered parent by parent, letters 0..n-1 under each, and
+    each level (words one letter longer) is committed whole: a level that
+    would take the search past cap roots ends it before any of its roots is
+    tested.  So the first accepted root has a shortest word, and the outcome
+    depends on the arguments alone.  The W(E_10)-orbit of a root is
+    infinite, so every level adds roots.
 
-    Returns (start index, word, vector) for the first accepted vector in
+    Returns (start index, word, root) for the first accepted root in
     discovery order, a reason string when the cap ends the search, or None
-    when no vector reached by a word of length <= depth is accepted.
+    when no root reached by a word of length <= depth is accepted.
     """
     nodes = list(starts)
     parents: list[tuple[int, int] | None] = [None] * len(nodes)
@@ -635,12 +617,10 @@ def _word_search(starts, step, accept, depth: int, cap: int):
             for idx in range(lo, len(nodes)):
                 x = nodes[idx]
                 for letter in range(len(x)):
-                    child = step(x, letter)
+                    child = _reflect_coord(x, letter)
                     if child not in seen:
                         seen.add(child)
                         children.append((child, idx, letter))
-            if not children:
-                return None
             if len(nodes) + len(children) > cap:
                 return f"orbit capped at {len(nodes)} roots before level {level}"
             lo = len(nodes)
@@ -656,37 +636,3 @@ def _word_search(starts, step, accept, depth: int, cap: int):
                     word.append(letter)
                 return start, word[::-1], nodes[idx]
     return None
-
-
-def _package(
-    sub: ResidueSubmodule,
-    root_alpha,
-    base: int,
-    word,
-    method,
-    extra: dict | None = None,
-) -> RootSearchResult:
-    """A found result whose certificate replays: the word applied to simple
-    root number base gives the root."""
-    module = sub.module
-    if _q_int(root_alpha) != -1:
-        raise AssertionError("search produced a non-root")
-    res = module.reduce(root_alpha)
-    if not sub.contains(res):
-        raise AssertionError("search produced a residue outside the submodule")
-    coords = [0] * (module.rank + 1)
-    for c, alpha in zip(root_alpha, simple_roots(module.rank)):
-        for i, a in enumerate(alpha.coords):
-            coords[i] += c * a
-    root = LatticeVector(tuple(coords))
-    certificate = {
-        "method": method,
-        "base": base,
-        "word": list(word),
-        "root": root.to_json(),
-        "residue": list(res),
-        "modulus": module.m,
-    }
-    if extra:
-        certificate.update(extra)
-    return RootSearchResult("found", root, certificate)

@@ -143,21 +143,16 @@ class IsometryClass(NamedTuple):
     spectral_radius: float | None = None
 
 
-_FINITE_ORDER_EXPONENT = 2 * math.lcm(*range(1, 31))
-
-
 def classify_isometry(g: LatticeIsometry) -> IsometryClass:
     """Exact elliptic/parabolic/hyperbolic trichotomy.
 
     The characteristic polynomial is stripped of cyclotomic factors; by
     Kronecker's theorem a monic integer polynomial has all roots on the unit
     circle iff it is a product of cyclotomics, so a nontrivial remainder
-    certifies spectral radius > 1 (Hyperbolic).  Otherwise a single
-    finite-order test g^(2 lcm(1..30)) == 1 separates Elliptic from
-    Parabolic; that exponent is a multiple of every finite isometry order in
-    these dimensions.  The order of the power is harmless here precisely
-    because the on-circle case is decided first: entries of powers of an
-    on-circle isometry grow at most polynomially.
+    certifies spectral radius > 1 (Hyperbolic).  Otherwise let N be the lcm
+    of the cyclotomic indices: a finite-order g is diagonalizable with those
+    roots of unity as eigenvalues, so its order is exactly N, and the single
+    test g^N == 1 separates Elliptic (of order N) from Parabolic.
     """
     coeffs = _charpoly_coeffs(g.rows)
     cyclo_indices, remainder = _strip_cyclotomic(coeffs)
@@ -168,10 +163,8 @@ def classify_isometry(g: LatticeIsometry) -> IsometryClass:
             rho = _max_root_modulus_precise(coeffs)
         return IsometryClass(kind="Hyperbolic", spectral_radius=rho)
 
-    if _mat_pow_equals_identity(g.rows, _FINITE_ORDER_EXPONENT):
-        order = 1
-        for d in cyclo_indices:
-            order = math.lcm(order, d)
+    order = math.lcm(*cyclo_indices)
+    if _mat_pow_equals_identity(g.rows, order):
         return IsometryClass(
             kind="Elliptic", witness=_elliptic_witness(g, order), order=order
         )

@@ -585,6 +585,45 @@ def test_no_unused_imports():
     assert found == []
 
 
+def test_no_unused_private_names():
+    # a module-level private function, class or constant that nothing in the
+    # package reads is dead code; a refactor that drops its last caller
+    # must drop it too
+    import ast
+    from collections import Counter
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.alias):
+                yield sub.name
+
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(picweyl.__file__).resolve().parent.glob("*.py"))
+    }
+    refs = Counter(name for tree in trees.values() for name in names(tree))
+    found = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = Counter(names(node))  # the definition itself, recursion included
+            for name in defined:
+                private = name.startswith("_") and not name.startswith("__")
+                if private and refs[name] == own[name]:
+                    found.append(f"{stem}.{name}")
+    assert found == []
+
+
 def test_benchmark_trace_bindings_exist():
     # perfbench/trace.py patches owner.__dict__[attr] for every binding it
     # wraps; one dropped by a refactor would fail only at benchmark time

@@ -885,6 +885,80 @@ def test_split_node_without_rational_inflection(field):
 
 
 # ---------------------------------------------------------------------------
+# the census on small fields: charts constant in y, empty fibers, roots at
+# infinity, and relaxed origins found off the affine chart
+
+CENSUS_EDGES = [
+    (2, "z**3", ReducibleCurveError),
+    (2, "y*z**2 + z**3", ReducibleCurveError),
+    (2, "y**2*z", ReducibleCurveError),
+    (2, "x**2*y", ReducibleCurveError),
+    (2, "z*(x**2 + x*y + y**2)", UnsupportedCurveError),
+    (3, "x**2*z + x*y**2 + z**3", ("smooth", (0, 1, 0), False)),
+    (2, "x**2*z + x*z**2 + y**3 + y*z**2 + z**3", ("smooth", (1, 0, 0), True)),
+    (2, "x**2*z + x*y**2 + x*y*z + x*z**2 + z**3", ("smooth", (0, 1, 0), True)),
+]
+
+
+@pytest.mark.parametrize("p, form, expected", CENSUS_EDGES, ids=[c[1] for c in CENSUS_EDGES])
+def test_census_edges_against_sympy(p, form, expected):
+    """Each expectation is checked independently, by brute force over
+    P^2(F_p) and with sympy: a rational line on which the form vanishes
+    for a reducible cubic; a rational node whose tangent cone has no
+    rational root for the refused one; for a smooth one, Groebner bases
+    over F_p of the form and its partials on the three charts, and its
+    rational points in the census's scan order (the chart z = 1 by x then
+    y, then the line z = 0)."""
+    xyz = sympy.symbols("x y z")
+    s, t = sympy.symbols("s t")
+    expr = sympy.sympify(form, locals=dict(zip("xyz", xyz)))
+    field = PrimeField(p)
+    terms = sympy.Poly(expr, *xyz, modulus=p).terms()
+    f = Poly3.from_coeff_map(field, {"".join(map(str, e)): int(c) for e, c in terms})
+    scan = [(x, y, 1) for x in range(p) for y in range(p)]
+    scan += [(u, 1, 0) for u in range(p)] + [(1, 0, 0)]
+
+    def value(g, pt):
+        return g.subs(dict(zip(xyz, pt))) % p
+
+    grads = [expr] + [sympy.diff(expr, v) for v in xyz]
+    if expected is ReducibleCurveError:
+        # some rational line, through two of its points, lies on the curve
+        def on_curve(line):
+            a, b = [pt for pt in scan if sum(c * v for c, v in zip(line, pt)) % p == 0][:2]
+            along = expr.subs({v: s * ai + t * bi for v, ai, bi in zip(xyz, a, b)})
+            return sympy.Poly(along, s, t, modulus=p).is_zero
+
+        assert any(on_curve(line) for line in scan)
+    elif expected is UnsupportedCurveError:
+        # one rational singular point, (0:0:1), a node whose tangent cone
+        # (the quadratic part of the chart z = 1) has no rational root
+        assert [pt for pt in scan if all(value(g, pt) == 0 for g in grads)] == [(0, 0, 1)]
+        cone = sympy.Poly(expr.subs(xyz[2], 1), *xyz[:2]).as_expr()
+        assert all(value(cone, pt) for pt in scan if pt[2] == 0)
+    else:
+        for v in xyz:
+            rest = [w for w in xyz if w != v]
+            basis = sympy.groebner([g.subs(v, 1) for g in grads], *rest, modulus=p)
+            assert list(basis.exprs) == [1]  # no singular point on this chart
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            classify_cubic(f)
+        return
+    kind, origin, relaxed = expected
+    points = [pt for pt in scan if value(expr, pt) == 0]
+    hessian = sympy.Matrix(3, 3, lambda i, j: sympy.diff(expr, xyz[i], xyz[j])).det()
+    # the origin is the first rational flex, or without one the first point;
+    # in characteristic 2 the Hessian finds no flexes and is not consulted
+    flexes = [pt for pt in points if p != 2 and value(hessian, pt) == 0]
+    assert origin == (flexes or points)[0] and relaxed == (not flexes)
+    model = classify_cubic(f)
+    assert (model.kind, model.origin, model.relaxed_origin) == (
+        kind, ProjectivePoint(field, origin), relaxed
+    )
+
+
+# ---------------------------------------------------------------------------
 # the plane layer computes on raws: FieldElement arithmetic is for callers
 
 BOXED_ARITHMETIC = (

@@ -65,6 +65,14 @@ def test_elements_enumeration():
     assert sorted(e.raw for e in F.elements()) == list(range(7))
     K = ExtensionField(2, 2)
     assert len(list(K.elements())) == 4
+    # one walk per field: elements() boxes the raws in their order, the
+    # constant digit fastest
+    K = ExtensionField(3, 2)
+    assert [e.raw for e in K.elements()][:4] == [(0, 0), (1, 0), (2, 0), (0, 1)]
+    assert [e.raw for e in K.elements()] == list(K._raws())
+    for infinite_or_huge in (RationalField(), ExtensionField(5, 9)):
+        with pytest.raises(ValueError):
+            infinite_or_huge.elements()
 
 
 FROZEN_MODULI = {

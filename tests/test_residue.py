@@ -378,6 +378,18 @@ class TestRootSearch:
                 base = simple_roots(10)[cert["base"]]
                 assert apply_word(base, cert["word"]) == out.root
 
+    def test_theory_accepts_the_whole_submodule(self):
+        # the search takes any root whose residue lies in the submodule, not
+        # only in the free rank-8 piece the target is built in: with a ninth
+        # free generator mod 25 a short word reaches the submodule
+        rng = random.Random("rank9/25")
+        gens = [tuple(rng.randrange(25) for _ in range(10)) for _ in range(9)]
+        sub = ResidueModule(25).submodule(gens)
+        out = find_root_in_submodule(sub, "theory")
+        assert sub.free_rank == 9 and out.status == "found"
+        assert out.certificate["base"] == 1 and len(out.certificate["word"]) == 4
+        assert sub.contains(out.certificate["target"])
+
     def test_zero_budget_is_inconclusive(self):
         M = ResidueModule(5)
         rng = random.Random(9)
