@@ -21,9 +21,10 @@ modulus) is ``polys`` run over the base field GF(p) on these same raws.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import insort
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 from typing import Iterator
 
@@ -213,6 +214,10 @@ class Field:
         insort(basis, (lead, row))  # pivots are distinct: rows are never compared
         return True
 
+    def dot(self, u: list, v: list):
+        """The sum of u_i v_i, on raws."""
+        return reduce(self._add, map(self._mul, u, v), self._zero)
+
 
 class PrimeField(Field):
     def __init__(self, p: int):
@@ -258,6 +263,10 @@ class PrimeField(Field):
             row[lead:] = [y * inv % p for y in row[lead:]]
         insort(basis, (lead, row))
         return True
+
+    def dot(self, u: list[int], v: list[int]) -> int:
+        """Field.dot with one reduction mod p, at the end."""
+        return sum(map(operator.mul, u, v)) % self.p
 
     def element(self, raw) -> FieldElement:
         return FieldElement(self, int(raw) % self.p)

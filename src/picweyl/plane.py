@@ -11,7 +11,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .catalog import halphen_prohibited_classes
+from .catalog import coble_conditions, halphen_prohibited_classes
 from .errors import DomainError
 from .fields import Field, field_from_descriptor
 from .lattice import LatticeVector
@@ -28,6 +28,7 @@ from .projgeom import (
     mat3_from_columns,
     mat3_inverse,
     mat3_mul,
+    matrix_rank,
     monomial_exponents,
     normalized,
 )
@@ -36,16 +37,19 @@ from .projgeom import (
 class PointConfiguration:
     """Ordered tuple of pairwise distinct plane points over one field.
 
-    Two slots hold derived data, so equality and JSON ignore them.
-    `_conditions` memoises interpolation condition rows per degree, point
-    and multiplicity (see `_point_rows`).  `_echelon` is (degree,
-    multiplicities, bases) for the last class `effectivity_test` reduced:
-    bases[k] is the echelon basis of the rows of its first k points, for k
-    up to the number of multiplicities kept.  Ranks are exact, so neither
-    slot can change a result, only how much is recomputed.
+    Three slots hold derived data for `effectivity_test`, so equality and
+    JSON ignore them.  `_conditions` memoises interpolation condition rows
+    per degree, point and multiplicity (see `_point_rows`).  `_echelon` is
+    (degree, multiplicities, bases) for the last multiplicity vector
+    reduced: bases[k] is the echelon basis of the rows of its first k
+    points, for k up to the number of multiplicities kept.  `_floors` maps
+    (degree, floor multiplicities) to (K, blocks): the kernel basis of the
+    floor's rows, and per (point, multiplicity) the extra rows of that
+    point multiplied into K.  Ranks are exact, so no slot can change a
+    result, only how much is recomputed.
     """
 
-    __slots__ = ("field", "points", "_conditions", "_echelon")
+    __slots__ = ("field", "points", "_conditions", "_echelon", "_floors")
 
     def __init__(self, field: Field, points: Sequence[ProjectivePoint]):
         pts = tuple(points)
@@ -58,6 +62,7 @@ class PointConfiguration:
         self.points = pts
         self._conditions: dict[tuple[int, int, int], list] = {}
         self._echelon: tuple[int, tuple[int, ...], list[list]] = (-1, (), [[]])
+        self._floors: dict[tuple[int, tuple[int, ...]], tuple[list, dict]] = {}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -120,13 +125,17 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
     coefficients instead of factorials, so this holds in every
     characteristic.
 
-    Verdict routines test hundreds of classes on one configuration, and
-    neighbouring classes of one degree share most of their multiplicities.
-    The rows are reduced point by point in index order, and the echelon
-    basis after each point is kept on the configuration (`_echelon`), so a
-    class of the same degree as the previous one resumes after their
-    longest common multiplicity prefix.  The walk stops once the rank is
-    the number of monomials, where the dimension is -1 whatever follows.
+    Verdict routines test hundreds of classes on one configuration, in
+    families that share most of their conditions: -dK + e_i - e_j is d
+    everywhere but d - 1 at i and d + 1 at j.  Such a class, of
+    multiplicities mu, is tested on its floor nu = min(mu, mode(mu))
+    componentwise (d everywhere, d - 1 at i).  `_floors` keeps the kernel K
+    of the floor's rows and, per point k and mu_k, the rows of orders
+    nu_k <= a + b < mu_k multiplied into K.  The class's curves are the K c
+    with c in the kernel of those stacked blocks, so its dimension is dim K
+    minus their rank, minus one; that is exact whatever dim K is, also when
+    a Halphen pencil makes K larger than for general points.  A class whose
+    floor is zero or itself is reduced directly, see `_echelon_walk`.
     """
     if cls.n != len(cfg):
         raise ValueError(
@@ -136,6 +145,33 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
     if d < 0:
         return False, -1
     mults = _clamped_multiplicities(cls)
+    mode = max(set(mults), key=mults.count, default=0)
+    if mode == 0 or max(mults) == mode:  # the floor is zero or the class itself
+        dim = (d + 1) * (d + 2) // 2 - len(_echelon_walk(cfg, d, mults)) - 1
+        return dim >= 0, dim
+    floor = tuple(min(m, mode) for m in mults)
+    field = cfg.field
+    if (d, floor) not in cfg._floors:
+        basis = _echelon_walk(cfg, d, floor)
+        cfg._floors[d, floor] = (kernel_basis([row for _, row in basis], field), {})
+    kernel, blocks = cfg._floors[d, floor]
+    rows = []
+    for k, (n, m) in enumerate(zip(floor, mults)):
+        if m > n:
+            if (k, m) not in blocks:  # past the n(n+1)/2 rows of orders below n
+                extra = _point_rows(cfg, d, k, m)[n * (n + 1) // 2 :]
+                blocks[k, m] = [[field.dot(r, v) for v in kernel] for r in extra]
+            rows += blocks[k, m]
+    dim = len(kernel) - matrix_rank(rows, field) - 1
+    return dim >= 0, dim
+
+
+def _echelon_walk(cfg: PointConfiguration, d: int, mults: tuple[int, ...]) -> list:
+    """Forward echelon basis of the condition rows of degree d and mults,
+    reduced point by point in index order.  The basis after each point is
+    kept on the configuration (`_echelon`), so a walk of the degree of the
+    previous one resumes after their longest common multiplicity prefix.
+    It stops at full rank, where nothing further is independent."""
     ncols = (d + 1) * (d + 2) // 2  # degree-d monomials
     last_d, walked, bases = cfg._echelon
     k = 0
@@ -148,8 +184,7 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
             break
         bases.append(extend_echelon(bases[-1], _point_rows(cfg, d, i, mults[i]), cfg.field))
     cfg._echelon = (d, mults[: len(bases) - 1], bases)
-    dim = ncols - len(bases[-1]) - 1
-    return dim >= 0, dim
+    return bases[-1]
 
 
 def _clamped_multiplicities(cls: LatticeVector) -> tuple[int, ...]:
@@ -241,8 +276,6 @@ def is_coble_set(cfg: PointConfiguration) -> tuple[bool, dict]:
 
     The report lists the sextic's dimension and every violated condition.
     """
-    from .catalog import coble_conditions
-
     if len(cfg) != 10:
         raise DomainError("this verdict is for ten-point configurations")
     sextic = LatticeVector((6,) + (-2,) * 10)

@@ -234,6 +234,15 @@ class TestCallOrder:
         assert PointConfiguration.from_json(queried.to_json()) == fresh
 
 
+def from_scratch(points, cls):
+    """(effective, dimension) of cls by one elimination on a fresh configuration."""
+    fresh = PointConfiguration(points[0].field, points)
+    d = cls.degree
+    rows = _condition_rows(fresh, d, [max(m, 0) for m in cls.multiplicities])
+    dim = len(monomial_exponents(d)) - matrix_rank(rows, fresh.field) - 1
+    return dim >= 0, dim
+
+
 def resumed_queries(rng, n):
     """Classes on n points in the order one configuration is asked them:
     runs of one degree whose multiplicities change from a random point on,
@@ -271,12 +280,75 @@ def test_effectivity_resumed_from_shared_prefix(field):
     x, y, z, w = sorted(affine, key=repr)
     coords = [(*x, 1), (1, 0, 0), (*y, 1), (field.random_element(rng), 1, 0), (*z, 1), (*w, 1)]
     queried = configuration(field, coords)
+    points = list(queried.points)
     for cls in resumed_queries(rng, len(coords)):
-        fresh = configuration(field, coords)
-        d = cls.degree
-        rows = _condition_rows(fresh, d, [max(m, 0) for m in cls.multiplicities])
-        dim = len(monomial_exponents(d)) - matrix_rank(rows, field) - 1
-        assert effectivity_test(queried, cls) == effectivity_test(fresh, cls) == (dim >= 0, dim), cls
+        fresh = PointConfiguration(field, points)
+        answer = effectivity_test(queried, cls)
+        assert answer == effectivity_test(fresh, cls) == from_scratch(points, cls), cls
+
+
+def shape_queries(rng, n):
+    """Classes on n points in the shapes of the prohibited families: a
+    common multiplicity c with c - 1 at one point, c + 1 at one, both, or
+    c + 1 at three; Coble's cubic through all but two points, singular at
+    one, and quartic through all with a triple point.  Degrees interleave
+    and some classes come again."""
+    queries = []
+    for c in range(3):
+        for d in sorted({2 * c, 3 * c, 3 * c + 1, max(c - 1, 0)}):
+            for _ in range(2):
+                i, j, k, l = rng.sample(range(n), 4)
+                for changes in ({i: -1}, {j: 1}, {i: -1, j: 1}, {j: 1, k: 1, l: 1}):
+                    queries.append(vector(d, *(-c - changes.get(t, 0) for t in range(n))))
+    for j, a, b in (rng.sample(range(n), 3) for _ in range(3)):
+        cubic = [0 if t in (a, b) else -2 if t == j else -1 for t in range(n)]
+        queries += [vector(3, *cubic), vector(4, *(-3 if t == j else -1 for t in range(n)))]
+    rng.shuffle(queries)
+    return queries + rng.sample(queries, 12)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(2), PrimeField(7), PrimeField(10007), ExtensionField(3, 2), RationalField()],
+    ids=repr,
+)
+def test_effectivity_of_family_shapes(field):
+    # classes one multiplicity off a shared floor are tested on its kernel;
+    # each answer must be the one a fresh elimination gives
+    rng = Random(13)
+    n = 7 if field.order == 2 else 10  # GF(2) has seven points
+    points = []
+    while len(points) < n:
+        c = [field.random_element(rng) for _ in range(3)]
+        if any(c) and ProjectivePoint(field, c) not in points:
+            points.append(ProjectivePoint(field, c))
+    queried = PointConfiguration(field, points)
+    for cls in shape_queries(rng, n):
+        assert effectivity_test(queried, cls) == from_scratch(points, cls), cls
+
+
+def test_effectivity_on_kernels_larger_than_the_count():
+    # the fixture is a Halphen set of index 2: sextics double at all nine
+    # points form a pencil, one more than the count of conditions allows,
+    # and the classes one multiplicity above are tested on that kernel
+    cfg = cfg_nine()
+    points = list(cfg.points)
+    sextic = vector(6, *([-2] * 9))
+    assert effectivity_test(cfg, sextic) == from_scratch(points, sextic) == (True, 1)
+    assert is_unnodal_halphen(cfg, 4) == (True, None)
+    on_pencil = [vector(6, *(-3 if t in s else -2 for t in range(9))) for s in ((0,), (3, 7))]
+    for cls in halphen_prohibited_classes(4) + tuple(on_pencil):
+        assert effectivity_test(cfg, cls) == from_scratch(points, cls), cls
+    # nine points on a conic: every floor kernel of degree 2, 3 or 6 holds
+    # the conic's multiples, and the classes above them move
+    points = [ProjectivePoint(F, (t, t * t, 1)) for t in range(1, 10)]
+    cfg = PointConfiguration(F, points)
+    above = [(2, -2), (3, -2), (4, -2, -2), (4, -3), (5, -2, -2, -2, -2), (6, -3, -2)]
+    expected = [(False, -1), (True, 1), (True, 3), (True, 2), (True, 5), (True, 4)]
+    for (d, *head), answer in zip(above, expected):
+        rest = -2 if d == 6 else -1
+        cls = vector(d, *head, *([rest] * (9 - len(head))))
+        assert effectivity_test(cfg, cls) == from_scratch(points, cls) == answer, cls
 
 
 class TestCobleVerdict:
