@@ -4,170 +4,61 @@ The lattice/weyl/catalog layer is exact integer arithmetic on Z^{1,n};
 fields/projgeom/plane/cubic verify point configurations through group laws
 on plane cubics; smith/residue carry the quadratic-form arithmetic mod m
 behind the root-search certificates; cli wraps the lot for the shell.
+
+Public names resolve on first access (PEP 562), so ``import picweyl``
+loads no layer and a caller pays only for the layers it touches.
 """
 
-from .errors import (
-    BudgetError,
-    CurveError,
-    DomainError,
-    ReducibleCurveError,
-    UnsupportedCurveError,
-)
-from .lattice import (
-    HyperbolicLattice,
-    LatticeIsometry,
-    LatticeVector,
-    basis_vector,
-    canonical_vector,
-    gram_matrix,
-    inner,
-    simple_roots,
-    vector,
-)
-from .weyl import (
-    IsometryClass,
-    apply_word,
-    classify_isometry,
-    invariant_sublattice_basis,
-    iota,
-    iota_isometry,
-    noether_reduce,
-    reflect,
-    reflection_isometry,
-    simple_reflection,
-    translation_isometry,
-    word_to_isometry,
-)
-from .catalog import (
-    ClassFamily,
-    catalog_to_csv,
-    coble_conditions,
-    enumerate_roots,
-    halphen_prohibited_classes,
-    q2_value,
-    residue_counts_mod2,
-    residue_mod2,
-    root_basis_coordinates,
-)
-from .fields import ExtensionField, Field, FieldElement, PrimeField, RationalField
-from .projgeom import Poly3, ProjectivePoint
-from .cubic import (
-    CubicCurveModel,
-    RestrictionImage,
-    SmoothPoint,
-    classify_cubic,
-    generator_images,
-    halphen_index_check,
-    harbourne_check,
-    kernel_submodule_generators,
-    restriction_hom,
-    torsion_set_check,
-    unnodal_by_kernel,
-)
-from .plane import (
-    PointConfiguration,
-    act_by_word,
-    configuration,
-    cremona_quadratic,
-    effective_curves_basis,
-    effectivity_test,
-    is_coble_set,
-    is_unnodal_halphen,
-    projectively_equivalent,
-)
-from .smith import integer_kernel, integer_left_inverse, smith_normal_form, solve_integer
-from .residue import (
-    ReflectionProduct,
-    ResidueModule,
-    ResidueSubmodule,
-    RootSearchResult,
-    adjust_to_spin,
-    apply_reflection,
-    find_root_in_submodule,
-    represent_unit,
-    spinor_norm,
-    square_class,
-    witt_extend,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetError",
-    "ClassFamily",
-    "CubicCurveModel",
-    "CurveError",
-    "DomainError",
-    "ExtensionField",
-    "Field",
-    "FieldElement",
-    "HyperbolicLattice",
-    "IsometryClass",
-    "LatticeIsometry",
-    "LatticeVector",
-    "PointConfiguration",
-    "Poly3",
-    "PrimeField",
-    "ProjectivePoint",
-    "RationalField",
-    "ReducibleCurveError",
-    "ReflectionProduct",
-    "ResidueModule",
-    "ResidueSubmodule",
-    "RestrictionImage",
-    "RootSearchResult",
-    "SmoothPoint",
-    "UnsupportedCurveError",
-    "act_by_word",
-    "adjust_to_spin",
-    "apply_reflection",
-    "apply_word",
-    "basis_vector",
-    "canonical_vector",
-    "catalog_to_csv",
-    "classify_cubic",
-    "classify_isometry",
-    "coble_conditions",
-    "configuration",
-    "cremona_quadratic",
-    "effective_curves_basis",
-    "effectivity_test",
-    "enumerate_roots",
-    "find_root_in_submodule",
-    "generator_images",
-    "gram_matrix",
-    "halphen_index_check",
-    "halphen_prohibited_classes",
-    "harbourne_check",
-    "inner",
-    "integer_kernel",
-    "integer_left_inverse",
-    "invariant_sublattice_basis",
-    "iota",
-    "iota_isometry",
-    "is_coble_set",
-    "is_unnodal_halphen",
-    "kernel_submodule_generators",
-    "noether_reduce",
-    "projectively_equivalent",
-    "q2_value",
-    "reflect",
-    "reflection_isometry",
-    "represent_unit",
-    "residue_counts_mod2",
-    "residue_mod2",
-    "restriction_hom",
-    "root_basis_coordinates",
-    "simple_reflection",
-    "simple_roots",
-    "smith_normal_form",
-    "solve_integer",
-    "spinor_norm",
-    "square_class",
-    "torsion_set_check",
-    "translation_isometry",
-    "unnodal_by_kernel",
-    "vector",
-    "witt_extend",
-    "word_to_isometry",
-]
+# (module, public names it defines): the one source of the package's exports
+_EXPORTS = (
+    ("errors", (
+        "BudgetError", "CurveError", "DomainError", "ReducibleCurveError",
+        "UnsupportedCurveError",
+    )),
+    ("lattice", (
+        "HyperbolicLattice", "LatticeIsometry", "LatticeVector", "basis_vector",
+        "canonical_vector", "gram_matrix", "inner", "simple_roots", "vector",
+    )),
+    ("weyl", (
+        "IsometryClass", "apply_word", "classify_isometry", "invariant_sublattice_basis",
+        "iota", "iota_isometry", "noether_reduce", "reflect", "reflection_isometry",
+        "simple_reflection", "translation_isometry", "word_to_isometry",
+    )),
+    ("catalog", (
+        "ClassFamily", "catalog_to_csv", "coble_conditions", "enumerate_roots",
+        "halphen_prohibited_classes", "q2_value", "residue_counts_mod2", "residue_mod2",
+        "root_basis_coordinates",
+    )),
+    ("fields", ("ExtensionField", "Field", "FieldElement", "PrimeField", "RationalField")),
+    ("projgeom", ("Poly3", "ProjectivePoint")),
+    ("cubic", (
+        "CubicCurveModel", "RestrictionImage", "SmoothPoint", "classify_cubic",
+        "generator_images", "halphen_index_check", "harbourne_check",
+        "kernel_submodule_generators", "restriction_hom", "torsion_set_check",
+        "unnodal_by_kernel",
+    )),
+    ("plane", (
+        "PointConfiguration", "act_by_word", "configuration", "cremona_quadratic",
+        "effective_curves_basis", "effectivity_test", "is_coble_set", "is_unnodal_halphen",
+        "projectively_equivalent",
+    )),
+    ("smith", ("integer_kernel", "integer_left_inverse", "smith_normal_form", "solve_integer")),
+    ("residue", (
+        "ReflectionProduct", "ResidueModule", "ResidueSubmodule", "RootSearchResult",
+        "adjust_to_spin", "apply_reflection", "find_root_in_submodule", "represent_unit",
+        "spinor_norm", "square_class", "witt_extend",
+    )),
+)
+
+__all__ = tuple(sorted(name for _, names in _EXPORTS for name in names))
+
+
+def __getattr__(name: str):
+    for module, names in _EXPORTS:
+        if name in names:
+            return getattr(import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

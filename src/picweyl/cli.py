@@ -11,17 +11,17 @@ import argparse
 import json
 import sys
 from collections import Counter
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .catalog import coble_conditions, enumerate_roots, residue_counts_mod2
-from .cubic import classify_cubic, harbourne_check
 from .errors import BudgetError, CurveError, DomainError
-from .fields import ExtensionField, Field, PrimeField
-from .lattice import LatticeIsometry, LatticeVector, gram_matrix, simple_roots
-from .plane import PointConfiguration, act_by_word, is_coble_set, is_unnodal_halphen
-from .projgeom import Poly3, ProjectivePoint
-from .residue import ResidueModule, find_root_in_submodule
-from .weyl import classify_isometry, invariant_sublattice_basis, noether_reduce, word_to_isometry
+
+# each command imports the layers it runs, so a process loads only those;
+# the names below serve the annotations alone
+if TYPE_CHECKING:
+    from .fields import Field
+    from .lattice import LatticeVector
+    from .plane import PointConfiguration
 
 _ENUMERATION_CAP = 16  # keeps enumerate-roots tractable from the shell
 
@@ -55,6 +55,8 @@ def _load_json(path: str):
 
 
 def _field_from_flags(args) -> Field:
+    from .fields import ExtensionField, PrimeField
+
     if args.p is None:
         raise _CliUsage("--p is required for this command")
     if args.e < 1:
@@ -65,6 +67,8 @@ def _field_from_flags(args) -> Field:
 
 
 def _vector_from_json_text(text: str) -> LatticeVector:
+    from .lattice import LatticeVector
+
     data = json.loads(text)
     if not isinstance(data, list):
         raise DomainError("--vector wants a JSON list of coordinates")
@@ -72,6 +76,9 @@ def _vector_from_json_text(text: str) -> LatticeVector:
 
 
 def _points_from_file(path: str, field: Field) -> PointConfiguration:
+    from .plane import PointConfiguration
+    from .projgeom import ProjectivePoint
+
     data = _load_json(path)
     if isinstance(data, dict):
         data = data["points"]
@@ -105,6 +112,8 @@ def _vec_list(v: LatticeVector) -> list[int]:
 
 
 def _cmd_gram(args) -> int:
+    from .lattice import gram_matrix, simple_roots
+
     g = gram_matrix(simple_roots(args.n))
     if args.json:
         print(_jdump({"n": args.n, "gram": [list(r) for r in g]}))
@@ -115,6 +124,8 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_enumerate_roots(args) -> int:
+    from .catalog import enumerate_roots
+
     if args.max_degree < 0:
         raise _CliUsage("--max-degree must be nonnegative")
     if args.n > _ENUMERATION_CAP:
@@ -140,6 +151,8 @@ def _cmd_enumerate_roots(args) -> int:
 
 
 def _cmd_coble_conditions(args) -> int:
+    from .catalog import coble_conditions
+
     fams = coble_conditions()
     by_label: dict[str, list] = {}
     for f in fams:
@@ -169,6 +182,8 @@ def _cmd_coble_conditions(args) -> int:
 
 
 def _cmd_residue_counts(args) -> int:
+    from .catalog import residue_counts_mod2
+
     iso, one = residue_counts_mod2()
     if args.json:
         print(_jdump({"isotropic": iso, "norm_one": one}))
@@ -178,6 +193,9 @@ def _cmd_residue_counts(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .lattice import LatticeIsometry
+    from .weyl import classify_isometry, word_to_isometry
+
     data = _load_json(args.input) if args.input else None
     if isinstance(data, dict) and "matrix" in data:
         g = LatticeIsometry(tuple(tuple(int(x) for x in row) for row in data["matrix"]))
@@ -205,6 +223,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .weyl import noether_reduce
+
     if args.vector is None:
         raise _CliUsage("--vector is required")
     r = _vector_from_json_text(args.vector)
@@ -227,6 +247,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_halphen_check(args) -> int:
+    from .plane import is_unnodal_halphen
+
     field = _field_from_flags(args)
     cfg = _points_from_file(args.points, field)
     ok, witness = is_unnodal_halphen(cfg, args.m)
@@ -243,6 +265,8 @@ def _cmd_halphen_check(args) -> int:
 
 
 def _cmd_coble_check(args) -> int:
+    from .plane import is_coble_set
+
     field = _field_from_flags(args)
     cfg = _points_from_file(args.points, field)
     ok, report = is_coble_set(cfg)
@@ -256,6 +280,9 @@ def _cmd_coble_check(args) -> int:
 
 
 def _cmd_harbourne_check(args) -> int:
+    from .cubic import classify_cubic, harbourne_check
+    from .projgeom import Poly3
+
     field = _field_from_flags(args)
     params = _params_from_file(args.params, field)
     model = classify_cubic(Poly3.from_coeff_map(field, {"021": 1, "300": -1}))
@@ -271,6 +298,8 @@ def _cmd_harbourne_check(args) -> int:
 
 
 def _cmd_cremona_act(args) -> int:
+    from .plane import act_by_word
+
     field = _field_from_flags(args)
     cfg = _points_from_file(args.points, field)
     word = _word_from_args(args)
@@ -284,6 +313,8 @@ def _cmd_cremona_act(args) -> int:
 
 
 def _cmd_orbit_fixed(args) -> int:
+    from .weyl import invariant_sublattice_basis, word_to_isometry
+
     word = _word_from_args(args)
     g = word_to_isometry(word, args.n)
     basis = invariant_sublattice_basis(g)
@@ -297,6 +328,8 @@ def _cmd_orbit_fixed(args) -> int:
 
 
 def _cmd_find_root_mod(args) -> int:
+    from .residue import ResidueModule, find_root_in_submodule
+
     if args.budget is not None and args.budget < 0:
         raise _CliUsage("--budget must be nonnegative")
     data = _load_json(args.gens)
@@ -328,6 +361,11 @@ def _cmd_find_root_mod(args) -> int:
 
 def _cmd_report(args) -> int:
     import random
+
+    from .catalog import coble_conditions, enumerate_roots, residue_counts_mod2
+    from .fields import ExtensionField, PrimeField
+    from .residue import ResidueModule, find_root_in_submodule
+    from .weyl import classify_isometry, word_to_isometry
 
     seed = args.seed if args.seed is not None else 0
     rng = random.Random(seed)

@@ -60,14 +60,6 @@ def _q_int(x) -> int:
     return _b_int(x, x) // 2
 
 
-def _reflect_coord(x, i):
-    """s_i in simple-root coordinates: only coordinate i moves."""
-    gram, neighbours = _form(len(x))
-    out = list(x)
-    out[i] += sum(gram[i][j] * x[j] for j in neighbours[i])
-    return tuple(out)
-
-
 class ResidueModule:
     """The canonical complement k_n^perp with coefficients in Z/m."""
 
@@ -151,7 +143,13 @@ class ResidueModule:
 
 class ResidueSubmodule:
     """Subgroup of (Z/m)^n spanned by a generating set, with Smith-form
-    structure data computed on first use."""
+    structure data computed on first use.
+
+    With U.[generators | m.I].V = D in Smith form, x lies in the subgroup
+    iff (U.x)_i = 0 mod d_i for every i.  Rows with d_i = 1 never fail, so
+    only the others are kept, reduced mod their d_i: these residues are the
+    syndrome of x, which is zero exactly on the subgroup.
+    """
 
     def __init__(self, module: ResidueModule, generators):
         self.module = module
@@ -168,11 +166,14 @@ class ResidueSubmodule:
         u, d, _ = smith_normal_form(a)
         diag = diagonal_of(d)
         factors = tuple(diag[i] for i in range(n))
+        checks = tuple(
+            (tuple(c % f for c in row), f) for row, f in zip(u, factors) if f != 1
+        )
         uinv = integer_left_inverse(u)
         basis = tuple(
             tuple(uinv[i][j] % m for i in range(n)) for j in range(n)
         )
-        self._structure = (u, factors, basis)
+        self._structure = (checks, factors, basis)
         return self._structure
 
     @property
@@ -185,16 +186,17 @@ class ResidueSubmodule:
 
     def free_basis(self) -> list[tuple[int, ...]]:
         """Vectors generating a free direct summand, one per unit factor."""
-        u, factors, basis = self._compute()
+        _, factors, basis = self._compute()
         return [b for b, f in zip(basis, factors) if f == 1]
 
+    def syndrome(self, x) -> tuple[int, ...]:
+        """(U.x)_i mod d_i over the factors d_i != 1, for an integer vector x."""
+        return tuple(
+            sum(a * b for a, b in zip(row, x)) % f for row, f in self._compute()[0]
+        )
+
     def contains(self, x) -> bool:
-        u, factors, _ = self._compute()
-        xr = self.module.reduce(x)
-        for row, f in zip(u, factors):
-            if sum(a * b for a, b in zip(row, xr)) % f:
-                return False
-        return True
+        return not any(self.syndrome(self.module.reduce(x)))
 
     def __repr__(self):
         return (
@@ -518,10 +520,7 @@ def find_root_in_submodule(
         )
     depth = _WORD_DEPTH if max_depth is None else max_depth
     if method == "theory":
-        reason = (
-            f"no word of length <= {depth} carries the base root"
-            " into the combined rank-8 piece"
-        )
+        reason = f"no word of length <= {depth} carries the base root into the submodule"
         return _search(sub, [1], depth, max_visited, "Theory", reason, _theory_target(sub))
     if method == "orbit-bfs":
         reason = f"no orbit root within depth {depth} has its residue in the submodule"
@@ -564,7 +563,7 @@ def _search(sub, bases, depth, cap, method, reason, target=None) -> RootSearchRe
     beside a found root, as "residue" beside an inconclusive one."""
     module = sub.module
     starts = [tuple(int(i == j) for j in range(module.rank)) for i in bases]
-    found = _word_search(starts, sub.contains, depth, cap)
+    found = _word_search(starts, sub, depth, cap)
     if not isinstance(found, tuple):
         certificate = {"method": method, "modulus": module.m}
         if target is not None:
@@ -592,9 +591,9 @@ def _search(sub, bases, depth, cap, method, reason, target=None) -> RootSearchRe
     return RootSearchResult("found", root, certificate)
 
 
-def _word_search(starts, accept, depth: int, cap: int):
-    """Breadth-first search over Weyl words for an integer root that accept
-    takes, starting from the given roots.
+def _word_search(starts, sub: ResidueSubmodule, depth: int, cap: int):
+    """Breadth-first search over Weyl words for an integer root whose
+    residue lies in sub, starting from the given roots.
 
     Roots are discovered parent by parent, letters 0..n-1 under each, and
     each level (words one letter longer) is committed whole: a level that
@@ -603,36 +602,61 @@ def _word_search(starts, accept, depth: int, cap: int):
     depends on the arguments alone.  The W(E_10)-orbit of a root is
     infinite, so every level adds roots.
 
+    Membership is carried, not recomputed: s_i adds delta = (G.x)_i to
+    coordinate i alone, so a child's syndrome is its parent's plus
+    delta times column i of the kept Smith rows, and a root is accepted
+    when its syndrome is zero.
+
     Returns (start index, word, root) for the first accepted root in
     discovery order, a reason string when the cap ends the search, or None
     when no root reached by a word of length <= depth is accepted.
     """
+    checks = sub._compute()[0]
+    n = len(starts[0])
+    gram, neighbours = _form(n)
+    letters = [
+        (i, [(j, gram[i][j]) for j in neighbours[i]], [(row[i], f) for row, f in checks])
+        for i in range(n)
+    ]
+    zero = (0,) * len(checks)
     nodes = list(starts)
+    syndromes = [sub.syndrome(x) for x in nodes]
     parents: list[tuple[int, int] | None] = [None] * len(nodes)
     seen = set(nodes)
     lo = 0
     for level in range(depth + 1):
         if level:
-            children = []
-            for idx in range(lo, len(nodes)):
+            top = len(nodes)
+            for idx in range(lo, top):
                 x = nodes[idx]
-                for letter in range(len(x)):
-                    child = _reflect_coord(x, letter)
+                s = syndromes[idx]
+                for letter, terms, column in letters:
+                    delta = 0
+                    for j, g in terms:
+                        delta += g * x[j]
+                    if not delta:  # s_i fixes x, which is already seen
+                        continue
+                    child = list(x)
+                    child[letter] += delta
+                    child = tuple(child)
                     if child not in seen:
                         seen.add(child)
-                        children.append((child, idx, letter))
-            if len(nodes) + len(children) > cap:
-                return f"orbit capped at {len(nodes)} roots before level {level}"
-            lo = len(nodes)
-            for child, idx, letter in children:
-                nodes.append(child)
-                parents.append((idx, letter))
-        for idx in range(lo, len(nodes)):
-            if accept(nodes[idx]):
-                word = []
-                start = idx
-                while parents[start] is not None:
-                    start, letter = parents[start]
-                    word.append(letter)
-                return start, word[::-1], nodes[idx]
+                        nodes.append(child)
+                        parents.append((idx, letter))
+                        syndromes.append(
+                            tuple([(a + delta * c) % f for a, (c, f) in zip(s, column)])
+                        )
+            if len(nodes) > cap:
+                return f"orbit capped at {top} roots before level {level}"
+            lo = top
+        try:
+            idx = syndromes.index(zero, lo)
+        except ValueError:
+            continue
+        word = []
+        start = idx
+        while parents[start] is not None:
+            start, letter = parents[start]
+            word.append(letter)
+        return start, word[::-1], nodes[idx]
     return None

@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from . import polys
-from .fields import QQ
 from .lattice import (
     LatticeIsometry,
     LatticeVector,
@@ -246,41 +243,50 @@ def _charpoly_coeffs(rows) -> list[int]:
     return coeffs
 
 
-def _ascending_qq(coeffs) -> list[Fraction]:
-    return [Fraction(c) for c in reversed(coeffs)]
+def _divmod_monic(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic den, both descending
+    integer coefficients; monic division never leaves the integers."""
+    out = list(num)
+    top = len(num) - len(den) + 1
+    for i in range(top):
+        c = out[i]
+        if c:
+            for j in range(1, len(den)):
+                out[i + j] -= c * den[j]
+    return out[:top], out[top:]
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     """The d-th cyclotomic polynomial (descending coeffs): x^d - 1 divided
     by the cyclotomic polynomials of the proper divisors of d."""
-    num = _ascending_qq([1] + [0] * (d - 1) + [-1])
+    num = [1] + [0] * (d - 1) + [-1]
     for e in range(1, d):
         if d % e == 0:
-            num = polys.divmod_poly(QQ, num, _ascending_qq(_cyclotomic_coeffs(e)))[0]
-    return tuple(int(c) for c in reversed(num))
+            num = _divmod_monic(num, _cyclotomic_coeffs(e))[0]
+    return tuple(num)
 
 
 def _strip_cyclotomic(coeffs: list[int]) -> tuple[list[int], list[int]]:
     """Divide out every cyclotomic factor; return (indices found, remainder),
     the remainder as descending coefficients like the input."""
     deg = len(coeffs) - 1
-    rem = _ascending_qq(coeffs)
+    rem = list(coeffs)
     found = []
     d = 1
     # totient(d) >= sqrt(d/2), so indices with totient <= deg live below 2(deg+1)^2
     while d <= 2 * (deg + 1) * (deg + 1) and len(rem) > 1:
         totient = math.prod(p ** (k - 1) * (p - 1) for p, k in factor(d).items())
         if totient <= deg:
-            cd = _ascending_qq(_cyclotomic_coeffs(d))
+            cd = _cyclotomic_coeffs(d)
             while len(rem) >= len(cd):
-                q, r = polys.divmod_poly(QQ, rem, cd)
-                if r:
+                q, r = _divmod_monic(rem, cd)
+                if any(r):
                     break
                 rem = q
                 found.append(d)
         d += 1
-    return found, [int(c) for c in reversed(rem)]
+    return found, rem
 
 
 def _max_root_modulus(coeffs: list[int]) -> float:

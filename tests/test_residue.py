@@ -143,6 +143,25 @@ class TestSubmodule:
             v = M.reduce(tuple(rng.randrange(3) for _ in range(10)))
             assert sub.contains(v) == (v in span)
 
+    @given(
+        st.sampled_from([2, 3]),
+        st.lists(st.tuples(*[st.integers(-4, 4) for _ in range(10)]), min_size=1, max_size=4),
+        st.lists(st.integers(0, 2), min_size=4, max_size=4),
+        st.tuples(*[st.integers(-4, 4) for _ in range(10)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_membership_matches_span_enumeration(self, m, gens, coeffs, x):
+        # the syndrome rows against every combination of the generators
+        M = ResidueModule(m)
+        sub = M.submodule(gens)
+        span = {
+            M.reduce([sum(c * g[i] for c, g in zip(cs, gens)) for i in range(10)])
+            for cs in product(range(m), repeat=len(gens))
+        }
+        assert sub.contains(x) == (M.reduce(x) in span)
+        member = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(10)]
+        assert sub.contains(member)
+
     def test_invariant_factors_of_scaled_lattice(self):
         M = ResidueModule(6)
         gens = [M.smul(2, M.simple_residue(i)) for i in range(10)]
@@ -346,6 +365,95 @@ def random_rank8_submodule(module, rng):
             return sub
 
 
+def _reference_word_search(starts, sub, depth, cap):
+    """The word search with no syndromes: each level is built whole, then
+    its roots are tested one by one with sub.contains."""
+    gram = sub.module.gram
+    nodes = list(starts)
+    parents = [None] * len(nodes)
+    seen = set(nodes)
+    lo = 0
+    for level in range(depth + 1):
+        if level:
+            children = []
+            for idx in range(lo, len(nodes)):
+                x = nodes[idx]
+                for letter in range(len(x)):
+                    child = list(x)
+                    child[letter] += sum(g * c for g, c in zip(gram[letter], x))
+                    child = tuple(child)
+                    if child not in seen:
+                        seen.add(child)
+                        children.append((child, idx, letter))
+            if len(nodes) + len(children) > cap:
+                return f"orbit capped at {len(nodes)} roots before level {level}"
+            lo = len(nodes)
+            for child, idx, letter in children:
+                nodes.append(child)
+                parents.append((idx, letter))
+        for idx in range(lo, len(nodes)):
+            if sub.contains(nodes[idx]):
+                word = []
+                start = idx
+                while parents[start] is not None:
+                    start, letter = parents[start]
+                    word.append(letter)
+                return start, word[::-1], nodes[idx]
+    return None
+
+
+def _search_outcome(sub, method, **kwargs):
+    try:
+        out = find_root_in_submodule(sub, method, **kwargs)
+    except (BudgetError, DomainError) as err:
+        return type(err).__name__, str(err)
+    return out.status, out.certificate
+
+
+def _twisted(module, gens, rng):
+    """The generators moved by a random Weyl word, an automorphism of the
+    module: the invariant factors stay, the coordinates get mixed."""
+    gens = [list(g) for g in gens]
+    for _ in range(30):
+        i = rng.randrange(module.rank)
+        for g in gens:
+            g[i] += sum(a * b for a, b in zip(module.gram[i], g))
+    return [module.reduce(g) for g in gens]
+
+
+def _syndrome_panel():
+    """Submodules of free rank 8, 9 and 10 for every m from 2 to 30, and
+    free rank 8 with torsion factors other than m where m has them."""
+    rng = random.Random("syndrome-panel")
+    panel = []
+    for m in range(2, 31):
+        M = ResidueModule(m)
+        for rank in (8, 9, 10):
+            while True:
+                sub = M.submodule(
+                    [tuple(rng.randrange(m) for _ in range(10)) for _ in range(rank)]
+                )
+                if sub.free_rank == rank:
+                    panel.append(sub)
+                    break
+        divisors = [d for d in range(2, m) if m % d == 0]
+        if divisors:
+            free = list(random_rank8_submodule(M, rng).generators)
+            extra = [
+                tuple(rng.choice(divisors) * rng.randrange(m) % m for _ in range(10))
+                for _ in range(2)
+            ]
+            panel.append(M.submodule(free + extra))
+    e = [tuple(int(i == j) for j in range(10)) for i in range(10)]
+    for m, torsion, factors in ((6, [(3, 8)], (3, 6)), (8, [(2, 8), (2, 9)], (2, 2))):
+        M = ResidueModule(m)
+        gens = e[:8] + [M.smul(c, e[i]) for c, i in torsion]
+        sub = M.submodule(_twisted(M, gens, rng))
+        assert sub.invariant_factors == (1,) * 8 + factors
+        panel.append(sub)
+    return panel
+
+
 class TestRootSearch:
     @pytest.mark.parametrize("method", ["theory", "orbit-bfs"])
     def test_finds_roots_small_moduli(self, method):
@@ -420,6 +528,26 @@ class TestRootSearch:
         again = find_root_in_submodule(sub, "orbit-bfs", max_visited=10)
         assert fresh.status == again.status == "inconclusive"
         assert fresh.certificate == again.certificate
+
+    def test_syndrome_search_matches_member_by_member_search(self, monkeypatch):
+        from picweyl import residue
+
+        panel = _syndrome_panel()
+        shapes = {(sub.module.m, sub.invariant_factors[8:]) for sub in panel}
+        assert {(6, (3, 6)), (8, (2, 2))} <= shapes
+        assert any(f not in (1, sub.module.m) for sub in panel for f in sub.invariant_factors)
+        # theory's target costs far more than its search: a third of the panel
+        # and the two named shapes are enough to pin its certificates
+        runs = [(sub, "theory", {}) for sub in panel[::3] + panel[-2:]]
+        runs += [(sub, "orbit-bfs", {}) for sub in panel]
+        # orbit-bfs holds 295 roots after level 14: a cap met exactly
+        runs += [(sub, "orbit-bfs", {"max_visited": 295}) for sub in panel[::7]]
+        fast = [_search_outcome(sub, method, **kw) for sub, method, kw in runs]
+        monkeypatch.setattr(residue, "_word_search", _reference_word_search)
+        slow = [_search_outcome(sub, method, **kw) for sub, method, kw in runs]
+        assert fast == slow
+        statuses = {outcome[0] for outcome in fast}
+        assert {"found", "inconclusive"} <= statuses
 
     def test_other_ranks_rejected(self):
         for n in (9, 11):

@@ -229,3 +229,34 @@ def test_cyclotomic_coeffs_match_sympy():
     for d in range(1, 301):
         expected = tuple(int(c) for c in Poly(cyclotomic_poly(d, x), x).all_coeffs())
         assert _cyclotomic_coeffs(d) == expected, d
+
+
+def test_strip_cyclotomic_matches_sympy_factorization():
+    # the integer division must find exactly the cyclotomic irreducible
+    # factors sympy finds over ZZ, with multiplicity, and leave the rest
+    from sympy import Poly, Symbol, cyclotomic_poly, factor_list, totient
+
+    from picweyl.weyl import _charpoly_coeffs, _strip_cyclotomic
+
+    x = Symbol("x")
+    rng = random.Random(23)
+    for trial in range(80):
+        if trial % 4:
+            n = rng.randrange(3, 12)
+            word = [rng.randrange(n) for _ in range(rng.randrange(0, 41))]
+        else:  # Coxeter elements and their squares are hyperbolic for n >= 10
+            n = rng.randrange(10, 12)
+            word = rng.sample(range(n), n) * rng.randrange(1, 3)
+        coeffs = _charpoly_coeffs(word_to_isometry(word, n).rows)
+        indices, remainder = _strip_cyclotomic(coeffs)
+        expected, rest = [], Poly(1, x)
+        for f, mult in factor_list(Poly(coeffs, x))[1]:
+            k = f.degree()
+            ds = [d for d in range(1, 2 * (k + 1) ** 2 + 1)
+                  if totient(d) == k and Poly(cyclotomic_poly(d, x), x) == f]
+            if ds:
+                expected += ds * mult
+            else:
+                rest *= f**mult
+        assert indices == sorted(expected), word
+        assert remainder == [int(c) for c in rest.all_coeffs()], word

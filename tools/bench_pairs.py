@@ -13,8 +13,11 @@ length on both sides, the parent first in even pairs and the change
 first in odd ones.  Every run's last (JSON) stdout line is written, with
 its pair, side, seed and exit code, to BENCH_<N>_pairs.json at the root of
 the checkout; the file is rewritten after every pair, so an interrupted
-run keeps the pairs it finished.  The exit code is 1 when any run
-failed.
+run keeps the pairs it finished.  After the last pair a summary goes to
+stdout: per workload, each end-to-end metric's median on either side and
+the number of pairs in which the change reads better, and the median
+number of attempted operations on either side (peak_rss_mb grows with
+it, since every record is kept).  The exit code is 1 when any run failed.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -41,6 +45,45 @@ def _unpack(sha: str, dest: Path) -> None:
                           capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def _median(values: list) -> str:
+    return f"{statistics.median(values):.4g}" if values else "-"
+
+
+def summary(spec: dict, record: dict) -> list[str]:
+    """Lines for the pairs in record: per workload and end-to-end metric,
+    the median of each side and the pairs the change is ahead in; then the
+    median attempted operations of each side.  A failed run has no values."""
+    lines = []
+    for name, runs in record["workloads"].items():
+        pairs: dict[int, dict] = {}
+        for run in runs:
+            pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
+        title = f"{name}, {len(pairs)} pairs"
+        lines.append(f"{title:26s}{'parent':>10s}{'change':>10s}  change ahead")
+        for metric in spec["end_to_end"]:
+            key, higher = metric["name"], metric["better"] == "higher"
+            values: dict[str, list] = {"parent": [], "change": []}
+            ahead = both = 0
+            for sides in pairs.values():
+                got = {side: res.get("metrics", {}).get(key, {}).get("value")
+                       for side, res in sides.items()}
+                for side, value in got.items():
+                    if value is not None:
+                        values[side].append(value)
+                if got.get("parent") is not None and got.get("change") is not None:
+                    both += 1
+                    diff = got["change"] - got["parent"]
+                    ahead += diff > 0 if higher else diff < 0
+            lines.append(f"  {key:24s}{_median(values['parent']):>10s}"
+                         f"{_median(values['change']):>10s}  {ahead}/{both}")
+        attempted = {side: [run["result"]["attempted"] for run in runs
+                            if run["side"] == side and "attempted" in run["result"]]
+                     for side in ("parent", "change")}
+        lines.append(f"  {'attempted operations':24s}{_median(attempted['parent']):>10s}"
+                     f"{_median(attempted['change']):>10s}")
+    return lines
 
 
 def main() -> int:
@@ -91,6 +134,7 @@ def main() -> int:
                     print(f"{name} pair {pair} {side}: exit {code} ops_per_s {ops}",
                           file=sys.stderr)
                 out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print("\n".join(summary(spec, record)))
     print(out)
     return 1 if failed else 0
 
