@@ -10,6 +10,9 @@ reflections act by changing a single coordinate, which keeps the Weyl-word
 search cheap: both root-search methods run that one breadth-first search
 over integer roots, and differ only in the simple roots it starts from and
 in the certificate they report.  It needs the unimodular case n = 10.
+Submodule membership is a syndrome, the residues of the Smith rows whose
+invariant factor is not 1; the search carries it from parent to child,
+adding one scaled column per reflection, instead of testing every root.
 """
 
 from __future__ import annotations
@@ -614,6 +617,7 @@ def _word_search(starts, sub: ResidueSubmodule, depth: int, cap: int):
     checks = sub._compute()[0]
     n = len(starts[0])
     gram, neighbours = _form(n)
+    # per letter i: the terms of (G.x)_i, and column i of the kept rows with their factors
     letters = [
         (i, [(j, gram[i][j]) for j in neighbours[i]], [(row[i], f) for row, f in checks])
         for i in range(n)
