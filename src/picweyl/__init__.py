@@ -21,7 +21,8 @@ _EXPORTS = (
     )),
     ("lattice", (
         "HyperbolicLattice", "LatticeIsometry", "LatticeVector", "basis_vector",
-        "canonical_vector", "gram_matrix", "inner", "simple_roots", "vector",
+        "canonical_vector", "gram_matrix", "inner", "root_basis_coordinates", "simple_roots",
+        "vector",
     )),
     ("weyl", (
         "IsometryClass", "apply_word", "classify_isometry", "invariant_sublattice_basis",
@@ -31,7 +32,6 @@ _EXPORTS = (
     ("catalog", (
         "ClassFamily", "catalog_to_csv", "coble_conditions", "enumerate_roots",
         "halphen_prohibited_classes", "q2_value", "residue_counts_mod2", "residue_mod2",
-        "root_basis_coordinates",
     )),
     ("fields", ("ExtensionField", "Field", "FieldElement", "PrimeField", "RationalField")),
     ("projgeom", ("Poly3", "ProjectivePoint")),

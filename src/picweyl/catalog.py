@@ -8,6 +8,9 @@ the canonical vector, i.e. integer solutions of
 The second equation forces |m_i| <= m_0 + 1 outright, and m_i <= m_0 whenever
 m_0 >= 1 (an entry m_0 + 1 alone already overshoots the square budget); both
 bounds are asserted below.
+
+Simple-root coordinates, and with them the mod-2 residues, come from the
+closed-form change of basis in `lattice`.
 """
 
 from __future__ import annotations
@@ -16,38 +19,12 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .lattice import LatticeVector, canonical_vector, inner, simple_roots
+from .lattice import LatticeVector, canonical_vector, root_basis_coordinates
 from .residue import ResidueModule
-from .smith import integer_left_inverse
 
 
 # ---------------------------------------------------------------------------
-# coordinates in the simple-root basis, and the quadratic form mod 2
-
-
-@lru_cache(maxsize=None)
-def root_basis_left_inverse(n: int) -> tuple[tuple[int, ...], ...]:
-    cols = simple_roots(n)
-    b = [[cols[j].coords[i] for j in range(n)] for i in range(n + 1)]
-    return tuple(tuple(row) for row in integer_left_inverse(b))
-
-
-def root_basis_coordinates(v: LatticeVector) -> tuple[int, ...]:
-    """Coordinates of a vector from the canonical complement in the
-    simple-root basis.  Exact; raises if v is not in the span."""
-    n = v.n
-    if inner(v, canonical_vector(n)) != 0:
-        raise ValueError("vector is not orthogonal to the canonical vector")
-    li = root_basis_left_inverse(n)
-    c = tuple(sum(li[i][j] * v.coords[j] for j in range(n + 1)) for i in range(n))
-    roots = simple_roots(n)
-    check = [0] * (n + 1)
-    for ci, r in zip(c, roots):
-        for i in range(n + 1):
-            check[i] += ci * r.coords[i]
-    if tuple(check) != v.coords:
-        raise ValueError("vector is not in the simple-root span")
-    return c
+# the quadratic form mod 2 on simple-root coordinates
 
 
 def residue_mod2(v: LatticeVector) -> tuple[int, ...]:
@@ -175,8 +152,8 @@ class ClassFamily(NamedTuple):
         return self.representative.degree
 
 
-def _class_from_multiplicities(degree: int, mults: dict[int, int]) -> LatticeVector:
-    coords = [degree] + [0] * 10
+def _class_from_multiplicities(n: int, degree: int, mults: dict[int, int]) -> LatticeVector:
+    coords = [degree] + [0] * n
     for i, m in mults.items():
         coords[i] = -m
     return LatticeVector(tuple(coords))
@@ -195,15 +172,15 @@ def coble_conditions() -> tuple[ClassFamily, ...]:
     idx = range(1, 11)
 
     for i, j in combinations(idx, 2):
-        rep = _class_from_multiplicities(0, {i: 1, j: -1})
+        rep = _class_from_multiplicities(10, 0, {i: 1, j: -1})
         families.append(_family("coincident_pair", (i, j), (rep,)))
 
     for i, j, k in combinations(idx, 3):
-        rep = _class_from_multiplicities(1, {i: 1, j: 1, k: 1})
+        rep = _class_from_multiplicities(10, 1, {i: 1, j: 1, k: 1})
         families.append(_family("collinear_triple", (i, j, k), (rep,)))
 
     for s in combinations(idx, 6):
-        rep = _class_from_multiplicities(2, {i: 1 for i in s})
+        rep = _class_from_multiplicities(10, 2, {i: 1 for i in s})
         families.append(_family("conic_six", s, (rep,)))
 
     for t in combinations(idx, 3):
@@ -212,14 +189,14 @@ def coble_conditions() -> tuple[ClassFamily, ...]:
             omit = tuple(x for x in t if x != j)
             mults = {i: 1 for i in idx if i not in omit}
             mults[j] = 2
-            reps.append(_class_from_multiplicities(3, mults))
+            reps.append(_class_from_multiplicities(10, 3, mults))
         families.append(_family("singular_cubic_eight", t, tuple(reps)))
 
     reps = []
     for j in idx:
         mults = {i: 1 for i in idx}
         mults[j] = 3
-        reps.append(_class_from_multiplicities(4, mults))
+        reps.append(_class_from_multiplicities(10, 4, mults))
     families.append(_family("triple_point_quartic", tuple(idx), tuple(reps)))
 
     residues = {f.residue for f in families}
@@ -287,29 +264,19 @@ def halphen_prohibited_classes(m: int) -> tuple[LatticeVector, ...]:
                     out.append(LatticeVector(tuple(coords)))
         d += 1
 
+    triples = combinations(idx, 3)
+    lines = [_class_from_multiplicities(9, 1, dict.fromkeys(t, 1)) for t in triples]
     d = 0
     while 2 * (3 * d + 1) <= 3 * m:
-        for i, j, l in combinations(idx, 3):
-            base = d * minus_k
-            line = _line_class(i, j, l)
-            out.append(base + line)
+        out.extend(d * minus_k + line for line in lines)
         d += 1
 
     d = 1
     while 2 * (3 * d - 1) <= 3 * m:
-        for i, j, l in combinations(idx, 3):
-            base = d * minus_k
-            line = _line_class(i, j, l)
-            out.append(base - line)
+        out.extend(d * minus_k - line for line in lines)
         d += 1
 
     for r in out:
         assert r.is_root(k), f"prohibited class {r} is not a root"
     return tuple(out)
 
-
-def _line_class(i: int, j: int, l: int) -> LatticeVector:
-    coords = [1] + [0] * 9
-    for t in (i, j, l):
-        coords[t] = -1
-    return LatticeVector(tuple(coords))

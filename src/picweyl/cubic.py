@@ -45,7 +45,6 @@ import itertools
 import math
 
 from . import polys
-from .catalog import root_basis_coordinates
 from .errors import (
     BudgetError,
     CurveError,
@@ -54,7 +53,10 @@ from .errors import (
     UnsupportedCurveError,
 )
 from .fields import Field, FieldElement, PrimeField
-from .lattice import LatticeVector, canonical_vector, simple_roots
+from .lattice import (
+    LatticeVector, canonical_vector, root_basis_coordinates, root_basis_left_inverse,
+    simple_roots,
+)
 from .polys import Poly, roots_in_field
 from .projgeom import (
     Mat3,
@@ -1120,7 +1122,7 @@ def unnodal_by_kernel(
 
     Returns (verdict, witness_root, certificate).
     """
-    from .catalog import enumerate_roots, root_basis_left_inverse
+    from .catalog import enumerate_roots
     from .residue import ResidueModule
 
     pts = _as_point_list(points)

@@ -3,6 +3,9 @@
 The lattice has basis e_0, e_1, ..., e_n with e_0^2 = 1, e_i^2 = -1 and all
 mixed products zero.  Vectors are stored as integer coordinate tuples in this
 basis, index 0 first.  Everything here is exact integer arithmetic.
+
+The change to the simple-root basis lives here, in closed form; this module
+imports no other picweyl module, so every layer can use it.
 """
 
 from __future__ import annotations
@@ -161,6 +164,30 @@ def simple_roots(n: int) -> tuple[LatticeVector, ...]:
         c[i + 1] = -1
         roots.append(LatticeVector(tuple(c)))
     return tuple(roots)
+
+
+@lru_cache(maxsize=None)
+def root_basis_left_inverse(n: int) -> tuple[tuple[int, ...], ...]:
+    """Integer matrix taking v = sum c_i alpha_i to (c_0, ..., c_{n-1}), read
+    off coordinate by coordinate: c_0 = v_0, and c_i = min(i, 3) v_0 + v_1 +
+    ... + v_i for 0 < i < n."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    return tuple(
+        (max(1, min(i, 3)),) + tuple(int(j <= i) for j in range(1, n + 1))
+        for i in range(n)
+    )
+
+
+def root_basis_coordinates(v: LatticeVector) -> tuple[int, ...]:
+    """Coordinates of v in the simple-root basis.  The simple roots are a
+    Z-basis of the canonical complement, so 3 v_0 + v_1 + ... + v_n = 0 (the
+    last coordinate v_n = -c_{n-1}) is the whole membership check."""
+    c = v.coords
+    li = root_basis_left_inverse(len(c) - 1)
+    if 3 * c[0] + sum(c[1:]) != 0:
+        raise ValueError("vector is not orthogonal to the canonical vector")
+    return mat_vec(li, c)
 
 
 def gram_matrix(vectors: Iterable[LatticeVector]) -> tuple[tuple[int, ...], ...]:

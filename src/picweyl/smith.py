@@ -132,13 +132,6 @@ def solve_integer(a: list[list[int]], b: list[int]) -> list[int] | None:
     return [sum(v[i][k] * y[k] for k in range(ncols)) for i in range(ncols)]
 
 
-def lattice_gcd(xs) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, x)
-    return g
-
-
 # -- primality and factoring -------------------------------------------------
 
 _SMALL_PRIMES = (

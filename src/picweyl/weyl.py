@@ -7,6 +7,9 @@ Conventions used by every function here:
   apply_word(v, [2, 0]) first reflects in alpha_2, then in alpha_0;
 * word_to_isometry returns the matrix that reproduces apply_word when
   matrices act on column vectors.
+
+Both run on one integer letter kernel, `_apply_letters`; `reflect` and
+`simple_reflection` stay the independent, root-by-root definitions.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .lattice import (
     mat_mul,
     simple_roots,
 )
-from .smith import factor, integer_kernel, lattice_gcd
+from .smith import factor, integer_kernel
 
 
 def reflect(alpha: LatticeVector, v: LatticeVector) -> LatticeVector:
@@ -50,25 +53,37 @@ def simple_reflection(i: int, n: int) -> LatticeIsometry:
     return reflection_isometry(roots[i])
 
 
+def _apply_letters(rows: list[list[int]], word: Sequence[int], n: int) -> list[list[int]]:
+    """The letter kernel: apply the word's simple reflections, first letter
+    first, to the n + 1 rows of an integer matrix whose columns are vectors.
+    s_i (i >= 1) swaps rows i and i + 1; s_0 adds t = r_0 + r_1 + r_2 + r_3
+    to row 0 and takes t from rows 1 to 3."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    for letter in word:
+        if 0 < letter < n:
+            rows[letter], rows[letter + 1] = rows[letter + 1], rows[letter]
+        elif letter == 0:
+            t = [sum(col) for col in zip(*rows[:4])]
+            rows[0] = [a + b for a, b in zip(rows[0], t)]
+            rows[1:4] = [[a - b for a, b in zip(r, t)] for r in rows[1:4]]
+        else:
+            raise ValueError(f"letter {letter} outside 0..{n - 1}")
+    return rows
+
+
 def apply_word(v: LatticeVector, word: Sequence[int]) -> LatticeVector:
     """Apply the simple reflections named by word, first letter first."""
-    n = v.n
-    roots = simple_roots(n)
-    out = v
-    for letter in word:
-        if not 0 <= letter < n:
-            raise ValueError(f"letter {letter} outside 0..{n - 1}")
-        out = out + inner(out, roots[letter]) * roots[letter]
-    return out
+    rows = _apply_letters([[c] for c in v.coords], word, v.n)
+    return LatticeVector(tuple(r[0] for r in rows))
 
 
 def word_to_isometry(word: Sequence[int], n: int) -> LatticeIsometry:
     """Matrix of the word's composite, compatible with apply_word:
-    word_to_isometry(w, n).apply(v) == apply_word(v, w)."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    cols = [apply_word(basis_vector(j, n), word).coords for j in range(n + 1)]
-    return LatticeIsometry(tuple(zip(*cols)))
+    word_to_isometry(w, n).apply(v) == apply_word(v, w).  Each letter acts
+    on the rows, so on every column at once."""
+    rows = _apply_letters([list(r) for r in mat_identity(n + 1)], word, n)
+    return LatticeIsometry(tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -102,23 +117,14 @@ def translation_isometry(a: LatticeVector, m: int) -> LatticeIsometry:
     D |-> D - m (D.k) a + [ m (D.a) - (m^2/2) (D.k) (a.a) ] k
 
     where k is the canonical vector and a is orthogonal to it.  On the
-    complement of k this restricts to D |-> D + m (D.a) k, the same as
-    iota(m*a) restricted there.
+    complement of k this restricts to D |-> D + m (D.a) k.  It is iota(m a):
+    iota's formula at w = m a is the line above.
     """
-    k = canonical_vector(9)
     if len(a.coords) != 10:
         raise ValueError("translations live on Z^{1,9}")
-    if inner(a, k) != 0:
+    if inner(a, canonical_vector(9)) != 0:
         raise ValueError("section class must be orthogonal to the canonical vector")
-    half_aa = inner(a, a) // 2
-
-    def image(d: LatticeVector) -> LatticeVector:
-        dk = inner(d, k)
-        da = inner(d, a)
-        return d - (m * dk) * a + (m * da - m * m * half_aa * dk) * k
-
-    cols = [image(basis_vector(j, 9)).coords for j in range(10)]
-    return LatticeIsometry(tuple(zip(*cols)))
+    return iota_isometry(m * a)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +201,7 @@ def _parabolic_witness(g: LatticeIsometry) -> LatticeVector:
             for i in range(g.dim)
         )
     )
-    g0 = lattice_gcd(z.coords)
+    g0 = math.gcd(*z.coords)
     if g0 > 1:
         z = LatticeVector(tuple(c // g0 for c in z.coords))
     if z.degree < 0:

@@ -7,6 +7,7 @@ classes against the diagram Gram matrix, and the family sizes from the
 binomials C(10,2), C(10,3), C(10,6), C(10,7) plus the single quartic class.
 """
 
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -17,9 +18,11 @@ from picweyl import (
     canonical_vector,
     catalog_to_csv,
     coble_conditions,
+    basis_vector,
     enumerate_roots,
     halphen_prohibited_classes,
     inner,
+    integer_left_inverse,
     q2_value,
     residue_counts_mod2,
     residue_mod2,
@@ -98,6 +101,33 @@ def test_root_basis_coordinates_round_trip():
 def test_root_basis_coordinates_rejects_outside_span():
     with pytest.raises(ValueError):
         root_basis_coordinates(vector(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_root_basis_coordinates_match_smith_left_inverse(n):
+    # oracle: a left inverse of the simple-root matrix by Smith normal form;
+    # any left inverse agrees with the closed form on the span
+    rs = simple_roots(n)
+    li = integer_left_inverse([[r.coords[i] for r in rs] for i in range(n + 1)])
+    rng = random.Random(n)
+    combos = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(40)]
+    zero = vector(*[0] * (n + 1))
+    spanned = [sum((r * c for r, c in zip(rs, cs)), zero) for cs in combos]
+    for v in list(enumerate_roots(n, 3)) + spanned:
+        assert root_basis_coordinates(v) == tuple(
+            sum(a * b for a, b in zip(row, v.coords)) for row in li
+        )
+    assert [root_basis_coordinates(v) for v in spanned] == combos
+    # e_n pairs to -1 with the canonical vector: off the complement
+    for v in (basis_vector(n, n), spanned[0] + basis_vector(0, n)):
+        with pytest.raises(ValueError, match="not orthogonal"):
+            root_basis_coordinates(v)
+
+
+@pytest.mark.parametrize("coords", [(0, 1, -1), (1, -1)])
+def test_root_basis_coordinates_needs_three_points(coords):
+    with pytest.raises(ValueError, match="need n >= 3"):
+        root_basis_coordinates(vector(*coords))
 
 
 def test_coble_conditions_frozen_shape():

@@ -588,6 +588,23 @@ def test_no_unused_imports():
     assert found == []
 
 
+def test_lattice_imports_no_picweyl_module():
+    # lattice owns the change to the simple-root basis and every layer
+    # imports it; smith imports lattice.mat_mul, so a Smith-based basis
+    # change there would close an import cycle.  lattice stays a leaf.
+    import ast
+
+    path = Path(picweyl.__file__).resolve().parent / "lattice.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "picweyl":
+                found.append(f"{'.' * node.level}{node.module or ''}")
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "picweyl"]
+    assert found == []
+
+
 def test_no_unused_private_names():
     # a module-level private function, class or constant that nothing in the
     # package reads is dead code; a refactor that drops its last caller

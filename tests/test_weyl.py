@@ -82,6 +82,28 @@ def test_word_to_isometry_is_a_homomorphism():
     assert lhs.rows == rhs.rows
 
 
+@given(st.data())
+def test_apply_word_matches_reflect_letter_by_letter(data):
+    n = data.draw(st.integers(3, 12))
+    v = vector(*data.draw(st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1)))
+    word = data.draw(st.lists(st.integers(0, n - 1), max_size=30))
+    u = v
+    for letter in word:
+        u = reflect(simple_roots(n)[letter], u)
+    assert apply_word(v, word) == u
+    bad = data.draw(st.sampled_from([-1, n, n + 5]))
+    at = data.draw(st.integers(0, len(word)))
+    with pytest.raises(ValueError, match=f"letter {bad} outside"):
+        apply_word(v, word[:at] + [bad] + word[at:])
+
+
+def test_words_need_three_points():
+    with pytest.raises(ValueError, match="need n >= 3"):
+        apply_word(vector(1, 0, 0), [])
+    with pytest.raises(ValueError, match="need n >= 3"):
+        word_to_isometry([], 2)
+
+
 @pytest.mark.parametrize("n", [3, 4, 8, 9, 10, 11, 12])
 def test_word_to_isometry_matches_reflection_product(n):
     # reference: one simple-reflection matrix per letter, multiplied on the left
@@ -129,6 +151,25 @@ def test_translation_restricts_to_iota():
         for b in ALPHA:
             assert t.apply(b) == u.apply(b)
         assert t.fixes(K9)
+
+
+def test_translation_formula_on_the_whole_lattice():
+    # D - m (D.k) a + [m (D.a) - (m^2/2)(D.k)(a.a)] k on every e_j, e_0 and
+    # the vectors off the complement of k included
+    rng = random.Random(4)
+    for _ in range(30):
+        a = sum((b * rng.randint(-3, 3) for b in ALPHA), vector(*[0] * 10))
+        m = rng.choice([-2, -1, 0, 1, 2, 3])
+        t = translation_isometry(a, m)
+        for j in range(10):
+            d = basis_vector(j, 9)
+            dk, da = inner(d, K9), inner(d, a)
+            shift = m * da - m * m * (inner(a, a) // 2) * dk
+            assert t.apply(d) == d - a * (m * dk) + K9 * shift
+    with pytest.raises(ValueError, match="orthogonal"):
+        translation_isometry(basis_vector(1, 9), 1)
+    with pytest.raises(ValueError, match="translations live"):
+        translation_isometry(simple_roots(10)[1], 1)
 
 
 def test_classify_elliptic_simple_reflection():

@@ -1,7 +1,9 @@
 """Run the benchmark in alternating pairs of a parent and a change commit.
 
     python3 tools/bench_pairs.py --pr N --parent SHA [--change SHA]
-        [--pairs K] [--workload W ...]
+        [--pairs K] [--workload W] [--workload W2] ...
+
+--workload takes one name; pass it once per workload.
 
 Run from anywhere inside a checkout.  The committed files of each commit
 (--change defaults to HEAD) are unpacked with `git archive` into a
