@@ -15,10 +15,10 @@ import pytest
 
 from picweyl import (
     ClassFamily,
+    basis_vector,
     canonical_vector,
     catalog_to_csv,
     coble_conditions,
-    basis_vector,
     enumerate_roots,
     halphen_prohibited_classes,
     inner,
@@ -118,7 +118,7 @@ def test_root_basis_coordinates_match_smith_left_inverse(n):
             sum(a * b for a, b in zip(row, v.coords)) for row in li
         )
     assert [root_basis_coordinates(v) for v in spanned] == combos
-    # e_n pairs to -1 with the canonical vector: off the complement
+    # e_n, and a vector of the span plus e_0, lie off the complement
     for v in (basis_vector(n, n), spanned[0] + basis_vector(0, n)):
         with pytest.raises(ValueError, match="not orthogonal"):
             root_basis_coordinates(v)
