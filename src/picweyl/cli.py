@@ -27,7 +27,7 @@ _ENUMERATION_CAP = 16  # keeps enumerate-roots tractable from the shell
 
 
 class _CliUsage(Exception):
-    """Missing or malformed flags; maps to exit 1 like argparse errors."""
+    """Missing, malformed or conflicting flags; maps to exit 1 like argparse errors."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,11 +75,12 @@ def _vector_from_json_text(text: str) -> LatticeVector:
     return LatticeVector.from_json([str(c) for c in data])
 
 
-def _points_from_file(path: str, field: Field) -> PointConfiguration:
+def _points_from_args(args) -> PointConfiguration:
     from .plane import PointConfiguration
     from .projgeom import ProjectivePoint
 
-    data = _load_json(path)
+    field = _field_from_flags(args)
+    data = _load_json(args.points)
     if isinstance(data, dict):
         data = data["points"]
     pts = [ProjectivePoint.from_json(field, c) for c in data]
@@ -93,15 +94,21 @@ def _params_from_file(path: str, field: Field) -> list:
     return [field.element_from_json(c) for c in data]
 
 
-def _word_from_args(args) -> list[int]:
+def _word_input(args):
+    """The input file's JSON, or {"word": letters} from --word; never both."""
     if args.word is not None:
-        return _ints(args.word)
-    if getattr(args, "input", None):
-        data = _load_json(args.input)
-        if isinstance(data, dict) and "word" in data:
-            return [int(x) for x in data["word"]]
-        raise _CliUsage(f"{args.input} does not hold a word")
-    raise _CliUsage("give --word or an input file holding one")
+        if args.input:
+            raise _CliUsage("give --word or an input file, not both")
+        return {"word": _ints(args.word)}
+    if not args.input:
+        raise _CliUsage("give --word or an input file holding one")
+    return _load_json(args.input)
+
+
+def _letters(data, args) -> list[int]:
+    if isinstance(data, dict) and "word" in data:
+        return [int(x) for x in data["word"]]
+    raise _CliUsage(f"{args.input} does not hold a word")
 
 
 def _vec_list(v: LatticeVector) -> list[int]:
@@ -109,21 +116,19 @@ def _vec_list(v: LatticeVector) -> list[int]:
 
 
 # -- command bodies ----------------------------------------------------------
+# Each returns its exit code, its JSON object and its text lines; main alone
+# prints one or the other, so no body prints.
 
 
-def _cmd_gram(args) -> int:
+def _cmd_gram(args):
     from .lattice import gram_matrix, simple_roots
 
     g = gram_matrix(simple_roots(args.n))
-    if args.json:
-        print(_jdump({"n": args.n, "gram": [list(r) for r in g]}))
-    else:
-        for row in g:
-            print(" ".join(f"{x:3d}" for x in row))
-    return 0
+    lines = [" ".join(f"{x:3d}" for x in row) for row in g]
+    return 0, {"n": args.n, "gram": [list(r) for r in g]}, lines
 
 
-def _cmd_enumerate_roots(args) -> int:
+def _cmd_enumerate_roots(args):
     from .catalog import enumerate_roots
 
     if args.max_degree < 0:
@@ -132,97 +137,72 @@ def _cmd_enumerate_roots(args) -> int:
         raise DomainError(f"--n capped at {_ENUMERATION_CAP} for enumeration")
     roots = enumerate_roots(args.n, args.max_degree)
     census = Counter(r.coords[0] for r in roots)
-    if args.json:
-        print(
-            _jdump(
-                {
-                    "n": args.n,
-                    "max_degree": args.max_degree,
-                    "counts": {str(d): census[d] for d in sorted(census)},
-                    "roots": [_vec_list(r) for r in roots],
-                }
-            )
-        )
-    else:
-        for d in sorted(census):
-            print(f"degree {d}: {census[d]}")
-        print(f"total: {len(roots)}")
-    return 0
+    out = {
+        "n": args.n,
+        "max_degree": args.max_degree,
+        "counts": {str(d): census[d] for d in sorted(census)},
+        "roots": [_vec_list(r) for r in roots],
+    }
+    lines = [f"degree {d}: {census[d]}" for d in sorted(census)]
+    return 0, out, [*lines, f"total: {len(roots)}"]
 
 
-def _cmd_coble_conditions(args) -> int:
+def _cmd_coble_conditions(args):
     from .catalog import coble_conditions
 
     fams = coble_conditions()
     by_label: dict[str, list] = {}
     for f in fams:
         by_label.setdefault(f.label, []).append(f)
-    if args.json:
-        print(
-            _jdump(
-                {
-                    "total_classes": len(fams),
-                    "shapes": [
-                        {
-                            "label": label,
-                            "count": len(group),
-                            "points_involved": len(group[0].index_set),
-                            "representative": _vec_list(group[0].representatives[0]),
-                        }
-                        for label, group in by_label.items()
-                    ],
-                }
-            )
-        )
-    else:
-        for label, group in by_label.items():
-            print(f"{label}: {len(group)}")
-        print(f"total: {len(fams)}")
-    return 0
+    shapes = [
+        {
+            "label": label,
+            "count": len(group),
+            "points_involved": len(group[0].index_set),
+            "representative": _vec_list(group[0].representatives[0]),
+        }
+        for label, group in by_label.items()
+    ]
+    lines = [f"{label}: {len(group)}" for label, group in by_label.items()]
+    return 0, {"total_classes": len(fams), "shapes": shapes}, [*lines, f"total: {len(fams)}"]
 
 
-def _cmd_residue_counts(args) -> int:
+def _cmd_residue_counts(args):
     from .catalog import residue_counts_mod2
 
     iso, one = residue_counts_mod2()
-    if args.json:
-        print(_jdump({"isotropic": iso, "norm_one": one}))
-    else:
-        print(f"isotropic={iso} norm_one={one}")
-    return 0
+    return 0, {"isotropic": iso, "norm_one": one}, [f"isotropic={iso} norm_one={one}"]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     from .lattice import LatticeIsometry
     from .weyl import classify_isometry, word_to_isometry
 
-    data = _load_json(args.input) if args.input else None
+    data = _word_input(args)
     if isinstance(data, dict) and "matrix" in data:
         g = LatticeIsometry(tuple(tuple(int(x) for x in row) for row in data["matrix"]))
+        if args.n not in (None, g.n):
+            raise _CliUsage(f"--n {args.n} disagrees with the matrix, which has n = {g.n}")
     else:
-        word = _word_from_args(args)
-        g = word_to_isometry(word, args.n)
+        g = word_to_isometry(_letters(data, args), 10 if args.n is None else args.n)
     cls = classify_isometry(g)
-    if args.json:
-        out = {"kind": cls.kind}
-        if cls.order is not None:
-            out["order"] = cls.order
-        if cls.witness is not None:
-            out["witness"] = _vec_list(cls.witness)
-        if cls.spectral_radius is not None:
-            out["spectral_radius"] = cls.spectral_radius
-        print(_jdump(out))
-        return 0
+    out = {"kind": cls.kind}
+    if cls.order is not None:
+        out["order"] = cls.order
+    if cls.witness is not None:
+        out["witness"] = _vec_list(cls.witness)
+    if cls.spectral_radius is not None:
+        out["spectral_radius"] = cls.spectral_radius
     if cls.kind == "Elliptic":
-        print(f"kind=Elliptic order={cls.order} witness={_jdump(_vec_list(cls.witness))}")
+        line = f"kind=Elliptic order={cls.order} witness={_jdump(out['witness'])}"
     elif cls.kind == "Parabolic":
-        print(f"kind=Parabolic witness={_jdump(_vec_list(cls.witness))}")
+        line = f"kind=Parabolic witness={_jdump(out['witness'])}"
     else:
-        print(f"kind=Hyperbolic spectral_radius={cls.spectral_radius!r}")
-    return 0
+        line = f"kind=Hyperbolic spectral_radius={cls.spectral_radius!r}"
+    return 0, out, [line]
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args):
     from .weyl import noether_reduce
 
     if args.vector is None:
@@ -232,54 +212,34 @@ def _cmd_reduce(args) -> int:
         raise DomainError(f"vector has {len(r.coords)} coordinates, wanted {args.n + 1}")
     trace: list[str] | None = [] if args.trace else None
     terminal, word = noether_reduce(r, trace)
-    if args.json:
-        out = {"terminal": _vec_list(terminal), "word": list(word)}
-        if trace is not None:
-            out["trace"] = trace
-        print(_jdump(out))
-        return 0
-    if trace:
-        for line in trace:
-            print(line)
-    print(f"terminal={_jdump(_vec_list(terminal))}")
-    print(f"word={_jdump(list(word))}")
-    return 0
+    out = {"terminal": _vec_list(terminal), "word": list(word)}
+    if trace is not None:
+        out["trace"] = trace
+    lines = [*(trace or ()), f"terminal={_jdump(out['terminal'])}", f"word={_jdump(out['word'])}"]
+    return 0, out, lines
 
 
-def _cmd_halphen_check(args) -> int:
+def _cmd_halphen_check(args):
     from .plane import is_unnodal_halphen
 
-    field = _field_from_flags(args)
-    cfg = _points_from_file(args.points, field)
+    cfg = _points_from_args(args)
     ok, witness = is_unnodal_halphen(cfg, args.m)
-    if args.json:
-        out = {"halphen": ok}
-        if witness is not None:
-            out["witness"] = _vec_list(witness)
-        print(_jdump(out))
-    elif ok:
-        print("halphen=true")
-    else:
-        print(f"halphen=false witness={_jdump(_vec_list(witness))}")
-    return 0
+    out = {"halphen": ok}
+    if witness is not None:
+        out["witness"] = _vec_list(witness)
+    return 0, out, ["halphen=true" if ok else f"halphen=false witness={_jdump(out['witness'])}"]
 
 
-def _cmd_coble_check(args) -> int:
+def _cmd_coble_check(args):
     from .plane import is_coble_set
 
-    field = _field_from_flags(args)
-    cfg = _points_from_file(args.points, field)
+    cfg = _points_from_args(args)
     ok, report = is_coble_set(cfg)
-    if args.json:
-        print(_jdump({"coble": ok, "report": report}))
-    elif ok:
-        print("coble=true")
-    else:
-        print(f"coble=false violations={len(report['violations'])}")
-    return 0
+    line = "coble=true" if ok else f"coble=false violations={len(report['violations'])}"
+    return 0, {"coble": ok, "report": report}, [line]
 
 
-def _cmd_harbourne_check(args) -> int:
+def _cmd_harbourne_check(args):
     from .cubic import classify_cubic, harbourne_check
     from .projgeom import Poly3
 
@@ -288,46 +248,28 @@ def _cmd_harbourne_check(args) -> int:
     model = classify_cubic(Poly3.from_coeff_map(field, {"021": 1, "300": -1}))
     points = [model.point_from_parameter(t) for t in params]
     ok, info = harbourne_check(model, points)
-    if args.json:
-        print(_jdump({"harbourne": ok, "info": info}))
-    elif ok:
-        print("harbourne=true kernel=pK_perp")
-    else:
-        print("harbourne=false kernel=strictly_larger")
-    return 0
+    line = "harbourne=true kernel=pK_perp" if ok else "harbourne=false kernel=strictly_larger"
+    return 0, {"harbourne": ok, "info": info}, [line]
 
 
-def _cmd_cremona_act(args) -> int:
+def _cmd_cremona_act(args):
     from .plane import act_by_word
 
-    field = _field_from_flags(args)
-    cfg = _points_from_file(args.points, field)
-    word = _word_from_args(args)
-    out = act_by_word(cfg, word)
-    if args.json:
-        print(_jdump({"points": [p.to_json() for p in out.points]}))
-    else:
-        for p in out.points:
-            print(_jdump(p.to_json()))
-    return 0
+    cfg = _points_from_args(args)
+    points = [p.to_json() for p in act_by_word(cfg, _letters(_word_input(args), args)).points]
+    return 0, {"points": points}, [_jdump(p) for p in points]
 
 
-def _cmd_orbit_fixed(args) -> int:
+def _cmd_orbit_fixed(args):
     from .weyl import invariant_sublattice_basis, word_to_isometry
 
-    word = _word_from_args(args)
-    g = word_to_isometry(word, args.n)
-    basis = invariant_sublattice_basis(g)
-    if args.json:
-        print(_jdump({"fixed_rank": len(basis), "basis": [_vec_list(b) for b in basis]}))
-    else:
-        print(f"fixed_rank={len(basis)}")
-        for b in basis:
-            print(_jdump(_vec_list(b)))
-    return 0
+    g = word_to_isometry(_letters(_word_input(args), args), args.n)
+    basis = [_vec_list(b) for b in invariant_sublattice_basis(g)]
+    lines = [f"fixed_rank={len(basis)}", *(_jdump(b) for b in basis)]
+    return 0, {"fixed_rank": len(basis), "basis": basis}, lines
 
 
-def _cmd_find_root_mod(args) -> int:
+def _cmd_find_root_mod(args):
     from .residue import ResidueModule, find_root_in_submodule
 
     if args.budget is not None and args.budget < 0:
@@ -343,23 +285,21 @@ def _cmd_find_root_mod(args) -> int:
     if args.budget is not None:
         kwargs["max_depth"] = args.budget
     result = find_root_in_submodule(sub, method, **kwargs)
-    if args.trace and result.certificate.get("word") is not None:
-        print(f"trace: search depth {len(result.certificate['word'])}")
+    word = result.certificate.get("word")
+    out = {"status": result.status, "certificate": result.certificate}
+    lines = []
+    if args.trace:
+        out["trace"] = [] if word is None else [f"search depth {len(word)}"]
+        lines = [f"trace: {step}" for step in out["trace"]]
     if result.status != "found":
-        if args.json:
-            print(_jdump({"status": result.status, "certificate": result.certificate}))
-        else:
-            print(f"status=inconclusive reason={result.certificate.get('reason', '?')}")
-        return 3
-    if args.json:
-        print(_jdump({"status": "found", "certificate": result.certificate}))
-    else:
-        print(f"status=found root={_jdump(_vec_list(result.root))}")
-        print(f"word={_jdump(result.certificate['word'])}")
-    return 0
+        lines.append(f"status=inconclusive reason={result.certificate.get('reason', '?')}")
+        return 3, out, lines
+    lines.append(f"status=found root={_jdump(_vec_list(result.root))}")
+    lines.append(f"word={_jdump(word)}")
+    return 0, out, lines
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     import random
 
     from .catalog import coble_conditions, enumerate_roots, residue_counts_mod2
@@ -400,29 +340,32 @@ def _cmd_report(args) -> int:
         "cuspidal_example": ExtensionField(5, 12).descriptor(),
     }
     lines.append(f"field_descriptors: {_jdump(descriptors)}")
-    if args.json:
-        print(_jdump({"report": lines}))
-    else:
-        for line in lines:
-            print(line)
-    return 0
+    return 0, {"report": lines}, lines
 
 
-_COMMANDS = {
-    "gram": _cmd_gram,
-    "enumerate-roots": _cmd_enumerate_roots,
-    "coble-conditions": _cmd_coble_conditions,
-    "residue-counts": _cmd_residue_counts,
-    "classify": _cmd_classify,
-    "reduce": _cmd_reduce,
-    "halphen-check": _cmd_halphen_check,
-    "coble-check": _cmd_coble_check,
-    "harbourne-check": _cmd_harbourne_check,
-    "cremona-act": _cmd_cremona_act,
-    "orbit-fixed": _cmd_orbit_fixed,
-    "find-root-mod": _cmd_find_root_mod,
-    "report": _cmd_report,
-}
+# -- flag groups shared between commands, each declared once -----------------
+
+
+def _n_flag(p, default=10):
+    p.add_argument("--n", type=int, default=default)
+
+
+def _field_flags(p):
+    p.add_argument("--p", type=int, default=None)
+    p.add_argument("--e", type=int, default=1)
+
+
+def _word_flags(p, word_help=None, input_help="JSON file with a word"):
+    p.add_argument("--word", type=str, default=None, help=word_help)
+    p.add_argument("input", nargs="?", default=None, help=input_help)
+
+
+def _points_flag(p):
+    p.add_argument("--points", type=str, required=True, help="JSON points file")
+
+
+def _trace_flag(p):
+    p.add_argument("--trace", action="store_true", help="emit step logs")
 
 
 def _build_parser() -> _Parser:
@@ -430,67 +373,54 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"picweyl {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, trace=False, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, run, help, *groups):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if trace:
-            p.add_argument("--trace", action="store_true", help="emit step logs")
+        for group in groups:
+            group(p)
         return p
 
-    p = add("gram", help="Gram matrix of the simple-root basis")
-    p.add_argument("--n", type=int, default=10)
+    add("gram", _cmd_gram, "Gram matrix of the simple-root basis", _n_flag)
 
-    p = add("enumerate-roots", help="roots of bounded degree with their census")
-    p.add_argument("--n", type=int, default=10)
+    p = add("enumerate-roots", _cmd_enumerate_roots, "roots of bounded degree with their census",
+            _n_flag)
     p.add_argument("--max-degree", type=int, default=3)
 
-    add("coble-conditions", help="the 496 nodal-condition families")
-    add("residue-counts", help="mod-2 isotropic and norm-one counts")
+    add("coble-conditions", _cmd_coble_conditions, "the 496 nodal-condition families")
+    add("residue-counts", _cmd_residue_counts, "mod-2 isotropic and norm-one counts")
 
-    p = add("classify", help="elliptic/parabolic/hyperbolic type of a Weyl word")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--word", type=str, default=None, help="comma-separated letters")
-    p.add_argument("input", nargs="?", default=None, help="JSON file with a word or matrix")
+    p = add("classify", _cmd_classify, "elliptic/parabolic/hyperbolic type of a Weyl word")
+    _n_flag(p, default=None)  # 10 for a word; a matrix file carries its own n
+    _word_flags(p, "comma-separated letters", "JSON file with a word or matrix")
 
-    p = add("reduce", trace=True, help="reduce a root to its terminal form")
-    p.add_argument("--n", type=int, default=10)
+    p = add("reduce", _cmd_reduce, "reduce a root to its terminal form", _trace_flag, _n_flag)
     p.add_argument("--vector", type=str, default=None, help="JSON coordinate list")
 
-    p = add("halphen-check", help="index-m pencil test for nine points")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--e", type=int, default=1)
+    p = add("halphen-check", _cmd_halphen_check, "index-m pencil test for nine points",
+            _field_flags)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--points", type=str, required=True, help="JSON points file")
+    _points_flag(p)
 
-    p = add("coble-check", help="Coble test for ten points")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--e", type=int, default=1)
-    p.add_argument("--points", type=str, required=True, help="JSON points file")
+    add("coble-check", _cmd_coble_check, "Coble test for ten points", _field_flags, _points_flag)
 
-    p = add("harbourne-check", help="cuspidal restriction-kernel test")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--e", type=int, default=1)
+    p = add("harbourne-check", _cmd_harbourne_check, "cuspidal restriction-kernel test",
+            _field_flags)
     p.add_argument("--params", type=str, required=True, help="JSON parameter file")
 
-    p = add("cremona-act", help="apply a Weyl word to a point configuration")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--e", type=int, default=1)
-    p.add_argument("--word", type=str, default=None)
-    p.add_argument("--points", type=str, required=True, help="JSON points file")
-    p.add_argument("input", nargs="?", default=None, help="JSON file with a word")
+    add("cremona-act", _cmd_cremona_act, "apply a Weyl word to a point configuration",
+        _field_flags, _word_flags, _points_flag)
+    add("orbit-fixed", _cmd_orbit_fixed, "saturated fixed sublattice of a Weyl word",
+        _n_flag, _word_flags)
 
-    p = add("orbit-fixed", help="saturated fixed sublattice of a Weyl word")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--word", type=str, default=None)
-    p.add_argument("input", nargs="?", default=None, help="JSON file with a word")
-
-    p = add("find-root-mod", trace=True, help="root whose residue lies in a given submodule")
+    p = add("find-root-mod", _cmd_find_root_mod, "root whose residue lies in a given submodule",
+            _trace_flag)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--method", choices=("theory", "bfs"), default="theory")
     p.add_argument("--budget", type=int, default=None, help="search depth bound")
     p.add_argument("--gens", type=str, required=True, help="JSON generator file")
 
-    p = add("report", help="reproducibility report over the standing invariants")
+    p = add("report", _cmd_report, "reproducibility report over the standing invariants")
     p.add_argument("--seed", type=int, default=None, help="seed for the sampled checks")
     return parser
 
@@ -502,7 +432,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        code, out, lines = args.run(args)
+        if args.json:
+            print(_jdump(out))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except _CliUsage as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

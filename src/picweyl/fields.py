@@ -14,8 +14,8 @@ of degree e over F_p, "minimal" meaning smallest when the non-leading
 coefficients are read as a base-p integer with the constant term least
 significant.  That makes every GF(p^e) here reproducible byte for byte.
 The polynomial work behind an extension field (the inverse of an element
-modulo the modulus, the irreducibility test that picks or checks the
-modulus) is ``polys`` run over the base field GF(p) on these same raws.
+modulo the modulus, the irreducibility test that picks the modulus) is
+``polys`` run over the base field GF(p) on these same raws.
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ class ExtensionField(Field):
     """GF(p^e) as F_p[x] modulo a fixed irreducible.  Raw elements are
     coefficient tuples of length e, constant term first."""
 
-    def __init__(self, p: int, e: int, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, e: int):
         self._base = PrimeField(p)  # raises ValueError unless p is prime
         if e < 2:
             raise ValueError("use PrimeField for e = 1")
@@ -371,13 +371,7 @@ class ExtensionField(Field):
         self.e = e
         self.char = p
         self.order = p**e
-        if modulus is None:
-            modulus = smallest_irreducible(p, e)  # irreducible by construction
-        elif len(modulus) != e + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree e")
-        elif not polys.is_irreducible(self._base, [c % p for c in modulus]):
-            raise ValueError("modulus is not irreducible")
-        self.modulus = tuple(c % p for c in modulus[:-1])  # non-leading part
+        self.modulus = smallest_irreducible(p, e)[:-1]  # non-leading part
         self._zero, self._one = (0,) * e, (1,) + (0,) * (e - 1)
 
     def _add(self, a, b):
@@ -440,15 +434,11 @@ class ExtensionField(Field):
         return {"p": self.p, "e": self.e}
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.p == self.p
-            and other.e == self.e
-            and other.modulus == self.modulus
-        )
+        # the modulus is a function of (p, e)
+        return isinstance(other, ExtensionField) and other.p == self.p and other.e == self.e
 
     def __hash__(self):
-        return hash(("ExtensionField", self.p, self.e, self.modulus))
+        return hash(("ExtensionField", self.p, self.e))
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})"

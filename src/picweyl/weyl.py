@@ -19,6 +19,7 @@ import operator
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
+from .errors import DomainError
 from .lattice import (
     LatticeIsometry,
     LatticeVector,
@@ -162,8 +163,8 @@ def classify_isometry(g: LatticeIsometry) -> IsometryClass:
 
     if len(remainder) > 1:  # non-cyclotomic content: off-circle eigenvalue
         rho = _max_root_modulus(coeffs)
-        if rho <= 1.0 + 1e-9:
-            rho = _max_root_modulus_precise(coeffs)
+        if rho <= 1.0 + 1e-9:  # Kronecker has already certified rho > 1
+            raise AssertionError(f"float spectral radius {rho!r} of a hyperbolic isometry")
         return IsometryClass(kind="Hyperbolic", spectral_radius=rho)
 
     order = math.lcm(*cyclo_indices)
@@ -302,14 +303,6 @@ def _max_root_modulus(coeffs: list[int]) -> float:
     return float(max(abs(r) for r in roots))
 
 
-def _max_root_modulus_precise(coeffs: list[int]) -> float:
-    import mpmath
-
-    with mpmath.workdps(60):
-        roots = mpmath.polyroots([mpmath.mpf(c) for c in coeffs], maxsteps=200)
-        return float(max(abs(r) for r in roots))
-
-
 def _mat_pow_equals_identity(rows, e: int) -> bool:
     dim = len(rows)
     result = mat_identity(dim)
@@ -338,7 +331,10 @@ def noether_reduce(
     smaller than the sum of the top three multiplicities, reflect in
     alpha_0.  For n <= 10 every root lands on +-(a simple root): degree-0
     terminals are rotated to the first two indices by recorded swaps, and
-    the degree-drop chain bottoms out at -alpha_0 exactly.
+    the degree-drop chain bottoms out at -alpha_0 exactly.  From n = 11 on
+    some roots lie outside the Weyl orbit of the simple roots, such as
+    (3; 1^10, -1); their terminal is no simple root and DomainError is
+    raised.
 
     Returns (terminal, word) where word replays the reduction backwards:
     apply_word(terminal, word) == r.  If trace is a list, one line per
@@ -397,4 +393,7 @@ def noether_reduce(
                 emit(l)
 
     terminal = LatticeVector((a0, *(-m for m in mult)))
+    simple = simple_roots(n)
+    if terminal not in simple and -terminal not in simple:
+        raise DomainError(f"{list(r.coords)} is not in the Weyl orbit of the simple roots")
     return terminal, tuple(reversed(letters))

@@ -288,6 +288,35 @@ class TestUsageErrors:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", "{matrix}", "--word", "0"], "give --word or an input file, not both"),
+            (["classify", "{matrix}", "--n", "9"],
+             "--n 9 disagrees with the matrix, which has n = 10"),
+            (["classify", "--word", "0", "{word}"], "give --word or an input file, not both"),
+            (["cremona-act", "--p", "101", "--word", "0", "--points", "{five}", "{word}"],
+             "give --word or an input file, not both"),
+            (["orbit-fixed", "--word", "0", "{word}"], "give --word or an input file, not both"),
+        ],
+        ids=["classify-matrix-word", "classify-matrix-n", "classify-word-file",
+             "cremona-act-word-file", "orbit-fixed-word-file"],
+    )
+    def test_conflicting_sources_are_usage_errors(self, capsys, pin_files, argv, message):
+        # each of these once ran on one source and silently dropped the other
+        code, out, err = run(capsys, *(a.format(**pin_files) for a in argv))
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+    def test_reduce_outside_the_root_orbit_is_a_domain_error(self, capsys):
+        # (3; 1^10, -1) is a root of k_11-perp that no Weyl word carries to a
+        # simple root; it was once printed as its own terminal with word=[]
+        vec = json.dumps([3] + [-1] * 10 + [1])
+        for extra in ([], ["--trace"], ["--json"]):
+            code, out, err = run(capsys, "reduce", "--n", "11", "--vector", vec, *extra)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "Weyl orbit" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["find-root-mod", "--m", "6", "--gens", "{gens}", "--budget", "-1"],
@@ -408,6 +437,16 @@ PINNED = [
     ("find-root-mod-trace", 0,
      ["find-root-mod", "--m", "6", "--method", "bfs", "--gens", "{gens}", "--trace"],
      "trace: search depth 0\nstatus=found root=[0,0,1,-1,0,0,0,0,0,0,0]\nword=[]\n"),
+    ("find-root-mod-json-trace", 0,
+     ["find-root-mod", "--m", "6", "--method", "bfs", "--gens", "{gens}", "--json", "--trace"],
+     '{"certificate":{"base":2,"method":"OrbitBFS","modulus":6,"residue":[0,0,1,0,0,0,0,0,0,0],'
+     '"root":["0","0","1","-1","0","0","0","0","0","0","0"],"word":[]},"status":"found",'
+     '"trace":["search depth 0"]}\n'),
+    ("find-root-mod-inconclusive-json-trace", 3,
+     ["find-root-mod", "--m", "6", "--budget", "0", "--gens", "{gens}", "--json", "--trace"],
+     '{"certificate":{"method":"Theory","modulus":6,"reason":"no word of length <= 0 '
+     'carries the base root into the submodule","residue":[0,0,0,4,0,0,0,4,1,2]},'
+     '"status":"inconclusive","trace":[]}\n'),
     ("find-root-mod-inconclusive-json", 3,
      ["find-root-mod", "--m", "6", "--budget", "0", "--gens", "{gens}", "--json"],
      '{"certificate":{"method":"Theory","modulus":6,"reason":"no word of length <= 0 '
@@ -423,6 +462,9 @@ PINNED = [
      "0,0]\n[0,0,0,0,0,0,0,0,1,0]\n[0,0,0,0,0,0,0,0,0,1]\n"),
     ("classify-matrix", 0,
      ["classify", "{matrix}"],
+     "kind=Elliptic order=6 witness=[9,-3,-3,-3,0,0,0,0,0,0,0]\n"),
+    ("classify-matrix-agreeing-n", 0,
+     ["classify", "--n", "10", "{matrix}"],
      "kind=Elliptic order=6 witness=[9,-3,-3,-3,0,0,0,0,0,0,0]\n"),
     ("classify-parabolic", 0,
      ["classify", "--n", "9", "--word", "0,1,2,3,4,5,6,7,8"],
@@ -488,6 +530,45 @@ def test_pinned_output(capsys, pin_files, code, argv, expected):
     assert (got_code, out) == (code, expected)
 
 
+# One valid invocation per command, for the JSON contract below.
+JSON_ARGV = {
+    "gram": ["--n", "9"],
+    "enumerate-roots": ["--n", "10", "--max-degree", "1"],
+    "coble-conditions": [],
+    "residue-counts": [],
+    "classify": ["--word", "0,1,2,3,4,5,6,7,8,9"],
+    "reduce": ["--vector", "[3,-2,-1,-1,-1,-1,-1,-1,-1,0,0]"],
+    "halphen-check": ["--p", "101", "--m", "2", "--points", "{nine}"],
+    "coble-check": ["--p", "101", "--points", "{ten}"],
+    "harbourne-check": ["--p", "5", "--e", "12", "--params", "{params}"],
+    "cremona-act": ["--p", "101", "--word", "0", "--points", "{five}"],
+    "orbit-fixed": ["--n", "9", "--word", "0"],
+    "find-root-mod": ["--m", "6", "--gens", "{gens}"],
+    "report": ["--seed", "1"],
+}
+
+
+def test_json_output_is_one_document(capsys, pin_files):
+    # --json makes stdout exactly one JSON document, with --trace folded in
+    # as a "trace" key wherever a command declares that flag
+    import argparse
+
+    from picweyl.cli import _build_parser
+
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(JSON_ARGV)
+    for name, sub in commands.items():
+        argv = [name, *(a.format(**pin_files) for a in JSON_ARGV[name]), "--json"]
+        traced = "--trace" in sub._option_string_actions
+        for extra in ([], ["--trace"]) if traced else ([],):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0, argv + extra
+            data = json.loads(out)
+            assert isinstance(data, dict)
+            assert ("trace" in data) == bool(extra), argv + extra
+
+
 # Runs one command in a fresh interpreter and reports which heavy modules it
 # loaded: importing sympy or numpy costs more than most verdicts.
 IMPORT_PROBE = """
@@ -549,7 +630,7 @@ def test_import_loads_no_dataclasses():
 
 def test_no_module_level_mutable_containers():
     # state shared by every caller in the process makes results depend on
-    # call order; the command table is the one container allowed
+    # call order
     import importlib
     import pkgutil
 
@@ -560,7 +641,7 @@ def test_no_module_level_mutable_containers():
     ]
     for short, module in modules:
         for name, value in vars(module).items():
-            if name.startswith("__") or (short, name) == ("cli", "_COMMANDS"):
+            if name.startswith("__"):
                 continue
             if isinstance(value, (list, dict, set)):
                 found.append(f"{short}.{name}")
@@ -585,6 +666,17 @@ def test_no_unused_imports():
                     name = (alias.asname or alias.name).split(".")[0]
                     if name not in used:
                         found.append(f"{path.stem}.{name}")
+    assert found == []
+
+
+def test_no_module_mentions_mpmath():
+    # the hyperbolic radius needs no high-precision fallback: Kronecker's
+    # test certifies it exceeds 1, and numpy's float witness says so
+    found = [
+        path.name
+        for path in sorted(Path(picweyl.__file__).resolve().parent.glob("*.py"))
+        if "mpmath" in path.read_text(encoding="utf-8")
+    ]
     assert found == []
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from picweyl import (
+    DomainError,
     IsometryClass,
     LatticeIsometry,
     apply_word,
@@ -254,6 +255,10 @@ def test_noether_reduce_rejects_non_roots():
         noether_reduce(vector(1, -1, -1, 0, 0, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         noether_reduce(-vector(1, -1, -1, -1, 0, 0, 0, 0, 0, 0))
+    # a root of k_11-perp outside the Weyl orbit of the simple roots: its
+    # degree already equals the sum of its top three multiplicities
+    with pytest.raises(DomainError):
+        noether_reduce(vector(3, *[-1] * 10, 1))
 
 
 def test_isometry_class_is_plain_data():
