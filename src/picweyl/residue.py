@@ -30,7 +30,6 @@ from .smith import (
     diagonal_of,
     factor,
     integer_kernel,
-    integer_left_inverse,
     smith_normal_form,
 )
 
@@ -146,12 +145,15 @@ class ResidueModule:
 
 class ResidueSubmodule:
     """Subgroup of (Z/m)^n spanned by a generating set, with Smith-form
-    structure data computed on first use.
+    structure data computed on first use: one Smith form per submodule.
 
-    With U.[generators | m.I].V = D in Smith form, x lies in the subgroup
-    iff (U.x)_i = 0 mod d_i for every i.  Rows with d_i = 1 never fail, so
-    only the others are kept, reduced mod their d_i: these residues are the
-    syndrome of x, which is zero exactly on the subgroup.
+    With U.A.V = D in Smith form for A = [generators | m.I], x lies in the
+    subgroup iff (U.x)_i = 0 mod d_i for every i.  Rows with d_i = 1 never
+    fail, so only the others are kept, reduced mod their d_i: these residues
+    are the syndrome of x, which is zero exactly on the subgroup.  Since
+    A.V = U^-1.D, column i of A.V is column i of U^-1 wherever d_i = 1, and
+    these columns span a free direct summand; mod m only the generator rows
+    of V contribute to them.
     """
 
     def __init__(self, module: ResidueModule, generators):
@@ -166,17 +168,13 @@ class ResidueSubmodule:
         cols = [list(g) for g in self.generators]
         cols += [[m if i == j else 0 for i in range(n)] for j in range(n)]
         a = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-        u, d, _ = smith_normal_form(a)
+        u, d, v = smith_normal_form(a)
         diag = diagonal_of(d)
         factors = tuple(diag[i] for i in range(n))
         checks = tuple(
             (tuple(c % f for c in row), f) for row, f in zip(u, factors) if f != 1
         )
-        uinv = integer_left_inverse(u)
-        basis = tuple(
-            tuple(uinv[i][j] % m for i in range(n)) for j in range(n)
-        )
-        self._structure = (checks, factors, basis)
+        self._structure = (checks, factors, v[: len(self.generators)])
         return self._structure
 
     @property
@@ -188,9 +186,14 @@ class ResidueSubmodule:
         return sum(1 for f in self.invariant_factors if f == 1)
 
     def free_basis(self) -> list[tuple[int, ...]]:
-        """Vectors generating a free direct summand, one per unit factor."""
-        _, factors, basis = self._compute()
-        return [b for b, f in zip(basis, factors) if f == 1]
+        """Vectors generating a free direct summand, one per unit factor: the
+        columns of A.V with d_i = 1, reduced mod m."""
+        _, factors, v = self._compute()
+        return [
+            self.module.reduce(_combo(self.generators, [row[i] for row in v]))
+            for i, f in enumerate(factors)
+            if f == 1
+        ]
 
     def syndrome(self, x) -> tuple[int, ...]:
         """(U.x)_i mod d_i over the factors d_i != 1, for an integer vector x."""
@@ -421,27 +424,44 @@ def witt_extend(f_basis, g_basis, module: ResidueModule) -> ReflectionProduct:
 
 def _witt_connector(module: ResidueModule, matched, f, g, d):
     """w with x = g + w an intermediate isometric image: w orthogonal to the
-    matched part, q(w) a unit, b(g, w) = -q(w), and q(d - w) a unit."""
+    matched part, q(w) a unit, b(g, w) = -q(w), and q(d - w) a unit.
+
+    Candidates w = sum c_t b_t over the orthogonal basis are scanned by
+    support, then coefficients, and scored on Gram data computed once:
+    q(w) = sum c_t^2 q(b_t) + sum_{s<t} c_s c_t b(b_s, b_t), b(g, w) and
+    b(d, w) are sums of c_t b(., b_t), and q(d - w) = q(d) - b(d, w) + q(w),
+    all mod m.  Only the accepted candidate is built as a vector.
+    """
     m = module.m
     basis = _orthogonal_basis(module, matched)
+    qb = [module.quadratic(b) for b in basis]
+    gb = [module.bilinear(g, b) for b in basis]
+    db = [module.bilinear(d, b) for b in basis]
+    bb = [[module.bilinear(x, y) for y in basis] for x in basis]
+    qd = module.quadratic(d)
     trials = 0
     for support in range(1, len(basis) + 1):
         for idxs in combinations(range(len(basis)), support):
+            diag = [(qb[t], gb[t], db[t]) for t in idxs]
+            cross = [(s, t, bb[idxs[s]][idxs[t]]) for s, t in combinations(range(support), 2)]
             for coeffs in product(range(1, m), repeat=support):
                 trials += 1
                 if trials > _WITT_TRIALS:
                     raise BudgetError(
                         "no Witt connector found within the search budget"
                     )
-                w = module.reduce(_combo([basis[t] for t in idxs], coeffs))
-                qw = module.quadratic(w)
-                if not module.is_unit(qw):
+                qw = bg = bd = 0
+                for c, (q, bgt, bdt) in zip(coeffs, diag):
+                    qw += c * c * q
+                    bg += c * bgt
+                    bd += c * bdt
+                for s, t, bst in cross:
+                    qw += coeffs[s] * coeffs[t] * bst
+                if math.gcd(qw, m) != 1 or (bg + qw) % m:
                     continue
-                if module.bilinear(g, w) != (-qw) % m:
+                if math.gcd(qd - bd + qw, m) != 1:
                     continue
-                if not module.is_unit(module.quadratic(module.sub(d, w))):
-                    continue
-                return w
+                return module.reduce(_combo([basis[t] for t in idxs], coeffs))
     raise BudgetError("no Witt connector found in the orthogonal complement")
 
 
@@ -508,7 +528,9 @@ def find_root_in_submodule(
     q = -1 inside a free rank-8 piece, Witt-extend the first simple root's
     residue onto it, adjust the product into the spin part, and combine the
     per-prime targets by CRT.  The target is reported in the certificate but
-    does not steer the search, which starts from the first simple root.
+    does not steer the search, which starts from the first simple root; when
+    building it runs out of budget, the search still runs and the target is
+    reported as None.
     "orbit-bfs" starts the search from every simple root.
 
     The search keeps no state between calls.  It is bounded; exhaustion
@@ -524,7 +546,11 @@ def find_root_in_submodule(
     depth = _WORD_DEPTH if max_depth is None else max_depth
     if method == "theory":
         reason = f"no word of length <= {depth} carries the base root into the submodule"
-        return _search(sub, [1], depth, max_visited, "Theory", reason, _theory_target(sub))
+        try:
+            target = list(_theory_target(sub))
+        except BudgetError:
+            target = None  # the target does not steer the search
+        return _search(sub, [1], depth, max_visited, "Theory", reason, target)
     if method == "orbit-bfs":
         reason = f"no orbit root within depth {depth} has its residue in the submodule"
         return _search(sub, range(10), depth, max_visited, "OrbitBFS", reason)
@@ -536,8 +562,12 @@ def _theory_target(sub: ResidueSubmodule):
     pieces = []
     for p, k in factor(m).items():
         pk = p**k
-        local = ResidueModule(pk)
-        m0 = local.submodule(local.submodule(sub.generators).free_basis()[:8])
+        if pk == m:  # the piece is sub itself, whose Smith form is already known
+            local, piece = sub.module, sub
+        else:
+            local = ResidueModule(pk)
+            piece = local.submodule(sub.generators)
+        m0 = local.submodule(piece.free_basis()[:8])
         v = represent_unit(m0, (pk - 1) % pk)
         start = local.simple_residue(1)
         prod = adjust_to_spin(witt_extend([start], [v], local), m0)
@@ -562,15 +592,16 @@ def _crt_combine(pieces, m: int):
 def _search(sub, bases, depth, cap, method, reason, target=None) -> RootSearchResult:
     """Run the word search from the simple roots numbered in bases and package its
     outcome.  A found certificate replays: the word applied to simple root
-    number base gives the root.  A theory target is reported as "target"
-    beside a found root, as "residue" beside an inconclusive one."""
+    number base gives the root.  A Theory certificate reports the target,
+    None when it ran out of budget, as "target" beside a found root, as
+    "residue" beside an inconclusive one."""
     module = sub.module
     starts = [tuple(int(i == j) for j in range(module.rank)) for i in bases]
     found = _word_search(starts, sub, depth, cap)
     if not isinstance(found, tuple):
         certificate = {"method": method, "modulus": module.m}
-        if target is not None:
-            certificate["residue"] = list(target)
+        if method == "Theory":
+            certificate["residue"] = target
         certificate["reason"] = found or reason
         return RootSearchResult("inconclusive", None, certificate)
     start, word, root_alpha = found
@@ -589,8 +620,8 @@ def _search(sub, bases, depth, cap, method, reason, target=None) -> RootSearchRe
         "residue": list(module.reduce(root_alpha)),
         "modulus": module.m,
     }
-    if target is not None:
-        certificate["target"] = list(target)
+    if method == "Theory":
+        certificate["target"] = target
     return RootSearchResult("found", root, certificate)
 
 

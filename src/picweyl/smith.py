@@ -277,11 +277,21 @@ def _rounded_quot(a: int, b: int) -> int:
 
 
 def _find_pivot(m, t):
+    """The first nonzero entry of least absolute value in row order, at or
+    below and right of (t, t); the scan stops at the first unit, since no
+    later entry can be strictly smaller."""
     best = None
+    least = 0
     for i in range(t, len(m)):
-        for j in range(t, len(m[0])):
-            if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                best = (i, j)
+        row = m[i]
+        for j in range(t, len(row)):
+            x = row[j]
+            if x:
+                ax = abs(x)
+                if best is None or ax < least:
+                    best, least = (i, j), ax
+                    if ax == 1:
+                        return best
     return best
 
 
@@ -308,9 +318,11 @@ def _add_row(m, u, i, k, c):
 def _add_col(m, v, j, k, c):
     """col_j += c * col_k"""
     for row in m:
-        row[j] += c * row[k]
+        if row[k]:
+            row[j] += c * row[k]
     for row in v:
-        row[j] += c * row[k]
+        if row[k]:
+            row[j] += c * row[k]
 
 
 def _scale_row(m, u, i, c):

@@ -274,25 +274,33 @@ def _cyclotomic_coeffs(d: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_indices(deg: int) -> tuple[int, ...]:
+    """The d with totient(d) <= deg, ascending: the cyclotomic polynomials
+    that can divide a polynomial of degree deg."""
+    # totient(d) >= sqrt(d/2), so they live below 2(deg+1)^2
+    return tuple(
+        d
+        for d in range(1, 2 * (deg + 1) * (deg + 1) + 1)
+        if math.prod(p ** (k - 1) * (p - 1) for p, k in factor(d).items()) <= deg
+    )
+
+
 def _strip_cyclotomic(coeffs: list[int]) -> tuple[list[int], list[int]]:
     """Divide out every cyclotomic factor; return (indices found, remainder),
     the remainder as descending coefficients like the input."""
-    deg = len(coeffs) - 1
     rem = list(coeffs)
     found = []
-    d = 1
-    # totient(d) >= sqrt(d/2), so indices with totient <= deg live below 2(deg+1)^2
-    while d <= 2 * (deg + 1) * (deg + 1) and len(rem) > 1:
-        totient = math.prod(p ** (k - 1) * (p - 1) for p, k in factor(d).items())
-        if totient <= deg:
-            cd = _cyclotomic_coeffs(d)
-            while len(rem) >= len(cd):
-                q, r = _divmod_monic(rem, cd)
-                if any(r):
-                    break
-                rem = q
-                found.append(d)
-        d += 1
+    for d in _cyclotomic_indices(len(coeffs) - 1):
+        if len(rem) <= 1:
+            break
+        cd = _cyclotomic_coeffs(d)
+        while len(rem) >= len(cd):
+            q, r = _divmod_monic(rem, cd)
+            if any(r):
+                break
+            rem = q
+            found.append(d)
     return found, rem
 
 
