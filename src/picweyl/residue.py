@@ -23,9 +23,7 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from .errors import BudgetError, DomainError
-from .fields import PrimeField
 from .lattice import LatticeVector, gram_matrix, simple_roots
-from .projgeom import mat3_det, matrix_rank
 from .smith import (
     diagonal_of,
     factor,
@@ -227,8 +225,10 @@ def represent_unit(sub: ResidueSubmodule, a: int):
     a = a % module.m
     if not module.is_unit(a):
         raise DomainError(f"{a} is not a unit mod {module.m}")
+    # free basis vectors are columns of a unimodular matrix, so they stay
+    # independent mod p
     basis = sub.free_basis()
-    if len(basis) < 2 or matrix_rank([[c % p for c in v] for v in basis], PrimeField(p)) < 2:
+    if len(basis) < 2:
         raise DomainError(
             "the submodule drops below rank 2 mod p; representation of a "
             "unit is not guaranteed"
@@ -281,8 +281,7 @@ def _base_solution(module, basis, a: int, p: int):
     # ternary form over F_p takes every nonzero value
     gram = [[module.bilinear(x, y) % p for y in basis] for x in basis]
     for triple in combinations(range(r), 3):
-        sub3 = [[gram[i][j] for j in triple] for i in triple]
-        if mat3_det(sub3) % p == 0:
+        if _gram_det3(gram, *triple) % p == 0:
             continue
         picked = [basis[i] for i in triple]
         for coeffs in product(range(p), repeat=3):
@@ -295,6 +294,14 @@ def _base_solution(module, basis, a: int, p: int):
     raise BudgetError(
         f"unit representation search mod {p} exhausted its candidate slices"
     )
+
+
+def _gram_det3(gram, i: int, j: int, k: int) -> int:
+    """The determinant of the symmetric Gram block on indices i, j, k, written
+    out so that this layer needs no field arithmetic."""
+    a, b, c = gram[i][i], gram[i][j], gram[i][k]
+    d, e, f = gram[j][j], gram[j][k], gram[k][k]
+    return a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
 
 
 # -- reflections -----------------------------------------------------------
