@@ -452,6 +452,15 @@ PINNED = [
      '{"certificate":{"method":"Theory","modulus":6,"reason":"no word of length <= 0 '
      'carries the base root into the submodule","residue":[0,0,0,4,0,0,0,4,1,2]},'
      '"status":"inconclusive"}\n'),
+    # the theory target runs out of budget on these generators; the search still runs
+    ("find-root-mod-target-budget", 0,
+     ["find-root-mod", "--m", "16", "--gens", "{gens16}"],
+     "status=found root=[1,0,0,0,-1,-1,0,0,-1,0,0]\nword=[2,3,0,4,3,2,5,4,3,6,7]\n"),
+    ("find-root-mod-target-budget-json", 0,
+     ["find-root-mod", "--m", "16", "--gens", "{gens16}", "--json"],
+     '{"certificate":{"base":1,"method":"Theory","modulus":16,"residue":[1,1,2,3,2,1,1,1,0,0],'
+     '"root":["1","0","0","0","-1","-1","0","0","-1","0","0"],"target":null,'
+     '"word":[2,3,0,4,3,2,5,4,3,6,7]},"status":"found"}\n'),
     ("cremona-act", 0,
      ["cremona-act", "--p", "101", "--word", "0", "--points", "{five}"],
      '["1","0","0"]\n["0","1","0"]\n["0","0","1"]\n["1","1","1"]\n["34","29","1"]\n'),
@@ -512,6 +521,12 @@ def pin_files(tmp_path, nine_points_file, ten_points_file, params_file, gens_fil
                  ["3", "7", "1"]],
         "matrix": {"matrix": [list(r) for r in word_to_isometry([0, 1, 2], 10).rows]},
         "word": {"word": [0, 1, 2]},
+        "gens16": {"generators": [
+            [11, 12, 11, 5, 2, 11, 15, 1, 14, 15], [12, 5, 15, 5, 3, 8, 10, 10, 11, 11],
+            [10, 11, 9, 7, 11, 8, 0, 14, 5, 6], [7, 8, 10, 11, 11, 4, 9, 10, 11, 12],
+            [2, 6, 14, 7, 5, 6, 9, 9, 2, 2], [9, 12, 11, 14, 13, 7, 5, 5, 15, 5],
+            [12, 0, 12, 7, 7, 15, 0, 2, 14, 12], [15, 10, 1, 13, 9, 15, 13, 5, 1, 7],
+        ]},
     }
     paths = dict(nine=nine_points_file, ten=ten_points_file, params=params_file, gens=gens_file)
     for name, content in data.items():

@@ -6,7 +6,7 @@ the module is affordable.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +22,13 @@ from picweyl import (
     enumerate_roots,
     find_root_in_submodule,
     inner,
+    integer_left_inverse,
     represent_unit,
+    residue,
     residue_mod2,
     root_basis_coordinates,
     simple_roots,
+    smith_normal_form,
     spinor_norm,
     square_class,
     vector,
@@ -33,6 +36,15 @@ from picweyl import (
 )
 
 coords10 = st.tuples(*[st.integers(0, 5) for _ in range(10)])
+
+# eight generators mod 16 on which the theory target's Witt connector runs
+# out of trials, while a root exists
+GENS16 = [
+    [11, 12, 11, 5, 2, 11, 15, 1, 14, 15], [12, 5, 15, 5, 3, 8, 10, 10, 11, 11],
+    [10, 11, 9, 7, 11, 8, 0, 14, 5, 6], [7, 8, 10, 11, 11, 4, 9, 10, 11, 12],
+    [2, 6, 14, 7, 5, 6, 9, 9, 2, 2], [9, 12, 11, 14, 13, 7, 5, 5, 15, 5],
+    [12, 0, 12, 7, 7, 15, 0, 2, 14, 12], [15, 10, 1, 13, 9, 15, 13, 5, 1, 7],
+]
 
 
 def _span_is_isotropic(module, gens):
@@ -169,6 +181,16 @@ class TestSubmodule:
         # 2 * (full module) mod 6: every factor 3, free rank 0
         assert sub.free_rank == 0
         assert all(f in (1, 2, 3, 6) for f in sub.invariant_factors)
+
+    def test_free_basis_matches_left_inverse_columns(self):
+        # the columns of A.V with factor 1 are those of U^-1 (U.A.V = D)
+        panel = _syndrome_panel()
+        assert {sub.free_rank for sub in panel} == {8, 9, 10}
+        assert {sub.module.m for sub in panel} == set(range(2, 31))
+        shapes = {(sub.module.m, sub.invariant_factors[8:]) for sub in panel}
+        assert {(6, (3, 6)), (8, (2, 2))} <= shapes
+        for sub in panel:
+            assert sub.free_basis() == _left_inverse_free_basis(sub)
 
     def test_free_basis_spans_contained_vectors(self):
         M = ResidueModule(5)
@@ -328,6 +350,87 @@ class TestWittExtend:
         M = ResidueModule(5)
         with pytest.raises(DomainError):
             witt_extend([M.simple_residue(0)], [], M)
+
+
+def _left_inverse_free_basis(sub):
+    """The columns of U^-1 with invariant factor 1, reduced mod m, where
+    U.[generators | m.I].V = D."""
+    m, n = sub.module.m, sub.module.rank
+    a = [[g[i] for g in sub.generators] + [m * (i == j) for j in range(n)] for i in range(n)]
+    u, d, _ = smith_normal_form(a)
+    uinv = integer_left_inverse(u)
+    return [tuple(uinv[i][j] % m for i in range(n)) for j in range(n) if d[j][j] == 1]
+
+
+def _vector_by_vector_connector(module, matched, f, g, d):
+    """The connector scan that builds every candidate vector and tests it."""
+    m = module.m
+    basis = residue._orthogonal_basis(module, matched)
+    trials = 0
+    for support in range(1, len(basis) + 1):
+        for idxs in combinations(range(len(basis)), support):
+            for coeffs in product(range(1, m), repeat=support):
+                trials += 1
+                if trials > residue._WITT_TRIALS:
+                    raise BudgetError("no Witt connector found within the search budget")
+                w = module.reduce(
+                    [sum(c * basis[t][i] for c, t in zip(coeffs, idxs)) for i in range(10)]
+                )
+                qw = module.quadratic(w)
+                if not module.is_unit(qw) or module.bilinear(g, w) != (-qw) % m:
+                    continue
+                if not module.is_unit(module.quadratic(module.sub(d, w))):
+                    continue
+                return w
+    raise BudgetError("no Witt connector found in the orthogonal complement")
+
+
+def _connector_outcome(connector, args):
+    try:
+        return connector(*args)
+    except BudgetError as err:
+        return str(err)
+
+
+class TestWittConnector:
+    def test_gram_scores_match_building_every_vector(self):
+        rng = random.Random("witt-connector")
+        cases = []
+        for m in (2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27, 30):
+            M = ResidueModule(m)
+            for _ in range(4):
+                matched = [M.reduce([rng.randrange(m) for _ in range(10)])
+                           for _ in range(rng.randrange(3))]
+                f, g = (M.reduce([rng.randrange(m) for _ in range(10)]) for _ in range(2))
+                cases.append((M, matched, f, g, M.sub(f, g)))
+        # a unimodular form: nothing but 0 is orthogonal to every simple root
+        M = ResidueModule(3)
+        f, g = M.simple_residue(0), M.simple_residue(2)
+        cases.append((M, [M.simple_residue(i) for i in range(10)], f, g, M.sub(f, g)))
+        outcomes = [_connector_outcome(residue._witt_connector, c) for c in cases]
+        assert outcomes == [_connector_outcome(_vector_by_vector_connector, c) for c in cases]
+        assert any(isinstance(o, tuple) for o in outcomes)
+        assert "no Witt connector found in the orthogonal complement" in outcomes
+
+    def test_theory_targets_connectors_match_building_every_vector(self, monkeypatch):
+        # the connector calls of real targets, the trial cap mod 16 among them
+        calls = []
+        connector = residue._witt_connector
+
+        def spy(*args):
+            calls.append(args)
+            return connector(*args)
+
+        monkeypatch.setattr(residue, "_witt_connector", spy)
+        rng = random.Random("witt-targets")
+        subs = [ResidueModule(16).submodule(GENS16)]
+        subs += [random_rank8_submodule(ResidueModule(m), rng) for m in (4, 8, 12, 16)]
+        for sub in subs:
+            find_root_in_submodule(sub, "theory", max_depth=0)
+        outcomes = [_connector_outcome(connector, c) for c in calls]
+        assert outcomes == [_connector_outcome(_vector_by_vector_connector, c) for c in calls]
+        assert "no Witt connector found within the search budget" in outcomes
+        assert any(isinstance(o, tuple) for o in outcomes)
 
 
 class TestAdjustToSpin:
@@ -497,6 +600,19 @@ class TestRootSearch:
         assert sub.free_rank == 9 and out.status == "found"
         assert out.certificate["base"] == 1 and len(out.certificate["word"]) == 4
         assert sub.contains(out.certificate["target"])
+
+    def test_theory_searches_when_its_target_runs_out_of_budget(self):
+        sub = ResidueModule(16).submodule(GENS16)
+        with pytest.raises(BudgetError):
+            residue._theory_target(sub)
+        out = find_root_in_submodule(sub, "theory")
+        assert out.status == "found"
+        assert out.certificate["target"] is None
+        assert out.certificate["base"] == 1
+        assert out.certificate["word"] == [2, 3, 0, 4, 3, 2, 5, 4, 3, 6, 7]
+        assert sub.contains(out.certificate["residue"])
+        out = find_root_in_submodule(sub, "theory", max_depth=0)
+        assert out.status == "inconclusive" and out.certificate["residue"] is None
 
     def test_zero_budget_is_inconclusive(self):
         M = ResidueModule(5)

@@ -15,6 +15,7 @@ from sympy import Matrix, ZZ, factorint, isprime
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from picweyl import integer_kernel, integer_left_inverse, smith_normal_form, solve_integer
+from picweyl import smith
 from picweyl.smith import factor, is_prime
 
 
@@ -71,6 +72,26 @@ matrices = st.integers(1, 5).flatmap(
 def test_decomposition_properties(a):
     diag = check_decomposition(a)
     assert diag == sympy_diag(a)
+
+
+def _full_scan_pivot(m, t):
+    """The first entry of least absolute value in row order, every entry read."""
+    best = None
+    for i in range(t, len(m)):
+        for j in range(t, len(m[0])):
+            if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+@given(matrices)
+@settings(max_examples=150, deadline=None)
+def test_unit_stop_pivot_matches_full_scan(a):
+    # stopping the pivot scan at a unit changes neither transform
+    fast = smith_normal_form(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smith, "_find_pivot", _full_scan_pivot)
+        assert smith_normal_form(a) == fast
 
 
 def test_identity_and_zero():

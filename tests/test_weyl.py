@@ -277,6 +277,16 @@ def test_cyclotomic_coeffs_match_sympy():
         assert _cyclotomic_coeffs(d) == expected, d
 
 
+def test_cyclotomic_indices_are_the_small_totients():
+    from sympy import totient
+
+    from picweyl.weyl import _cyclotomic_indices
+
+    for deg in range(12):
+        expected = [d for d in range(1, 2 * (deg + 1) ** 2 + 1) if totient(d) <= deg]
+        assert list(_cyclotomic_indices(deg)) == expected, deg
+
+
 def test_strip_cyclotomic_matches_sympy_factorization():
     # the integer division must find exactly the cyclotomic irreducible
     # factors sympy finds over ZZ, with multiplicity, and leave the rest
