@@ -38,6 +38,11 @@ class _Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+# the decimal strings of small coordinates, built once: every to_json list
+# shares them, so a kept certificate holds no string of its own for them
+_DECIMALS = tuple(str(c) for c in range(-64, 65))
+
+
 class LatticeVector(_Immutable):
     """Immutable integer vector in the geometric basis.
 
@@ -113,7 +118,7 @@ class LatticeVector(_Immutable):
 
     def to_json(self) -> list[str]:
         """Decimal strings, index 0 = e_0 coefficient."""
-        return [str(c) for c in self.coords]
+        return [_DECIMALS[c + 64] if -64 <= c <= 64 else str(c) for c in self.coords]
 
     @classmethod
     def from_json(cls, data: Iterable[str]) -> "LatticeVector":

@@ -92,6 +92,11 @@ def test_json_round_trip():
     assert LatticeVector.from_json(blob) == u
 
 
+def test_json_strings_on_both_sides_of_the_shared_range():
+    coords = (-(10**20), -65, -64, -10, -1, 0, 1, 9, 64, 65, 10**20)
+    assert LatticeVector(coords).to_json() == [str(c) for c in coords]
+
+
 @given(st.lists(st.integers(-50, 50), min_size=4, max_size=8))
 def test_json_round_trip_random(coords):
     u = LatticeVector(tuple(coords))
