@@ -49,6 +49,13 @@ def _ints(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
+def _integer(x) -> int:
+    """A JSON integer, or a string holding one; true, false and floats are refused."""
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        return int(x)
+    raise ValueError(f"{json.dumps(x)} is not an integer")
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -107,7 +114,7 @@ def _word_input(args):
 
 def _letters(data, args) -> list[int]:
     if isinstance(data, dict) and "word" in data:
-        return [int(x) for x in data["word"]]
+        return [_integer(x) for x in data["word"]]
     raise _CliUsage(f"{args.input} does not hold a word")
 
 
@@ -180,7 +187,7 @@ def _cmd_classify(args):
 
     data = _word_input(args)
     if isinstance(data, dict) and "matrix" in data:
-        g = LatticeIsometry(tuple(tuple(int(x) for x in row) for row in data["matrix"]))
+        g = LatticeIsometry(tuple(tuple(_integer(x) for x in row) for row in data["matrix"]))
         if args.n not in (None, g.n):
             raise _CliUsage(f"--n {args.n} disagrees with the matrix, which has n = {g.n}")
     else:
@@ -277,7 +284,7 @@ def _cmd_find_root_mod(args):
     data = _load_json(args.gens)
     if isinstance(data, dict):
         data = data["generators"]
-    gens = [tuple(int(x) for x in row) for row in data]
+    gens = [tuple(_integer(x) for x in row) for row in data]
     module = ResidueModule(args.m)
     sub = module.submodule(gens)
     method = "theory" if args.method == "theory" else "orbit-bfs"

@@ -3,13 +3,16 @@ chord-tangent group law, and lattice-class restriction to the curve.
 
 The classification finds rational singular points as the rational common
 zeros of f and its nonzero partials, by exact resultant elimination; the
-census depends on f alone.  It is decisive for everything this module
-supports: an irreducible cubic has at most one singular point, and a unique
-singular point is fixed by Galois, hence rational.  Configurations that
-would need factorization over proper extensions (conjugate singular points,
-non-split nodes, tangent lines hiding curve components) raise explicit
-errors instead of being guessed at; the tangent-cone divisibility tests
-below make those cases detectable from rational data alone.
+census depends on f alone.  It eliminates y lazily, stopping once the gcd of
+the eliminants is constant, then searches the lines x = x0 over that gcd's
+rational roots and the line z = 0 with one helper.  It is decisive for
+everything this module supports: an irreducible cubic has at most one
+singular point, and a unique singular point is fixed by Galois, hence
+rational.  Configurations that would need factorization over proper
+extensions (conjugate singular points, non-split nodes, tangent lines hiding
+curve components) raise explicit errors instead of being guessed at; the
+tangent-cone divisibility tests below make those cases detectable from
+rational data alone.
 
 A singular cubic is parametrized by the lines through its singular point,
 and its inflections come from that parametrization, not from a search:
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterable
 
 from . import polys
 from .errors import (
@@ -572,89 +576,59 @@ def _build_smooth_model(f: Poly3) -> CubicCurveModel:
 
 
 def _common_rational_points(system: list[Poly3]) -> tuple[list[ProjectivePoint], bool]:
-    """Rational common zeros of the given forms, each checked against every
-    form and sorted by `_point_key`, plus a certificate flag: True means the
-    forms provably have no common zero at all, even over the algebraic
-    closure, so an empty list is conclusive."""
+    """Rational common zeros of the given nonzero forms, sorted by
+    `_point_key`, plus a certificate flag: True means the forms provably
+    have no common zero at all, even over the algebraic closure, so an empty
+    list is conclusive.
+
+    The x-coordinates of the affine zeros are roots of the elimination gcd:
+    a form constant in y enters with its own x-polynomial, and each pair of
+    forms that both involve y with its resultant in y, computed only while
+    the gcd is not yet constant.  The lines x = x0 over its rational roots
+    and the line z = 0 are then searched alike, and (1:0:0) directly."""
     field = system[0].field
-    points: set[ProjectivePoint] = set()
-
-    affine_complete = _affine_zeros(system, field, points)
-    inf_complete = _infinity_zeros(system, field, points)
-
-    certified_empty = affine_complete and inf_complete and not points
-    return sorted(points, key=_point_key), certified_empty
-
-
-def _affine_zeros(system, field, points) -> bool:
-    """Collect common zeros in the chart z = 1.  Returns True when the
-    census there is provably complete over the closure."""
-    chart = [_poly3_chart(g) for g in system]
-    if all(len(c) == 1 for c in chart):
-        g = _poly_list_gcd([c[0] for c in chart], field)
-        return len(g) == 1  # else a common vertical line: uncertified
-
-    res_list = []
-    for i, a in enumerate(chart):
-        for b in chart[i + 1 :]:
-            if len(a) == 1 and len(b) == 1:
-                continue  # the resultant of two y-constants is 1 and carries nothing
-            r = _resultant_y(a, b, field)
-            if r:
-                res_list.append(r)
-    if not res_list:
-        return False  # every pair shares a factor: cannot isolate the locus
-    g = _poly_list_gcd(res_list, field)
-    if len(g) == 1:
-        return True
-
-    rts = roots_in_field(field, g)
-    complete = _splits_rationally(g, rts, field)
-    for x0 in rts:
-        fibers = [u for u in (_evaluate_chart_at_x(c, x0, field) for c in chart) if u]
-        if not fibers:
-            complete = False  # the whole vertical line lies in the locus
-            continue
-        h = _poly_list_gcd(fibers, field)
-        if len(h) == 1:
-            continue
-        yrts = roots_in_field(field, h)
-        if not _splits_rationally(h, yrts, field):
-            complete = False
-        for y0 in yrts:
-            pt = (x0, y0, field._one)
-            if all(gg.evaluate_raw(pt) == field._zero for gg in system):
-                points.add(ProjectivePoint.from_raw(field, pt))
-    return complete
-
-
-def _infinity_zeros(system, field, points) -> bool:
-    """Collect common zeros on the line z = 0.  Returns True when that part
-    of the census is provably complete over the closure."""
-    # A form restricting to the zero polynomial vanishes everywhere on the
-    # line, so it cuts nothing out; only the remaining restrictions matter.
-    # If every restriction dies the whole line sits inside the locus and the
-    # census cannot be finite.
     one, zero = field._one, field._zero
-    nonzero = [u for u in (_restrict_to_infinity(g) for g in system) if u]
-    complete = bool(nonzero)
-    if nonzero:
-        h = _poly_list_gcd(nonzero, field)
-        if len(h) >= 2:
-            rts = roots_in_field(field, h)
-            if not _splits_rationally(h, rts, field):
-                complete = False
-            for t0 in rts:
-                pt = (t0, one, zero)
-                if all(g.evaluate_raw(pt) == zero for g in system):
-                    points.add(ProjectivePoint.from_raw(field, pt))
+    points: set[ProjectivePoint] = set()
+    charts = [_poly3_chart(g) for g in system]
+    curved = [c for c in charts if len(c) > 1]
+    eliminants = itertools.chain(
+        (c[0] for c in charts if len(c) == 1),
+        (_resultant_y(a, b, field) for a, b in itertools.combinations(curved, 2)),
+    )
+    elim = _poly_list_gcd(eliminants, field)
+    complete = bool(elim)  # no nonzero eliminant: the affine zeros are not isolated
+    if len(elim) > 1:
+        xs = roots_in_field(field, elim)
+        complete = _splits_rationally(elim, xs, field)
+        for x0 in xs:
+            line = [_evaluate_chart_at_x(c, x0, field) for c in charts]
+            complete &= _line_zeros(field, line, lambda y0: (x0, y0, one), points)
+    line = [_restrict_to_infinity(g) for g in system]
+    complete &= _line_zeros(field, line, lambda t0: (t0, one, zero), points)
     e100 = (one, zero, zero)
     if all(g.evaluate_raw(e100) == zero for g in system):
         points.add(ProjectivePoint.from_raw(field, e100))
-    return complete
+    return sorted(points, key=_point_key), complete and not points
 
 
-def _poly_list_gcd(ps: list[Poly], field: Field) -> Poly:
+def _line_zeros(field: Field, restrictions: list[Poly], point, points: set) -> bool:
+    """Add point(t) for each rational root t of the gcd of the forms' nonzero
+    restrictions to one line, and return whether that gcd splits.  Such a
+    root is a zero of every form, since a zero restriction vanishes on the
+    whole line; when every restriction does, the line lies in the locus and
+    the search there is not complete."""
+    h = _poly_list_gcd(restrictions, field)
+    if not h:
+        return False
+    rts = roots_in_field(field, h)
+    for t in rts:
+        points.add(ProjectivePoint.from_raw(field, point(t)))
+    return _splits_rationally(h, rts, field)
+
+
+def _poly_list_gcd(ps: Iterable[Poly], field: Field) -> Poly:
+    """The monic gcd of the nonzero polynomials drawn from ps, or [] when
+    there is none; it stops drawing once the gcd is constant."""
     g: Poly = []
     for u in ps:
         if not u:
@@ -710,8 +684,9 @@ def _dense(field: Field, coeffs: dict) -> Poly:
 def _resultant_y(ca: list[Poly], cb: list[Poly], field: Field) -> Poly:
     """Resultant in y of two nonempty chart polynomials (coefficients in
     K[x]), not both constant in y, via the Sylvester determinant expanded
-    over K[x].  A chart constant in y makes the matrix diagonal.  Sizes
-    here stay at most 6x6, so cofactor expansion is exact and cheap."""
+    over K[x].  A chart constant in y makes the matrix diagonal; the census
+    passes only pairs that both involve y.  Sizes here stay at most 6x6, so
+    cofactor expansion is exact and cheap."""
     m = len(ca) - 1
     n = len(cb) - 1
     size = m + n

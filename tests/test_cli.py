@@ -368,6 +368,27 @@ class TestUsageErrors:
                          "--points", "/nonexistent/nowhere.json")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag, data, bad",
+        [
+            (None, {"word": ["0", 1.2, 2]}, "1.2"),
+            (None, {"matrix": [[True] + [0] * 9] + [[0] * 10] * 9}, "true"),
+            ("--gens", {"generators": [[1, 0, 2.0] + [0] * 7]}, "2.0"),
+        ],
+        ids=["word-file", "matrix-file", "gens-file"],
+    )
+    def test_non_integer_json_is_a_domain_error(self, capsys, tmp_path, flag, data, bad):
+        # these once classified [0.9, 1.2, true, 2] as the word [0, 1, 1, 2]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        if flag is None:
+            argv = ["classify", str(path)]
+        else:
+            argv = ["find-root-mod", "--m", "6", flag, str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad} is not an integer\n"
+
 
 class TestReport:
     def test_contents(self, capsys):

@@ -49,6 +49,7 @@ from picweyl.catalog import enumerate_roots
 from picweyl.cubic import (
     RestrictionLayer,
     _binary_quadratic_split,
+    _common_rational_points,
     _direction_point,
     _group_sum,
     _point_key,
@@ -64,6 +65,7 @@ from picweyl.projgeom import (
     frame_with_last_column,
     kernel_basis,
     mat3_apply,
+    mat3_det,
     mat3_from_columns,
     mat3_inverse,
     monomial_exponents,
@@ -732,7 +734,7 @@ def test_layer_rows_match_the_group_law(kind, field):
 @pytest.mark.parametrize("p", (5, 7, 101))
 def test_resultant_in_y_matches_sympy(p):
     """Charts of random forms of degree <= 3, some constant in y on either
-    side (never both, a pair the census skips)."""
+    side, though the census itself passes only pairs that both involve y."""
     x, y = sympy.symbols("x y")
     field, rng = PrimeField(p), random.Random(f"resultant/{p}")
 
@@ -755,6 +757,79 @@ def test_resultant_in_y_matches_sympy(p):
             expected *= (-1) ** (ya * yb)
         expected = sympy.Poly(expected, x, modulus=p).all_coeffs()
         assert (_resultant_y(a, b, field) or [0]) == [c % p for c in reversed(expected)], (a, b)
+
+
+def _projective_raws(field):
+    """Normalized raws of every point of P^2 over a finite field."""
+    raws, one, zero = list(field._raws()), field._one, field._zero
+    return (
+        [(x, y, one) for x in raws for y in raws]
+        + [(x, one, zero) for x in raws]
+        + [(one, zero, zero)]
+    )
+
+
+@st.composite
+def census_systems(draw, field):
+    """Random forms of degree 1-3, some constant in y, some sharing a line
+    factor, or the gradient or Hessian system of a random cubic."""
+
+    def form(degree, no_y=False):
+        keys = [k for k in monomial_exponents(degree) if not (no_y and k[1])]
+        raws = st.lists(st.integers(0, field.p - 1), min_size=len(keys), max_size=len(keys))
+        return Poly3.from_raw(field, dict(zip(keys, draw(raws.filter(any)))))
+
+    shape = draw(st.sampled_from(["forms", "shared line", "gradient", "hessian"]))
+    if shape == "forms":
+        count = draw(st.integers(1, 4))
+        return [form(draw(st.integers(1, 3)), draw(st.booleans())) for _ in range(count)]
+    if shape == "shared line":
+        line = form(1, draw(st.booleans()))
+        return [line * form(draw(st.integers(0, 2))) for _ in range(draw(st.integers(2, 3)))]
+    f = form(3)
+    if shape == "hessian" and field.p != 2:
+        h = mat3_det([[f.partial(i).partial(j) for j in range(3)] for i in range(3)])
+        if not h.is_zero():
+            return [f, h]
+    return [g for g in (f.partial(i) for i in range(3)) if not g.is_zero()] + [f]
+
+
+def _some_pair_coprime(system, p):
+    """Do two of the forms have no common factor, by sympy's gcd over F_p?"""
+    xyz = sympy.symbols("x y z")
+    as_sympy = [
+        sympy.Poly(sum(c * sympy.prod(v**e for v, e in zip(xyz, k)) for k, c in g.terms.items()),
+                   *xyz, modulus=p)
+        for g in system
+    ]
+    return any(a.gcd(b).is_ground for a, b in itertools.combinations(as_sympy, 2))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_census_matches_brute_force(p, data):
+    """Every point the census finds is a common zero, and when two of the
+    forms are coprime, so that the common zeros are isolated, it finds all
+    of P^2(F_p)'s.  A certified empty census leaves none in P^2(F_p^2)."""
+    field = PrimeField(p)
+    system = data.draw(census_systems(field))
+    points, certified = _common_rational_points(system)
+    zeros = [
+        ProjectivePoint.from_raw(field, pt)
+        for pt in _projective_raws(field)
+        if all(g.evaluate_raw(pt) == field._zero for g in system)
+    ]
+    if _some_pair_coprime(system, p):
+        assert points == sorted(zeros, key=_point_key)
+    else:
+        assert not certified
+        assert set(points) <= set(zeros) and points == sorted(points, key=_point_key)
+    if certified and p <= 5:
+        big = ExtensionField(p, 2)
+        lifted = [Poly3(big, g.terms) for g in system]
+        for pt in _projective_raws(big):
+            assert any(g.evaluate_raw(pt) != big._zero for g in lifted), pt
 
 
 # ---------------------------------------------------------------------------

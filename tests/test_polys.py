@@ -93,6 +93,25 @@ class TestAgainstGaloistools:
         assert polys.is_irreducible(PrimeField(p), f) == gf_irreducible_p(to_gf(f), p, ZZ)
 
 
+def digits(p, e):
+    """Raws of GF(p^e): e base-p digits, the constant one first."""
+    return st.tuples(*[st.integers(0, p - 1)] * e)
+
+
+def boxed_roots(K, f):
+    """The sorted raws at which f vanishes, by boxed Horner evaluation over
+    every element of K."""
+    boxed = [K.element(c) for c in reversed(f)]
+    roots = []
+    for x in K.elements():
+        value = K.zero()
+        for c in boxed:
+            value = value * x + c
+        if not value:
+            roots.append(x.raw)
+    return sorted(roots)
+
+
 class TestRoots:
     @pytest.mark.parametrize("p", PRIMES)
     @settings(max_examples=50, deadline=None)
@@ -117,19 +136,25 @@ class TestRoots:
         linear = sorted(-int(g[1]) % p for g, _ in factors if len(g) == 2)
         assert polys.roots_in_field(K, f) == linear
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_extension_field_against_brute_force(self, data):
-        K = ExtensionField(5, 2)
-        digits = st.tuples(st.integers(0, 4), st.integers(0, 4))
-        f = polys.trim(K, data.draw(st.lists(digits, max_size=7)) + [(1, 0)])
-        boxed = [K.element(c) for c in f]
-        brute = sorted(
-            x.raw
-            for x in K.elements()
-            if not sum((c * x**i for i, c in enumerate(boxed)), K.zero())
-        )
-        assert polys.roots_in_field(K, f) == brute
+        # GF(2^3) and GF(3^2) take the brute-force path in characteristics 2 and 3
+        fields = [ExtensionField(5, 2), ExtensionField(2, 3), ExtensionField(3, 2)]
+        K = data.draw(st.sampled_from(fields))
+        f = polys.trim(K, data.draw(st.lists(digits(K.p, K.e), max_size=7)) + [K._one])
+        assert polys.roots_in_field(K, f) == boxed_roots(K, f)
+
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_equal_degree_splitting_against_brute_force(self, data):
+        # GF(3^8), of order 6561, is past the brute-force bound: the roots
+        # come from equal-degree splitting, as over GF(5^6) and up
+        K = ExtensionField(3, 8)
+        f = polys.trim(K, data.draw(st.lists(digits(3, 8), max_size=4)) + [K._one])
+        for r in data.draw(st.lists(digits(3, 8), max_size=3)):
+            f = polys.mul(K, f, [K._sub(K._zero, r), K._one])
+        assert polys.roots_in_field(K, f) == boxed_roots(K, f)
 
     @pytest.mark.parametrize("K", (PrimeField(101), ExtensionField(5, 4)), ids=repr)
     def test_small_field_roots_box_nothing(self, K, monkeypatch):
