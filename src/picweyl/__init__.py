@@ -37,9 +37,8 @@ _EXPORTS = (
     ("projgeom", ("Poly3", "ProjectivePoint")),
     ("cubic", (
         "CubicCurveModel", "RestrictionImage", "SmoothPoint", "classify_cubic",
-        "generator_images", "halphen_index_check", "harbourne_check",
-        "kernel_submodule_generators", "restriction_hom", "torsion_set_check",
-        "unnodal_by_kernel",
+        "halphen_index_check", "harbourne_check", "kernel_submodule_generators",
+        "restriction_hom", "torsion_set_check", "unnodal_by_kernel",
     )),
     ("plane", (
         "PointConfiguration", "act_by_word", "configuration", "cremona_quadratic",

@@ -57,10 +57,7 @@ from .errors import (
     UnsupportedCurveError,
 )
 from .fields import Field, FieldElement, PrimeField
-from .lattice import (
-    LatticeVector, canonical_vector, root_basis_coordinates, root_basis_left_inverse,
-    simple_roots,
-)
+from .lattice import LatticeVector, canonical_vector, root_basis_left_inverse, simple_roots
 from .polys import Poly, roots_in_field
 from .projgeom import (
     Mat3,
@@ -584,8 +581,11 @@ def _common_rational_points(system: list[Poly3]) -> tuple[list[ProjectivePoint],
     The x-coordinates of the affine zeros are roots of the elimination gcd:
     a form constant in y enters with its own x-polynomial, and each pair of
     forms that both involve y with its resultant in y, computed only while
-    the gcd is not yet constant.  The lines x = x0 over its rational roots
-    and the line z = 0 are then searched alike, and (1:0:0) directly."""
+    the gcd is not yet constant.  When every such pair shares a factor, the
+    first form's resultant with the sum of the others, also zero at every
+    common zero, is the eliminant instead.  The lines x = x0 over its
+    rational roots and the line z = 0 are then searched alike, and (1:0:0)
+    directly."""
     field = system[0].field
     one, zero = field._one, field._zero
     points: set[ProjectivePoint] = set()
@@ -596,7 +596,16 @@ def _common_rational_points(system: list[Poly3]) -> tuple[list[ProjectivePoint],
         (_resultant_y(a, b, field) for a, b in itertools.combinations(curved, 2)),
     )
     elim = _poly_list_gcd(eliminants, field)
-    complete = bool(elim)  # no nonzero eliminant: the affine zeros are not isolated
+    if not elim and len(curved) > 2:
+        rest: list[Poly] = []
+        for c in curved[1:]:
+            pairs = itertools.zip_longest(rest, c, fillvalue=[])
+            rest = [polys.add(field, a, b) for a, b in pairs]
+        while rest and not rest[-1]:
+            rest.pop()
+        if rest:
+            elim = _poly_list_gcd([_resultant_y(curved[0], rest, field)], field)
+    complete = bool(elim)  # no nonzero eliminant: the affine zeros may not be isolated
     if len(elim) > 1:
         xs = roots_in_field(field, elim)
         complete = _splits_rationally(elim, xs, field)
@@ -685,8 +694,8 @@ def _resultant_y(ca: list[Poly], cb: list[Poly], field: Field) -> Poly:
     """Resultant in y of two nonempty chart polynomials (coefficients in
     K[x]), not both constant in y, via the Sylvester determinant expanded
     over K[x].  A chart constant in y makes the matrix diagonal; the census
-    passes only pairs that both involve y.  Sizes here stay at most 6x6, so
-    cofactor expansion is exact and cheap."""
+    passes one only as the sum it falls back on.  Sizes here stay at most
+    6x6, so cofactor expansion is exact and cheap."""
     m = len(ca) - 1
     n = len(cb) - 1
     size = m + n
@@ -785,31 +794,43 @@ class RestrictionLayer:
 
     The images of the simple roots are given integer coordinates, once, in
     an explicit finite abelian group A = Z/d_1 + ... + Z/d_r: ``moduli``
-    holds the d_j and row i of ``rows`` the coordinates of the image of
-    alpha_i.  Everything downstream is integer arithmetic on that n x r
-    matrix.  In characteristic 0 the images need not be torsion; then
-    ``rows`` is None.
+    holds the d_j and ``columns[j]`` the j-th coordinates of the images of
+    alpha_0, ..., alpha_{n-1}.  ``folded[j]`` folds the change to simple-root
+    coordinates into that column, so a class of k^perp restricts by one dot
+    product per group coordinate on its own coordinates (d, -m_1, ..., -m_n).
+    In characteristic 0 the images need not be torsion; then both are None.
     """
 
     def __init__(self, model: CubicCurveModel, points: tuple):
         self.group = model.group
-        self.n = len(points)
+        self.n = n = len(points)
         line = model.smooth_point(model.third_intersection(model.origin, model.origin))
         basis = [line] + [model.smooth_point(p) for p in points]
-        roots = [a.coords for a in simple_roots(self.n)]
-        self.moduli, self.rows = _coordinates(model, basis, roots)
+        roots = [a.coords for a in simple_roots(n)]
+        self.moduli, self.columns = _coordinates(model, basis, roots)
+        li = root_basis_left_inverse(n)
+        self.folded = None if self.columns is None else [
+            tuple(sum(x * row[k] for x, row in zip(col, li)) % d for k in range(n + 1))
+            for col, d in zip(self.columns, self.moduli)
+        ]
 
     def image(self, coords) -> "RestrictionImage":
-        """The image of the class with these simple-root coordinates."""
-        if self.rows is None:
+        """The image of the class of k^perp with these geometric coordinates."""
+        if 3 * coords[0] + sum(coords[1:]):
+            raise ValueError("vector is not orthogonal to the canonical vector")
+        return RestrictionImage(self, tuple(self._group_coordinates(coords)))
+
+    def restricts_to_zero(self, coords) -> bool:
+        """Does this class of k^perp, not checked for membership, restrict to
+        zero?  Stops at the first nonzero group coordinate."""
+        return not any(self._group_coordinates(coords))
+
+    def _group_coordinates(self, coords):
+        """The class's group coordinates, lazily, one dot product each."""
+        if self.folded is None:
             raise DomainError("the simple-root images are not torsion: no group coordinates")
-        return RestrictionImage(
-            self,
-            tuple(
-                sum(c * row[j] for c, row in zip(coords, self.rows)) % d
-                for j, d in enumerate(self.moduli)
-            ),
-        )
+        cols = zip(self.folded, self.moduli)
+        return (sum(c * w for c, w in zip(coords, col)) % d for col, d in cols)
 
 
 class RestrictionImage:
@@ -822,28 +843,8 @@ class RestrictionImage:
         self.layer = layer
         self.coords = coords
 
-    @property
-    def kind(self) -> str:
-        return self.layer.group
-
-    def _new(self, coords) -> "RestrictionImage":
-        return RestrictionImage(
-            self.layer, tuple(c % d for c, d in zip(coords, self.layer.moduli))
-        )
-
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-    def add(self, other: "RestrictionImage") -> "RestrictionImage":
-        if self.layer is not other.layer:
-            raise ValueError("images live in different restriction layers")
-        return self._new(a + b for a, b in zip(self.coords, other.coords))
-
-    def neg(self) -> "RestrictionImage":
-        return self._new(-c for c in self.coords)
-
-    def scalar(self, n: int) -> "RestrictionImage":
-        return self._new(n * c for c in self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, RestrictionImage):
@@ -851,7 +852,7 @@ class RestrictionImage:
         return self.layer is other.layer and self.coords == other.coords
 
     def __repr__(self):
-        return f"RestrictionImage({self.kind}, {self.coords} mod {self.layer.moduli})"
+        return f"RestrictionImage({self.layer.group}, {self.coords} mod {self.layer.moduli})"
 
 
 def _group_sum(model: CubicCurveModel, terms) -> SmoothPoint:
@@ -866,10 +867,10 @@ def _group_sum(model: CubicCurveModel, terms) -> SmoothPoint:
 
 
 def _coordinates(model: CubicCurveModel, basis: list[SmoothPoint], roots: list[tuple]):
-    """(moduli, rows): coordinates of the images of the simple roots, given
-    by their coordinates in the basis (line class, marked points), in an
-    explicit finite abelian group.  The only step that depends on the
-    curve kind:
+    """(moduli, columns): coordinates of the images of the simple roots,
+    given by their coordinates in the basis (line class, marked points), in
+    an explicit finite abelian group, one column per group coordinate.  The
+    only step that depends on the curve kind:
 
     * additive over GF(p^e): the F_p digits of the parameter, A = (Z/p)^e;
     * multiplicative over F_q: discrete logs to one primitive root,
@@ -879,8 +880,8 @@ def _coordinates(model: CubicCurveModel, basis: list[SmoothPoint], roots: list[t
       torsion.
 
     The first two coordinate maps are homomorphisms, so they are taken on
-    the basis, and each root's row is its integer combination of the basis
-    rows, reduced mod the moduli.
+    the basis, and each root's entry is its integer combination of the
+    basis coordinates, reduced mod the moduli.
     """
     field = model.field
     if field.char and model.group == "additive":
@@ -893,11 +894,11 @@ def _coordinates(model: CubicCurveModel, basis: list[SmoothPoint], roots: list[t
     else:
         images = [_group_sum(model, zip(a, basis)) for a in roots]
         return _enumerated_coordinates(model, images)
-    rows = [
-        tuple(sum(c * x[j] for c, x in zip(a, coords)) % d for j, d in enumerate(moduli))
-        for a in roots
+    columns = [
+        tuple(sum(c * x[j] for c, x in zip(a, coords)) % d for a in roots)
+        for j, d in enumerate(moduli)
     ]
-    return moduli, rows
+    return moduli, columns
 
 
 def _discrete_logs(xs: list, field: Field) -> list[int]:
@@ -973,7 +974,7 @@ def _enumerated_coordinates(model: CubicCurveModel, images: list[SmoothPoint]):
     _, d, v = smith_normal_form(relations)
     keep = [j for j in range(n) if d[j][j] != 1]
     moduli = tuple(d[j][j] for j in keep)
-    return moduli, [tuple(v[i][j] % d[j][j] for j in keep) for i in range(n)]
+    return moduli, [tuple(v[i][j] % d[j][j] for i in range(n)) for j in keep]
 
 
 def _as_point_list(points) -> list[ProjectivePoint]:
@@ -1003,20 +1004,12 @@ def restriction_hom(model: CubicCurveModel, points, cls: LatticeVector) -> Restr
     pts = _as_point_list(points)
     if cls.n != len(pts):
         raise ValueError(f"class indexes {cls.n} points, {len(pts)} given")
-    return restriction_layer(model, pts).image(root_basis_coordinates(cls))
-
-
-def generator_images(model: CubicCurveModel, points) -> list[RestrictionImage]:
-    """Images of the simple roots under class restriction."""
-    layer = restriction_layer(model, points)
-    return [layer.image([int(i == j) for j in range(layer.n)]) for i in range(layer.n)]
+    return restriction_layer(model, pts).image(cls.coords)
 
 
 def image_order(img: RestrictionImage) -> int:
     """Exact order of the image in the smooth-locus group."""
-    return math.lcm(
-        *(d // math.gcd(d, x) for d, x in zip(img.layer.moduli, img.coords))
-    )
+    return math.lcm(*(d // math.gcd(d, x) for d, x in zip(img.layer.moduli, img.coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -1035,10 +1028,13 @@ def halphen_index_check(model: CubicCurveModel, points, m: int) -> bool:
 
 
 def torsion_set_check(model: CubicCurveModel, points) -> tuple[bool, int | None]:
-    """(all generator images torsion, least exponent killing all of them)."""
-    if restriction_layer(model, points).rows is None:
+    """(all generator images torsion, least exponent killing all of them):
+    the lcm over the group coordinates of d_j / gcd(d_j, column j)."""
+    layer = restriction_layer(model, points)
+    if layer.columns is None:
         return False, None
-    return True, math.lcm(*(image_order(img) for img in generator_images(model, points)))
+    cols = zip(layer.columns, layer.moduli)
+    return True, math.lcm(*(d // math.gcd(d, *col) for col, d in cols))
 
 
 def harbourne_check(model: CubicCurveModel, points) -> tuple[bool, dict]:
@@ -1052,12 +1048,11 @@ def harbourne_check(model: CubicCurveModel, points) -> tuple[bool, dict]:
     if model.kind != "cuspidal" or model.field.char == 0:
         raise DomainError("this kernel test applies to cuspidal curves over finite fields")
     layer = restriction_layer(model, points)
-    n = layer.n
     p = model.field.char
     fp = PrimeField(p)
-    rows = [[row[j] % p for row in layer.rows] for j in range(len(layer.moduli))]
+    rows = [[x % p for x in col] for col in layer.columns]
     rank = matrix_rank(rows, fp)
-    if rank == n:
+    if rank == layer.n:
         return True, {"kernel": f"{p} * (canonical complement)", "rank": rank}
     return False, {
         "kernel": "strictly larger",
@@ -1073,6 +1068,8 @@ def kernel_submodule_generators(
     restriction kernel: all x with sum of x_i times image(alpha_i) zero in
     the group.  m must be a multiple of the images' exponent; the implicit
     m * (everything) is not listed."""
+    if m < 1:
+        raise DomainError(f"the modulus must be positive, not {m}")
     torsion, exponent = torsion_set_check(model, points)
     if not torsion or m % exponent:
         raise DomainError(f"the simple-root images do not all have order dividing {m}")
@@ -1080,8 +1077,8 @@ def kernel_submodule_generators(
     n, moduli = layer.n, layer.moduli
     # x is a relation iff x . column_j + d_j y_j = 0 for some integers y_j
     aug = [
-        [row[j] for row in layer.rows] + [d if i == j else 0 for i in range(len(moduli))]
-        for j, d in enumerate(moduli)
+        list(col) + [d if i == j else 0 for i in range(len(moduli))]
+        for j, (col, d) in enumerate(zip(layer.columns, moduli))
     ] or [[0] * n]
     return [tuple(v[i] % m for i in range(n)) for v in integer_kernel(aug)]
 
@@ -1091,9 +1088,9 @@ def unnodal_by_kernel(
 ) -> tuple[bool, LatticeVector | None, dict]:
     """No root class restricts to zero, decided as far as the certificates
     reach.  Trivial kernel residues give a complete proof (a root congruent
-    to 0 mod m would make m^2 divide -2); mod-2 exclusion is also complete.
-    Otherwise a bounded catalog search runs, and the certificate records
-    its bound and incompleteness.
+    to 0 mod m would make m^2 divide -2).  Otherwise the layer tests each
+    root of a bounded catalog; mod-2 exclusion then completes a proof, or
+    the certificate records the catalog's bound and incompleteness.
 
     Returns (verdict, witness_root, certificate).
     """
@@ -1117,19 +1114,9 @@ def unnodal_by_kernel(
     if not nontrivial:
         return True, None, {"certificate": "kernel-trivial", "modulus": m, "complete": True}
 
-    # the change to simple-root coordinates folded into the image matrix:
-    # a root then restricts by one dot product per group coordinate
     layer = restriction_layer(model, pts)
-    li = root_basis_left_inverse(n)
-    weights = [
-        [sum(li[i][k] * row[j] for i, row in enumerate(layer.rows)) % d for k in range(n + 1)]
-        for j, d in enumerate(layer.moduli)
-    ]
     for root in enumerate_roots(n, _CATALOG_BOUND):
-        if not any(
-            sum(c * w for c, w in zip(root.coords, col)) % d
-            for col, d in zip(weights, layer.moduli)
-        ):
+        if layer.restricts_to_zero(root.coords):
             return False, root, {
                 "certificate": "catalog-root",
                 "modulus": m,

@@ -524,7 +524,6 @@ def find_root_in_submodule(
     method: str = "theory",
     *,
     max_depth: int | None = None,
-    max_visited: int = _VISITED_CAP,
 ) -> RootSearchResult:
     """A norm -2 vector of the canonical complement whose residue mod m lies
     in the given submodule.
@@ -557,10 +556,10 @@ def find_root_in_submodule(
             target = list(_theory_target(sub))
         except BudgetError:
             target = None  # the target does not steer the search
-        return _search(sub, [1], depth, max_visited, "Theory", reason, target)
+        return _search(sub, [1], depth, "Theory", reason, target)
     if method == "orbit-bfs":
         reason = f"no orbit root within depth {depth} has its residue in the submodule"
-        return _search(sub, range(10), depth, max_visited, "OrbitBFS", reason)
+        return _search(sub, range(10), depth, "OrbitBFS", reason)
     raise ValueError(f"unknown method {method!r}: use theory or orbit-bfs")
 
 
@@ -596,7 +595,7 @@ def _crt_combine(pieces, m: int):
     return tuple(out)
 
 
-def _search(sub, bases, depth, cap, method, reason, target=None) -> RootSearchResult:
+def _search(sub, bases, depth, method, reason, target=None) -> RootSearchResult:
     """Run the word search from the simple roots numbered in bases and package its
     outcome.  A found certificate replays: the word applied to simple root
     number base gives the root.  A Theory certificate reports the target,
@@ -604,7 +603,7 @@ def _search(sub, bases, depth, cap, method, reason, target=None) -> RootSearchRe
     "residue" beside an inconclusive one."""
     module = sub.module
     starts = [tuple(int(i == j) for j in range(module.rank)) for i in bases]
-    found = _word_search(starts, sub, depth, cap)
+    found = _word_search(starts, sub, depth, _VISITED_CAP)
     if not isinstance(found, tuple):
         certificate = {"method": method, "modulus": module.m}
         if method == "Theory":

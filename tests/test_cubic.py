@@ -28,11 +28,11 @@ from picweyl import (
     ReducibleCurveError,
     SmoothPoint,
     UnsupportedCurveError,
+    basis_vector,
     canonical_vector,
     classify_cubic,
     configuration,
     cremona_quadratic,
-    generator_images,
     gram_matrix,
     halphen_index_check,
     harbourne_check,
@@ -57,6 +57,7 @@ from picweyl.cubic import (
     _rational_inflections,
     _resultant_y,
     image_order,
+    restriction_layer,
 )
 from picweyl.fields import FieldElement
 from picweyl.projgeom import (
@@ -297,9 +298,25 @@ class TestRestriction:
         u = vector(1, -1, -1, -1, 0, 0, 0, 0, 0, 0)
         v = vector(0, 1, -1, 0, 0, 0, 0, 0, 0, 0)
         ru, rv = restriction_hom(m, pts, u), restriction_hom(m, pts, v)
-        assert restriction_hom(m, pts, u + v) == ru.add(rv)
-        assert restriction_hom(m, pts, u - v) == ru.add(rv.neg())
-        assert restriction_hom(m, pts, u * 3) == ru.scalar(3)
+        assert not ru.is_zero() and not rv.is_zero()
+
+        def combination(a, b):
+            moduli = ru.layer.moduli
+            return tuple((a * x + b * y) % d for x, y, d in zip(ru.coords, rv.coords, moduli))
+
+        assert restriction_hom(m, pts, u + v).coords == combination(1, 1)
+        assert restriction_hom(m, pts, u - v).coords == combination(1, -1)
+        assert restriction_hom(m, pts, u * 3).coords == combination(3, 0)
+
+    def test_restriction_refuses_classes_off_the_complement(self):
+        m = smooth_model()
+        pts = self.nine_points(m)
+        # e_1 has k . e_1 = 1: simple-root coordinates would hide that
+        with pytest.raises(ValueError) as err:
+            restriction_hom(m, pts, basis_vector(1, 9))
+        assert not isinstance(err.value, DomainError)
+        with pytest.raises(ValueError):
+            restriction_hom(m, pts[:8], vector(0, 1, -1, 0, 0, 0, 0, 0, 0, 0))
 
     def test_halphen_index_frozen_verdicts(self):
         m = smooth_model()
@@ -324,6 +341,14 @@ class TestRestriction:
         pts = self.nine_points(m)
         eps = restriction_hom(m, pts, -canonical_vector(9))
         assert image_order(eps) == 2
+
+    def test_kernel_generators_refuse_non_positive_moduli(self):
+        m = nodal_model()
+        pts = [m.point_from_parameter(F(t)).point for t in range(2, 11)]
+        assert torsion_set_check(m, pts) == (True, 100)
+        for bad in (0, -100):
+            with pytest.raises(DomainError):
+                kernel_submodule_generators(m, pts, bad)
 
     def test_unnodal_by_kernel_on_elliptic_fixture(self):
         m = smooth_model()
@@ -409,9 +434,10 @@ class TestHarbourne:
     def test_generator_images_shape(self):
         m = cusp_model(self.K)
         pts = [m.point_from_parameter(t).point for t in self.params()]
-        imgs = generator_images(m, pts)
-        assert len(imgs) == 10
-        assert all(img.kind == "additive" for img in imgs)
+        layer = restriction_layer(m, pts)
+        assert layer.group == "additive" and layer.moduli == (5,) * 12
+        assert [len(col) for col in layer.columns] == [10] * 12
+        assert [len(col) for col in layer.folded] == [11] * 12
 
 
 class TestRationalCuspidal:
@@ -498,12 +524,14 @@ class TestRestrictionLayer:
         m, pts = layer_fixture(name)
         cls = _from_root_coords(xs[: len(pts)])
         direct = _direct(m, pts, cls)
-        assert restriction_hom(m, pts, cls).is_zero() == (direct == m.zero())
-        # a multiple that kills the image, and the image minus itself
+        layer = restriction_layer(m, pts)
+        killed = direct == m.zero()
+        assert restriction_hom(m, pts, cls).is_zero() == killed
+        assert layer.restricts_to_zero(cls.coords) == killed
+        # a multiple that kills the image
         k = _order_by_addition(m, direct) * scale
         assert restriction_hom(m, pts, cls * k).is_zero()
-        img = restriction_hom(m, pts, cls)
-        assert img.add(img.neg()).is_zero()
+        assert layer.restricts_to_zero((cls * k).coords)
 
     @pytest.mark.parametrize("name", LAYER_FIXTURES)
     @settings(max_examples=25, deadline=None)
@@ -656,7 +684,7 @@ def test_off_curve_and_singular_points_raise():
             with pytest.raises(DomainError):
                 m.smooth_point(p)
             with pytest.raises(DomainError):
-                generator_images(m, [p] + [on] * 8)
+                restriction_layer(m, [p] + [on] * 8)
     m = smooth_model()
     with pytest.raises(DomainError):
         m.third_intersection(ProjectivePoint(F, (1, 1, 1)), m.origin)
@@ -700,8 +728,8 @@ def _unit_logs(p):
     ids=repr,
 )
 def test_layer_rows_match_the_group_law(kind, field):
-    """Rows from the basis coordinates equal the coordinates of the simple-
-    root images summed with the group law."""
+    """Columns from the basis coordinates equal the coordinates of the
+    simple-root images summed with the group law."""
     rng = random.Random(f"layer/{kind}/{field}")
     for n in (9, 10, 11):
         model = classify_cubic(_moved(field, CUSPIDAL if kind == "cuspidal" else NODAL, rng))
@@ -724,7 +752,7 @@ def test_layer_rows_match_the_group_law(kind, field):
             rows = [(logs[img.param.raw],) for img in images]
             moduli = (field.p - 1,)
         layer = RestrictionLayer(model, pts)
-        assert (layer.moduli, layer.rows) == (moduli, rows)
+        assert (layer.moduli, layer.columns) == (moduli, list(zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -771,27 +799,37 @@ def _projective_raws(field):
 
 @st.composite
 def census_systems(draw, field):
-    """Random forms of degree 1-3, some constant in y, some sharing a line
-    factor, or the gradient or Hessian system of a random cubic."""
+    """(shape, forms): random forms of degree 1-3, some constant in y, some
+    sharing a line factor, the pairwise products of three distinct lines, or
+    the gradient or Hessian system of a random cubic."""
 
     def form(degree, no_y=False):
         keys = [k for k in monomial_exponents(degree) if not (no_y and k[1])]
         raws = st.lists(st.integers(0, field.p - 1), min_size=len(keys), max_size=len(keys))
         return Poly3.from_raw(field, dict(zip(keys, draw(raws.filter(any)))))
 
-    shape = draw(st.sampled_from(["forms", "shared line", "gradient", "hessian"]))
+    shape = draw(st.sampled_from(["forms", "shared line", "triangle", "gradient", "hessian"]))
     if shape == "forms":
         count = draw(st.integers(1, 4))
-        return [form(draw(st.integers(1, 3)), draw(st.booleans())) for _ in range(count)]
+        return shape, [form(draw(st.integers(1, 3)), draw(st.booleans())) for _ in range(count)]
     if shape == "shared line":
         line = form(1, draw(st.booleans()))
-        return [line * form(draw(st.integers(0, 2))) for _ in range(draw(st.integers(2, 3)))]
+        count = draw(st.integers(2, 3))
+        return shape, [line * form(draw(st.integers(0, 2))) for _ in range(count)]
+    if shape == "triangle":
+        # every two of the forms share a line, yet the vertices are isolated
+        lines = st.sampled_from(_projective_raws(field))
+        a, b, c = (
+            Poly3.from_raw(field, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), raws)))
+            for raws in draw(st.lists(lines, min_size=3, max_size=3, unique=True))
+        )
+        return shape, [a * b, b * c, c * a]
     f = form(3)
     if shape == "hessian" and field.p != 2:
         h = mat3_det([[f.partial(i).partial(j) for j in range(3)] for i in range(3)])
         if not h.is_zero():
-            return [f, h]
-    return [g for g in (f.partial(i) for i in range(3)) if not g.is_zero()] + [f]
+            return shape, [f, h]
+    return shape, [g for g in (f.partial(i) for i in range(3)) if not g.is_zero()] + [f]
 
 
 def _some_pair_coprime(system, p):
@@ -809,18 +847,19 @@ def _some_pair_coprime(system, p):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_census_matches_brute_force(p, data):
-    """Every point the census finds is a common zero, and when two of the
-    forms are coprime, so that the common zeros are isolated, it finds all
-    of P^2(F_p)'s.  A certified empty census leaves none in P^2(F_p^2)."""
+    """Every point the census finds is a common zero, and when the common
+    zeros are isolated, because two of the forms are coprime or the forms
+    are a triangle's, it finds all of P^2(F_p)'s.  A certified empty census
+    leaves none in P^2(F_p^2)."""
     field = PrimeField(p)
-    system = data.draw(census_systems(field))
+    shape, system = data.draw(census_systems(field))
     points, certified = _common_rational_points(system)
     zeros = [
         ProjectivePoint.from_raw(field, pt)
         for pt in _projective_raws(field)
         if all(g.evaluate_raw(pt) == field._zero for g in system)
     ]
-    if _some_pair_coprime(system, p):
+    if shape == "triangle" or _some_pair_coprime(system, p):
         assert points == sorted(zeros, key=_point_key)
     else:
         assert not certified
@@ -830,6 +869,18 @@ def test_census_matches_brute_force(p, data):
         lifted = [Poly3(big, g.terms) for g in system]
         for pt in _projective_raws(big):
             assert any(g.evaluate_raw(pt) != big._zero for g in lifted), pt
+
+
+def test_census_finds_the_vertices_of_a_triangle():
+    """Over GF(5) every two of AB, BC, CA share a line, so each pairwise
+    resultant vanishes; the three vertices are still found."""
+    F5 = PrimeField(5)
+    a, b, c = (
+        Poly3.from_coeff_map(F5, coeffs)
+        for coeffs in ({"100": 1, "010": 1}, {"010": 1, "001": 2}, {"100": 1, "010": 3, "001": 1})
+    )
+    vertices = [ProjectivePoint(F5, xs) for xs in ((0, 3, 1), (2, 3, 1), (3, 2, 1))]
+    assert _common_rational_points([a * b, b * c, c * a]) == (vertices, False)
 
 
 # ---------------------------------------------------------------------------

@@ -505,9 +505,19 @@ def _reference_word_search(starts, sub, depth, cap):
     return None
 
 
-def _search_outcome(sub, method, **kwargs):
+def _capped_search(monkeypatch, sub, method, cap):
+    """A root search with the visited-roots cap lowered to cap."""
+    with monkeypatch.context() as patch:
+        patch.setattr(residue, "_VISITED_CAP", cap)
+        return find_root_in_submodule(sub, method)
+
+
+def _search_outcome(monkeypatch, sub, method, cap=None):
     try:
-        out = find_root_in_submodule(sub, method, **kwargs)
+        if cap is None:
+            out = find_root_in_submodule(sub, method)
+        else:
+            out = _capped_search(monkeypatch, sub, method, cap)
     except (BudgetError, DomainError) as err:
         return type(err).__name__, str(err)
     return out.status, out.certificate
@@ -624,7 +634,7 @@ class TestRootSearch:
         out2 = find_root_in_submodule(sub, "orbit-bfs", max_depth=0)
         assert out2.status in ("found", "inconclusive")
 
-    def test_visited_cap_reports_inconclusive(self):
+    def test_visited_cap_reports_inconclusive(self, monkeypatch):
         M = ResidueModule(5)
         rng = random.Random(1)  # this seed needs a depth-1 word
         sub = random_rank8_submodule(M, rng)
@@ -632,38 +642,38 @@ class TestRootSearch:
         assert unrestricted.status == "found"
         assert len(unrestricted.certificate["word"]) >= 1
         # a cap at the seed level forbids growing even one level
-        out = find_root_in_submodule(sub, "orbit-bfs", max_visited=10)
+        out = _capped_search(monkeypatch, sub, "orbit-bfs", 10)
         assert out.status == "inconclusive"
         assert "capped" in out.certificate["reason"]
 
-    def test_searches_keep_no_state_between_calls(self):
+    def test_searches_keep_no_state_between_calls(self, monkeypatch):
         # a capped search answers the same before and after an uncapped one
         sub = random_rank8_submodule(ResidueModule(5), random.Random(1))
-        fresh = find_root_in_submodule(sub, "orbit-bfs", max_visited=10)
+        fresh = _capped_search(monkeypatch, sub, "orbit-bfs", 10)
         find_root_in_submodule(sub, "orbit-bfs")
-        again = find_root_in_submodule(sub, "orbit-bfs", max_visited=10)
+        again = _capped_search(monkeypatch, sub, "orbit-bfs", 10)
         assert fresh.status == again.status == "inconclusive"
         assert fresh.certificate == again.certificate
+        assert "capped" in fresh.certificate["reason"]
 
     def test_syndrome_search_matches_member_by_member_search(self, monkeypatch):
-        from picweyl import residue
-
         panel = _syndrome_panel()
         shapes = {(sub.module.m, sub.invariant_factors[8:]) for sub in panel}
         assert {(6, (3, 6)), (8, (2, 2))} <= shapes
         assert any(f not in (1, sub.module.m) for sub in panel for f in sub.invariant_factors)
         # theory's target costs far more than its search: a third of the panel
         # and the two named shapes are enough to pin its certificates
-        runs = [(sub, "theory", {}) for sub in panel[::3] + panel[-2:]]
-        runs += [(sub, "orbit-bfs", {}) for sub in panel]
+        runs = [(sub, "theory", None) for sub in panel[::3] + panel[-2:]]
+        runs += [(sub, "orbit-bfs", None) for sub in panel]
         # orbit-bfs holds 295 roots after level 14: a cap met exactly
-        runs += [(sub, "orbit-bfs", {"max_visited": 295}) for sub in panel[::7]]
-        fast = [_search_outcome(sub, method, **kw) for sub, method, kw in runs]
+        runs += [(sub, "orbit-bfs", 295) for sub in panel[::7]]
+        fast = [_search_outcome(monkeypatch, *run) for run in runs]
         monkeypatch.setattr(residue, "_word_search", _reference_word_search)
-        slow = [_search_outcome(sub, method, **kw) for sub, method, kw in runs]
+        slow = [_search_outcome(monkeypatch, *run) for run in runs]
         assert fast == slow
         statuses = {outcome[0] for outcome in fast}
         assert {"found", "inconclusive"} <= statuses
+        assert any("capped" in str(outcome[1]) for outcome in fast)
 
     def test_other_ranks_rejected(self):
         for n in (9, 11):
