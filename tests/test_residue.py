@@ -506,18 +506,15 @@ def _reference_word_search(starts, sub, depth, cap):
 
 
 def _capped_search(monkeypatch, sub, method, cap):
-    """A root search with the visited-roots cap lowered to cap."""
+    """A root search with the visited-roots cap set to cap."""
     with monkeypatch.context() as patch:
         patch.setattr(residue, "_VISITED_CAP", cap)
         return find_root_in_submodule(sub, method)
 
 
-def _search_outcome(monkeypatch, sub, method, cap=None):
+def _search_outcome(monkeypatch, sub, method, cap=residue._VISITED_CAP):
     try:
-        if cap is None:
-            out = find_root_in_submodule(sub, method)
-        else:
-            out = _capped_search(monkeypatch, sub, method, cap)
+        out = _capped_search(monkeypatch, sub, method, cap)
     except (BudgetError, DomainError) as err:
         return type(err).__name__, str(err)
     return out.status, out.certificate
@@ -663,8 +660,8 @@ class TestRootSearch:
         assert any(f not in (1, sub.module.m) for sub in panel for f in sub.invariant_factors)
         # theory's target costs far more than its search: a third of the panel
         # and the two named shapes are enough to pin its certificates
-        runs = [(sub, "theory", None) for sub in panel[::3] + panel[-2:]]
-        runs += [(sub, "orbit-bfs", None) for sub in panel]
+        runs = [(sub, "theory") for sub in panel[::3] + panel[-2:]]
+        runs += [(sub, "orbit-bfs") for sub in panel]
         # orbit-bfs holds 295 roots after level 14: a cap met exactly
         runs += [(sub, "orbit-bfs", 295) for sub in panel[::7]]
         fast = [_search_outcome(monkeypatch, *run) for run in runs]
