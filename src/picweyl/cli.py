@@ -56,9 +56,16 @@ def _integer(x) -> int:
     raise ValueError(f"{json.dumps(x)} is not an integer")
 
 
-def _load_json(path: str):
+def _load_json(path: str, key: str | None = None):
+    """The JSON value in the file; given a key, a JSON object yields its
+    entry under that key, and an object without it is a domain error."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if key is None or not isinstance(data, dict):
+        return data
+    if key not in data:
+        raise DomainError(f"{path} has no {json.dumps(key)} key")
+    return data[key]
 
 
 def _field_from_flags(args) -> Field:
@@ -87,18 +94,12 @@ def _points_from_args(args) -> PointConfiguration:
     from .projgeom import ProjectivePoint
 
     field = _field_from_flags(args)
-    data = _load_json(args.points)
-    if isinstance(data, dict):
-        data = data["points"]
-    pts = [ProjectivePoint.from_json(field, c) for c in data]
+    pts = [ProjectivePoint.from_json(field, c) for c in _load_json(args.points, "points")]
     return PointConfiguration(field, pts)
 
 
 def _params_from_file(path: str, field: Field) -> list:
-    data = _load_json(path)
-    if isinstance(data, dict):
-        data = data["params"]
-    return [field.element_from_json(c) for c in data]
+    return [field.element_from_json(c) for c in _load_json(path, "params")]
 
 
 def _word_input(args):
@@ -281,10 +282,7 @@ def _cmd_find_root_mod(args):
 
     if args.budget is not None and args.budget < 0:
         raise _CliUsage("--budget must be nonnegative")
-    data = _load_json(args.gens)
-    if isinstance(data, dict):
-        data = data["generators"]
-    gens = [tuple(_integer(x) for x in row) for row in data]
+    gens = [tuple(_integer(x) for x in row) for row in _load_json(args.gens, "generators")]
     module = ResidueModule(args.m)
     sub = module.submodule(gens)
     method = "theory" if args.method == "theory" else "orbit-bfs"

@@ -5,8 +5,10 @@ The classification finds rational singular points as the rational common
 zeros of f and its nonzero partials, by exact resultant elimination; the
 census depends on f alone.  It eliminates y lazily, stopping once the gcd of
 the eliminants is constant, then searches the lines x = x0 over that gcd's
-rational roots and the line z = 0 with one helper.  It is decisive for
-everything this module supports: an irreducible cubic has at most one
+rational roots and the line z = 0 with one helper.  Each resultant in y is
+the determinant of a Bezout matrix over K[x] whose size is the larger
+y-degree (at most 3), half the Sylvester matrix's.  The census is decisive
+for everything this module supports: an irreducible cubic has at most one
 singular point, and a unique singular point is fixed by Galois, hence
 rational.  Configurations that would need factorization over proper
 extensions (conjugate singular points, non-split nodes, tangent lines hiding
@@ -158,11 +160,6 @@ class CubicCurveModel:
 
     def contains(self, p: ProjectivePoint) -> bool:
         return self.poly.evaluate_raw(p.raw) == self.field._zero
-
-    def is_smooth_point(self, p: ProjectivePoint) -> bool:
-        zero = self.field._zero
-        value, *grad = self._jet(p.raw)
-        return value == zero and any(g != zero for g in grad)
 
     def smooth_point(self, p) -> SmoothPoint:
         if isinstance(p, SmoothPoint):
@@ -691,23 +688,34 @@ def _dense(field: Field, coeffs: dict) -> Poly:
 
 
 def _resultant_y(ca: list[Poly], cb: list[Poly], field: Field) -> Poly:
-    """Resultant in y of two nonempty chart polynomials (coefficients in
-    K[x]), not both constant in y, via the Sylvester determinant expanded
-    over K[x].  A chart constant in y makes the matrix diagonal; the census
-    passes one only as the sum it falls back on.  Sizes here stay at most
-    6x6, so cofactor expansion is exact and cheap."""
-    m = len(ca) - 1
-    n = len(cb) - 1
-    size = m + n
-    zero: Poly = []
-    arev = list(reversed(ca))
-    brev = list(reversed(cb))
-    rows: list[list[Poly]] = []
-    for i in range(n):
-        rows.append([zero] * i + arev + [zero] * (size - i - m - 1))
+    """Resultant in y of two chart polynomials (coefficients in K[x]) with
+    nonzero top y-coefficients, not both constant in y: the Sylvester
+    resultant, sign included, from the m x m Bezout matrix.  With a of
+    y-degree m >= n first (the swap costs (-1)^(mn)) and b padded to m,
+    B_ij = sum_k [a_(j+k+1) b_(i-k) - a_(i-k) b_(j+k+1)] over
+    0 <= k <= min(i, m-1-j), and Res(a, b) = (-1)^(m(m-1)/2) det B / lc(a)^(m-n),
+    the division exact in K[x].  The census's charts have y-degree <= 3, so
+    B is at most 3x3 and its cofactor expansion is exact and cheap."""
+    m, n, sign = len(ca) - 1, len(cb) - 1, 1
+    if m < n:
+        ca, cb, m, n, sign = cb, ca, n, m, (-1) ** (m * n)
+    cb = cb + [[]] * (m - n)
+
+    def bracket(u, v):  # a_u b_v - a_v b_u
+        return polys.sub(field, polys.mul(field, ca[u], cb[v]), polys.mul(field, ca[v], cb[u]))
+
+    brackets = {(u, v): bracket(u, v) for u in range(m + 1) for v in range(u)}
+    rows = [[[] for _ in range(m)] for _ in range(m)]
     for i in range(m):
-        rows.append([zero] * i + brev + [zero] * (size - i - n - 1))
-    return _poly_det(rows, field)
+        for j in range(i, m):
+            entry: Poly = []
+            for k in range(min(i, m - 1 - j) + 1):  # j + k + 1 > i - k here
+                entry = polys.add(field, entry, brackets[j + k + 1, i - k])
+            rows[i][j] = rows[j][i] = entry
+    det = _poly_det(rows, field)
+    for _ in range(m - n):
+        det = polys.divmod_poly(field, det, ca[-1])[0]
+    return det if sign * (-1) ** (m * (m - 1) // 2) > 0 else polys.sub(field, [], det)
 
 
 def _poly_det(rows: list[list[Poly]], field: Field) -> Poly:

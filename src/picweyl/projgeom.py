@@ -280,10 +280,6 @@ class Poly3:
     def monomial(cls, field: Field, key, coeff=1) -> "Poly3":
         return cls(field, {tuple(key): coeff})
 
-    @classmethod
-    def linear_form(cls, field: Field, coeffs) -> "Poly3":
-        return cls(field, {(1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1], (0, 0, 1): coeffs[2]})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -372,12 +368,6 @@ class Poly3:
             for k, x in term.items():
                 out[k] = add(out.get(k, zero), mul(x, v))
         return Poly3.from_raw(field, out)
-
-    def to_coeff_map(self) -> dict:
-        out = {}
-        for k in sorted(self.terms, reverse=True):
-            out["".join(str(d) for d in k)] = self.field.raw_to_json(self.terms[k])
-        return out
 
     @classmethod
     def from_coeff_map(cls, field: Field, data: dict) -> "Poly3":

@@ -369,6 +369,25 @@ class TestUsageErrors:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "argv, data, key",
+        [
+            (["find-root-mod", "--m", "6", "--gens"], {"gens": [[1] + [0] * 9]}, "generators"),
+            (["halphen-check", "--p", "101", "--points"], {"pts": [[0, 14, 1]]}, "points"),
+            (["harbourne-check", "--p", "5", "--e", "2", "--params"], {"param": [[1, 0]]},
+             "params"),
+        ],
+        ids=["gens", "points", "params"],
+    )
+    def test_json_object_without_its_key_is_a_domain_error(self, capsys, tmp_path, argv,
+                                                           data, key):
+        # the KeyError once reached main's catch-all and printed a bare key name
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err == f'error: {path} has no "{key}" key\n'
+
+    @pytest.mark.parametrize(
         "flag, data, bad",
         [
             (None, {"word": ["0", 1.2, 2]}, "1.2"),

@@ -11,6 +11,7 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -59,6 +60,7 @@ from picweyl.cubic import (
     image_order,
     restriction_layer,
 )
+from picweyl import polys
 from picweyl.fields import FieldElement
 from picweyl.projgeom import (
     cross,
@@ -69,6 +71,7 @@ from picweyl.projgeom import (
     mat3_det,
     mat3_from_columns,
     mat3_inverse,
+    matrix_rank,
     monomial_exponents,
     normalized,
 )
@@ -149,10 +152,9 @@ class TestPointMembership:
     def test_contains_and_smoothness(self):
         m = nodal_model()
         assert m.contains(m.singular_point)
-        assert not m.is_smooth_point(m.singular_point)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="is a singular point of the curve"):
             m.smooth_point(m.singular_point)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="is not on the curve"):
             m.smooth_point(ProjectivePoint(F, (1, 1, 1)))
 
     def test_smooth_point_passthrough(self):
@@ -787,6 +789,59 @@ def test_resultant_in_y_matches_sympy(p):
         assert (_resultant_y(a, b, field) or [0]) == [c % p for c in reversed(expected)], (a, b)
 
 
+def _cofactor_det(rows, field):
+    """Determinant of a square matrix over K[x] by cofactors along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    det = []
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+            term = polys.mul(field, entry, _cofactor_det(minor, field))
+            det = (polys.add if j % 2 == 0 else polys.sub)(field, det, term)
+    return det
+
+
+def _sylvester_resultant_y(ca, cb, field):
+    """The oracle: the (m + n) x (m + n) Sylvester determinant of two charts
+    of y-degrees m and n, n rows of ca's coefficients then m of cb's."""
+    m, n = len(ca) - 1, len(cb) - 1
+    size = m + n
+    rows = [[[]] * i + ca[::-1] + [[]] * (size - i - m - 1) for i in range(n)]
+    rows += [[[]] * i + cb[::-1] + [[]] * (size - i - n - 1) for i in range(m)]
+    return _cofactor_det(rows, field)
+
+
+@pytest.mark.parametrize("p, e", ((3, 2), (5, 2), (5, 3)))
+def test_resultant_in_y_matches_sylvester_over_extension_fields(p, e):
+    """Every y-degree pair in (0..3)^2 but (0, 0), in both orders, sign
+    included; half the charts lead with a nonconstant polynomial in x, so
+    the division by lc^(m-n) has extension-field coefficients to divide."""
+    field, rng = ExtensionField(p, e), random.Random(f"resultant/{p}^{e}")
+    raws = list(field._raws())
+
+    def coefficient(degree):
+        while True:
+            c = polys.trim(field, [rng.choice(raws) for _ in range(degree + 1)])
+            if len(c) == degree + 1:
+                return c
+
+    def chart(top, lead_degree):
+        return [polys.trim(field, [rng.choice(raws) for _ in range(rng.randint(0, 4))])
+                for _ in range(top)] + [coefficient(lead_degree)]
+
+    nonconstant = 0
+    for ya, yb in itertools.product(range(4), repeat=2):
+        if ya == yb == 0:
+            continue
+        for trial in range(6):
+            a = chart(ya, rng.randint(1, 3) if trial % 2 else 0)
+            b = chart(yb, rng.randint(1, 3) if trial % 3 == 0 else 0)
+            nonconstant += len(a[-1]) > 1 or len(b[-1]) > 1
+            assert _resultant_y(a, b, field) == _sylvester_resultant_y(a, b, field), (a, b)
+    assert nonconstant == 15 * 4
+
+
 def _projective_raws(field):
     """Normalized raws of every point of P^2 over a finite field."""
     raws, one, zero = list(field._raws()), field._one, field._zero
@@ -805,8 +860,10 @@ def census_systems(draw, field):
 
     def form(degree, no_y=False):
         keys = [k for k in monomial_exponents(degree) if not (no_y and k[1])]
-        raws = st.lists(st.integers(0, field.p - 1), min_size=len(keys), max_size=len(keys))
-        return Poly3.from_raw(field, dict(zip(keys, draw(raws.filter(any)))))
+        raws = st.lists(st.sampled_from(list(field._raws())), min_size=len(keys),
+                        max_size=len(keys))
+        nonzero = raws.filter(lambda rs: any(r != field._zero for r in rs))
+        return Poly3.from_raw(field, dict(zip(keys, draw(nonzero))))
 
     shape = draw(st.sampled_from(["forms", "shared line", "triangle", "gradient", "hessian"]))
     if shape == "forms":
@@ -825,33 +882,80 @@ def census_systems(draw, field):
         )
         return shape, [a * b, b * c, c * a]
     f = form(3)
-    if shape == "hessian" and field.p != 2:
+    if shape == "hessian" and field.char != 2:
         h = mat3_det([[f.partial(i).partial(j) for j in range(3)] for i in range(3)])
         if not h.is_zero():
             return shape, [f, h]
     return shape, [g for g in (f.partial(i) for i in range(3)) if not g.is_zero()] + [f]
 
 
-def _some_pair_coprime(system, p):
-    """Do two of the forms have no common factor, by sympy's gcd over F_p?"""
-    xyz = sympy.symbols("x y z")
-    as_sympy = [
-        sympy.Poly(sum(c * sympy.prod(v**e for v, e in zip(xyz, k)) for k, c in g.terms.items()),
-                   *xyz, modulus=p)
-        for g in system
-    ]
-    return any(a.gcd(b).is_ground for a, b in itertools.combinations(as_sympy, 2))
+def _some_pair_coprime(system):
+    """Do two of the forms have no common factor?  Forms A and B of degrees
+    a and b share one exactly when U A = V B for forms U, V of degrees b - 1
+    and a - 1, not both zero: when the products of A with the monomials of
+    degree b - 1 and of B with those of degree a - 1 are dependent."""
+
+    def coprime(f, g):
+        field, a, b = f.field, f.degree(), g.degree()
+        keys = monomial_exponents(a + b - 1)
+        rows = [
+            [(Poly3.monomial(field, k) * h).terms.get(key, field._zero) for key in keys]
+            for h, d in ((f, b - 1), (g, a - 1))
+            for k in monomial_exponents(d)
+        ]
+        return matrix_rank(rows, field) == len(rows)
+
+    return any(coprime(f, g) for f, g in itertools.combinations(system, 2))
 
 
-@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@lru_cache(maxsize=None)
+def _quadratic_extension_scan(q):
+    """GF(q^2) for the census field GF(q), on element indices: its addition
+    and multiplication tables, the index of zero, the embedding of GF(q)'s
+    raws (a GF(p^e) raw is evaluated at a root of GF(p^e)'s modulus in
+    GF(p^2e)), and each monomial of degree <= 3 at every point of P^2(GF(q^2))."""
+    field = _CENSUS_FIELDS[q]
+    big = ExtensionField(field.char, 2 * getattr(field, "e", 1))
+    elems = list(big._raws())
+    index = {r: i for i, r in enumerate(elems)}
+    add, mul = (np.array([[index[op(a, b)] for b in elems] for a in elems])
+                for op in (big._add, big._mul))
+
+    def lift(coeffs):
+        return [big._from_int(c) for c in coeffs]
+
+    if isinstance(field, PrimeField):
+        embedded = {v: index[big._from_int(v)] for v in field._raws()}
+    else:
+        root = next(r for r in elems
+                    if polys.evaluate(big, lift([*field.modulus, 1]), r) == big._zero)
+        embedded = {v: index[polys.evaluate(big, lift(v), root)] for v in field._raws()}
+    coords = np.array([[index[c] for c in pt] for pt in _projective_raws(big)]).T
+    powers = [[np.full(coords.shape[1], index[big._one])] for _ in range(3)]
+    for axis, column in zip(powers, coords):
+        for _ in range(3):
+            axis.append(mul[axis[-1], column])
+    monomials = {
+        (a, b, c): mul[mul[powers[0][a], powers[1][b]], powers[2][c]]
+        for d in range(4)
+        for a, b, c in monomial_exponents(d)
+    }
+    return add, mul, index[big._zero], embedded, monomials
+
+
+_CENSUS_FIELDS = {2: PrimeField(2), 3: PrimeField(3), 4: ExtensionField(2, 2),
+                  5: PrimeField(5), 7: PrimeField(7), 9: ExtensionField(3, 2)}
+
+
+@pytest.mark.parametrize("q", sorted(_CENSUS_FIELDS))
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_census_matches_brute_force(p, data):
+def test_census_matches_brute_force(q, data):
     """Every point the census finds is a common zero, and when the common
     zeros are isolated, because two of the forms are coprime or the forms
-    are a triangle's, it finds all of P^2(F_p)'s.  A certified empty census
-    leaves none in P^2(F_p^2)."""
-    field = PrimeField(p)
+    are a triangle's, it finds all of P^2(F_q)'s.  A certified empty census
+    leaves none in P^2(F_q^2) either; q^2 <= 81 keeps that scan small."""
+    field = _CENSUS_FIELDS[q]
     shape, system = data.draw(census_systems(field))
     points, certified = _common_rational_points(system)
     zeros = [
@@ -859,16 +963,20 @@ def test_census_matches_brute_force(p, data):
         for pt in _projective_raws(field)
         if all(g.evaluate_raw(pt) == field._zero for g in system)
     ]
-    if shape == "triangle" or _some_pair_coprime(system, p):
+    if shape == "triangle" or _some_pair_coprime(system):
         assert points == sorted(zeros, key=_point_key)
     else:
         assert not certified
         assert set(points) <= set(zeros) and points == sorted(points, key=_point_key)
-    if certified and p <= 5:
-        big = ExtensionField(p, 2)
-        lifted = [Poly3(big, g.terms) for g in system]
-        for pt in _projective_raws(big):
-            assert any(g.evaluate_raw(pt) != big._zero for g in lifted), pt
+    if certified:
+        add, mul, zero, embedded, monomials = _quadratic_extension_scan(q)
+        common = True
+        for g in system:
+            value = zero
+            for k, v in g.terms.items():
+                value = add[value, mul[embedded[v], monomials[k]]]
+            common &= value == zero
+        assert not np.any(common)
 
 
 def test_census_finds_the_vertices_of_a_triangle():

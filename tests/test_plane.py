@@ -140,7 +140,8 @@ def composed_monomials(p, d):
     for row in frame_with_last_column(p):
         cache = [Poly3.monomial(field, (0, 0, 0))]
         for _ in range(d):
-            cache.append(cache[-1] * Poly3.linear_form(field, row))
+            form = Poly3.from_raw(field, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), row)))
+            cache.append(cache[-1] * form)
         powers.append(cache)
     return [powers[0][a] * powers[1][b] * powers[2][c] for a, b, c in monomial_exponents(d)]
 

@@ -307,8 +307,9 @@ class TestPoly3:
         f = Poly3.from_coeff_map(F, data)
         assert f.degree() == 3
         assert f.is_homogeneous()
-        back = f.to_coeff_map()
-        assert Poly3.from_coeff_map(F, back) == f
+        raws = {(0, 2, 1): 1, (3, 0, 0): 100, (2, 0, 1): 1, (1, 0, 2): 100, (0, 0, 3): 6}
+        assert f == Poly3.from_raw(F, raws)
+        assert f.terms == raws
 
     def test_evaluate_and_partials(self):
         f = Poly3.from_coeff_map(F, {"021": 1, "300": -1})  # y^2 z - x^3
@@ -322,8 +323,8 @@ class TestPoly3:
         assert lhs == F(3) * f.evaluate(p)
 
     def test_product_degree_and_values(self):
-        l1 = Poly3.linear_form(F, [1, 0, -1])
-        l2 = Poly3.linear_form(F, [0, 1, -1])
+        l1 = Poly3.from_coeff_map(F, {"100": 1, "001": -1})
+        l2 = Poly3.from_coeff_map(F, {"010": 1, "001": -1})
         g = l1 * l2
         assert g.degree() == 2
         p = [F(7), F(8), F(9)]
