@@ -10,9 +10,11 @@ reflections act by changing a single coordinate, which keeps the Weyl-word
 search cheap: both root-search methods run that one breadth-first search
 over integer roots, and differ only in the simple roots it starts from and
 in the certificate they report.  It needs the unimodular case n = 10.
-Submodule membership is a syndrome, the residues of the Smith rows whose
-invariant factor is not 1; the search carries it from parent to child,
-adding one scaled column per reflection, instead of testing every root.
+The orbit the search walks is built once per process and start set, level
+by level, as deep as some search has gone.  Submodule membership is a
+syndrome, the residues of the Smith rows whose invariant factor is not 1;
+the search carries it from parent to child along the orbit, adding one
+scaled column per reflection, instead of testing every root.
 """
 
 from __future__ import annotations
@@ -539,9 +541,14 @@ def find_root_in_submodule(
     reported as None.
     "orbit-bfs" starts the search from every simple root.
 
-    The search keeps no state between calls.  It is bounded; exhaustion
-    reports status "inconclusive", never nonexistence.  The searches need
-    the unimodular case n = 10.
+    The search walks a per-process memo of the Weyl orbit of its start
+    roots (_orbit_level): the roots level by level, each with its parent,
+    letter and delta, built only as deep as some search has gone.  The orbit
+    depends on n and the start roots alone, and the memo is only read, so it
+    cannot change an outcome: a search answers the same whether it finds the
+    memo empty or deeper than it needs.  Each call keeps only its syndromes.
+    The search is bounded; exhaustion reports status "inconclusive", never
+    nonexistence.  The searches need the unimodular case n = 10.
     """
     if sub.module.rank != 10:
         raise DomainError(f"root searches need n = 10, not n = {sub.module.rank}")
@@ -602,7 +609,7 @@ def _search(sub, bases, depth, method, reason, target=None) -> RootSearchResult:
     None when it ran out of budget, as "target" beside a found root, as
     "residue" beside an inconclusive one."""
     module = sub.module
-    starts = [tuple(int(i == j) for j in range(module.rank)) for i in bases]
+    starts = tuple(tuple(int(i == j) for j in range(module.rank)) for i in bases)
     found = _word_search(starts, sub, depth, _VISITED_CAP)
     if not isinstance(found, tuple):
         certificate = {"method": method, "modulus": module.m}
@@ -631,73 +638,92 @@ def _search(sub, bases, depth, method, reason, target=None) -> RootSearchResult:
     return RootSearchResult("found", root, certificate)
 
 
+@lru_cache(maxsize=None)
+def _orbit_level(starts: tuple, level: int):
+    """Level `level` of the breadth-first walk of the Weyl orbit of starts,
+    the roots first reached by words of that length: (roots, steps, end).
+
+    The roots of all levels are numbered in discovery order, and end is the
+    number of roots through this level.  steps[k] = (parent, letter, delta)
+    says that roots[k] is s_letter of root number parent, which adds delta
+    = (G.x)_letter to coordinate letter alone.  Roots are discovered parent
+    by parent, letters 0..n-1 under each.  Since reflections are involutions,
+    a new root can repeat only roots of this level or of the two before it,
+    so a level is built from those two alone.  Levels are built on demand,
+    each after the two before it, so the memo is only as deep as the deepest
+    search so far.  It depends on n and starts alone, never on a submodule.
+    """
+    if level == 0:
+        return starts, (), len(starts)
+    parents, _, end = _orbit_level(starts, level - 1)
+    seen = set(parents)
+    if level > 1:
+        seen.update(_orbit_level(starts, level - 2)[0])
+    gram, neighbours = _form(len(starts[0]))
+    letters = [(i, [(j, gram[i][j]) for j in neighbours[i]]) for i in range(len(gram))]
+    roots, steps = [], []
+    for idx, x in enumerate(parents, end - len(parents)):
+        for letter, terms in letters:
+            delta = 0
+            for j, g in terms:
+                delta += g * x[j]
+            if not delta:  # s_i fixes x, which is already seen
+                continue
+            child = list(x)
+            child[letter] += delta
+            child = tuple(child)
+            if child not in seen:
+                seen.add(child)
+                roots.append(child)
+                steps.append((idx, letter, delta))
+    return tuple(roots), tuple(steps), end + len(roots)
+
+
 def _word_search(starts, sub: ResidueSubmodule, depth: int, cap: int):
     """Breadth-first search over Weyl words for an integer root whose
     residue lies in sub, starting from the given roots.
 
-    Roots are discovered parent by parent, letters 0..n-1 under each, and
-    each level (words one letter longer) is committed whole: a level that
-    would take the search past cap roots ends it before any of its roots is
-    tested.  So the first accepted root has a shortest word, and the outcome
-    depends on the arguments alone.  The W(E_10)-orbit of a root is
-    infinite, so every level adds roots.
+    The search walks the memoised levels of _orbit_level and commits each
+    level whole: a level that would take the search past cap roots ends it
+    before any of its roots is tested.  So the first accepted root has a
+    shortest word, and the outcome depends on the arguments alone.  The
+    W(E_10)-orbit of a root is infinite, so every level adds roots.
 
-    Membership is carried, not recomputed: s_i adds delta = (G.x)_i to
-    coordinate i alone, so a child's syndrome is its parent's plus
-    delta times column i of the kept Smith rows, and a root is accepted
-    when its syndrome is zero.
+    Membership is carried, not recomputed: a start's syndrome is computed
+    outright, and every other root's is its parent's plus delta times
+    column letter of the kept Smith rows; a root is accepted when its
+    syndrome is zero.
 
     Returns (start index, word, root) for the first accepted root in
     discovery order, a reason string when the cap ends the search, or None
     when no root reached by a word of length <= depth is accepted.
     """
+    starts = tuple(starts)
     checks = sub._compute()[0]
-    n = len(starts[0])
-    gram, neighbours = _form(n)
-    # per letter i: the terms of (G.x)_i, and column i of the kept rows with their factors
-    letters = [
-        (i, [(j, gram[i][j]) for j in neighbours[i]], [(row[i], f) for row, f in checks])
-        for i in range(n)
-    ]
+    columns = [[(row[i], f) for row, f in checks] for i in range(len(starts[0]))]
     zero = (0,) * len(checks)
-    nodes = list(starts)
-    syndromes = [sub.syndrome(x) for x in nodes]
-    parents: list[tuple[int, int] | None] = [None] * len(nodes)
-    seen = set(nodes)
-    lo = 0
-    for level in range(depth + 1):
-        if level:
-            top = len(nodes)
-            for idx in range(lo, top):
-                x = nodes[idx]
-                s = syndromes[idx]
-                for letter, terms, column in letters:
-                    delta = 0
-                    for j, g in terms:
-                        delta += g * x[j]
-                    if not delta:  # s_i fixes x, which is already seen
-                        continue
-                    child = list(x)
-                    child[letter] += delta
-                    child = tuple(child)
-                    if child not in seen:
-                        seen.add(child)
-                        nodes.append(child)
-                        parents.append((idx, letter))
-                        syndromes.append(
-                            tuple([(a + delta * c) % f for a, (c, f) in zip(s, column)])
-                        )
-            if len(nodes) > cap:
-                return f"orbit capped at {top} roots before level {level}"
-            lo = top
-        try:
-            idx = syndromes.index(zero, lo)
-        except ValueError:
-            continue
-        word = []
-        start = idx
-        while parents[start] is not None:
-            start, letter = parents[start]
-            word.append(letter)
-        return start, word[::-1], nodes[idx]
+    syndromes = [sub.syndrome(x) for x in starts]
+    if depth >= 0 and zero in syndromes:
+        idx = syndromes.index(zero)
+        return idx, [], starts[idx]
+    for level in range(1, depth + 1):
+        roots, steps, end = _orbit_level(starts, level)
+        if end > cap:
+            return f"orbit capped at {end - len(roots)} roots before level {level}"
+        for k, (parent, letter, delta) in enumerate(steps):
+            s = tuple([(a + delta * c) % f for a, (c, f) in zip(syndromes[parent], columns[letter])])
+            if s == zero:
+                return _trace_back(starts, level, k)
+            syndromes.append(s)
     return None
+
+
+def _trace_back(starts, level: int, k: int):
+    """(start index, word, root) for root k of the given level."""
+    root, word = _orbit_level(starts, level)[0][k], []
+    for lv in range(level, 0, -1):
+        parent, letter, _ = _orbit_level(starts, lv)[1][k]
+        word.append(letter)
+        prior, _, end = _orbit_level(starts, lv - 1)
+        k = parent - (end - len(prior))
+    return k, word[::-1], root

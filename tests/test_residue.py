@@ -505,6 +505,29 @@ def _reference_word_search(starts, sub, depth, cap):
     return None
 
 
+def _reference_levels(starts, depth):
+    """The breadth-first walk from starts built from scratch, with one set of
+    every root seen: per level, its roots and (parent, letter, delta) steps."""
+    gram = ResidueModule(2).gram
+    seen = set(starts)
+    levels = [(tuple(starts), ())]
+    first = 0
+    for _ in range(depth):
+        parents = levels[-1][0]
+        roots, steps = [], []
+        for idx, x in enumerate(parents, first):
+            for letter in range(len(x)):
+                delta = sum(g * c for g, c in zip(gram[letter], x))
+                child = x[:letter] + (x[letter] + delta,) + x[letter + 1:]
+                if child not in seen:
+                    seen.add(child)
+                    roots.append(child)
+                    steps.append((idx, letter, delta))
+        first += len(parents)
+        levels.append((tuple(roots), tuple(steps)))
+    return levels
+
+
 def _capped_search(monkeypatch, sub, method, cap):
     """A root search with the visited-roots cap set to cap."""
     with monkeypatch.context() as patch:
@@ -652,6 +675,60 @@ class TestRootSearch:
         assert fresh.status == again.status == "inconclusive"
         assert fresh.certificate == again.certificate
         assert "capped" in fresh.certificate["reason"]
+        # the orbit memo answers alike whether a search finds it empty or
+        # already deeper than it needs: shallow searches first, then deep
+        # ones first
+        subs = [random_rank8_submodule(ResidueModule(m), random.Random(seed))
+                for m, seed in ((5, 1), (7, 3), (25, 1), (27, 1))]
+
+        def outcome(sub, method, cap, depth):
+            with monkeypatch.context() as patch:
+                patch.setattr(residue, "_VISITED_CAP", cap)
+                out = find_root_in_submodule(sub, method, max_depth=depth)
+            return out.status, out.certificate
+
+        runs = [(sub, method, cap, depth)
+                for cap, depth in ((10, None), (295, None), (2**24, 3),
+                                   (2**24, None), (2**24, 30))
+                for sub in subs for method in ("orbit-bfs", "theory")]
+        residue._orbit_level.cache_clear()
+        forward = [outcome(*run) for run in runs]
+        residue._orbit_level.cache_clear()
+        backward = [outcome(*run) for run in runs[::-1]]
+        assert forward == backward[::-1]
+        assert {"found", "inconclusive"} == {status for status, _ in forward}
+        reasons = [cert.get("reason", "") for _, cert in forward]
+        assert any("capped at 10 " in r for r in reasons)
+        assert any("capped at 295 " in r for r in reasons)
+
+    def test_orbit_memo_matches_a_walk_from_scratch(self):
+        e = [tuple(int(i == j) for j in range(10)) for i in range(10)]
+        for starts in ((e[1],), tuple(e)):
+            residue._orbit_level.cache_clear()
+            end = 0
+            for level, (roots, steps) in enumerate(_reference_levels(starts, 30)):
+                end += len(roots)
+                assert residue._orbit_level(starts, level) == (roots, steps, end)
+        # both start sets reach the same 626 roots by depth 24
+        walked = [{x for lv in range(25) for x in residue._orbit_level(s, lv)[0]}
+                  for s in ((e[1],), tuple(e))]
+        assert walked[0] == walked[1] and len(walked[0]) == 626
+
+    def test_orbit_memo_is_only_as_deep_as_the_searches(self, monkeypatch):
+        # a search that stops at level L has built levels 0..L and no more
+        sub = random_rank8_submodule(ResidueModule(7), random.Random(3))
+        for method, cap, depth, level in (("theory", 2**24, None, 6),
+                                          ("orbit-bfs", 2**24, None, 6),
+                                          ("orbit-bfs", 2**24, 3, 3),
+                                          ("orbit-bfs", 295, None, 6),
+                                          ("orbit-bfs", 100, None, 5)):
+            residue._orbit_level.cache_clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(residue, "_VISITED_CAP", cap)
+                out = find_root_in_submodule(sub, method, max_depth=depth)
+            if out.status == "found":
+                assert len(out.certificate["word"]) == level
+            assert residue._orbit_level.cache_info().currsize == level + 1
 
     def test_syndrome_search_matches_member_by_member_search(self, monkeypatch):
         panel = _syndrome_panel()

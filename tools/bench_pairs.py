@@ -16,10 +16,15 @@ first in odd ones.  Every run's last (JSON) stdout line is written, with
 its pair, side, seed and exit code, to BENCH_<N>_pairs.json at the root of
 the checkout; the file is rewritten after every pair, so an interrupted
 run keeps the pairs it finished.  After the last pair a summary goes to
-stdout: per workload, each end-to-end metric's median on either side and
-the number of pairs in which the change reads better, and the median
-number of attempted operations on either side (peak_rss_mb grows with
-it, since every record is kept).  The exit code is 1 when any run failed.
+stdout: per workload, each end-to-end metric's median on either side, the
+number of pairs in which the change reads better, and the relative change
+of the medians, flagged when it is worse than the metric's BENCHMARK.json
+bound; then the median number of attempted operations on either side and
+the median peak_rss_mb per 1,000 of them (peak_rss_mb grows with the
+number of operations, since every record is kept).  The exit code is 1
+when any run failed, and 2, before anything runs, when --change is HEAD
+and tracked files under src/ differ from it: the change side would run
+the commit, not the working tree.
 """
 
 from __future__ import annotations
@@ -53,17 +58,30 @@ def _median(values: list) -> str:
     return f"{statistics.median(values):.4g}" if values else "-"
 
 
+def _relative(metric: dict, parent: list, change: list) -> str:
+    """The change of the medians relative to the parent's, flagged when it
+    is worse than the metric's bound."""
+    if not parent or not change or not statistics.median(parent):
+        return "-"
+    rel = statistics.median(change) / statistics.median(parent) - 1
+    worse = -rel if metric["better"] == "higher" else rel
+    flag = f"  WORSE than bound {metric['bound']:.0%}" if worse > metric["bound"] else ""
+    return f"{rel:+.1%}{flag}"
+
+
 def summary(spec: dict, record: dict) -> list[str]:
     """Lines for the pairs in record: per workload and end-to-end metric,
-    the median of each side and the pairs the change is ahead in; then the
-    median attempted operations of each side.  A failed run has no values."""
+    the median of each side, the pairs the change is ahead in and the
+    relative change of the medians; then the median attempted operations
+    of each side and the median peak_rss_mb per 1,000 of them.  A failed
+    run has no values."""
     lines = []
     for name, runs in record["workloads"].items():
         pairs: dict[int, dict] = {}
         for run in runs:
             pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
         title = f"{name}, {len(pairs)} pairs"
-        lines.append(f"{title:26s}{'parent':>10s}{'change':>10s}  change ahead")
+        lines.append(f"{title:26s}{'parent':>10s}{'change':>10s}  ahead  change of medians")
         for metric in spec["end_to_end"]:
             key, higher = metric["name"], metric["better"] == "higher"
             values: dict[str, list] = {"parent": [], "change": []}
@@ -79,12 +97,21 @@ def summary(spec: dict, record: dict) -> list[str]:
                     diff = got["change"] - got["parent"]
                     ahead += diff > 0 if higher else diff < 0
             lines.append(f"  {key:24s}{_median(values['parent']):>10s}"
-                         f"{_median(values['change']):>10s}  {ahead}/{both}")
-        attempted = {side: [run["result"]["attempted"] for run in runs
-                            if run["side"] == side and "attempted" in run["result"]]
-                     for side in ("parent", "change")}
+                         f"{_median(values['change']):>10s}  {f'{ahead}/{both}':5s}  "
+                         f"{_relative(metric, values['parent'], values['change'])}")
+        attempted: dict[str, list] = {"parent": [], "change": []}
+        rss_per_k: dict[str, list] = {"parent": [], "change": []}
+        for run in runs:
+            res = run["result"]
+            if res.get("attempted"):
+                attempted[run["side"]].append(res["attempted"])
+                rss = res.get("metrics", {}).get("peak_rss_mb", {}).get("value")
+                if rss is not None:
+                    rss_per_k[run["side"]].append(rss * 1000 / res["attempted"])
         lines.append(f"  {'attempted operations':24s}{_median(attempted['parent']):>10s}"
                      f"{_median(attempted['change']):>10s}")
+        lines.append(f"  {'peak_rss_mb per 1k ops':24s}{_median(rss_per_k['parent']):>10s}"
+                     f"{_median(rss_per_k['change']):>10s}")
     return lines
 
 
@@ -102,6 +129,10 @@ def main() -> int:
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.change == "HEAD" and git("status", "--porcelain", "--untracked-files=no", "--", "src"):
+        print("error: tracked files under src/ differ from HEAD, which the change side "
+              "would run; commit them or pass --change", file=sys.stderr)
+        return 2
 
     seconds = spec["run_seconds"]
     record = {
