@@ -228,9 +228,6 @@ class HyperbolicLattice:
         of the T-shaped intersection tree, 0 otherwise."""
         return gram_matrix(self.simple_roots)
 
-    def signature_matrix(self) -> tuple[tuple[int, ...], ...]:
-        return _sig(self.dim)
-
     def __repr__(self) -> str:
         return f"HyperbolicLattice(n={self.n})"
 
@@ -303,9 +300,6 @@ class LatticeIsometry(_Immutable):
 
     def fixes(self, v: LatticeVector) -> bool:
         return self.apply(v) == v
-
-    def is_identity(self) -> bool:
-        return self.rows == mat_identity(self.dim)
 
     @classmethod
     def identity(cls, n: int) -> "LatticeIsometry":

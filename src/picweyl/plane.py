@@ -37,19 +37,19 @@ from .projgeom import (
 class PointConfiguration:
     """Ordered tuple of pairwise distinct plane points over one field.
 
-    Three slots hold derived data for `effectivity_test`, so equality and
+    Four slots hold derived data for `effectivity_test`, so equality and
     JSON ignore them.  `_conditions` memoises interpolation condition rows
-    per degree, point and multiplicity (see `_point_rows`).  `_echelon` is
-    (degree, multiplicities, bases) for the last multiplicity vector
-    reduced: bases[k] is the echelon basis of the rows of its first k
-    points, for k up to the number of multiplicities kept.  `_floors` maps
-    (degree, floor multiplicities) to (K, blocks): the kernel basis of the
-    floor's rows, and per (point, multiplicity) the extra rows of that
-    point multiplied into K.  Ranks are exact, so no slot can change a
-    result, only how much is recomputed.
+    per degree, point and multiplicity (see `_point_rows`).  `_values`
+    maps a degree to the left kernel of the points' value rows (see
+    `_value_rank`).  `_echelon` is (degree, multiplicities, bases) for the
+    last prefix walk: bases[k] is the echelon basis of the rows of its
+    first k points.  `_floors` maps (degree, floor multiplicities) to (K,
+    blocks): the kernel basis of the floor's rows, and per (point,
+    multiplicity) the extra rows of that point multiplied into K.  Ranks
+    are exact, so no slot can change a result, only how much is recomputed.
     """
 
-    __slots__ = ("field", "points", "_conditions", "_echelon", "_floors")
+    __slots__ = ("field", "points", "_conditions", "_values", "_echelon", "_floors")
 
     def __init__(self, field: Field, points: Sequence[ProjectivePoint]):
         pts = tuple(points)
@@ -61,6 +61,7 @@ class PointConfiguration:
         self.field = field
         self.points = pts
         self._conditions: dict[tuple[int, int, int], list] = {}
+        self._values: dict[int, list[tuple]] = {}
         self._echelon: tuple[int, tuple[int, ...], list[list]] = (-1, (), [[]])
         self._floors: dict[tuple[int, tuple[int, ...]], tuple[list, dict]] = {}
 
@@ -72,11 +73,6 @@ class PointConfiguration:
         if not 1 <= i <= len(self.points):
             raise IndexError(f"point index {i} outside 1..{len(self.points)}")
         return self.points[i - 1]
-
-    def replace_point(self, i: int, p: ProjectivePoint) -> "PointConfiguration":
-        pts = list(self.points)
-        pts[i - 1] = p
-        return PointConfiguration(self.field, pts)
 
     def __eq__(self, other):
         return (
@@ -125,45 +121,65 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
     coefficients instead of factorials, so this holds in every
     characteristic.
 
-    Verdict routines test hundreds of classes on one configuration, in
-    families that share most of their conditions: -dK + e_i - e_j is d
-    everywhere but d - 1 at i and d + 1 at j.  Such a class, of
-    multiplicities mu, is tested on its floor nu = min(mu, mode(mu))
-    componentwise (d everywhere, d - 1 at i).  `_floors` keeps the kernel K
-    of the floor's rows and, per point k and mu_k, the rows of orders
-    nu_k <= a + b < mu_k multiplied into K.  The class's curves are the K c
-    with c in the kernel of those stacked blocks, so its dimension is dim K
-    minus their rank, minus one; that is exact whatever dim K is, also when
-    a Halphen pencil makes K larger than for general points.  A class whose
-    floor is zero or itself is reduced directly, see `_echelon_walk`.
+    Verdict routines test hundreds of classes on one configuration, most
+    of them roots, with square condition matrices.  A class of
+    multiplicities mu takes the first route that applies:
+    - multiplicity bound, some mu_i > d: the Hasse rows of order <= d at
+      one point already determine a degree-d form, so nothing moves;
+    - left kernel of the value rows, every mu_i 0 or 1 and fewer 0s than
+      1s (conics through six of nine points): see `_value_rank`;
+    - floor kernel, mu above its floor nu = min(mu, mode(mu)) somewhere
+      (-dK + e_i - e_j is d + 1 at j over the floor d - 1 at i, d
+      elsewhere): `_floors` keeps the kernel K of the floor's rows and,
+      per point k and mu_k, the rows of orders nu_k <= a + b < mu_k
+      multiplied into K.  The dimension is dim K minus their stacked
+      rank, minus one, whatever dim K is (a Halphen pencil enlarges it);
+    - prefix walk, when the floor is zero or the class itself (lines
+      through three points): see `_echelon_walk`.
     """
     if cls.n != len(cfg):
         raise ValueError(
             f"class on {cls.n} points against a configuration of {len(cfg)}"
         )
     d = cls.degree
-    if d < 0:
-        return False, -1
     mults = _clamped_multiplicities(cls)
+    top = max(mults, default=0)
+    if d < 0 or top > d:
+        return False, -1
+    ncols = (d + 1) * (d + 2) // 2  # degree-d monomials
     mode = max(set(mults), key=mults.count, default=0)
-    if mode == 0 or max(mults) == mode:  # the floor is zero or the class itself
-        dim = (d + 1) * (d + 2) // 2 - len(_echelon_walk(cfg, d, mults)) - 1
-        return dim >= 0, dim
-    floor = tuple(min(m, mode) for m in mults)
-    field = cfg.field
-    if (d, floor) not in cfg._floors:
-        basis = _echelon_walk(cfg, d, floor)
-        cfg._floors[d, floor] = (kernel_basis([row for _, row in basis], field), {})
-    kernel, blocks = cfg._floors[d, floor]
-    rows = []
-    for k, (n, m) in enumerate(zip(floor, mults)):
-        if m > n:
-            if (k, m) not in blocks:  # past the n(n+1)/2 rows of orders below n
-                extra = _point_rows(cfg, d, k, m)[n * (n + 1) // 2 :]
-                blocks[k, m] = [[field.dot(r, v) for v in kernel] for r in extra]
-            rows += blocks[k, m]
-    dim = len(kernel) - matrix_rank(rows, field) - 1
+    if top <= 1 and 2 * sum(mults) > len(mults):
+        dim = ncols - _value_rank(cfg, d, mults) - 1
+    elif mode == 0 or top == mode:  # the floor is zero or the class itself
+        dim = ncols - len(_echelon_walk(cfg, d, mults)) - 1
+    else:
+        floor = tuple(min(m, mode) for m in mults)
+        field = cfg.field
+        if (d, floor) not in cfg._floors:
+            basis = _echelon_walk(cfg, d, floor)
+            cfg._floors[d, floor] = (kernel_basis([row for _, row in basis], field), {})
+        kernel, blocks = cfg._floors[d, floor]
+        rows = []
+        for k, (n, m) in enumerate(zip(floor, mults)):
+            if m > n:
+                if (k, m) not in blocks:  # past the n(n+1)/2 rows of orders below n
+                    extra = _point_rows(cfg, d, k, m)[n * (n + 1) // 2 :]
+                    blocks[k, m] = [[field.dot(r, v) for v in kernel] for r in extra]
+                rows += blocks[k, m]
+        dim = len(kernel) - matrix_rank(rows, field) - 1
     return dim >= 0, dim
+
+
+def _value_rank(cfg: PointConfiguration, d: int, mults: tuple[int, ...]) -> int:
+    """The rank of the degree-d value rows of the points S with mults 1.
+    The relations among S's rows are the vectors of the left kernel L of
+    all n value rows that vanish on the other points T, so the rank is
+    |S| - dim L + rank(L restricted to T).  L is kept per degree."""
+    if d not in cfg._values:
+        values = [_point_rows(cfg, d, i, 1)[0] for i in range(len(cfg))]
+        cfg._values[d] = kernel_basis([list(c) for c in zip(*values)], cfg.field)
+    kernel, zeros = cfg._values[d], [i for i, m in enumerate(mults) if m == 0]
+    return sum(mults) - len(kernel) + matrix_rank([[v[i] for i in zeros] for v in kernel], cfg.field)
 
 
 def _echelon_walk(cfg: PointConfiguration, d: int, mults: tuple[int, ...]) -> list:

@@ -8,7 +8,7 @@ function takes K first and computes with its raw operations ``_add``,
 module imports nothing from ``fields`` (``fields`` imports it).
 
 This is the package's one univariate polynomial layer: euclidean
-arithmetic, gcds, modular powers and inverses, Rabin's irreducibility test
+arithmetic, gcds, modular powers and inverses, Ben-Or's irreducibility test
 (which picks and checks the GF(p^e) moduli) and distinct-root extraction in
 the coefficient field.  Root finding depends on its inputs alone: a small
 field is walked raw by raw (``K._raws()``), a large one is split by an
@@ -125,25 +125,18 @@ def evaluate(K, f: Poly, x):
 
 
 def is_irreducible(K, f: Poly) -> bool:
-    """Rabin's test over the finite field K of order q: f of degree e >= 1
-    is irreducible iff x^(q^e) = x mod f and x^(q^(e/r)) - x is prime to f
-    for every prime r dividing e."""
-    e = len(f) - 1
-    if e < 1:
-        return False
-    if e == 1:
-        return True
+    """Ben-Or's test over the finite field K of order q: f of degree e >= 1
+    is irreducible iff x^(q^k) - x is prime to f for k = 1, ..., e // 2,
+    since a reducible f has an irreducible factor of degree k <= e / 2,
+    which divides x^(q^k) - x.  The powers x^(q^k) mod f are built one
+    from the last, and the test stops at the first common factor."""
     x = [K._zero, K._one]
-
-    def frobenius(k: int) -> Poly:  # x^(q^k) mod f
-        u = x
-        for _ in range(k):
-            u = pow_mod(K, u, K.order, f)
-        return u
-
-    if sub(K, frobenius(e), x):
-        return False
-    return all(len(gcd(K, sub(K, frobenius(e // r), x), f)) == 1 for r in factor(e))
+    u = x
+    for _ in range((len(f) - 1) // 2):
+        u = pow_mod(K, u, K.order, f)
+        if len(gcd(K, sub(K, u, x), f)) != 1:
+            return False
+    return len(f) >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,17 @@ def row_reduce(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
 
 
 def matrix_rank(rows: list[list], field: Field) -> int:
-    return len(extend_echelon([], rows, field))
+    """The rank of rows, raws of field.  A square matrix of size at most 3
+    with a nonzero determinant has full rank without an elimination."""
+    k, zero = len(rows), field._zero
+    if k == 3 == len(rows[0]):
+        det = dot(rows[0], cross(rows[1], rows[2], field), field)
+    elif k == 2 == len(rows[0]):
+        (a, b), (c, d) = rows
+        det = field._sub(field._mul(a, d), field._mul(b, c))
+    else:
+        det = rows[0][0] if k == 1 == len(rows[0]) else zero
+    return k if det != zero else len(extend_echelon([], rows, field))
 
 
 def kernel_basis(rows: list[list], field: Field) -> list[tuple]:

@@ -85,12 +85,6 @@ class ResidueModule:
     def sub(self, x, y):
         return tuple((a - b) % self.m for a, b in zip(x, y))
 
-    def neg(self, x):
-        return tuple((-a) % self.m for a in x)
-
-    def smul(self, c, x):
-        return tuple((c * a) % self.m for a in x)
-
     def bilinear(self, x, y) -> int:
         return _b_int(x, y) % self.m
 
@@ -129,9 +123,6 @@ class ResidueModule:
 
     def submodule(self, generators) -> "ResidueSubmodule":
         return ResidueSubmodule(self, [self.reduce(g) for g in generators])
-
-    def full_submodule(self) -> "ResidueSubmodule":
-        return self.submodule([self.simple_residue(i) for i in range(self.rank)])
 
     def __eq__(self, other):
         return isinstance(other, ResidueModule) and (other.m, other.rank) == (self.m, self.rank)
@@ -337,11 +328,6 @@ class ReflectionProduct:
 
     def then(self, h) -> "ReflectionProduct":
         return ReflectionProduct(self.module, self.vectors + (tuple(h),))
-
-    def concat(self, other: "ReflectionProduct") -> "ReflectionProduct":
-        if other.module != self.module:
-            raise DomainError("products live over different moduli")
-        return ReflectionProduct(self.module, self.vectors + other.vectors)
 
     def __len__(self):
         return len(self.vectors)

@@ -17,6 +17,7 @@ import numpy as np
 from picweyl import (
     PrimeField,
     ExtensionField,
+    PointConfiguration,
     Poly3,
     ProjectivePoint,
     ReflectionProduct,
@@ -244,7 +245,8 @@ def test_c08_halphen_nine_point_fixture_and_perturbation():
     on_line = ProjectivePoint(
         F101, tuple(a + b for a, b in zip(p1.coords, p2.coords))
     )
-    verdict, witness = is_unnodal_halphen(cfg.replace_point(9, on_line), 2)
+    moved = PointConfiguration(F101, cfg.points[:8] + (on_line,))
+    verdict, witness = is_unnodal_halphen(moved, 2)
     assert verdict is False
     assert witness == vector(1, -1, -1, 0, 0, 0, 0, 0, 0, -1)
     # the witness is a degree-one root: the orbit type of the first simple root
@@ -301,7 +303,7 @@ def test_c10_quadratic_module_suite():
             m = p ** k
             M = ResidueModule(m)
             units = [a for a in range(1, m) if M.is_unit(a)]
-            subs = [M.full_submodule()]
+            subs = [M.submodule([M.simple_residue(i) for i in range(M.rank)])]
             subs += [random_rank8_submodule(M, rng) for _ in range(10)]
             for sub in subs:
                 for a in units:
@@ -340,7 +342,7 @@ def test_c10_quadratic_module_suite():
 
     for _ in range(100):
         a, b = random_product(), random_product()
-        assert spinor_norm(a.concat(b)) == square_class(
+        assert spinor_norm(ReflectionProduct(M25, a.vectors + b.vectors)) == square_class(
             spinor_norm(a) * spinor_norm(b), 5, 2
         )
 

@@ -8,6 +8,7 @@ the generator has order 100, and none of the subset conditions below (six
 on a conic, three on a line and so on) holds for the chosen indices.
 """
 
+import itertools
 from random import Random
 
 import pytest
@@ -35,7 +36,7 @@ from picweyl import (
 )
 from picweyl.fields import FieldElement
 from picweyl.plane import _condition_rows, _hasse_row
-from picweyl.projgeom import frame_with_last_column, matrix_rank, monomial_exponents
+from picweyl.projgeom import extend_echelon, frame_with_last_column, monomial_exponents
 
 F = PrimeField(101)
 
@@ -53,6 +54,11 @@ def cfg_ten():
     return configuration(F, [(x, y, 1) for x, y in TEN])
 
 
+def replaced(cfg, i, p):
+    """cfg with its i-th point (1-based) moved to p."""
+    return PointConfiguration(cfg.field, cfg.points[: i - 1] + (p,) + cfg.points[i:])
+
+
 class TestConfiguration:
     def test_one_based_access(self):
         cfg = cfg_nine()
@@ -61,12 +67,6 @@ class TestConfiguration:
             cfg.point(0)
         with pytest.raises(IndexError):
             cfg.point(10)
-
-    def test_replace_point_is_functional(self):
-        cfg = cfg_nine()
-        other = cfg.replace_point(3, ProjectivePoint(F, (1, 1, 1)))
-        assert cfg.point(3) != other.point(3)
-        assert cfg.point(4) == other.point(4)
 
     def test_json_round_trip(self):
         cfg = cfg_nine()
@@ -178,7 +178,7 @@ class TestHalphenVerdict:
         cfg = cfg_nine()
         p1, p2 = cfg.point(1), cfg.point(2)
         on_line = tuple(a + b for a, b in zip(p1.coords, p2.coords))
-        bad = cfg.replace_point(9, ProjectivePoint(F, on_line))
+        bad = replaced(cfg, 9, ProjectivePoint(F, on_line))
         verdict, witness = is_unnodal_halphen(bad, 2)
         assert not verdict
         assert witness == vector(1, -1, -1, 0, 0, 0, 0, 0, 0, -1)
@@ -210,7 +210,7 @@ class TestCallOrder:
         p1, p2 = cfg.point(1), cfg.point(2)
         on_line = tuple(a + b for a, b in zip(p1.coords, p2.coords))
         # shares points 1..8 with cfg; the ninth point spoils the fixture
-        return cfg, cfg.replace_point(9, ProjectivePoint(F, on_line))
+        return cfg, replaced(cfg, 9, ProjectivePoint(F, on_line))
 
     @staticmethod
     def answers(cfg):
@@ -240,7 +240,7 @@ def from_scratch(points, cls):
     fresh = PointConfiguration(points[0].field, points)
     d = cls.degree
     rows = _condition_rows(fresh, d, [max(m, 0) for m in cls.multiplicities])
-    dim = len(monomial_exponents(d)) - matrix_rank(rows, fresh.field) - 1
+    dim = len(monomial_exponents(d)) - len(extend_echelon([], rows, fresh.field)) - 1
     return dim >= 0, dim
 
 
@@ -352,6 +352,66 @@ def test_effectivity_on_kernels_larger_than_the_count():
         assert effectivity_test(cfg, cls) == from_scratch(points, cls) == answer, cls
 
 
+def special_configurations(field, rng):
+    """Point sets whose value rows have more relations than their number
+    forces in some degree: over GF(2) the seven points of the plane;
+    elsewhere nine points on the conic xz = y^2 (all eight and one more
+    over GF(7)), and ten points: three collinear on the line z = 0 and
+    seven on the conic, which a cubic contains."""
+    if field.order == 2:
+        return [[ProjectivePoint(field, c) for c in itertools.product((0, 1), repeat=3) if any(c)]]
+    ts = set()
+    while len(ts) < min(9, field.order or 9):
+        ts.add(field.random_element(rng))
+    conic = [ProjectivePoint(field, (t * t, t, 1)) for t in sorted(ts, key=repr)]
+    nine = (conic + [ProjectivePoint(field, c) for c in ((1, 0, 0), (0, 1, 0))])[:9]
+    line: set = set()
+    while len(line) < 3:
+        line.add(ProjectivePoint(field, (1, field.random_element(rng) or 1, 0)))
+    return [nine, sorted(line, key=repr) + conic[:7]]
+
+
+def value_kernel_queries(rng, n):
+    """Classes for the multiplicity bound and the value-row kernel: 0/1
+    classes with fewer 0s than 1s (some 0s written as -1) in degrees 1 to
+    4, and classes with one multiplicity from the degree to two above it
+    in degrees 0 to 4, shuffled so that degrees interleave, then some of
+    them again."""
+    queries = []
+    for d in range(1, 5):
+        for size in range(n // 2 + 1, n + 1):
+            ones = rng.sample(range(n), size)
+            queries.append(vector(d, *(-1 if t in ones else rng.choice((0, 1)) for t in range(n))))
+    for d in range(5):
+        for _ in range(2):
+            j = rng.randrange(n)
+            top = [-rng.randint(d, d + 2) if t == j else -rng.randint(0, 1) for t in range(n)]
+            queries.append(vector(d, *top))
+    rng.shuffle(queries)
+    return queries + rng.sample(queries, 8)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(2), PrimeField(7), PrimeField(10007), ExtensionField(3, 2), RationalField()],
+    ids=repr,
+)
+def test_effectivity_by_multiplicity_bound_and_value_kernel(field):
+    # one configuration answers classes of every degree from its kept
+    # value-row kernels; each answer must be the one a fresh elimination
+    # gives, also where the points' value rows have extra relations
+    rng = Random(17)
+    configs = special_configurations(field, rng)
+    for points in configs:
+        queried = PointConfiguration(field, points)
+        for cls in value_kernel_queries(rng, len(points)):
+            assert effectivity_test(queried, cls) == from_scratch(points, cls), cls
+    if field.order != 2:  # the conic through the first eight points, the cubic through all ten
+        nine, ten = (PointConfiguration(field, points) for points in configs)
+        assert effectivity_test(nine, vector(2, *([-1] * 8), 0)) == (True, 0)
+        assert effectivity_test(ten, vector(3, *([-1] * 10))) == (True, 0)
+
+
 class TestCobleVerdict:
     def test_fixture_ten_points(self):
         ok, report = is_coble_set(cfg_ten())
@@ -368,7 +428,7 @@ class TestCobleVerdict:
         cfg = cfg_ten()
         p1, p2 = cfg.point(1), cfg.point(2)
         on_line = tuple(a + b for a, b in zip(p1.coords, p2.coords))
-        bad = cfg.replace_point(10, ProjectivePoint(F, on_line))
+        bad = replaced(cfg, 10, ProjectivePoint(F, on_line))
         ok, report = is_coble_set(bad)
         assert not ok
         assert any(v["label"] == "collinear_triple" for v in report["violations"])
@@ -460,6 +520,6 @@ class TestProjectiveEquivalence:
 
     def test_rejects_unrelated(self):
         cfg = cfg_nine()
-        other = cfg.replace_point(9, ProjectivePoint(F, (1, 2, 1)))
+        other = replaced(cfg, 9, ProjectivePoint(F, (1, 2, 1)))
         same, transform = projectively_equivalent(cfg, other)
         assert not same and transform is None

@@ -93,6 +93,19 @@ class TestAgainstGaloistools:
         assert polys.is_irreducible(PrimeField(p), f) == gf_irreducible_p(to_gf(f), p, ZZ)
 
 
+@pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 3)])
+def test_is_irreducible_exhaustive(p, top):
+    # every polynomial of degree 1 to top, leading coefficient included;
+    # constants are units or zero, never irreducible
+    K = PrimeField(p)
+    for e in range(1, top + 1):
+        for tail in itertools.product(range(p), repeat=e):
+            for lead in range(1, p):
+                f = [*tail, lead]
+                assert polys.is_irreducible(K, f) == gf_irreducible_p(to_gf(f), p, ZZ), f
+    assert not any(polys.is_irreducible(K, f) for f in ([], [1], [p - 1]))
+
+
 def digits(p, e):
     """Raws of GF(p^e): e base-p digits, the constant one first."""
     return st.tuples(*[st.integers(0, p - 1)] * e)

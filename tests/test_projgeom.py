@@ -260,6 +260,31 @@ class TestEliminationOracles:
             for row in boxed:
                 assert sum((x * FieldElement(k, y) for x, y in zip(row, v)), k.zero()) == k.zero()
 
+    @pytest.mark.parametrize(
+        "field",
+        [PrimeField(2), PrimeField(7), PrimeField(10007), ExtensionField(3, 2), QQ_FIELD],
+        ids=repr,
+    )
+    def test_small_square_ranks_against_elimination(self, field):
+        # matrix_rank reads a nonsingular k x k matrix, k <= 3, off its
+        # determinant; singular and non-square ones must still be eliminated
+        rng = random.Random(29)
+        zero, add, mul = field._zero, field._add, field._mul
+        seen = set()
+        for _ in range(300):
+            k, ncols = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[field.random_element(rng).raw for _ in range(ncols)] for _ in range(k)]
+            if k > 1 and rng.random() < 0.4:  # the last row a combination of the first two
+                a, b = (field.random_element(rng).raw for _ in range(2))
+                rows[-1] = [add(mul(a, x), mul(b, y)) for x, y in zip(rows[0], rows[-2 if k > 2 else 0])]
+            elif rng.random() < 0.2:
+                rows[rng.randrange(k)] = [zero] * ncols
+            rank = len(extend_echelon([], rows, field))
+            assert matrix_rank(rows, field) == rank, rows
+            seen.add((k == ncols <= 3, rank == min(k, ncols)))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+        assert matrix_rank([], field) == 0
+
     def test_input_rows_are_not_modified(self):
         rows = [[0, 2], [3, 4]]
         before = [r[:] for r in rows]
