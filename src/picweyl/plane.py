@@ -31,6 +31,7 @@ from .projgeom import (
     matrix_rank,
     monomial_exponents,
     normalized,
+    two_sided_kernels,
 )
 
 
@@ -40,13 +41,16 @@ class PointConfiguration:
     Four slots hold derived data for `effectivity_test`, so equality and
     JSON ignore them.  `_conditions` memoises interpolation condition rows
     per degree, point and multiplicity (see `_point_rows`).  `_values`
-    maps a degree to the left kernel of the points' value rows (see
-    `_value_rank`).  `_echelon` is (degree, multiplicities, bases) for the
-    last prefix walk: bases[k] is the echelon basis of the rows of its
-    first k points.  `_floors` maps (degree, floor multiplicities) to (K,
-    blocks): the kernel basis of the floor's rows, and per (point,
-    multiplicity) the extra rows of that point multiplied into K.  Ranks
-    are exact, so no slot can change a result, only how much is recomputed.
+    maps a degree d to the one elimination of the n x ncols matrix R of
+    the points' degree-d value rows (see `_value_kernels`): the right
+    kernel K of R, its left kernel L, and per point i a v_i with
+    R v_i = e_i, or None when some relation in L involves i.  `_echelon`
+    is (degree, multiplicities, bases) for the last prefix walk: bases[k]
+    is the echelon basis of the rows of its first k points.  `_floors`
+    maps (degree, floor multiplicities) to (kernel, blocks): a kernel basis
+    of the floor's rows, and per (point, multiplicity) the extra rows of
+    that point multiplied into it.  Ranks are exact, so no slot can change
+    a result, only how much is recomputed.
     """
 
     __slots__ = ("field", "points", "_conditions", "_values", "_echelon", "_floors")
@@ -122,20 +126,30 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
     characteristic.
 
     Verdict routines test hundreds of classes on one configuration, most
-    of them roots, with square condition matrices.  A class of
-    multiplicities mu takes the first route that applies:
+    of them roots, with square condition matrices.  Per degree d, one
+    elimination of the points' value rows R gives K, L and the v_i (see
+    `_values` in `PointConfiguration`).  A class of multiplicities mu
+    takes the first route that applies:
     - multiplicity bound, some mu_i > d: the Hasse rows of order <= d at
       one point already determine a degree-d form, so nothing moves;
-    - left kernel of the value rows, every mu_i 0 or 1 and fewer 0s than
-      1s (conics through six of nine points): see `_value_rank`;
+    - value rows, every mu_i 0 or 1 and at most half of them 1 (lines
+      through three points): the rank of the value rows of the points S
+      with mu_i = 1, by `matrix_rank` (a 3x3 determinant for a line);
+    - left kernel, every mu_i 0 or 1 and more than half of them 1 (conics
+      through six of nine points): the rank of S's rows read off L, see
+      `_value_rank`;
     - floor kernel, mu above its floor nu = min(mu, mode(mu)) somewhere
       (-dK + e_i - e_j is d + 1 at j over the floor d - 1 at i, d
-      elsewhere): `_floors` keeps the kernel K of the floor's rows and,
+      elsewhere): `_floors` keeps a kernel basis of the floor's rows and,
       per point k and mu_k, the rows of orders nu_k <= a + b < mu_k
-      multiplied into K.  The dimension is dim K minus their stacked
-      rank, minus one, whatever dim K is (a Halphen pencil enlarges it);
-    - prefix walk, when the floor is zero or the class itself (lines
-      through three points): see `_echelon_walk`.
+      multiplied into it.  The dimension is the kernel's minus their
+      stacked rank, minus one, whatever the kernel's dimension is (a
+      Halphen pencil enlarges it).  A floor of 1s has kernel K, and one
+      of 1s but 0 at i has K + v_i, or K where v_i is None (the cubics of
+      -K + e_i - e_j, the quartics of m = 3); any other floor's kernel
+      comes from a prefix walk;
+    - prefix walk, when the floor is zero or the class itself: see
+      `_echelon_walk`.
     """
     if cls.n != len(cfg):
         raise ValueError(
@@ -147,17 +161,23 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
     if d < 0 or top > d:
         return False, -1
     ncols = (d + 1) * (d + 2) // 2  # degree-d monomials
-    mode = max(set(mults), key=mults.count, default=0)
-    if top <= 1 and 2 * sum(mults) > len(mults):
+    if top <= 1 and 2 * sum(mults) <= len(mults):
+        values = [_point_rows(cfg, d, i, 1)[0] for i, m in enumerate(mults) if m]
+        dim = ncols - matrix_rank(values, cfg.field) - 1
+    elif top <= 1:
         dim = ncols - _value_rank(cfg, d, mults) - 1
-    elif mode == 0 or top == mode:  # the floor is zero or the class itself
+    elif (mode := max(set(mults), key=mults.count)) == 0 or top == mode:  # floor 0 or the class
         dim = ncols - len(_echelon_walk(cfg, d, mults)) - 1
     else:
         floor = tuple(min(m, mode) for m in mults)
         field = cfg.field
         if (d, floor) not in cfg._floors:
-            basis = _echelon_walk(cfg, d, floor)
-            cfg._floors[d, floor] = (kernel_basis([row for _, row in basis], field), {})
+            if mode == 1 and floor.count(0) <= 1:  # K, and v_i where the floor is 0 at i
+                kernel, _, solutions = _value_kernels(cfg, d)
+                kernel = kernel + [v for v, n in zip(solutions, floor) if not n and v is not None]
+            else:
+                kernel = kernel_basis([row for _, row in _echelon_walk(cfg, d, floor)], field)
+            cfg._floors[d, floor] = (kernel, {})
         kernel, blocks = cfg._floors[d, floor]
         rows = []
         for k, (n, m) in enumerate(zip(floor, mults)):
@@ -170,16 +190,21 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
     return dim >= 0, dim
 
 
+def _value_kernels(cfg: PointConfiguration, d: int) -> tuple[list, list, list]:
+    """`two_sided_kernels` of the points' degree-d value rows, kept per degree."""
+    if d not in cfg._values:
+        values = [_point_rows(cfg, d, i, 1)[0] for i in range(len(cfg))]
+        cfg._values[d] = two_sided_kernels(values, cfg.field)
+    return cfg._values[d]
+
+
 def _value_rank(cfg: PointConfiguration, d: int, mults: tuple[int, ...]) -> int:
     """The rank of the degree-d value rows of the points S with mults 1.
     The relations among S's rows are the vectors of the left kernel L of
     all n value rows that vanish on the other points T, so the rank is
-    |S| - dim L + rank(L restricted to T).  L is kept per degree."""
-    if d not in cfg._values:
-        values = [_point_rows(cfg, d, i, 1)[0] for i in range(len(cfg))]
-        cfg._values[d] = kernel_basis([list(c) for c in zip(*values)], cfg.field)
-    kernel, zeros = cfg._values[d], [i for i, m in enumerate(mults) if m == 0]
-    return sum(mults) - len(kernel) + matrix_rank([[v[i] for i in zeros] for v in kernel], cfg.field)
+    |S| - dim L + rank(L restricted to T)."""
+    left, zeros = _value_kernels(cfg, d)[1], [i for i, m in enumerate(mults) if m == 0]
+    return sum(mults) - len(left) + matrix_rank([[v[i] for i in zeros] for v in left], cfg.field)
 
 
 def _echelon_walk(cfg: PointConfiguration, d: int, mults: tuple[int, ...]) -> list:

@@ -222,12 +222,41 @@ def kernel_basis(rows: list[list], field: Field) -> list[tuple]:
     that the number of columns is known."""
     if not rows:
         raise ValueError("cannot infer the number of columns")
-    ncols = len(rows[0])
-    red, pivots = row_reduce(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
+    return _reduced_kernel(*row_reduce(rows, field), len(rows[0]), field)
+
+
+def two_sided_kernels(
+    rows: list[list], field: Field
+) -> tuple[list[tuple], list[list], list[list | None]]:
+    """For the n nonempty rows of a matrix R: its right kernel K, as from
+    `kernel_basis`; a basis of its left kernel L, as lists of length n; and
+    per row i a vector v with R v = e_i, or None when some vector of L is
+    nonzero at i.  One reduction of [R | I] gives all three: its rows whose
+    R part vanished span L, and where L is zero at i, column i of the I
+    part of the other rows, placed at their pivots, is a v."""
+    n, ncols, zero, one = len(rows), len(rows[0]), field._zero, field._one
+    augmented = [row + [one if j == i else zero for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots = row_reduce(augmented, field)
+    rank = sum(c < ncols for c in pivots)
+    left = [row[ncols:] for row in red[rank:]]
+    solutions: list[list | None] = []
+    for i in range(n):
+        v = None
+        if all(u[i] == zero for u in left):
+            v = [zero] * ncols
+            for row, c in zip(red, pivots[:rank]):
+                v[c] = row[ncols + i]
+        solutions.append(v)
+    return _reduced_kernel(red, pivots, ncols, field), left, solutions
+
+
+def _reduced_kernel(red: list[list], pivots: list[int], ncols: int, field: Field) -> list[tuple]:
+    """Basis of the right kernel of the first ncols columns of red, a
+    reduced row echelon form with pivot columns pivots, as raw tuples."""
+    pivots = [c for c in pivots if c < ncols]
     zero, sub = field._zero, field._sub
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [zero] * ncols
         v[fc] = field._one
         for r, pc in enumerate(pivots):

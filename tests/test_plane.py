@@ -35,8 +35,8 @@ from picweyl import (
     word_to_isometry,
 )
 from picweyl.fields import FieldElement
-from picweyl.plane import _condition_rows, _hasse_row
-from picweyl.projgeom import extend_echelon, frame_with_last_column, monomial_exponents
+from picweyl.plane import _condition_rows, _hasse_row, _value_kernels
+from picweyl.projgeom import cross, extend_echelon, frame_with_last_column, monomial_exponents
 
 F = PrimeField(101)
 
@@ -391,6 +391,41 @@ def value_kernel_queries(rng, n):
     return queries + rng.sample(queries, 8)
 
 
+def pencil_base_points(field, rng):
+    """Nine points where three lines meet three others: the base locus of
+    the cubic pencil that the two products of three lines span."""
+    while True:
+        lines = [[field.random_element(rng).raw for _ in range(3)] for _ in range(6)]
+        meets = [cross(a, b, field) for a in lines[:3] for b in lines[3:]]
+        if all(any(c != field._zero for c in m) for m in meets):
+            points = [ProjectivePoint.from_raw(field, m) for m in meets]
+            if len(set(points)) == 9:
+                return points
+
+
+def value_elimination_queries(rng, n):
+    """Classes for the routes that read the one elimination of the value
+    rows per degree: 0/1 classes with at most half their multiplicities 1
+    (every triple in degree 1, random ones in degrees 1 to 4 with some 0s
+    written as negatives, d e0 with no positive multiplicity in degrees 0
+    to 4), and classes over a floor of 1s with at most one 0 (the shape of
+    -K + e_i - e_j in degrees 1 to 4, 2 at one to three points over 1s)."""
+    queries = [vector(1, *(-1 if t in s else 0 for t in range(n)))
+               for s in itertools.combinations(range(n), 3)]
+    for d in range(1, 5):
+        for size in range(n // 2 + 1):
+            ones = rng.sample(range(n), size)
+            queries.append(vector(d, *(-1 if t in ones else rng.choice((0, 1)) for t in range(n))))
+        for i, j in rng.sample(list(itertools.permutations(range(n), 2)), 10):
+            queries.append(vector(d, *(0 if t == i else -2 if t == j else -1 for t in range(n))))
+        for size in (1, 2, 3):
+            twos = rng.sample(range(n), size)
+            queries.append(vector(d, *(-2 if t in twos else -1 for t in range(n))))
+    queries += [vector(d, *(rng.choice((0, 1, 2)) for _ in range(n))) for d in range(5)]
+    rng.shuffle(queries)
+    return queries + rng.sample(queries, 8)
+
+
 @pytest.mark.parametrize(
     "field",
     [PrimeField(2), PrimeField(7), PrimeField(10007), ExtensionField(3, 2), RationalField()],
@@ -398,18 +433,26 @@ def value_kernel_queries(rng, n):
 )
 def test_effectivity_by_multiplicity_bound_and_value_kernel(field):
     # one configuration answers classes of every degree from its kept
-    # value-row kernels; each answer must be the one a fresh elimination
-    # gives, also where the points' value rows have extra relations
-    rng = Random(17)
+    # elimination of the value rows per degree; each answer must be the one
+    # a fresh elimination gives, also where the points' value rows have
+    # extra relations and some point has no v_i with R v_i = e_i
+    rng, extra = Random(17), Random(19)
     configs = special_configurations(field, rng)
+    if field.order != 2:
+        configs.append(pencil_base_points(field, extra))
     for points in configs:
         queried = PointConfiguration(field, points)
-        for cls in value_kernel_queries(rng, len(points)):
+        n = len(points)
+        for cls in value_kernel_queries(rng, n) + value_elimination_queries(extra, n):
             assert effectivity_test(queried, cls) == from_scratch(points, cls), cls
+        assert any(None in _value_kernels(queried, d)[2] for d in range(1, 5))
     if field.order != 2:  # the conic through the first eight points, the cubic through all ten
-        nine, ten = (PointConfiguration(field, points) for points in configs)
+        nine, ten, pencil = (PointConfiguration(field, points) for points in configs)
         assert effectivity_test(nine, vector(2, *([-1] * 8), 0)) == (True, 0)
         assert effectivity_test(ten, vector(3, *([-1] * 10))) == (True, 0)
+        # a pencil of cubics through the base points, no member double at one
+        assert effectivity_test(pencil, vector(3, *([-1] * 9))) == (True, 1)
+        assert effectivity_test(pencil, vector(3, 0, -2, *([-1] * 7))) == (False, -1)
 
 
 class TestCobleVerdict:

@@ -34,6 +34,7 @@ from picweyl.projgeom import (
     matrix_rank,
     monomial_exponents,
     row_reduce,
+    two_sided_kernels,
 )
 from picweyl import polys
 
@@ -284,6 +285,41 @@ class TestEliminationOracles:
             seen.add((k == ncols <= 3, rank == min(k, ncols)))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
         assert matrix_rank([], field) == 0
+
+    @pytest.mark.parametrize(
+        "field",
+        [PrimeField(2), PrimeField(7), PrimeField(10007), ExtensionField(3, 2), QQ_FIELD],
+        ids=repr,
+    )
+    def test_two_sided_kernels(self, field):
+        # K is kernel_basis's; L is a basis of the left kernel; v_i solves
+        # R v = e_i exactly, and is None just where some vector of L is
+        # nonzero at i
+        rng = random.Random(31)
+        zero, one, add, mul = field._zero, field._one, field._add, field._mul
+        seen = set()
+        for _ in range(200):
+            n, ncols = rng.randint(1, 6), rng.randint(1, 7)
+            rows = [[field.random_element(rng).raw for _ in range(ncols)] for _ in range(n)]
+            if n > 2 and rng.random() < 0.5:  # a combination of the first two rows
+                a, b = (field.random_element(rng).raw for _ in range(2))
+                rows[rng.randrange(2, n)] = [add(mul(a, x), mul(b, y)) for x, y in zip(*rows[:2])]
+            elif rng.random() < 0.2:
+                rows[rng.randrange(n)] = [zero] * ncols
+            kernel, left, solutions = two_sided_kernels(rows, field)
+            assert kernel == kernel_basis(rows, field)
+            rank = len(extend_echelon([], rows, field))
+            assert len(left) == n - rank == len(extend_echelon([], left, field))
+            columns = [list(c) for c in zip(*rows)]
+            assert all(field.dot(u, c) == zero for u in left for c in columns)
+            for i, v in enumerate(solutions):
+                if any(u[i] != zero for u in left):
+                    assert v is None
+                else:
+                    unit = [one if j == i else zero for j in range(n)]
+                    assert [field.dot(row, v) for row in rows] == unit
+                seen.add(v is None)
+        assert seen == {True, False}
 
     def test_input_rows_are_not_modified(self):
         rows = [[0, 2], [3, 4]]
