@@ -1,20 +1,19 @@
 """Plane cubics: classification, canonical singular models, the
 chord-tangent group law, and lattice-class restriction to the curve.
 
-The classification finds rational singular points as the rational common
-zeros of f and its nonzero partials, by exact resultant elimination; the
-census depends on f alone.  It eliminates y lazily, stopping once the gcd of
-the eliminants is constant, then searches the lines x = x0 over that gcd's
-rational roots and the line z = 0 with one helper.  Each resultant in y is
-the determinant of a Bezout matrix over K[x] whose size is the larger
-y-degree (at most 3), half the Sylvester matrix's.  The census is decisive
-for everything this module supports: an irreducible cubic has at most one
-singular point, and a unique singular point is fixed by Galois, hence
-rational.  Configurations that would need factorization over proper
-extensions (conjugate singular points, non-split nodes, tangent lines hiding
-curve components) raise explicit errors instead of being guessed at; the
-tangent-cone divisibility tests below make those cases detectable from
-rational data alone.
+The classification reads the singular scheme of f, cut out by f and its
+partials, from d, the dimension of its degree-4 part: the kernel of the
+matrix of the degree-4 multiples of f, f_x, f_y and f_z.  d is 0 for a
+smooth cubic, 1 for a node, whose kernel vector is evaluation there, and 2
+for a cusp, on the line both kernel vectors cut out, or for two singular
+points on a line component.  Otherwise the cubic is reducible or a cusp in
+characteristic 2 or 3, and the singular point is sought among the rational
+common zeros of f and a nonzero partial, coprime when f is irreducible.
+That census eliminates y by resultants, each the determinant of a Bezout
+matrix over K[x] of the larger y-degree (at most 3), and also finds the
+inflections of a smooth cubic on its Hessian.  Non-split nodes, which
+would need an extension field, raise explicit errors instead of being
+guessed at, as do tangent lines hiding curve components.
 
 A singular cubic is parametrized by the lines through its singular point,
 and its inflections come from that parametrization, not from a search:
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable
 
 from . import polys
 from .errors import (
@@ -74,6 +72,7 @@ from .projgeom import (
     mat3_from_columns,
     mat3_inverse,
     matrix_rank,
+    monomial_exponents,
     normalized,
     power_table,
 )
@@ -317,7 +316,9 @@ class CubicCurveModel:
 def classify_cubic(f: Poly3) -> CubicCurveModel:
     """Classify a reduced, geometrically irreducible plane cubic and build
     its group model.  Raises ReducibleCurveError or UnsupportedCurveError
-    when the input is outside that scope (see the module docstring)."""
+    when the input is outside that scope.  It decides from d, the degree of
+    the singular scheme's degree-4 part (see the module docstring); a cusp
+    has d = 2, or d = 4 in characteristic 2 and d = 3 in characteristic 3."""
     if f.is_zero() or not f.is_homogeneous() or f.degree() != 3:
         raise CurveError("input must be a nonzero homogeneous cubic")
 
@@ -325,22 +326,79 @@ def classify_cubic(f: Poly3) -> CubicCurveModel:
     if shortcut is not None:
         return shortcut
 
-    system = [g for g in (f.partial(i) for i in range(3)) if not g.is_zero()]
-    system.append(f)
-    sing, certified_empty = _common_rational_points(system)
-
-    if len(sing) >= 2:
-        raise ReducibleCurveError(
-            f"{len(sing)} singular points found; a cubic with more than one is reducible"
-        )
-    if len(sing) == 1:
+    field = f.field
+    zero = field._zero
+    partials = [f.partial(i) for i in range(3)]
+    scheme = _singular_scheme(f, partials)
+    if not scheme:
+        return _build_smooth_model(f)
+    if len(scheme) == 1:
+        # w(m) = m(P) up to scale: P = (w(v^3 x) : w(v^3 y) : w(v^3 z)) once w(v^4) != 0
+        (w,) = scheme
+        v3 = next(c for c in ((3, 0, 0), (0, 3, 0), (0, 0, 3)) if w[_times(c, c.index(3))] != zero)
+        node = [w[_times(v3, j)] for j in range(3)]
+        return _classify_singular(f, ProjectivePoint.from_raw(field, node))
+    if len(scheme) == 2:
+        return _classify_singular(f, _cusp_on_line(f, partials, scheme))
+    g = next((g for g in partials if g.terms), None)
+    sing = [] if g is None else [
+        p for p in _common_rational_points(f, g)
+        if all(h.evaluate_raw(p.raw) == zero for h in partials)
+    ]
+    # the second partials at a singular point have rank 2 exactly at a node
+    if len(sing) == 1 and matrix_rank(
+        [[h.partial(j).evaluate_raw(sing[0].raw) for j in range(3)] for h in partials], field
+    ) < 2:
         return _classify_singular(f, sing[0])
-    if not certified_empty:
-        raise UnsupportedCurveError(
-            "no rational singular point, but smoothness could not be certified "
-            "(possible singularities over an extension field)"
-        )
-    return _build_smooth_model(f)
+    raise ReducibleCurveError(
+        f"a singular scheme of degree {len(scheme)} with {len(sing)} rational singular "
+        "points found: the cubic is reducible"
+    )
+
+
+def _times(k: tuple, i: int) -> tuple:
+    """The exponents of the monomial with exponents k times variable i."""
+    return tuple(a + (j == i) for j, a in enumerate(k))
+
+
+def _singular_scheme(f: Poly3, partials: list[Poly3]) -> list[dict]:
+    """The kernel of M, the matrix of the degree-4 multiples of f and its
+    partials over the quartic monomials, as functionals keyed by exponents.
+    f is among the forms since Euler's relation fails in characteristic 3."""
+    field = f.field
+    keys = monomial_exponents(4)
+    column = {k: i for i, k in enumerate(keys)}
+    rows = []
+    for g in (f, *partials):
+        for shift in monomial_exponents(4 - g.degree()) if g.terms else ():
+            row = [field._zero] * len(keys)
+            for k, v in g.terms.items():
+                row[column[tuple(a + b for a, b in zip(k, shift))]] = v
+            rows.append(row)
+    return [dict(zip(keys, w)) for w in kernel_basis(rows, field)]
+
+
+def _cusp_on_line(f: Poly3, partials: list[Poly3], scheme: list[dict]) -> ProjectivePoint:
+    """The singular point when the singular scheme has degree 2.  The linear
+    forms l with w(l m) = 0 for both functionals w and every cubic monomial
+    m cut out the line L through the scheme.  If f vanishes on L the cubic
+    is reducible; otherwise L is the cuspidal tangent and f restricts to it
+    as a cube, whose root the Taylor form of `_third` gives: on s p + u q,
+    c0 (s - r u)^3 has (r : 1) = (-c1 : 3 c0)."""
+    field = f.field
+    zero, mul, sub = field._zero, field._mul, field._sub
+    rows = [[w[_times(m, i)] for i in range(3)] for w in scheme for m in monomial_exponents(3)]
+    line = kernel_basis(rows, field)[0]
+    p = _second_point_on_line(field, line, None)
+    q = _second_point_on_line(field, line, p)
+    (c0, *gp), (c3, *gq) = ([h.evaluate_raw(x) for h in (f, *partials)] for x in (p, q))
+    c1, c2 = dot(q, gp, field), dot(p, gq, field)
+    if c0 == c1 == c2 == c3 == zero:
+        raise ReducibleCurveError("the line through the two singular points lies on the cubic")
+    if c0 == zero:
+        return ProjectivePoint.from_raw(field, p)
+    c0 = mul(field._from_int(3), c0)
+    return ProjectivePoint.from_raw(field, [sub(mul(c0, y), mul(c1, x)) for x, y in zip(p, q)])
 
 
 def _recognize_canonical(f: Poly3) -> CubicCurveModel | None:
@@ -566,98 +624,38 @@ def _build_smooth_model(f: Poly3) -> CubicCurveModel:
 
 
 # ---------------------------------------------------------------------------
-# rational common zeros of form systems, by resultant elimination
+# rational common zeros of two forms, by resultant elimination
 
 
-def _common_rational_points(system: list[Poly3]) -> tuple[list[ProjectivePoint], bool]:
-    """Rational common zeros of the given nonzero forms, sorted by
-    `_point_key`, plus a certificate flag: True means the forms provably
-    have no common zero at all, even over the algebraic closure, so an empty
-    list is conclusive.
+def _common_rational_points(f: Poly3, g: Poly3) -> list[ProjectivePoint]:
+    """Rational common zeros of two nonzero forms, sorted by `_point_key`:
+    every one when the forms are coprime, and otherwise some of them.
 
-    The x-coordinates of the affine zeros are roots of the elimination gcd:
-    a form constant in y enters with its own x-polynomial, and each pair of
-    forms that both involve y with its resultant in y, computed only while
-    the gcd is not yet constant.  When every such pair shares a factor, the
-    first form's resultant with the sum of the others, also zero at every
-    common zero, is the eliminant instead.  The lines x = x0 over its
-    rational roots and the line z = 0 are then searched alike, and (1:0:0)
+    The x-coordinates of the affine zeros are roots of the eliminant: the
+    x-polynomial of a form constant in y, the gcd of two such, or else the
+    resultant in y of the two forms.  The lines x = x0 over its rational
+    roots and the line z = 0 are then searched alike, and (1:0:0)
     directly."""
-    field = system[0].field
+    field = f.field
     one, zero = field._one, field._zero
     points: set[ProjectivePoint] = set()
-    charts = [_poly3_chart(g) for g in system]
-    curved = [c for c in charts if len(c) > 1]
-    eliminants = itertools.chain(
-        (c[0] for c in charts if len(c) == 1),
-        (_resultant_y(a, b, field) for a, b in itertools.combinations(curved, 2)),
-    )
-    elim = _poly_list_gcd(eliminants, field)
-    if not elim and len(curved) > 2:
-        rest: list[Poly] = []
-        for c in curved[1:]:
-            pairs = itertools.zip_longest(rest, c, fillvalue=[])
-            rest = [polys.add(field, a, b) for a, b in pairs]
-        while rest and not rest[-1]:
-            rest.pop()
-        if rest:
-            elim = _poly_list_gcd([_resultant_y(curved[0], rest, field)], field)
-    complete = bool(elim)  # no nonzero eliminant: the affine zeros may not be isolated
-    if len(elim) > 1:
-        xs = roots_in_field(field, elim)
-        complete = _splits_rationally(elim, xs, field)
-        for x0 in xs:
-            line = [_evaluate_chart_at_x(c, x0, field) for c in charts]
-            complete &= _line_zeros(field, line, lambda y0: (x0, y0, one), points)
-    line = [_restrict_to_infinity(g) for g in system]
-    complete &= _line_zeros(field, line, lambda t0: (t0, one, zero), points)
+    charts = [_poly3_chart(f), _poly3_chart(g)]
+    eliminants = [c[0] for c in charts if len(c) == 1] or [_resultant_y(*charts, field)]
+    elim = polys.gcd(field, eliminants[0], eliminants[-1])
+    roots = roots_in_field(field, elim) if len(elim) > 1 else []
+    lines = [(x0, [_evaluate_chart_at_x(c, x0, field) for c in charts]) for x0 in roots]
+    lines.append((None, [_restrict_to_infinity(f), _restrict_to_infinity(g)]))
+    for x0, restrictions in lines:
+        # a common root is a common zero, since a zero restriction vanishes on
+        # the whole line; when both do, the line lies in the locus: not searched
+        h = polys.gcd(field, *restrictions)
+        for t in roots_in_field(field, h) if h else ():
+            xs = (t, one, zero) if x0 is None else (x0, t, one)
+            points.add(ProjectivePoint.from_raw(field, xs))
     e100 = (one, zero, zero)
-    if all(g.evaluate_raw(e100) == zero for g in system):
+    if f.evaluate_raw(e100) == zero == g.evaluate_raw(e100):
         points.add(ProjectivePoint.from_raw(field, e100))
-    return sorted(points, key=_point_key), complete and not points
-
-
-def _line_zeros(field: Field, restrictions: list[Poly], point, points: set) -> bool:
-    """Add point(t) for each rational root t of the gcd of the forms' nonzero
-    restrictions to one line, and return whether that gcd splits.  Such a
-    root is a zero of every form, since a zero restriction vanishes on the
-    whole line; when every restriction does, the line lies in the locus and
-    the search there is not complete."""
-    h = _poly_list_gcd(restrictions, field)
-    if not h:
-        return False
-    rts = roots_in_field(field, h)
-    for t in rts:
-        points.add(ProjectivePoint.from_raw(field, point(t)))
-    return _splits_rationally(h, rts, field)
-
-
-def _poly_list_gcd(ps: Iterable[Poly], field: Field) -> Poly:
-    """The monic gcd of the nonzero polynomials drawn from ps, or [] when
-    there is none; it stops drawing once the gcd is constant."""
-    g: Poly = []
-    for u in ps:
-        if not u:
-            continue
-        g = polys.gcd(field, g, u) if g else polys.monic(field, u)
-        if len(g) == 1:
-            break
-    return g
-
-
-def _splits_rationally(g: Poly, rts: list, field: Field) -> bool:
-    """Does g factor completely into the given rational roots, counted with
-    multiplicity?  Divides each root out as often as it goes."""
-    x = [field._zero, field._one]
-    h = g
-    for r in rts:
-        lin = polys.sub(field, x, [r])
-        while True:
-            q, rem = polys.divmod_poly(field, h, lin)
-            if rem:
-                break
-            h = q
-    return len(h) == 1
+    return sorted(points, key=_point_key)
 
 
 def _evaluate_chart_at_x(chart: list[Poly], x0, field: Field) -> Poly:
@@ -752,10 +750,10 @@ def _rational_inflections(f: Poly3) -> list[ProjectivePoint]:
     h = mat3_det([[f.partial(i).partial(j) for j in range(3)] for i in range(3)])
     if h.is_zero():
         return []
-    return _common_rational_points([f, h])[0]
+    return _common_rational_points(f, h)
 
 
-def _second_point_on_line(field: Field, line, avoid: tuple) -> tuple:
+def _second_point_on_line(field: Field, line, avoid: tuple | None) -> tuple:
     """A point of the line other than avoid, as normalized raws."""
     one, zero = field._one, field._zero
     for e in ((one, zero, zero), (zero, one, zero), (zero, zero, one)):

@@ -285,7 +285,7 @@ class Poly3:
     """Polynomial in three variables as a sparse exponent map.
 
     Keys are (a, b, c) exponent triples; values are nonzero raws of field.
-    `coefficient`, `evaluate` and `evaluate_point` box what they return.
+    `coefficient` and `evaluate` box what they return.
     The geometry code only ever feeds homogeneous forms to the projective
     routines, but the representation does not insist on it.
     """
@@ -351,9 +351,6 @@ class Poly3:
     def evaluate(self, coords) -> FieldElement:
         field = self.field
         return FieldElement(field, self.evaluate_raw([field(c).raw for c in coords]))
-
-    def evaluate_point(self, p: ProjectivePoint) -> FieldElement:
-        return FieldElement(self.field, self.evaluate_raw(p.raw))
 
     def evaluate_raw(self, xs: Sequence):
         """The value at the raw coordinates xs, as a raw."""

@@ -121,7 +121,7 @@ class TestClassification:
         moved = classify_cubic(f)
         assert moved.kind == "nodal"
         # the singular point moves by the inverse substitution
-        assert moved.poly.evaluate_point(moved.singular_point) == F.zero()
+        assert moved.poly.evaluate(moved.singular_point.coords) == F.zero()
 
     def test_reducible_rejected(self):
         # line times conic meeting it in two points
@@ -130,6 +130,15 @@ class TestClassification:
         # three concurrent lines: x(x^2 + y^2) with -1 a square mod 101
         with pytest.raises(ReducibleCurveError):
             classify_cubic(Poly3.from_coeff_map(F, {"300": 1, "120": 1}))
+
+    def test_line_times_conic_without_rational_singular_points_is_reducible(self):
+        # z (x^2 - 2 y^2) over F_5: three nodes, the rational (0:0:1) with
+        # conjugate tangents and a conjugate pair on z = 0; z (x^2 - 2 y^2 -
+        # z^2): two conjugate nodes, where z = 0 meets the conic
+        F5 = PrimeField(5)
+        for coeffs in ({"201": 1, "021": -2}, {"201": 1, "021": -2, "003": -1}):
+            with pytest.raises(ReducibleCurveError):
+                classify_cubic(Poly3.from_coeff_map(F5, coeffs))
 
     def test_non_split_node_unsupported(self):
         # tangent cone y^2 = 2 x^2 with 2 a non-square mod 101
@@ -590,7 +599,7 @@ def _reference_third(model, a, b):
     """The residual intersection read off the restriction to the line."""
     field = model.field
     if a == b:
-        grad = [model.poly.partial(i).evaluate_point(a) for i in range(3)]
+        grad = [model.poly.partial(i).evaluate(a.coords) for i in range(3)]
         units = [[field(int(i == j)) for j in range(3)] for i in range(3)]
         crossings = [
             [grad[1] * e[2] - grad[2] * e[1], grad[2] * e[0] - grad[0] * e[2],
@@ -668,7 +677,7 @@ def test_third_intersection_matches_line_restriction(field):
     # off-curve endpoints are refused, and both kinds of line were computed
     c = _random_point(field, rng)
     model = CubicCurveModel(_cubic_through(field, [a], rng), "smooth", a)
-    if model.poly.evaluate_point(c):
+    if model.poly.evaluate(c.coords):
         assert _outcome(model.third_intersection, a, c) is DomainError
         assert _outcome(model.third_intersection, c, c) is DomainError
     assert {"chord", "tangent"} <= outcomes
@@ -678,7 +687,7 @@ def test_off_curve_and_singular_points_raise():
     for m in (nodal_model(), cusp_model()):
         s, off = m.singular_point, ProjectivePoint(F, (1, 2, 1))
         on = m.point_from_parameter(F(3)).point
-        assert m.poly.evaluate_point(off)
+        assert m.poly.evaluate(off.coords)
         for a, b in ((off, on), (on, off), (off, off), (s, s)):
             with pytest.raises(DomainError):
                 m.third_intersection(a, b)
@@ -854,9 +863,9 @@ def _projective_raws(field):
 
 @st.composite
 def census_systems(draw, field):
-    """(shape, forms): random forms of degree 1-3, some constant in y, some
-    sharing a line factor, the pairwise products of three distinct lines, or
-    the gradient or Hessian system of a random cubic."""
+    """(shape, [f, g]): two random forms of degree 1-3, some constant in y,
+    or sharing a line factor, or a random cubic with a nonzero partial or
+    with its Hessian."""
 
     def form(degree, no_y=False):
         keys = [k for k in monomial_exponents(degree) if not (no_y and k[1])]
@@ -865,57 +874,45 @@ def census_systems(draw, field):
         nonzero = raws.filter(lambda rs: any(r != field._zero for r in rs))
         return Poly3.from_raw(field, dict(zip(keys, draw(nonzero))))
 
-    shape = draw(st.sampled_from(["forms", "shared line", "triangle", "gradient", "hessian"]))
+    shape = draw(st.sampled_from(["forms", "shared line", "gradient", "hessian"]))
     if shape == "forms":
-        count = draw(st.integers(1, 4))
-        return shape, [form(draw(st.integers(1, 3)), draw(st.booleans())) for _ in range(count)]
+        return shape, [form(draw(st.integers(1, 3)), draw(st.booleans())) for _ in range(2)]
     if shape == "shared line":
         line = form(1, draw(st.booleans()))
-        count = draw(st.integers(2, 3))
-        return shape, [line * form(draw(st.integers(0, 2))) for _ in range(count)]
-    if shape == "triangle":
-        # every two of the forms share a line, yet the vertices are isolated
-        lines = st.sampled_from(_projective_raws(field))
-        a, b, c = (
-            Poly3.from_raw(field, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), raws)))
-            for raws in draw(st.lists(lines, min_size=3, max_size=3, unique=True))
-        )
-        return shape, [a * b, b * c, c * a]
+        return shape, [line * form(draw(st.integers(0, 2))) for _ in range(2)]
     f = form(3)
     if shape == "hessian" and field.char != 2:
         h = mat3_det([[f.partial(i).partial(j) for j in range(3)] for i in range(3)])
         if not h.is_zero():
             return shape, [f, h]
-    return shape, [g for g in (f.partial(i) for i in range(3)) if not g.is_zero()] + [f]
+    partials = [g for g in (f.partial(i) for i in range(3)) if not g.is_zero()]
+    return shape, [f, draw(st.sampled_from(partials))] if partials else [f, f]
 
 
-def _some_pair_coprime(system):
-    """Do two of the forms have no common factor?  Forms A and B of degrees
-    a and b share one exactly when U A = V B for forms U, V of degrees b - 1
-    and a - 1, not both zero: when the products of A with the monomials of
+def _coprime(f, g):
+    """Do the forms have no common factor?  Forms A and B of degrees a and
+    b share one exactly when U A = V B for forms U, V of degrees b - 1 and
+    a - 1, not both zero: when the products of A with the monomials of
     degree b - 1 and of B with those of degree a - 1 are dependent."""
-
-    def coprime(f, g):
-        field, a, b = f.field, f.degree(), g.degree()
-        keys = monomial_exponents(a + b - 1)
-        rows = [
-            [(Poly3.monomial(field, k) * h).terms.get(key, field._zero) for key in keys]
-            for h, d in ((f, b - 1), (g, a - 1))
-            for k in monomial_exponents(d)
-        ]
-        return matrix_rank(rows, field) == len(rows)
-
-    return any(coprime(f, g) for f, g in itertools.combinations(system, 2))
+    field, a, b = f.field, f.degree(), g.degree()
+    keys = monomial_exponents(a + b - 1)
+    rows = [
+        [(Poly3.monomial(field, k) * h).terms.get(key, field._zero) for key in keys]
+        for h, d in ((f, b - 1), (g, a - 1))
+        for k in monomial_exponents(d)
+    ]
+    return matrix_rank(rows, field) == len(rows)
 
 
 @lru_cache(maxsize=None)
-def _quadratic_extension_scan(q):
-    """GF(q^2) for the census field GF(q), on element indices: its addition
+def _extension_scan(q, k):
+    """GF(q^k) for the census field GF(q), on element indices: its addition
     and multiplication tables, the index of zero, the embedding of GF(q)'s
     raws (a GF(p^e) raw is evaluated at a root of GF(p^e)'s modulus in
-    GF(p^2e)), and each monomial of degree <= 3 at every point of P^2(GF(q^2))."""
+    GF(p^ke)), and each monomial of degree 1 to 3 at every point of
+    P^2(GF(q^k))."""
     field = _CENSUS_FIELDS[q]
-    big = ExtensionField(field.char, 2 * getattr(field, "e", 1))
+    big = ExtensionField(field.char, k * getattr(field, "e", 1))
     elems = list(big._raws())
     index = {r: i for i, r in enumerate(elems)}
     add, mul = (np.array([[index[op(a, b)] for b in elems] for a in elems])
@@ -936,8 +933,8 @@ def _quadratic_extension_scan(q):
         for _ in range(3):
             axis.append(mul[axis[-1], column])
     monomials = {
-        (a, b, c): mul[mul[powers[0][a], powers[1][b]], powers[2][c]]
-        for d in range(4)
+        (a, b, c): mul[mul[powers[0][a], powers[1][b]], powers[2][c]].astype(np.int32)
+        for d in (1, 2, 3)
         for a, b, c in monomial_exponents(d)
     }
     return add, mul, index[big._zero], embedded, monomials
@@ -951,44 +948,144 @@ _CENSUS_FIELDS = {2: PrimeField(2), 3: PrimeField(3), 4: ExtensionField(2, 2),
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_census_matches_brute_force(q, data):
-    """Every point the census finds is a common zero, and when the common
-    zeros are isolated, because two of the forms are coprime or the forms
-    are a triangle's, it finds all of P^2(F_q)'s.  A certified empty census
-    leaves none in P^2(F_q^2) either; q^2 <= 81 keeps that scan small."""
+    """Every point the census finds is a common zero of the two forms, and
+    when the forms are coprime it finds all of P^2(F_q)'s."""
     field = _CENSUS_FIELDS[q]
     shape, system = data.draw(census_systems(field))
-    points, certified = _common_rational_points(system)
+    points = _common_rational_points(*system)
     zeros = [
         ProjectivePoint.from_raw(field, pt)
         for pt in _projective_raws(field)
         if all(g.evaluate_raw(pt) == field._zero for g in system)
     ]
-    if shape == "triangle" or _some_pair_coprime(system):
+    if _coprime(*system):
         assert points == sorted(zeros, key=_point_key)
     else:
-        assert not certified
         assert set(points) <= set(zeros) and points == sorted(points, key=_point_key)
-    if certified:
-        add, mul, zero, embedded, monomials = _quadratic_extension_scan(q)
-        common = True
-        for g in system:
-            value = zero
-            for k, v in g.terms.items():
-                value = add[value, mul[embedded[v], monomials[k]]]
-            common &= value == zero
-        assert not np.any(common)
 
 
-def test_census_finds_the_vertices_of_a_triangle():
-    """Over GF(5) every two of AB, BC, CA share a line, so each pairwise
-    resultant vanishes; the three vertices are still found."""
-    F5 = PrimeField(5)
-    a, b, c = (
-        Poly3.from_coeff_map(F5, coeffs)
-        for coeffs in ({"100": 1, "010": 1}, {"010": 1, "001": 2}, {"100": 1, "010": 3, "001": 1})
+# ---------------------------------------------------------------------------
+# the decision by the singular scheme against evidence found without it
+
+
+def _values_over(g, q, k):
+    """The indices of g's values at every point of P^2(F_q^k)."""
+    add, mul, zero, embedded, monomials = _extension_scan(q, k)
+    value = zero
+    for key, v in g.terms.items():
+        value = add[value, mul[embedded[v], monomials[key]]]
+    return value
+
+
+def _singular_points_over(f, q, k):
+    """How many points of P^2(F_q^k) are common zeros of f and its partials."""
+    zero = _extension_scan(q, k)[2]
+    common = True
+    for g in [f] + [f.partial(i) for i in range(3)]:
+        common &= _values_over(g, q, k) == zero
+    return int(np.count_nonzero(common))
+
+
+def _rational_line_on(f):
+    """Does some rational line lie on the curve?  Over a finite field, one
+    on which f vanishes at all its q^2 + 1 > 3 points over F_q^2; over Q,
+    a linear factor that sympy finds."""
+    field = f.field
+    if field.char == 0:
+        expr, xyz = _over_q(f)
+        return any(sympy.Poly(g, *xyz).total_degree() == 1 for g, _ in sympy.factor_list(expr)[1])
+    q = field.order
+    zero = _extension_scan(q, 2)[2]
+    on_curve = _values_over(f, q, 2) == zero
+    for line in _projective_raws(field):
+        form = Poly3.from_raw(field, dict(zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), line)))
+        if np.all(on_curve[_values_over(form, q, 2) == zero]):
+            return True
+    return False
+
+
+def _over_q(f):
+    """A form over Q as a sympy expression, and its variables."""
+    xyz = sympy.symbols("x y z")
+    return sum(c * math.prod(v**e for v, e in zip(xyz, k)) for k, c in f.terms.items()), xyz
+
+
+def _smooth_over_q(f):
+    """No common zero of f and its partials on any chart z = 1, y = 1, x = 1:
+    their Groebner bases over Q are [1]."""
+    expr, xyz = _over_q(f)
+    grads = [expr] + [sympy.diff(expr, v) for v in xyz]
+    return all(
+        list(sympy.groebner([g.subs(v, 1) for g in grads], *[w for w in xyz if w != v]).exprs)
+        == [1]
+        for v in xyz
     )
-    vertices = [ProjectivePoint(F5, xs) for xs in ((0, 3, 1), (2, 3, 1), (3, 2, 1))]
-    assert _common_rational_points([a * b, b * c, c * a]) == (vertices, False)
+
+
+def _random_form(field, rng, degree):
+    """A nonzero form with random coefficients, in -3..3 over Q."""
+    while True:
+        coeffs = {
+            k: field.random_element(rng) if field.char else field.from_int(rng.randint(-3, 3))
+            for k in monomial_exponents(degree)
+        }
+        f = Poly3(field, coeffs)
+        if not f.is_zero():
+            return f
+
+
+DECISION_SHAPES = ("random", "cusp", "node", "line and conic", "triangle")
+
+
+@pytest.mark.parametrize("field", [*_CENSUS_FIELDS.values(), RationalField()], ids=repr)
+def test_decision_matches_the_singular_points(field):
+    """classify_cubic decides from the degree of the singular scheme; every
+    outcome is checked against evidence found without it, on random cubics,
+    framed canonical cusps and nodes, a line times a conic and three lines
+    (which meet pairwise).  A singular point is a common zero of f and its
+    partials; a smooth cubic has none over F_q^2 (over Q, none at all); a
+    reducible one has a rational line on it or two singular points over
+    F_q^2 or F_q^3; a refused one has at most one over F_q^2 and no rational
+    line.  Framed cusps in characteristics 2
+    and 3 stay refused."""
+    rng = random.Random(f"decision/{field}")
+    seen = Counter()
+    for shape in DECISION_SHAPES * (8 if field.char == 0 else 16):
+        if shape == "random":
+            f = _random_form(field, rng, 3)
+        elif shape in ("cusp", "node"):
+            f = _moved(field, CUSPIDAL if shape == "cusp" else NODAL, rng)
+        elif shape == "line and conic":
+            f = _random_form(field, rng, 1) * _random_form(field, rng, 2)
+        else:
+            a, b, c = (_random_form(field, rng, 1) for _ in range(3))
+            f = a * b * c
+        try:
+            model = classify_cubic(f)
+            outcome = model.kind
+        except (ReducibleCurveError, UnsupportedCurveError) as err:
+            outcome = type(err)
+        seen[shape, outcome] += 1
+        q = field.order if field.char else None
+        if outcome == "smooth":
+            assert _smooth_over_q(f) if q is None else _singular_points_over(f, q, 2) == 0, f
+        elif outcome in ("nodal", "cuspidal"):
+            s = model.singular_point.raw
+            assert all(g.evaluate_raw(s) == field._zero for g in model._forms), f
+        elif outcome is ReducibleCurveError:
+            # three conjugate lines meet over F_q^3 only
+            assert _rational_line_on(f) or q is not None and any(
+                _singular_points_over(f, q, k) >= 2 for k in (2, 3)
+            ), f
+        else:
+            assert not _rational_line_on(f), f
+            assert q is None or _singular_points_over(f, q, 2) <= 1, f
+        if shape == "cusp" and field.char in (2, 3):
+            assert outcome is UnsupportedCurveError, f
+    assert seen["triangle", ReducibleCurveError] and seen["line and conic", ReducibleCurveError]
+    assert seen["random", "smooth"]
+    if field.char not in (2, 3):
+        assert seen["cusp", "cuspidal"] and seen["node", "nodal"]
 
 
 # ---------------------------------------------------------------------------
@@ -1127,7 +1224,7 @@ CENSUS_EDGES = [
     (2, "y*z**2 + z**3", ReducibleCurveError),
     (2, "y**2*z", ReducibleCurveError),
     (2, "x**2*y", ReducibleCurveError),
-    (2, "z*(x**2 + x*y + y**2)", UnsupportedCurveError),
+    (2, "z*(x**2 + x*y + y**2)", ReducibleCurveError),
     (3, "x**2*z + x*y**2 + z**3", ("smooth", (0, 1, 0), False)),
     (2, "x**2*z + x*z**2 + y**3 + y*z**2 + z**3", ("smooth", (1, 0, 0), True)),
     (2, "x**2*z + x*y**2 + x*y*z + x*z**2 + z**3", ("smooth", (0, 1, 0), True)),
@@ -1138,8 +1235,7 @@ CENSUS_EDGES = [
 def test_census_edges_against_sympy(p, form, expected):
     """Each expectation is checked independently, by brute force over
     P^2(F_p) and with sympy: a rational line on which the form vanishes
-    for a reducible cubic; a rational node whose tangent cone has no
-    rational root for the refused one; for a smooth one, Groebner bases
+    for a reducible cubic; for a smooth one, Groebner bases
     over F_p of the form and its partials on the three charts, and its
     rational points in the census's scan order (the chart z = 1 by x then
     y, then the line z = 0)."""
@@ -1164,12 +1260,6 @@ def test_census_edges_against_sympy(p, form, expected):
             return sympy.Poly(along, s, t, modulus=p).is_zero
 
         assert any(on_curve(line) for line in scan)
-    elif expected is UnsupportedCurveError:
-        # one rational singular point, (0:0:1), a node whose tangent cone
-        # (the quadratic part of the chart z = 1) has no rational root
-        assert [pt for pt in scan if all(value(g, pt) == 0 for g in grads)] == [(0, 0, 1)]
-        cone = sympy.Poly(expr.subs(xyz[2], 1), *xyz[:2]).as_expr()
-        assert all(value(cone, pt) for pt in scan if pt[2] == 0)
     else:
         for v in xyz:
             rest = [w for w in xyz if w != v]
@@ -1228,7 +1318,7 @@ def _curve_points(f, count):
     field, out = f.field, []
     for y, x in itertools.product(field.elements(), repeat=2):
         p = ProjectivePoint(field, (x, y, 1))
-        if not f.evaluate_point(p):
+        if not f.evaluate(p.coords):
             out.append(p)
             if len(out) == count:
                 return out

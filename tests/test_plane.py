@@ -117,7 +117,7 @@ class TestEffectivity:
         f = basis[0]
         assert f.degree() == 3
         for i in range(1, 10):
-            assert f.evaluate_point(cfg.point(i)) == F.zero()
+            assert f.evaluate(cfg.point(i).coords) == F.zero()
 
     def test_double_point_conditions(self):
         # conics with a double point at p1 through p2, p3: the two lines
@@ -128,7 +128,7 @@ class TestEffectivity:
         f = effective_curves_basis(cfg, cls)[0]
         # a curve singular at p1 kills all three partials there
         p = cfg.point(1)
-        assert all(f.partial(i).evaluate_point(p) == F.zero() for i in range(3))
+        assert all(f.partial(i).evaluate(p.coords) == F.zero() for i in range(3))
 
 
 def composed_monomials(p, d):

@@ -413,9 +413,9 @@ class TestPoly3:
         grad = [f.partial(i) for i in range(3)]
 
         def dot(u, v):  # u . grad F(v)
-            return sum((c * g.evaluate_point(v) for c, g in zip(u.coords, grad)), F.zero())
+            return sum((c * g.evaluate(v.coords) for c, g in zip(u.coords, grad)), F.zero())
 
-        coeffs = [f.evaluate_point(p), dot(q, p), dot(p, q), f.evaluate_point(q)]
+        coeffs = [f.evaluate(p.coords), dot(q, p), dot(p, q), f.evaluate(q.coords)]
         # the value at (s, u) must match direct evaluation at s p + u q
         for s, u in ((F(1), F(3)), (F(2), F(7)), (F(0), F(1)), (F(5), F(0))):
             direct = f.evaluate([s * a + u * b for a, b in zip(p.coords, q.coords)])
