@@ -316,7 +316,7 @@ class CubicCurveModel:
 def classify_cubic(f: Poly3) -> CubicCurveModel:
     """Classify a reduced, geometrically irreducible plane cubic and build
     its group model.  Raises ReducibleCurveError or UnsupportedCurveError
-    when the input is outside that scope.  It decides from d, the degree of
+    when the input is outside that scope.  It decides from d, the dimension of
     the singular scheme's degree-4 part (see the module docstring); a cusp
     has d = 2, or d = 4 in characteristic 2 and d = 3 in characteristic 3."""
     if f.is_zero() or not f.is_homogeneous() or f.degree() != 3:
@@ -351,8 +351,8 @@ def classify_cubic(f: Poly3) -> CubicCurveModel:
     ) < 2:
         return _classify_singular(f, sing[0])
     raise ReducibleCurveError(
-        f"a singular scheme of degree {len(scheme)} with {len(sing)} rational singular "
-        "points found: the cubic is reducible"
+        f"a singular scheme of degree {len(scheme)} without exactly one rational singular "
+        "point that is not a node: the cubic is reducible"
     )
 
 

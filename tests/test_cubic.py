@@ -863,9 +863,9 @@ def _projective_raws(field):
 
 @st.composite
 def census_systems(draw, field):
-    """(shape, [f, g]): two random forms of degree 1-3, some constant in y,
-    or sharing a line factor, or a random cubic with a nonzero partial or
-    with its Hessian."""
+    """[f, g]: two random forms of degree 1-3, some constant in y, or
+    sharing a line factor, or a random cubic with a nonzero partial or with
+    its Hessian."""
 
     def form(degree, no_y=False):
         keys = [k for k in monomial_exponents(degree) if not (no_y and k[1])]
@@ -876,17 +876,17 @@ def census_systems(draw, field):
 
     shape = draw(st.sampled_from(["forms", "shared line", "gradient", "hessian"]))
     if shape == "forms":
-        return shape, [form(draw(st.integers(1, 3)), draw(st.booleans())) for _ in range(2)]
+        return [form(draw(st.integers(1, 3)), draw(st.booleans())) for _ in range(2)]
     if shape == "shared line":
         line = form(1, draw(st.booleans()))
-        return shape, [line * form(draw(st.integers(0, 2))) for _ in range(2)]
+        return [line * form(draw(st.integers(0, 2))) for _ in range(2)]
     f = form(3)
     if shape == "hessian" and field.char != 2:
         h = mat3_det([[f.partial(i).partial(j) for j in range(3)] for i in range(3)])
         if not h.is_zero():
-            return shape, [f, h]
+            return [f, h]
     partials = [g for g in (f.partial(i) for i in range(3)) if not g.is_zero()]
-    return shape, [f, draw(st.sampled_from(partials))] if partials else [f, f]
+    return [f, draw(st.sampled_from(partials))] if partials else [f, f]
 
 
 def _coprime(f, g):
@@ -951,7 +951,7 @@ def test_census_matches_brute_force(q, data):
     """Every point the census finds is a common zero of the two forms, and
     when the forms are coprime it finds all of P^2(F_q)'s."""
     field = _CENSUS_FIELDS[q]
-    shape, system = data.draw(census_systems(field))
+    system = data.draw(census_systems(field))
     points = _common_rational_points(*system)
     zeros = [
         ProjectivePoint.from_raw(field, pt)
@@ -1034,9 +1034,6 @@ def _random_form(field, rng, degree):
             return f
 
 
-DECISION_SHAPES = ("random", "cusp", "node", "line and conic", "triangle")
-
-
 @pytest.mark.parametrize("field", [*_CENSUS_FIELDS.values(), RationalField()], ids=repr)
 def test_decision_matches_the_singular_points(field):
     """classify_cubic decides from the degree of the singular scheme; every
@@ -1050,7 +1047,8 @@ def test_decision_matches_the_singular_points(field):
     and 3 stay refused."""
     rng = random.Random(f"decision/{field}")
     seen = Counter()
-    for shape in DECISION_SHAPES * (8 if field.char == 0 else 16):
+    shapes = ("random", "cusp", "node", "line and conic", "triangle")
+    for shape in shapes * (8 if field.char == 0 else 16):
         if shape == "random":
             f = _random_form(field, rng, 3)
         elif shape in ("cusp", "node"):
