@@ -397,8 +397,8 @@ def _cusp_on_line(f: Poly3, partials: list[Poly3], scheme: list[dict]) -> Projec
         raise ReducibleCurveError("the line through the two singular points lies on the cubic")
     if c0 == zero:
         return ProjectivePoint.from_raw(field, p)
-    c0 = mul(field._from_int(3), c0)
-    return ProjectivePoint.from_raw(field, [sub(mul(c0, y), mul(c1, x)) for x, y in zip(p, q)])
+    c0x3 = mul(field._from_int(3), c0)
+    return ProjectivePoint.from_raw(field, [sub(mul(c0x3, y), mul(c1, x)) for x, y in zip(p, q)])
 
 
 def _recognize_canonical(f: Poly3) -> CubicCurveModel | None:
