@@ -21,6 +21,7 @@ modulo the modulus, the irreducibility test that picks the modulus) is
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 from bisect import insort
 from fractions import Fraction
@@ -284,12 +285,10 @@ class PrimeField(Field):
         return str(raw)
 
     def element_from_json(self, data) -> FieldElement:
-        if not isinstance(data, (int, str)):
-            raise ValueError(
-                f"expected a scalar in {self}, got a {type(data).__name__}; "
-                "pass --e for an extension field"
-            )
-        return FieldElement(self, int(data) % self.p)
+        if isinstance(data, list):
+            raise ValueError(f"expected a scalar in {self}, got a list; "
+                             "pass --e for an extension field")
+        return FieldElement(self, _json_int(data) % self.p)
 
     def descriptor(self) -> dict:
         return {"p": self.p, "e": 1}
@@ -426,9 +425,9 @@ class ExtensionField(Field):
         return [str(c) for c in raw]
 
     def element_from_json(self, data) -> FieldElement:
-        if isinstance(data, str):
-            return self.from_int(int(data))
-        return self.element([int(c) for c in data])
+        if isinstance(data, list):
+            return self.element([_json_int(c) for c in data])
+        return self.from_int(_json_int(data))
 
     def descriptor(self) -> dict:
         return {"p": self.p, "e": self.e}
@@ -450,6 +449,13 @@ def field_from_descriptor(desc: dict) -> Field:
     p = int(desc["p"])
     e = int(desc.get("e", 1))
     return PrimeField(p) if e == 1 else ExtensionField(p, e)
+
+
+def _json_int(x) -> int:
+    """A JSON integer, or a string holding one; bools, floats, lists and objects are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"{json.dumps(x)} is not an integer")
+    return int(x)
 
 
 # ---------------------------------------------------------------------------

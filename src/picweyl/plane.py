@@ -7,6 +7,7 @@ immutable; every operation returns a new one.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Sequence
@@ -50,7 +51,7 @@ class PointConfiguration:
     maps (degree, floor multiplicities) to (kernel, blocks): a kernel basis
     of the floor's rows, and per (point, multiplicity) the extra rows of
     that point multiplied into it.  Ranks are exact, so no slot can change
-    a result, only how much is recomputed.
+    a result, only how much is recomputed.  Class-only facts go to `_route`.
     """
 
     __slots__ = ("field", "points", "_conditions", "_values", "_echelon", "_floors")
@@ -129,15 +130,16 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
     of them roots, with square condition matrices.  Per degree d, one
     elimination of the points' value rows R gives K, L and the v_i (see
     `_values` in `PointConfiguration`).  A class of multiplicities mu
-    takes the first route that applies:
+    takes the first route that applies, planned once per coordinate tuple
+    (`_route`), so that a call only looks up and ranks rows:
     - multiplicity bound, some mu_i > d: the Hasse rows of order <= d at
       one point already determine a degree-d form, so nothing moves;
     - value rows, every mu_i 0 or 1 and at most half of them 1 (lines
       through three points): the rank of the value rows of the points S
       with mu_i = 1, by `matrix_rank` (a 3x3 determinant for a line);
     - left kernel, every mu_i 0 or 1 and more than half of them 1 (conics
-      through six of nine points): the rank of S's rows read off L, see
-      `_value_rank`;
+      through six of nine points): |S| - dim L + rank(L restricted to the
+      0s T), since S's relations are the vectors of L vanishing on T;
     - floor kernel, mu above its floor nu = min(mu, mode(mu)) somewhere
       (-dK + e_i - e_j is d + 1 at j over the floor d - 1 at i, d
       elsewhere): `_floors` keeps a kernel basis of the floor's rows and,
@@ -155,39 +157,60 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
         raise ValueError(
             f"class on {cls.n} points against a configuration of {len(cfg)}"
         )
-    d = cls.degree
-    mults = _clamped_multiplicities(cls)
-    top = max(mults, default=0)
-    if d < 0 or top > d:
+    route, d, ncols, *plan = _route(cls.coords)
+    field = cfg.field
+    if route == "bound":
         return False, -1
-    ncols = (d + 1) * (d + 2) // 2  # degree-d monomials
-    if top <= 1 and 2 * sum(mults) <= len(mults):
-        values = [_point_rows(cfg, d, i, 1)[0] for i, m in enumerate(mults) if m]
-        dim = ncols - matrix_rank(values, cfg.field) - 1
-    elif top <= 1:
-        dim = ncols - _value_rank(cfg, d, mults) - 1
-    elif (mode := max(set(mults), key=mults.count)) == 0 or top == mode:  # floor 0 or the class
-        dim = ncols - len(_echelon_walk(cfg, d, mults)) - 1
+    if route == "values":
+        rank = matrix_rank([_point_rows(cfg, d, i, 1)[0] for i in plan[0]], field)
+    elif route == "left":
+        (ones, zeros), left = plan, _value_kernels(cfg, d)[1]
+        rank = ones - len(left) + matrix_rank([[v[i] for i in zeros] for v in left], field)
+    elif route == "walk":
+        rank = len(_echelon_walk(cfg, d, plan[0]))
     else:
-        floor = tuple(min(m, mode) for m in mults)
-        field = cfg.field
+        floor, zeros, above = plan
         if (d, floor) not in cfg._floors:
-            if mode == 1 and floor.count(0) <= 1:  # K, and v_i where the floor is 0 at i
+            if zeros is not None:
                 kernel, _, solutions = _value_kernels(cfg, d)
-                kernel = kernel + [v for v, n in zip(solutions, floor) if not n and v is not None]
+                kernel = kernel + [solutions[i] for i in zeros if solutions[i] is not None]
             else:
                 kernel = kernel_basis([row for _, row in _echelon_walk(cfg, d, floor)], field)
             cfg._floors[d, floor] = (kernel, {})
         kernel, blocks = cfg._floors[d, floor]
         rows = []
-        for k, (n, m) in enumerate(zip(floor, mults)):
-            if m > n:
-                if (k, m) not in blocks:  # past the n(n+1)/2 rows of orders below n
-                    extra = _point_rows(cfg, d, k, m)[n * (n + 1) // 2 :]
-                    blocks[k, m] = [[field.dot(r, v) for v in kernel] for r in extra]
-                rows += blocks[k, m]
-        dim = len(kernel) - matrix_rank(rows, field) - 1
+        for k, n, m in above:
+            if (k, m) not in blocks:  # past the n(n+1)/2 rows of orders below n
+                extra = _point_rows(cfg, d, k, m)[n * (n + 1) // 2 :]
+                blocks[k, m] = [[field.dot(r, v) for v in kernel] for r in extra]
+            rows += blocks[k, m]
+        ncols, rank = len(kernel), matrix_rank(rows, field)
+    dim = ncols - rank - 1
     return dim >= 0, dim
+
+
+@lru_cache(maxsize=None)
+def _route(coords: tuple[int, ...]) -> tuple:
+    """(route, d, ncols, *plan) of `effectivity_test` for these coordinates:
+    the 1s' indices for "values"; their number and the 0s' for "left"; the
+    multiplicities for "walk"; for "floor" the floor, its 0s if its kernel
+    is K + v_i (else None) and (point, floor, mult) per point above it."""
+    d, mults = coords[0], _clamped_multiplicities(coords)
+    top, ncols = max(mults, default=0), (d + 1) * (d + 2) // 2  # ncols: degree-d monomials
+    if d < 0 or top > d:
+        return "bound", d, ncols
+    if top <= 1 and 2 * sum(mults) <= len(mults):
+        return "values", d, ncols, tuple(i for i, m in enumerate(mults) if m)
+    if top <= 1:
+        return "left", d, ncols, sum(mults), tuple(i for i, m in enumerate(mults) if m == 0)
+    mode = max(set(mults), key=mults.count)
+    if mode == 0 or top == mode:  # floor 0 or the class
+        return "walk", d, ncols, mults
+    floor = tuple(min(m, mode) for m in mults)
+    zeros = tuple(i for i, n in enumerate(floor) if n == 0)
+    zeros = zeros if mode == 1 and len(zeros) <= 1 else None  # K + v_i, or a prefix walk
+    above = tuple((k, n, m) for k, (n, m) in enumerate(zip(floor, mults)) if m > n)
+    return "floor", d, ncols, floor, zeros, above
 
 
 def _value_kernels(cfg: PointConfiguration, d: int) -> tuple[list, list, list]:
@@ -196,15 +219,6 @@ def _value_kernels(cfg: PointConfiguration, d: int) -> tuple[list, list, list]:
         values = [_point_rows(cfg, d, i, 1)[0] for i in range(len(cfg))]
         cfg._values[d] = two_sided_kernels(values, cfg.field)
     return cfg._values[d]
-
-
-def _value_rank(cfg: PointConfiguration, d: int, mults: tuple[int, ...]) -> int:
-    """The rank of the degree-d value rows of the points S with mults 1.
-    The relations among S's rows are the vectors of the left kernel L of
-    all n value rows that vanish on the other points T, so the rank is
-    |S| - dim L + rank(L restricted to T)."""
-    left, zeros = _value_kernels(cfg, d)[1], [i for i, m in enumerate(mults) if m == 0]
-    return sum(mults) - len(left) + matrix_rank([[v[i] for i in zeros] for v in left], cfg.field)
 
 
 def _echelon_walk(cfg: PointConfiguration, d: int, mults: tuple[int, ...]) -> list:
@@ -228,9 +242,9 @@ def _echelon_walk(cfg: PointConfiguration, d: int, mults: tuple[int, ...]) -> li
     return bases[-1]
 
 
-def _clamped_multiplicities(cls: LatticeVector) -> tuple[int, ...]:
+def _clamped_multiplicities(coords: tuple[int, ...]) -> tuple[int, ...]:
     """max(m_i, 0) from the coordinates (d, -m_1, ..., -m_n)."""
-    return tuple(-c if c < 0 else 0 for c in cls.coords[1:])
+    return tuple(-c if c < 0 else 0 for c in coords[1:])
 
 
 def _condition_rows(cfg: PointConfiguration, d: int, mults: Sequence[int]) -> list[list]:
@@ -286,7 +300,7 @@ def effective_curves_basis(cfg: PointConfiguration, cls: LatticeVector) -> list[
     d = cls.degree
     field = cfg.field
     monos = monomial_exponents(d)
-    rows = _condition_rows(cfg, d, _clamped_multiplicities(cls))
+    rows = _condition_rows(cfg, d, _clamped_multiplicities(cls.coords))
     if not rows:
         return [Poly3.monomial(field, key) for key in monos]
     return [Poly3.from_raw(field, dict(zip(monos, v))) for v in kernel_basis(rows, field)]

@@ -408,6 +408,49 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == f"error: {bad} is not an integer\n"
 
+    @pytest.mark.parametrize(
+        "argv, data, bad",
+        [
+            (["harbourne-check", "--p", "5", "--e", "3", "--params"],
+             {"params": [True, [0, 1, 0], [0, 0, 1]]}, "true"),
+            (["harbourne-check", "--p", "5", "--e", "3", "--params"],
+             {"params": [[[0, 1], 0, 0], [0, 1, 0]]}, "[0, 1]"),
+            (["harbourne-check", "--p", "5", "--e", "3", "--params"],
+             {"params": [[1, 2, 1.5], [0, 1, 0]]}, "1.5"),
+            (["halphen-check", "--p", "101", "--points"],
+             {"points": [[x, y, 1] for x, y in NINE[:8]] + [[0, 14, True]]}, "true"),
+            (["halphen-check", "--p", "101", "--points"],
+             {"points": [[x, y, 1] for x, y in NINE[:8]] + [[66, 81.0, 1]]}, "81.0"),
+        ],
+        ids=["bool-element", "nested-coefficient", "float-coefficient", "bool-coordinate",
+             "float-coordinate"],
+    )
+    def test_non_integer_field_elements_are_domain_errors(self, capsys, tmp_path, argv, data,
+                                                          bad):
+        # over GF(p^e) the first three once crashed with a traceback or read
+        # 1.5 as 1; over GF(p) true once read as 1 and answered halphen=true
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad} is not an integer\n"
+
+    @pytest.mark.parametrize("scalar", [1, "1"], ids=["integer", "string"])
+    def test_extension_scalar_params_read_as_base_field_elements(self, capsys, tmp_path,
+                                                                 params_file, scalar):
+        # a bare integer once crashed with a traceback; it is the F_p
+        # scalar, as a numeric string is, so x^0 = 1 may be written either way
+        data = json.loads(Path(params_file).read_text())
+        data["params"][0] = scalar
+        path = tmp_path / "scalar.json"
+        path.write_text(json.dumps(data))
+        for flags in ([], ["--json"]):
+            expected = run(capsys, "harbourne-check", "--p", "5", "--e", "12", "--params",
+                           params_file, *flags)
+            assert run(capsys, "harbourne-check", "--p", "5", "--e", "12", "--params",
+                       str(path), *flags) == expected
+            assert expected[0] == 0
+
 
 class TestReport:
     def test_contents(self, capsys):

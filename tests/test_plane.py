@@ -9,6 +9,7 @@ on a conic, three on a line and so on) holds for the chosen indices.
 """
 
 import itertools
+from collections import Counter
 from random import Random
 
 import pytest
@@ -23,6 +24,7 @@ from picweyl import (
     RationalField,
     act_by_word,
     canonical_vector,
+    coble_conditions,
     configuration,
     cremona_quadratic,
     effective_curves_basis,
@@ -35,7 +37,7 @@ from picweyl import (
     word_to_isometry,
 )
 from picweyl.fields import FieldElement
-from picweyl.plane import _condition_rows, _hasse_row, _value_kernels
+from picweyl.plane import _condition_rows, _hasse_row, _route, _value_kernels
 from picweyl.projgeom import cross, extend_echelon, frame_with_last_column, monomial_exponents
 
 F = PrimeField(101)
@@ -453,6 +455,54 @@ def test_effectivity_by_multiplicity_bound_and_value_kernel(field):
         # a pencil of cubics through the base points, no member double at one
         assert effectivity_test(pencil, vector(3, *([-1] * 9))) == (True, 1)
         assert effectivity_test(pencil, vector(3, 0, -2, *([-1] * 7))) == (False, -1)
+
+
+def test_route_of_each_halphen_family():
+    # every family of the index-3 scan keeps its route: sent to the prefix
+    # walk it would give the same answers, only slower
+    routes = Counter()
+    for cls in halphen_prohibited_classes(3):
+        mults = [max(m, 0) for m in cls.multiplicities]
+        route, d, ncols, *plan = _route(cls.coords)
+        assert (d, ncols) == (cls.degree, len(monomial_exponents(d)))
+        ones, zeros = (tuple(t for t, m in enumerate(mults) if m == k) for k in (1, 0))
+        above = tuple((t, 1, 2) for t, m in enumerate(mults) if m == 2)
+        if d == 0:  # e_i - e_j: 1 at j over degree 0
+            expected = "bound", []
+        elif d == 1:  # lines through three points
+            expected = "values", [ones]
+        elif d == 2:  # -K - line, conics through six points
+            expected = "left", [6, zeros]
+        elif d == 3:  # -K + e_i - e_j: 2 at j over the floor K + v_i, 0 at i
+            expected = "floor", [tuple(min(m, 1) for m in mults), zeros, above]
+            assert len(zeros) == len(above) == 1
+        else:  # -K + line, the quartics double at three points, over K
+            expected = "floor", [(1,) * 9, (), above]
+            assert len(above) == 3
+        assert (route, plan) == expected, cls
+        routes[route] += 1
+    assert routes == {"bound": 72, "values": 84, "left": 84, "floor": 156}
+
+
+def test_effectivity_independent_of_the_route_cache():
+    # _route keeps one plan per coordinate tuple for the whole process, so
+    # no answer may depend on which classes were planned before: two passes
+    # in opposite orders on fresh configurations, the first on an empty
+    # cache, must agree with each other and with a fresh elimination
+    nine, ten = TestCallOrder.pair()[1], cfg_ten()
+    p1, p2 = ten.point(1), ten.point(2)
+    ten = replaced(ten, 10, ProjectivePoint(F, tuple(a + b for a, b in zip(p1.coords, p2.coords))))
+    queries = [(nine, cls) for cls in halphen_prohibited_classes(3)]
+    queries += [(ten, rep) for fam in coble_conditions() for rep in fam.representatives]
+    _route.cache_clear()
+    passes = []
+    for order in (1, -1):
+        fresh = {len(cfg): PointConfiguration(F, cfg.points) for cfg in (nine, ten)}
+        answers = {cls: effectivity_test(fresh[len(cfg)], cls) for cfg, cls in queries[::order]}
+        passes.append([answers[cls] for _, cls in queries])
+    assert passes[0] == passes[1]
+    assert passes[0] == [from_scratch(list(cfg.points), cls) for cfg, cls in queries]
+    assert any(effective for effective, _ in passes[0])
 
 
 class TestCobleVerdict:

@@ -6,6 +6,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from bench_pairs import summary  # noqa: E402
+from bench_record import host_speed_factor  # noqa: E402
 
 SPEC = {"end_to_end": [
     {"name": "ops_per_s", "better": "higher", "bound": 0.25},
@@ -13,20 +14,20 @@ SPEC = {"end_to_end": [
 ]}
 
 
-def _run(pair, side, ops, rss, attempted):
+def _run(pair, side, ops, rss, attempted, factor=None):
     metrics = {"ops_per_s": {"value": ops}, "peak_rss_mb": {"value": rss}}
-    return {"exit": 0, "pair": pair, "seed": 1100 + pair, "side": side,
-            "result": {"attempted": attempted, "metrics": metrics}}
+    return {"exit": 0, "host_speed_factor": factor, "pair": pair, "seed": 1100 + pair,
+            "side": side, "result": {"attempted": attempted, "metrics": metrics}}
 
 
 def test_summary_of_two_pairs():
     runs = [
-        _run(0, "parent", 100.0, 50.0, 1000), _run(0, "change", 130.0, 60.0, 1500),
-        _run(1, "change", 150.0, 56.0, 1400), _run(1, "parent", 120.0, 52.0, 1300),
+        _run(0, "parent", 100.0, 50.0, 1000, 1.1), _run(0, "change", 130.0, 60.0, 1500, 1.3),
+        _run(1, "change", 150.0, 56.0, 1400, 1.5), _run(1, "parent", 120.0, 52.0, 1300, 1.2),
     ]
     record = {"workloads": {"roots": runs, "cli": [
         _run(0, "parent", 6.0, 30.0, 100),
-        {"exit": 1, "pair": 0, "seed": 1100, "side": "change",
+        {"exit": 1, "host_speed_factor": None, "pair": 0, "seed": 1100, "side": "change",
          "result": {"correct": False, "error": "boom"}},
     ]}}
     lines = summary(SPEC, record)
@@ -39,6 +40,19 @@ def test_summary_of_two_pairs():
     assert lines[3].split() == ["attempted", "operations", "1150", "1450"]
     # per run: 50 and 40 MB per 1,000 for the parent, 40 and 40 for the change
     assert lines[4].split() == ["peak_rss_mb", "per", "1k", "ops", "45", "40"]
-    # a failed run has no values, so the cli rows have no change side
-    assert lines[6].split() == ["ops_per_s", "6", "-", "0/0", "-"]
-    assert lines[9].split() == ["peak_rss_mb", "per", "1k", "ops", "300", "-"]
+    assert lines[5].split() == ["host", "speed", "factor", "1.15", "1.4"]
+    # a failed run has no values, so the cli rows have no change side; the
+    # parent's run printed no factor
+    assert lines[7].split() == ["ops_per_s", "6", "-", "0/0", "-"]
+    assert lines[10].split() == ["peak_rss_mb", "per", "1k", "ops", "300", "-"]
+    assert lines[11].split() == ["host", "speed", "factor", "-", "-"]
+
+
+def test_host_speed_factor_from_run_output():
+    out = ("workload interp  seed 1  closed loop, 1 client\n"
+           "ops_per_s            233.0000 1/s\n"
+           "host speed factor      1.2345 (slice time / reference; raw wall ops_per_s 190.1)\n"
+           'census {"a": 1}\n{"correct": true}\n')
+    assert host_speed_factor(out) == 1.2345
+    # a traced run prints no factor
+    assert host_speed_factor('census {}\n{"correct": true}\n') is None

@@ -13,15 +13,17 @@ For each workload (default: every one in BENCHMARK.json) pair i runs
 perfbench/run.py --trace 0 at seed 1100 + i for the BENCHMARK.json run
 length on both sides, the parent first in even pairs and the change
 first in odd ones.  Every run's last (JSON) stdout line is written, with
-its pair, side, seed and exit code, to BENCH_<N>_pairs.json at the root of
-the checkout; the file is rewritten after every pair, so an interrupted
-run keeps the pairs it finished.  After the last pair a summary goes to
-stdout: per workload, each end-to-end metric's median on either side, the
-number of pairs in which the change reads better, and the relative change
-of the medians, flagged when it is worse than the metric's BENCHMARK.json
-bound; then the median number of attempted operations on either side and
-the median peak_rss_mb per 1,000 of them (peak_rss_mb grows with the
-number of operations, since every record is kept).  The exit code is 1
+its pair, side, seed, exit code and the host speed factor the run printed
+(its slice time over the reference host's, so above 1 on a slow host), to
+BENCH_<N>_pairs.json at the root of the checkout; the file is rewritten
+after every pair, so an interrupted run keeps the pairs it finished.
+After the last pair a summary goes to stdout: per workload, each
+end-to-end metric's median on either side, the number of pairs in which
+the change reads better, and the relative change of the medians, flagged
+when it is worse than the metric's BENCHMARK.json bound; then the median
+number of attempted operations on either side, the median peak_rss_mb
+per 1,000 of them (peak_rss_mb grows with the number of operations, since
+every record is kept) and the median host speed factor of either side.  The exit code is 1
 when any run failed, and 2, before anything runs, when --change is HEAD
 and tracked files under src/ differ from it: the change side would run
 the commit, not the working tree.
@@ -73,8 +75,8 @@ def summary(spec: dict, record: dict) -> list[str]:
     """Lines for the pairs in record: per workload and end-to-end metric,
     the median of each side, the pairs the change is ahead in and the
     relative change of the medians; then the median attempted operations
-    of each side and the median peak_rss_mb per 1,000 of them.  A failed
-    run has no values."""
+    of each side, the median peak_rss_mb per 1,000 of them and the median
+    host speed factor.  A failed run has no values."""
     lines = []
     for name, runs in record["workloads"].items():
         pairs: dict[int, dict] = {}
@@ -101,7 +103,10 @@ def summary(spec: dict, record: dict) -> list[str]:
                          f"{_relative(metric, values['parent'], values['change'])}")
         attempted: dict[str, list] = {"parent": [], "change": []}
         rss_per_k: dict[str, list] = {"parent": [], "change": []}
+        factors: dict[str, list] = {"parent": [], "change": []}
         for run in runs:
+            if run.get("host_speed_factor") is not None:
+                factors[run["side"]].append(run["host_speed_factor"])
             res = run["result"]
             if res.get("attempted"):
                 attempted[run["side"]].append(res["attempted"])
@@ -112,6 +117,8 @@ def summary(spec: dict, record: dict) -> list[str]:
                      f"{_median(attempted['change']):>10s}")
         lines.append(f"  {'peak_rss_mb per 1k ops':24s}{_median(rss_per_k['parent']):>10s}"
                      f"{_median(rss_per_k['change']):>10s}")
+        lines.append(f"  {'host speed factor':24s}{_median(factors['parent']):>10s}"
+                     f"{_median(factors['change']):>10s}")
     return lines
 
 
@@ -159,13 +166,13 @@ def main() -> int:
                 seed = SEED_BASE + pair
                 sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in sides:
-                    result, code = run_bench(checkouts[side], name, seed, seconds, 0)
+                    result, code, factor = run_bench(checkouts[side], name, seed, seconds, 0)
                     failed |= code != 0
-                    runs.append({"exit": code, "pair": pair, "result": result,
-                                 "seed": seed, "side": side})
+                    runs.append({"exit": code, "host_speed_factor": factor, "pair": pair,
+                                 "result": result, "seed": seed, "side": side})
                     ops = result.get("metrics", {}).get("ops_per_s", {}).get("value")
-                    print(f"{name} pair {pair} {side}: exit {code} ops_per_s {ops}",
-                          file=sys.stderr)
+                    print(f"{name} pair {pair} {side}: exit {code} ops_per_s {ops} "
+                          f"host speed factor {factor}", file=sys.stderr)
                 out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print("\n".join(summary(spec, record)))
     print(out)

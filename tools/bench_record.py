@@ -31,17 +31,28 @@ def git(*args: str) -> str:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
-              trace: int) -> tuple[dict, int]:
-    """One perfbench/run.py run in checkout: its last (JSON) stdout line and
-    its exit code."""
+              trace: int) -> tuple[dict, int, float | None]:
+    """One perfbench/run.py run in checkout: its last (JSON) stdout line,
+    its exit code and the host speed factor it printed (None if none)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    factor = host_speed_factor(proc.stdout)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1]), proc.returncode
+        return json.loads(lines[-1]), proc.returncode, factor
     except (IndexError, json.JSONDecodeError):
-        return {"correct": False, "error": proc.stderr.strip()[-500:]}, proc.returncode or 1
+        return ({"correct": False, "error": proc.stderr.strip()[-500:]}, proc.returncode or 1,
+                factor)
+
+
+def host_speed_factor(stdout: str) -> float | None:
+    """The factor of the "host speed factor" line an untraced run prints:
+    the host's slice time over the reference, so above 1 on a slow host."""
+    for line in stdout.splitlines():
+        if line.startswith("host speed factor "):
+            return float(line.split()[3])
+    return None
 
 
 def main() -> int:
@@ -65,7 +76,7 @@ def main() -> int:
         name = wl["name"]
         runs = {}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            runs[key], code = run_bench(ROOT, name, SEED, spec["run_seconds"], trace)
+            runs[key], code, _ = run_bench(ROOT, name, SEED, spec["run_seconds"], trace)
             failed |= code != 0
             print(f"{name} {key}: exit {code}", file=sys.stderr)
         record["workloads"][name] = runs
