@@ -416,9 +416,9 @@ class TestUsageErrors:
             (["harbourne-check", "--p", "5", "--e", "3", "--params"],
              {"params": [[[0, 1], 0, 0], [0, 1, 0]]}, "[0, 1]"),
             (["harbourne-check", "--p", "5", "--e", "3", "--params"],
-             {"params": [[1, 2, 1.5], [0, 1, 0]]}, "1.5"),
+             {"params": [["1", "0", "0"], ["0", "1", "0"], [2, 3, 1.5]]}, "1.5"),
             (["halphen-check", "--p", "101", "--points"],
-             {"points": [[x, y, 1] for x, y in NINE[:8]] + [[0, 14, True]]}, "true"),
+             {"points": [[0, 14, True]] + [[x, y, 1] for x, y in NINE[1:]]}, "true"),
             (["halphen-check", "--p", "101", "--points"],
              {"points": [[x, y, 1] for x, y in NINE[:8]] + [[66, 81.0, 1]]}, "81.0"),
         ],
@@ -427,8 +427,9 @@ class TestUsageErrors:
     )
     def test_non_integer_field_elements_are_domain_errors(self, capsys, tmp_path, argv, data,
                                                           bad):
-        # over GF(p^e) the first three once crashed with a traceback or read
-        # 1.5 as 1; over GF(p) true once read as 1 and answered halphen=true
+        # over GF(p^e) the first two once crashed with a traceback, and the
+        # third read 1.5 as 1 and answered harbourne=true; over GF(p) the
+        # fourth read true as 1 and answered halphen=true
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, *argv, str(path))
