@@ -23,10 +23,10 @@ the change reads better, and the relative change of the medians, flagged
 when it is worse than the metric's BENCHMARK.json bound; then the median
 number of attempted operations on either side, the median peak_rss_mb
 per 1,000 of them (peak_rss_mb grows with the number of operations, since
-every record is kept) and the median host speed factor of either side.  The exit code is 1
-when any run failed, and 2, before anything runs, when --change is HEAD
-and tracked files under src/ differ from it: the change side would run
-the commit, not the working tree.
+every record is kept) and the median host speed factor of either side.
+The exit code is 1 when any run failed, and 2, before anything runs, when
+--change is HEAD and tracked files under src/ differ from it: the change
+side would run the commit, not the working tree.
 """
 
 from __future__ import annotations
