@@ -8,7 +8,7 @@ immutable; every operation returns a new one.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 from typing import Sequence
 
@@ -22,6 +22,7 @@ from .projgeom import (
     ProjectivePoint,
     cross,
     dot,
+    echelon_kernel,
     extend_echelon,
     frame_transform,
     kernel_basis,
@@ -39,19 +40,23 @@ from .projgeom import (
 class PointConfiguration:
     """Ordered tuple of pairwise distinct plane points over one field.
 
-    Four slots hold derived data for `effectivity_test`, so equality and
-    JSON ignore them.  `_conditions` memoises interpolation condition rows
-    per degree, point and multiplicity (see `_point_rows`).  `_values`
-    maps a degree d to the one elimination of the n x ncols matrix R of
-    the points' degree-d value rows (see `_value_kernels`): the right
-    kernel K of R, its left kernel L, and per point i a v_i with
-    R v_i = e_i, or None when some relation in L involves i.  `_echelon`
-    is (degree, multiplicities, bases) for the last prefix walk: bases[k]
-    is the echelon basis of the rows of its first k points.  `_floors`
-    maps (degree, floor multiplicities) to (kernel, blocks): a kernel basis
-    of the floor's rows, and per (point, multiplicity) the extra rows of
-    that point multiplied into it.  Ranks are exact, so no slot can change
-    a result, only how much is recomputed.  Class-only facts go to `_route`.
+    Four slots hold derived data for `effectivity_test` and the verdict
+    scans, so equality and JSON ignore them.  `_conditions` memoises
+    interpolation condition rows per degree, point and multiplicity (see
+    `_point_rows`).  `_values` maps a degree d to the one elimination of
+    the n x ncols matrix R of the points' degree-d value rows (see
+    `_value_kernels`): the right kernel K of R, its left kernel L, per
+    point i a v_i with R v_i = e_i, or None when some relation in L
+    involves i, and per (point, multiplicity) the point's rows of orders
+    1 <= a + b < multiplicity multiplied into K and into every v_i, which
+    all floors of 1s share.  `_echelon` is (degree, multiplicities, bases)
+    for the last prefix walk: bases[k] is the echelon basis of the rows of
+    its first k points.  `_floors` maps (degree, floor multiplicities) to
+    (kernel, blocks): a kernel basis of the floor's rows, and per (point,
+    floor multiplicity, multiplicity) the extra rows of that point
+    multiplied into it.  Ranks are exact, so no slot can change a result,
+    only how much is recomputed.  Class-only facts go to `_route`; what a
+    scan shares between the classes of one run stays in the scan.
     """
 
     __slots__ = ("field", "points", "_conditions", "_values", "_echelon", "_floors")
@@ -126,75 +131,114 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
     coefficients instead of factorials, so this holds in every
     characteristic.
 
-    Verdict routines test hundreds of classes on one configuration, most
-    of them roots, with square condition matrices.  Per degree d, one
-    elimination of the points' value rows R gives K, L and the v_i (see
-    `_values` in `PointConfiguration`).  A class of multiplicities mu
+    The class is decided as a scan of one class (`_answers`), by the same
+    code that decides the hundreds of classes of a verdict.  Per degree d,
+    one elimination of the points' value rows R gives K, L and the v_i
+    (see `_values` in `PointConfiguration`).  A class of multiplicities mu
     takes the first route that applies, planned once per coordinate tuple
-    (`_route`), so that a call only looks up and ranks rows:
+    (`_route`):
     - multiplicity bound, some mu_i > d: the Hasse rows of order <= d at
       one point already determine a degree-d form, so nothing moves;
     - value rows, every mu_i 0 or 1 and at most half of them 1 (lines
       through three points): the rank of the value rows of the points S
-      with mu_i = 1, by `matrix_rank` (a 3x3 determinant for a line);
+      with mu_i = 1;
     - left kernel, every mu_i 0 or 1 and more than half of them 1 (conics
-      through six of nine points): |S| - dim L + rank(L restricted to the
-      0s T), since S's relations are the vectors of L vanishing on T;
+      through six of nine points): |S| - dim L + the rank of the columns
+      of L at the 0s T, since S's relations are the vectors of L
+      vanishing on T;
     - floor kernel, mu above its floor nu = min(mu, mode(mu)) somewhere
       (-dK + e_i - e_j is d + 1 at j over the floor d - 1 at i, d
       elsewhere): `_floors` keeps a kernel basis of the floor's rows and,
       per point k and mu_k, the rows of orders nu_k <= a + b < mu_k
-      multiplied into it.  The dimension is the kernel's minus their
-      stacked rank, minus one, whatever the kernel's dimension is (a
-      Halphen pencil enlarges it).  A floor of 1s has kernel K, and one
-      of 1s but 0 at i has K + v_i, or K where v_i is None (the cubics of
-      -K + e_i - e_j, the quartics of m = 3); any other floor's kernel
-      comes from a prefix walk;
+      multiplied into it, stacked per class.  The dimension is the
+      kernel's minus their rank, minus one, whatever the kernel's
+      dimension is (a Halphen pencil enlarges it).  A floor of 1s with 0s
+      Z has kernel K + span{v_i : i in Z}, leaving out a v_i that is None
+      (at most one may be): x in ker R off Z has x - sum (Rx)_i v_i in K
+      (the cubics of -K + e_i - e_j, Coble's singular cubics).  Any other
+      floor, a floor of 1s alone included (the quartics of m = 3), takes
+      `echelon_kernel` of its prefix walk;
     - prefix walk, when the floor is zero or the class itself: see
       `_echelon_walk`.
+    The value-row, left-kernel and floor routes rank a stack of blocks of
+    rows, one block per point (`_stack_rank`).  A class that is not
+    effective ranks full; the rank is exact either way, so the dimension
+    of an effective class is too.
     """
     if cls.n != len(cfg):
         raise ValueError(
             f"class on {cls.n} points against a configuration of {len(cfg)}"
         )
-    route, d, ncols, *plan = _route(cls.coords)
-    field = cfg.field
-    if route == "bound":
-        return False, -1
-    if route == "values":
-        rank = matrix_rank([_point_rows(cfg, d, i, 1)[0] for i in plan[0]], field)
-    elif route == "left":
-        (ones, zeros), left = plan, _value_kernels(cfg, d)[1]
-        rank = ones - len(left) + matrix_rank([[v[i] for i in zeros] for v in left], field)
-    elif route == "walk":
-        rank = len(_echelon_walk(cfg, d, plan[0]))
-    else:
-        floor, zeros, above = plan
-        if (d, floor) not in cfg._floors:
-            if zeros is not None:
-                kernel, _, solutions = _value_kernels(cfg, d)
-                kernel = kernel + [solutions[i] for i in zeros if solutions[i] is not None]
-            else:
-                kernel = kernel_basis([row for _, row in _echelon_walk(cfg, d, floor)], field)
-            cfg._floors[d, floor] = (kernel, {})
-        kernel, blocks = cfg._floors[d, floor]
-        rows = []
-        for k, n, m in above:
-            if (k, m) not in blocks:  # past the n(n+1)/2 rows of orders below n
-                extra = _point_rows(cfg, d, k, m)[n * (n + 1) // 2 :]
-                blocks[k, m] = [[field.dot(r, v) for v in kernel] for r in extra]
-            rows += blocks[k, m]
-        ncols, rank = len(kernel), matrix_rank(rows, field)
-    dim = ncols - rank - 1
-    return dim >= 0, dim
+    return next(_answers(cfg, (cls,)))
+
+
+def _answers(cfg: PointConfiguration, classes: Sequence[LatticeVector]):
+    """(effective, dimension) of each class in turn, lazily, so that a
+    scan can stop at its first effective class.  Each run of consecutive
+    classes with one route, degree and floor is decided together: its
+    blocks of rows are looked up once, and the kernel of each prefix of
+    blocks is kept for the run (`_stack_rank`)."""
+    field, n = cfg.field, len(cfg)
+    plans = map(_route, (cls.coords for cls in classes))
+    for key, run in groupby(plans, lambda plan: plan[:5] if plan[0] == "floor" else plan[:3]):
+        route, d, ncols = key[:3]
+        if route == "bound":
+            for _ in run:
+                yield False, -1
+            continue
+        if route == "walk":
+            for plan in run:
+                dim = ncols - len(_echelon_walk(cfg, d, plan[3])) - 1
+                yield dim >= 0, dim
+            continue
+        run = list(run)
+        if route == "values":
+            width, blocks = ncols, [_point_rows(cfg, d, i, 1) for i in range(n)]
+        elif route == "left":  # ncols - rank = ncols - |S| + dim L - the stack's rank
+            left = _value_kernels(cfg, d)[1]
+            width, blocks = len(left), [[[v[i] for v in left]] for i in range(n)]
+        else:
+            kernel, blocks = _floor(cfg, d, *key[3:], {b for plan in run for b in plan[-1]})
+            width = ncols = len(kernel)
+        kernels: dict[tuple, list] = {}
+        for plan in run:
+            free = ncols - plan[3] + width if route == "left" else ncols
+            dim = free - _stack_rank(field, width, blocks, kernels, plan[-1]) - 1
+            yield dim >= 0, dim
+
+
+def _stack_rank(field: Field, width: int, blocks, kernels: dict, ids: tuple) -> int:
+    """The rank of the rows of blocks[b] for b in ids, stacked; every row
+    has width entries.  All but the last block are a prefix, whose kernel
+    N is kept in kernels, so a stack multiplies only its last block B into
+    it: the rank is width - dim N + rank(B N), and `matrix_rank` reads a
+    square B N off its determinant.  Two rows of width 3 have their cross
+    product as kernel when it is nonzero (a line's first two points, a
+    conic's first two 0s)."""
+    if len(ids) < 2:
+        return matrix_rank(blocks[ids[0]], field) if ids else 0
+    head = ids[:-1]
+    kernel = kernels.get(head)
+    if kernel is None:
+        prefix = [row for b in head for row in blocks[b]]
+        normal = cross(*prefix, field) if len(prefix) == 2 and width == 3 else None
+        if normal is None or normal == (field._zero,) * 3:
+            kernel = echelon_kernel(extend_echelon([], prefix, field), width, field)
+        else:
+            kernel = [normal]
+        kernels[head] = kernel
+    dot = field.dot
+    return width - len(kernel) + matrix_rank(
+        [[dot(r, v) for v in kernel] for r in blocks[ids[-1]]], field
+    )
 
 
 @lru_cache(maxsize=None)
 def _route(coords: tuple[int, ...]) -> tuple:
     """(route, d, ncols, *plan) of `effectivity_test` for these coordinates:
     the 1s' indices for "values"; their number and the 0s' for "left"; the
-    multiplicities for "walk"; for "floor" the floor, its 0s if its kernel
-    is K + v_i (else None) and (point, floor, mult) per point above it."""
+    multiplicities for "walk"; for "floor" the floor, its 0s if it is a
+    floor of 1s (else None) and (point, floor, mult) per point above it."""
     d, mults = coords[0], _clamped_multiplicities(coords)
     top, ncols = max(mults, default=0), (d + 1) * (d + 2) // 2  # ncols: degree-d monomials
     if d < 0 or top > d:
@@ -207,17 +251,56 @@ def _route(coords: tuple[int, ...]) -> tuple:
     if mode == 0 or top == mode:  # floor 0 or the class
         return "walk", d, ncols, mults
     floor = tuple(min(m, mode) for m in mults)
-    zeros = tuple(i for i, n in enumerate(floor) if n == 0)
-    zeros = zeros if mode == 1 and len(zeros) <= 1 else None  # K + v_i, or a prefix walk
+    zeros = tuple(i for i, n in enumerate(floor) if n == 0) if mode == 1 else None
     above = tuple((k, n, m) for k, (n, m) in enumerate(zip(floor, mults)) if m > n)
     return "floor", d, ncols, floor, zeros, above
 
 
-def _value_kernels(cfg: PointConfiguration, d: int) -> tuple[list, list, list]:
-    """`two_sided_kernels` of the points' degree-d value rows, kept per degree."""
+def _floor(
+    cfg: PointConfiguration, d: int, floor: tuple, zeros: tuple | None, needed: set
+) -> tuple:
+    """(kernel, blocks) for a floor of degree d: a basis of the kernel of
+    its condition rows, and per (k, n, m) in needed the rows of orders
+    n <= a + b < m at point k multiplied into that basis; both are kept
+    per (degree, floor) in `_floors`.  A floor of 1s with 0s, at most one
+    of them without a v_i, has kernel K + the other v_i, and its rows
+    multiplied into K and into every v_i are kept per degree in `_values`,
+    so floors that differ in their 0s share them.  Any other floor's
+    kernel comes from its prefix walk."""
+    vs = None
+    if zeros:
+        base, _, solutions, dotted = _value_kernels(cfg, d)
+        if sum(solutions[i] is None for i in zeros) <= 1:
+            vs = [i for i in zeros if solutions[i] is not None]
+    if (d, floor) not in cfg._floors:
+        if vs is None:
+            ncols = (d + 1) * (d + 2) // 2  # degree-d monomials
+            kernel = echelon_kernel(_echelon_walk(cfg, d, floor), ncols, cfg.field)
+        else:
+            kernel = base + [solutions[i] for i in vs]
+        cfg._floors[d, floor] = kernel, {}
+    kernel, blocks = cfg._floors[d, floor]
+    dot = cfg.field.dot
+    for k, n, m in needed - blocks.keys():
+        if vs is None:  # past the n(n+1)/2 rows of orders below n
+            extra = _point_rows(cfg, d, k, m)[n * (n + 1) // 2 :]
+            blocks[k, n, m] = [[dot(r, v) for v in kernel] for r in extra]
+            continue
+        if (k, m) not in dotted:  # n = 1
+            dotted[k, m] = [
+                ([dot(r, x) for x in base], [None if v is None else dot(r, v) for v in solutions])
+                for r in _point_rows(cfg, d, k, m)[1:]
+            ]
+        blocks[k, n, m] = [on_k + [on_v[i] for i in vs] for on_k, on_v in dotted[k, m]]
+    return kernel, blocks
+
+
+def _value_kernels(cfg: PointConfiguration, d: int) -> tuple[list, list, list, dict]:
+    """`two_sided_kernels` of the points' degree-d value rows, kept per
+    degree with a memo of point rows multiplied into K and every v_i."""
     if d not in cfg._values:
         values = [_point_rows(cfg, d, i, 1)[0] for i in range(len(cfg))]
-        cfg._values[d] = two_sided_kernels(values, cfg.field)
+        cfg._values[d] = (*two_sided_kernels(values, cfg.field), {})
     return cfg._values[d]
 
 
@@ -290,7 +373,7 @@ def _hasse_column(field: Field, x, a: int, d: int) -> list:
     mul = field._mul
     out, power = [field._zero] * a, field._one
     for i in range(a, d + 1):
-        out.append(mul(field._from_int(comb(i, a)), power))
+        out.append(mul(field._from_int(comb(i, a)), power) if a else power)
         power = mul(power, x)
     return out
 
@@ -318,8 +401,8 @@ def is_unnodal_halphen(cfg: PointConfiguration, m: int) -> tuple[bool, LatticeVe
     """
     if len(cfg) != 9:
         raise DomainError("index-m pencil checks need exactly nine points")
-    for cls in halphen_prohibited_classes(m):
-        effective, _ = effectivity_test(cfg, cls)
+    classes = halphen_prohibited_classes(m)
+    for cls, (effective, _) in zip(classes, _answers(cfg, classes)):
         if effective:
             return False, cls
     return True, None
@@ -335,19 +418,19 @@ def is_coble_set(cfg: PointConfiguration) -> tuple[bool, dict]:
         raise DomainError("this verdict is for ten-point configurations")
     sextic = LatticeVector((6,) + (-2,) * 10)
     sextic_eff, sextic_dim = effectivity_test(cfg, sextic)
-    violations: list[dict] = []
-    for fam in coble_conditions():
-        for rep in fam.representatives:
-            effective, dim = effectivity_test(cfg, rep)
-            if effective:
-                violations.append(
-                    {
-                        "label": fam.label,
-                        "index_set": list(fam.index_set),
-                        "class": rep.to_json(),
-                        "dimension": dim,
-                    }
-                )
+    conditions = [(fam, rep) for fam in coble_conditions() for rep in fam.representatives]
+    violations = [
+        {
+            "label": fam.label,
+            "index_set": list(fam.index_set),
+            "class": rep.to_json(),
+            "dimension": dim,
+        }
+        for (fam, rep), (effective, dim) in zip(
+            conditions, _answers(cfg, [rep for _, rep in conditions])
+        )
+        if effective
+    ]
     ok = sextic_eff and sextic_dim == 0 and not violations
     report = {
         "sextic_effective": sextic_eff,

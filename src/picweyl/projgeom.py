@@ -14,6 +14,7 @@ projective points is plain tuple equality.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .fields import Field, FieldElement
@@ -187,6 +188,25 @@ def extend_echelon(
         if len(out) == len(row):
             break  # full rank: nothing further is independent
         field.reduce_into(out, row)
+    return out
+
+
+def echelon_kernel(basis: list[tuple[int, list]], ncols: int, field: Field) -> list[tuple]:
+    """Basis of the right kernel of the first ncols columns of a forward
+    echelon basis, in the form `extend_echelon` gives, as raw tuples: per
+    free column f, the vector that is 1 at f and 0 at the other free
+    columns, by back-substitution from the last pivot up.  That vector is
+    unique, so it is the one `kernel_basis` gives for f, without reducing
+    the rows."""
+    zero, sub, dot = field._zero, field._sub, field.dot
+    pivots = {c for c, _ in basis}
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [zero] * ncols
+        v[f] = field._one
+        for c, row in reversed(basis):
+            v[c] = sub(zero, dot(row[c + 1 : ncols], v[c + 1 :]))
+        out.append(tuple(v))
     return out
 
 
@@ -457,7 +477,8 @@ def _raw_product(field: Field, f: dict, g: dict) -> dict:
     return out
 
 
-def monomial_exponents(d: int) -> list[tuple[int, int, int]]:
-    """All (a, b, c) with a+b+c = d, lexicographically descending."""
-    out = [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
-    return out
+@lru_cache(maxsize=None)
+def monomial_exponents(d: int) -> tuple[tuple[int, int, int], ...]:
+    """All (a, b, c) with a+b+c = d, lexicographically descending; one
+    tuple per degree, shared by every caller."""
+    return tuple((a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1))

@@ -37,7 +37,7 @@ from picweyl import (
     word_to_isometry,
 )
 from picweyl.fields import FieldElement
-from picweyl.plane import _condition_rows, _hasse_row, _route, _value_kernels
+from picweyl.plane import _answers, _condition_rows, _hasse_row, _route, _value_kernels
 from picweyl.projgeom import cross, extend_echelon, frame_with_last_column, monomial_exponents
 
 F = PrimeField(101)
@@ -482,6 +482,94 @@ def test_route_of_each_halphen_family():
         assert (route, plan) == expected, cls
         routes[route] += 1
     assert routes == {"bound": 72, "values": 84, "left": 84, "floor": 156}
+
+
+def test_route_of_each_coble_family():
+    # the Coble scan's families keep their routes; on ten general points the
+    # 360 singular cubics, 0 at a and b, take the floor kernel K + v_a + v_b
+    routes = Counter()
+    for fam in coble_conditions():
+        for cls in fam.representatives:
+            mults = [max(m, 0) for m in cls.multiplicities]
+            route, d, ncols, *plan = _route(cls.coords)
+            zeros = tuple(t for t, m in enumerate(mults) if m == 0)
+            above = tuple((t, 1, m) for t, m in enumerate(mults) if m > 1)
+            expected = {
+                "coincident_pair": ("bound", []),
+                "collinear_triple": ("values", [tuple(t for t, m in enumerate(mults) if m)]),
+                "conic_six": ("left", [6, zeros]),
+                "singular_cubic_eight": ("floor", [tuple(min(m, 1) for m in mults), zeros, above]),
+                "triple_point_quartic": ("floor", [(1,) * 10, (), above]),
+            }[fam.label]
+            assert (route, plan) == expected, cls
+            routes[route] += 1
+    assert routes == {"bound": 45, "values": 120, "left": 210, "floor": 370}
+    cfg = configuration(F, [(x, y, 1) for x, y in NINE[:8] + [(1, 2), (3, 5)]])
+    reps = [rep for fam in coble_conditions() for rep in fam.representatives]
+    points = list(cfg.points)
+    assert list(_answers(cfg, reps)) == [from_scratch(points, rep) for rep in reps]
+    kernel, _, solutions, _ = _value_kernels(cfg, 3)
+    assert None not in solutions
+    for a, b in itertools.combinations(range(10), 2):
+        floor = tuple(0 if t in (a, b) else 1 for t in range(10))
+        assert cfg._floors[3, floor][0] == kernel + [solutions[a], solutions[b]]
+
+
+def scan_configurations(field, rng):
+    """Nine and ten points where the scans' shortcuts do not apply: nine
+    points on a conic, whose degree-2 left kernel has more vectors than a
+    conic class has 0s; three points off a line and six on it, whose
+    left kernel is 0 at the first three, so their columns have a zero
+    cross product; the base points of a cubic pencil, where no degree-3 v_i
+    exists; ten points on the fixture cubic, which have no degree-3 v_i
+    either; those base points and one more, whose v_i exists only at the
+    tenth point, so that one of two 0s of a floor has no v_i; and ten
+    points on a conic."""
+    ts = set()
+    while len(ts) < 10:
+        ts.add(field.random_element(rng))
+    conic = [ProjectivePoint(field, (t * t, t, 1)) for t in sorted(ts, key=repr)]
+    pencil = pencil_base_points(field, rng)
+    extras = (ProjectivePoint(field, (x, 1, 1)) for x in range(2, 50))
+    extra = next(p for p in extras if p not in pencil)
+    line = [ProjectivePoint(field, c) for c in ((2, 3, 1), (5, 7, 1), (11, 13, 1))]
+    line += [ProjectivePoint(field, (t, 0, 1)) for t in range(1, 7)]
+    return [conic[:9], line, pencil], [list(cfg_ten().points), pencil + [extra], conic]
+
+
+def test_scans_match_a_fresh_elimination_where_no_shortcut_applies():
+    # every class of both scans, decided run by run, against one fresh
+    # elimination per class; then the witness at m = 1..4 and the Coble
+    # report against those answers
+    nines, tens = scan_configurations(F, Random(23))
+    for points in nines:
+        cfg = PointConfiguration(F, points)
+        for m in range(1, 5):
+            classes = halphen_prohibited_classes(m)
+            fresh = [from_scratch(points, cls) for cls in classes]
+            assert list(_answers(PointConfiguration(F, points), classes)) == fresh, m
+            witness = next((cls for cls, (eff, _) in zip(classes, fresh) if eff), None)
+            assert is_unnodal_halphen(cfg, m) == (witness is None, witness)
+    shapes = Counter()
+    for points in tens:
+        cfg = PointConfiguration(F, points)
+        reps = [(fam, rep) for fam in coble_conditions() for rep in fam.representatives]
+        fresh = [from_scratch(points, rep) for _, rep in reps]
+        assert list(_answers(PointConfiguration(F, points), [rep for _, rep in reps])) == fresh
+        sextic = from_scratch(points, vector(6, *([-2] * 10)))
+        violations = [
+            {"label": fam.label, "index_set": list(fam.index_set), "class": rep.to_json(),
+             "dimension": dim}
+            for (fam, rep), (eff, dim) in zip(reps, fresh) if eff
+        ]
+        ok, report = is_coble_set(cfg)
+        assert report == {"sextic_effective": sextic[0], "sextic_dimension": sextic[1],
+                          "violations": violations}
+        assert ok == (sextic == (True, 0) and not violations)
+        nones = [v is None for v in _value_kernels(cfg, 3)[2]]
+        shapes[sum(nones)] += 1
+    # at degree 3: no v_i on the cubic and the conic, v_i at the tenth point alone
+    assert shapes == {10: 2, 9: 1}
 
 
 def test_effectivity_independent_of_the_route_cache():

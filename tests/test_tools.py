@@ -1,11 +1,14 @@
 """The benchmark tools' pure parts, on synthetic records."""
 
+import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
-from bench_pairs import summary  # noqa: E402
+from bench_pairs import earlier_workloads, summary  # noqa: E402
 from bench_record import host_speed_factor  # noqa: E402
 
 SPEC = {"end_to_end": [
@@ -35,17 +38,53 @@ def test_summary_of_two_pairs():
                                 "change", "of", "medians"]
     # medians 110 -> 140 is +27.3%, better; 51 -> 58 MB is +13.7%, past its 0.1 bound
     assert lines[1].split() == ["ops_per_s", "110", "140", "2/2", "+27.3%"]
-    assert lines[2].split() == ["peak_rss_mb", "51", "58", "0/2", "+13.7%", "WORSE",
+    # the parent's quartiles are 30 apart, as far as the medians: no gain
+    assert lines[2].split() == ["quartiles", "parent", "95/110/125", "change", "125/140/155",
+                                "gain", "rule", "fails"]
+    assert lines[3].split() == ["peak_rss_mb", "51", "58", "0/2", "+13.7%", "WORSE",
                                 "than", "bound", "10%"]
-    assert lines[3].split() == ["attempted", "operations", "1150", "1450"]
+    assert lines[4].split() == ["quartiles", "parent", "49.5/51/52.5", "change", "55/58/61",
+                                "gain", "rule", "fails"]
+    assert lines[5].split() == ["attempted", "operations", "1150", "1450"]
     # per run: 50 and 40 MB per 1,000 for the parent, 40 and 40 for the change
-    assert lines[4].split() == ["peak_rss_mb", "per", "1k", "ops", "45", "40"]
-    assert lines[5].split() == ["host", "speed", "factor", "1.15", "1.4"]
+    assert lines[6].split() == ["peak_rss_mb", "per", "1k", "ops", "45", "40"]
+    assert lines[7].split() == ["host", "speed", "factor", "1.15", "1.4"]
     # a failed run has no values, so the cli rows have no change side; the
     # parent's run printed no factor
-    assert lines[7].split() == ["ops_per_s", "6", "-", "0/0", "-"]
-    assert lines[10].split() == ["peak_rss_mb", "per", "1k", "ops", "300", "-"]
-    assert lines[11].split() == ["host", "speed", "factor", "-", "-"]
+    assert lines[9].split() == ["ops_per_s", "6", "-", "0/0", "-"]
+    assert lines[10].split() == ["quartiles", "parent", "-", "change", "-", "gain", "rule", "-"]
+    assert lines[14].split() == ["peak_rss_mb", "per", "1k", "ops", "300", "-"]
+    assert lines[15].split() == ["host", "speed", "factor", "-", "-"]
+
+
+@pytest.mark.parametrize("behind, rule", [(1, "holds"), (2, "fails")])
+def test_gain_rule_needs_nine_of_ten_pairs(behind, rule):
+    # the change's median is 20 above the parent's, whose quartiles are
+    # 5.5 apart; it falls behind in the first `behind` pairs
+    runs = []
+    for pair in range(10):
+        change = 90.0 if pair < behind else 120.0 + pair
+        runs += [_run(pair, "parent", 100.0 + pair, 50.0, 1000),
+                 _run(pair, "change", change, 50.0, 1000)]
+    lines = summary(SPEC, {"workloads": {"interp": runs}})
+    assert lines[1].split()[3] == f"{10 - behind}/10"
+    assert lines[2].split()[-3:] == ["gain", "rule", rule]
+    assert lines[4].split()[-1] == "fails"  # peak_rss_mb is equal in every pair
+
+
+def test_earlier_workloads_kept_for_the_same_commits(tmp_path):
+    path = tmp_path / "BENCH_7_pairs.json"
+    record = {"parent_sha": "a" * 40, "change_sha": "b" * 40, "seconds": 20, "workloads": {}}
+    assert earlier_workloads(path, record) == {}
+    roots, cli = [_run(0, "parent", 400.0, 40.0, 4000)], [_run(0, "parent", 6.0, 30.0, 100)]
+    path.write_text(json.dumps({**record, "workloads": {"roots": roots, "cli": cli}}))
+    # a run of roots alone replaces roots and keeps cli
+    record["workloads"] = earlier_workloads(path, record)
+    record["workloads"]["roots"] = [_run(0, "change", 450.0, 41.0, 4500)]
+    assert record["workloads"] == {"roots": [_run(0, "change", 450.0, 41.0, 4500)], "cli": cli}
+    for key, other in (("parent_sha", "c" * 40), ("change_sha", "c" * 40), ("seconds", 10)):
+        with pytest.raises(ValueError, match="BENCH_7_pairs.json"):
+            earlier_workloads(path, {**record, key: other})
 
 
 def test_host_speed_factor_from_run_output():

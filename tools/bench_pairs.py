@@ -16,17 +16,23 @@ first in odd ones.  Every run's last (JSON) stdout line is written, with
 its pair, side, seed, exit code and the host speed factor the run printed
 (its slice time over the reference host's, so above 1 on a slow host), to
 BENCH_<N>_pairs.json at the root of the checkout; the file is rewritten
-after every pair, so an interrupted run keeps the pairs it finished.
+after every pair, so an interrupted run keeps the pairs it finished.  A
+file of the same parent, change and run length keeps the workloads this
+invocation does not run, so the workloads can be measured one at a time.
 After the last pair a summary goes to stdout: per workload, each
 end-to-end metric's median on either side, the number of pairs in which
 the change reads better, and the relative change of the medians, flagged
-when it is worse than the metric's BENCHMARK.json bound; then the median
-number of attempted operations on either side, the median peak_rss_mb
-per 1,000 of them (peak_rss_mb grows with the number of operations, since
-every record is kept) and the median host speed factor of either side.
+when it is worse than the metric's BENCHMARK.json bound; under it each
+side's quartiles and whether the gain rule holds (the change ahead in at
+least 9 of every 10 pairs, and its median better than the parent's by
+more than the parent's interquartile distance); then the median number
+of attempted operations on either side, the median peak_rss_mb per 1,000
+of them (peak_rss_mb grows with the number of operations, since every
+record is kept) and the median host speed factor of either side.
 The exit code is 1 when any run failed, and 2, before anything runs, when
---change is HEAD and tracked files under src/ differ from it: the change
-side would run the commit, not the working tree.
+--change is HEAD and tracked files under src/ differ from it (the change
+side would run the commit, not the working tree), or when
+BENCH_<N>_pairs.json holds pairs of another parent, change or run length.
 """
 
 from __future__ import annotations
@@ -71,12 +77,47 @@ def _relative(metric: dict, parent: list, change: list) -> str:
     return f"{rel:+.1%}{flag}"
 
 
+def _quartiles(values: list) -> str:
+    if len(values) < 2:
+        return "-"
+    return "/".join(f"{q:.4g}" for q in statistics.quantiles(values, n=4))
+
+
+def _gain_rule(metric: dict, parent: list, change: list, ahead: int, both: int) -> str:
+    """Whether the change wins: ahead in at least 9 of every 10 pairs, and
+    its median better than the parent's by more than the distance between
+    the parent's quartiles."""
+    if not both or len(parent) < 2 or not change:
+        return "-"
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    gain = statistics.median(change) - statistics.median(parent)
+    if metric["better"] == "lower":
+        gain = -gain
+    return "holds" if 10 * ahead >= 9 * both and gain > q3 - q1 else "fails"
+
+
+def earlier_workloads(path: Path, record: dict) -> dict:
+    """The workloads already recorded in path for the same parent, change
+    and run length as record, so that a run of other workloads keeps them;
+    none when path does not exist.  Raises ValueError naming the file when
+    it holds pairs of another parent, change or run length."""
+    if not path.exists():
+        return {}
+    earlier = json.loads(path.read_text())
+    for key in ("parent_sha", "change_sha", "seconds"):
+        if earlier.get(key) != record[key]:
+            raise ValueError(f"{path} holds pairs of {key} {earlier.get(key)}, not "
+                             f"{record[key]}; pass another --pr or move the file")
+    return earlier["workloads"]
+
+
 def summary(spec: dict, record: dict) -> list[str]:
     """Lines for the pairs in record: per workload and end-to-end metric,
     the median of each side, the pairs the change is ahead in and the
-    relative change of the medians; then the median attempted operations
-    of each side, the median peak_rss_mb per 1,000 of them and the median
-    host speed factor.  A failed run has no values."""
+    relative change of the medians, then each side's quartiles and the
+    gain rule; then the median attempted operations of each side, the
+    median peak_rss_mb per 1,000 of them and the median host speed factor.
+    A failed run has no values."""
     lines = []
     for name, runs in record["workloads"].items():
         pairs: dict[int, dict] = {}
@@ -101,6 +142,9 @@ def summary(spec: dict, record: dict) -> list[str]:
             lines.append(f"  {key:24s}{_median(values['parent']):>10s}"
                          f"{_median(values['change']):>10s}  {f'{ahead}/{both}':5s}  "
                          f"{_relative(metric, values['parent'], values['change'])}")
+            lines.append(f"    quartiles  parent {_quartiles(values['parent'])}  "
+                         f"change {_quartiles(values['change'])}  gain rule "
+                         f"{_gain_rule(metric, values['parent'], values['change'], ahead, both)}")
         attempted: dict[str, list] = {"parent": [], "change": []}
         rss_per_k: dict[str, list] = {"parent": [], "change": []}
         factors: dict[str, list] = {"parent": [], "change": []}
@@ -151,9 +195,13 @@ def main() -> int:
         "what": f"alternating parent/change runs of perfbench/run.py --workload W --seed S "
                 f"--seconds {seconds} --trace 0, one fresh seed per pair, the first side of "
                 "each pair alternating",
-        "workloads": {},
     }
     out = ROOT / f"BENCH_{args.pr}_pairs.json"
+    try:
+        record["workloads"] = earlier_workloads(out, record)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     failed = False
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         checkouts = {}
