@@ -198,7 +198,7 @@ def _answers(cfg: PointConfiguration, classes: Sequence[LatticeVector]):
             left = _value_kernels(cfg, d)[1]
             width, blocks = len(left), [[[v[i] for v in left]] for i in range(n)]
         else:
-            kernel, blocks = _floor(cfg, d, *key[3:], {b for plan in run for b in plan[-1]})
+            kernel, blocks = _floor(cfg, key, {b for plan in run for b in plan[-1]})
             width = ncols = len(kernel)
         kernels: dict[tuple, list] = {}
         for plan in run:
@@ -256,17 +256,17 @@ def _route(coords: tuple[int, ...]) -> tuple:
     return "floor", d, ncols, floor, zeros, above
 
 
-def _floor(
-    cfg: PointConfiguration, d: int, floor: tuple, zeros: tuple | None, needed: set
-) -> tuple:
-    """(kernel, blocks) for a floor of degree d: a basis of the kernel of
-    its condition rows, and per (k, n, m) in needed the rows of orders
+def _floor(cfg: PointConfiguration, key: tuple, needed: set) -> tuple:
+    """(kernel, blocks) for the floor of a run, key = ("floor", d, ncols,
+    floor, zeros) from `_route`: a basis of the kernel of the floor's
+    condition rows, and per (k, n, m) in needed the rows of orders
     n <= a + b < m at point k multiplied into that basis; both are kept
     per (degree, floor) in `_floors`.  A floor of 1s with 0s, at most one
     of them without a v_i, has kernel K + the other v_i, and its rows
     multiplied into K and into every v_i are kept per degree in `_values`,
     so floors that differ in their 0s share them.  Any other floor's
     kernel comes from its prefix walk."""
+    _, d, ncols, floor, zeros = key
     vs = None
     if zeros:
         base, _, solutions, dotted = _value_kernels(cfg, d)
@@ -274,7 +274,6 @@ def _floor(
             vs = [i for i in zeros if solutions[i] is not None]
     if (d, floor) not in cfg._floors:
         if vs is None:
-            ncols = (d + 1) * (d + 2) // 2  # degree-d monomials
             kernel = echelon_kernel(_echelon_walk(cfg, d, floor), ncols, cfg.field)
         else:
             kernel = base + [solutions[i] for i in vs]
