@@ -372,7 +372,7 @@ def _hasse_column(field: Field, x, a: int, d: int) -> list:
     mul = field._mul
     out, power = [field._zero] * a, field._one
     for i in range(a, d + 1):
-        out.append(mul(field._from_int(comb(i, a)), power) if a else power)
+        out.append(mul(field._from_int(comb(i, a)), power))
         power = mul(power, x)
     return out
 

@@ -196,8 +196,8 @@ def echelon_kernel(basis: list[tuple[int, list]], ncols: int, field: Field) -> l
     echelon basis, in the form `extend_echelon` gives, as raw tuples: per
     free column f, the vector that is 1 at f and 0 at the other free
     columns, by back-substitution from the last pivot up.  That vector is
-    unique, so it is the one `kernel_basis` gives for f, without reducing
-    the rows."""
+    unique, so a reduced echelon form gives the same basis; every kernel
+    in the package is read off here."""
     zero, sub, dot = field._zero, field._sub, field.dot
     pivots = {c for c, _ in basis}
     out = []
@@ -242,7 +242,7 @@ def kernel_basis(rows: list[list], field: Field) -> list[tuple]:
     that the number of columns is known."""
     if not rows:
         raise ValueError("cannot infer the number of columns")
-    return _reduced_kernel(*row_reduce(rows, field), len(rows[0]), field)
+    return echelon_kernel(extend_echelon([], rows, field), len(rows[0]), field)
 
 
 def two_sided_kernels(
@@ -267,22 +267,8 @@ def two_sided_kernels(
             for row, c in zip(red, pivots[:rank]):
                 v[c] = row[ncols + i]
         solutions.append(v)
-    return _reduced_kernel(red, pivots, ncols, field), left, solutions
-
-
-def _reduced_kernel(red: list[list], pivots: list[int], ncols: int, field: Field) -> list[tuple]:
-    """Basis of the right kernel of the first ncols columns of red, a
-    reduced row echelon form with pivot columns pivots, as raw tuples."""
-    pivots = [c for c in pivots if c < ncols]
-    zero, sub = field._zero, field._sub
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [zero] * ncols
-        v[fc] = field._one
-        for r, pc in enumerate(pivots):
-            v[pc] = sub(zero, red[r][fc])
-        basis.append(tuple(v))
-    return basis
+    kernel = echelon_kernel(list(zip(pivots[:rank], red)), ncols, field)
+    return kernel, left, solutions
 
 
 def linear_solve(rows: list[list], rhs: list, field: Field):

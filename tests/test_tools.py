@@ -57,17 +57,25 @@ def test_summary_of_two_pairs():
     assert lines[15].split() == ["host", "speed", "factor", "-", "-"]
 
 
-@pytest.mark.parametrize("behind, rule", [(1, "holds"), (2, "fails")])
-def test_gain_rule_needs_nine_of_ten_pairs(behind, rule):
+@pytest.mark.parametrize("behind, crashed, rule",
+                         [(1, 0, "holds"), (2, 0, "fails"), (0, 2, "fails"), (0, 1, "fails")])
+def test_gain_rule_needs_nine_of_ten_pairs(behind, crashed, rule):
     # the change's median is 20 above the parent's, whose quartiles are
-    # 5.5 apart; it falls behind in the first `behind` pairs
+    # 5.5 apart; it falls behind in the first `behind` pairs, and its runs
+    # in the last `crashed` pairs fail, which leaves them out of `ahead`
+    # but not out of the pairs run: a single failed run is one more than
+    # the parent's none
     runs = []
     for pair in range(10):
         change = 90.0 if pair < behind else 120.0 + pair
-        runs += [_run(pair, "parent", 100.0 + pair, 50.0, 1000),
-                 _run(pair, "change", change, 50.0, 1000)]
+        runs.append(_run(pair, "parent", 100.0 + pair, 50.0, 1000))
+        if pair >= 10 - crashed:
+            runs.append({"exit": 1, "host_speed_factor": None, "pair": pair, "seed": 1100 + pair,
+                         "side": "change", "result": {"correct": False, "error": "boom"}})
+        else:
+            runs.append(_run(pair, "change", change, 50.0, 1000))
     lines = summary(SPEC, {"workloads": {"interp": runs}})
-    assert lines[1].split()[3] == f"{10 - behind}/10"
+    assert lines[1].split()[3] == f"{10 - behind - crashed}/{10 - crashed}"
     assert lines[2].split()[-3:] == ["gain", "rule", rule]
     assert lines[4].split()[-1] == "fails"  # peak_rss_mb is equal in every pair
 

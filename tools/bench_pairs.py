@@ -24,8 +24,9 @@ end-to-end metric's median on either side, the number of pairs in which
 the change reads better, and the relative change of the medians, flagged
 when it is worse than the metric's BENCHMARK.json bound; under it each
 side's quartiles and whether the gain rule holds (the change ahead in at
-least 9 of every 10 pairs, and its median better than the parent's by
-more than the parent's interquartile distance); then the median number
+least 9 of every 10 pairs run, its median better than the parent's by
+more than the parent's interquartile distance, and no more failed runs
+than the parent); then the median number
 of attempted operations on either side, the median peak_rss_mb per 1,000
 of them (peak_rss_mb grows with the number of operations, since every
 record is kept) and the median host speed factor of either side.
@@ -83,17 +84,25 @@ def _quartiles(values: list) -> str:
     return "/".join(f"{q:.4g}" for q in statistics.quantiles(values, n=4))
 
 
-def _gain_rule(metric: dict, parent: list, change: list, ahead: int, both: int) -> str:
-    """Whether the change wins: ahead in at least 9 of every 10 pairs, and
+def _gain_rule(metric: dict, parent: list, change: list, ahead: int, run: int,
+               failed: dict) -> str:
+    """Whether the change wins: ahead in at least 9 of every 10 pairs run,
     its median better than the parent's by more than the distance between
-    the parent's quartiles."""
-    if not both or len(parent) < 2 or not change:
+    the parent's quartiles, and no more failed runs than the parent."""
+    if len(parent) < 2 or not change:
         return "-"
     q1, _, q3 = statistics.quantiles(parent, n=4)
     gain = statistics.median(change) - statistics.median(parent)
     if metric["better"] == "lower":
         gain = -gain
-    return "holds" if 10 * ahead >= 9 * both and gain > q3 - q1 else "fails"
+    wins = 10 * ahead >= 9 * run and gain > q3 - q1 and failed["change"] <= failed["parent"]
+    return "holds" if wins else "fails"
+
+
+def _failed(run: dict) -> bool:
+    """Whether a run exited nonzero, gave no metrics or failed an operation."""
+    res = run["result"]
+    return run["exit"] != 0 or "metrics" not in res or res.get("failed", 0) > 0
 
 
 def earlier_workloads(path: Path, record: dict) -> dict:
@@ -123,6 +132,9 @@ def summary(spec: dict, record: dict) -> list[str]:
         pairs: dict[int, dict] = {}
         for run in runs:
             pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
+        failed = {"parent": 0, "change": 0}
+        for run in runs:
+            failed[run["side"]] += _failed(run)
         title = f"{name}, {len(pairs)} pairs"
         lines.append(f"{title:26s}{'parent':>10s}{'change':>10s}  ahead  change of medians")
         for metric in spec["end_to_end"]:
@@ -144,7 +156,7 @@ def summary(spec: dict, record: dict) -> list[str]:
                          f"{_relative(metric, values['parent'], values['change'])}")
             lines.append(f"    quartiles  parent {_quartiles(values['parent'])}  "
                          f"change {_quartiles(values['change'])}  gain rule "
-                         f"{_gain_rule(metric, values['parent'], values['change'], ahead, both)}")
+                         f"{_gain_rule(metric, values['parent'], values['change'], ahead, len(pairs), failed)}")
         attempted: dict[str, list] = {"parent": [], "change": []}
         rss_per_k: dict[str, list] = {"parent": [], "change": []}
         factors: dict[str, list] = {"parent": [], "change": []}
