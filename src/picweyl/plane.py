@@ -10,6 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, groupby
 from math import comb
+from operator import itemgetter
 from typing import Sequence
 
 from .catalog import coble_conditions, halphen_prohibited_classes
@@ -43,20 +44,20 @@ class PointConfiguration:
     Four slots hold derived data for `effectivity_test` and the verdict
     scans, so equality and JSON ignore them.  `_conditions` memoises
     interpolation condition rows per degree, point and multiplicity (see
-    `_point_rows`).  `_values` maps a degree d to the one elimination of
-    the n x ncols matrix R of the points' degree-d value rows (see
+    `_point_rows`).  `_values` maps (d, mu) to the one elimination of the
+    matrix R of every point's degree-d rows of orders below mu (see
     `_value_kernels`): the right kernel K of R, its left kernel L, per
-    point i a v_i with R v_i = e_i, or None when some relation in L
-    involves i, and per (point, multiplicity) the point's rows of orders
-    1 <= a + b < multiplicity multiplied into K and into every v_i, which
-    all floors of 1s share.  `_echelon` is (degree, multiplicities, bases)
-    for the last prefix walk: bases[k] is the echelon basis of the rows of
-    its first k points.  `_floors` maps (degree, floor multiplicities) to
-    (kernel, blocks): a kernel basis of the floor's rows, and per (point,
-    floor multiplicity, multiplicity) the extra rows of that point
-    multiplied into it.  Ranks are exact, so no slot can change a result,
-    only how much is recomputed.  Class-only facts go to `_route`; what a
-    scan shares between the classes of one run stays in the scan.
+    row r a v_r with R v_r = e_r, or None when some relation in L involves
+    r, and per (point, multiplicity) the point's rows of orders mu and up
+    multiplied into K and into every v_r, which the floors of mode mu
+    share.  `_echelon` is (degree, multiplicities, bases) for the last
+    prefix walk: bases[k] is the echelon basis of the rows of its first k
+    points.  `_floors` maps (degree, floor multiplicities) to (kernel,
+    blocks): a kernel basis of the floor's rows, and per (point, floor
+    multiplicity, multiplicity) the extra rows of that point multiplied
+    into it.  Ranks are exact, so no slot can change a result, only how
+    much is recomputed.  Class-only facts go to `_route` and `_runs`; what
+    a scan shares between the classes of one run stays in the scan.
     """
 
     __slots__ = ("field", "points", "_conditions", "_values", "_echelon", "_floors")
@@ -71,7 +72,7 @@ class PointConfiguration:
         self.field = field
         self.points = pts
         self._conditions: dict[tuple[int, int, int], list] = {}
-        self._values: dict[int, list[tuple]] = {}
+        self._values: dict[tuple[int, int], tuple] = {}
         self._echelon: tuple[int, tuple[int, ...], list[list]] = (-1, (), [[]])
         self._floors: dict[tuple[int, tuple[int, ...]], tuple[list, dict]] = {}
 
@@ -132,31 +133,30 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
     characteristic.
 
     The class is decided as a scan of one class (`_answers`), by the same
-    code that decides the hundreds of classes of a verdict.  Per degree d,
-    one elimination of the points' value rows R gives K, L and the v_i
-    (see `_values` in `PointConfiguration`).  A class of multiplicities mu
-    takes the first route that applies, planned once per coordinate tuple
-    (`_route`):
-    - multiplicity bound, some mu_i > d: the Hasse rows of order <= d at
+    code that decides the hundreds of classes of a verdict.  Per degree d
+    and order mu, one elimination of every point's rows of orders below mu
+    gives K, L and the v_r (see `_values` in `PointConfiguration`).  A
+    class of multiplicities m takes the first route that applies, planned
+    once per coordinate tuple (`_route`):
+    - multiplicity bound, some m_i > d: the Hasse rows of order <= d at
       one point already determine a degree-d form, so nothing moves;
-    - value rows, every mu_i 0 or 1 and at most half of them 1 (lines
+    - value rows, every m_i 0 or 1 and at most half of them 1 (lines
       through three points): the rank of the value rows of the points S
-      with mu_i = 1;
-    - left kernel, every mu_i 0 or 1 and more than half of them 1 (conics
+      with m_i = 1;
+    - left kernel, every m_i 0 or 1 and more than half of them 1 (conics
       through six of nine points): |S| - dim L + the rank of the columns
       of L at the 0s T, since S's relations are the vectors of L
       vanishing on T;
-    - floor kernel, mu above its floor nu = min(mu, mode(mu)) somewhere
+    - floor kernel, m above its floor nu = min(m, mu), mu the mode of m
       (-dK + e_i - e_j is d + 1 at j over the floor d - 1 at i, d
       elsewhere): `_floors` keeps a kernel basis of the floor's rows and,
-      per point k and mu_k, the rows of orders nu_k <= a + b < mu_k
+      per point k and m_k, the rows of orders nu_k <= a + b < m_k
       multiplied into it, stacked per class.  The dimension is the
       kernel's minus their rank, minus one, whatever the kernel's
-      dimension is (a Halphen pencil enlarges it).  A floor of 1s with 0s
-      Z has kernel K + span{v_i : i in Z}, leaving out a v_i that is None
-      (at most one may be): x in ker R off Z has x - sum (Rx)_i v_i in K
-      (the cubics of -K + e_i - e_j, Coble's singular cubics).  Any other
-      floor, a floor of 1s alone included (the quartics of m = 3), takes
+      dimension is (a Halphen pencil enlarges it).  The floor drops the
+      rows D of orders nu_k to mu - 1 from those below mu, so its kernel
+      is K + span{v_r : r in D} if at most one v_r is None, left out (a
+      relation of L nonzero there vanishes on the rest of D); otherwise
       `echelon_kernel` of its prefix walk;
     - prefix walk, when the floor is zero or the class itself: see
       `_echelon_walk`.
@@ -169,42 +169,70 @@ def effectivity_test(cfg: PointConfiguration, cls: LatticeVector) -> tuple[bool,
         raise ValueError(
             f"class on {cls.n} points against a configuration of {len(cfg)}"
         )
-    return next(_answers(cfg, (cls,)))
+    return next(_answers(cfg, _runs((cls,))))[1:]
 
 
-def _answers(cfg: PointConfiguration, classes: Sequence[LatticeVector]):
-    """(effective, dimension) of each class in turn, lazily, so that a
-    scan can stop at its first effective class.  Each run of consecutive
-    classes with one route, degree and floor is decided together: its
-    blocks of rows are looked up once, and the kernel of each prefix of
-    blocks is kept for the run (`_stack_rank`)."""
+def _answers(cfg: PointConfiguration, runs: tuple):
+    """(position, effective, dimension) of each class of runs (`_runs`),
+    lazily and in run order, so that a scan can stop at its first
+    effective class.  Each run's blocks of rows are looked up once, and
+    the kernel of each prefix of blocks is kept for the run
+    (`_stack_rank`)."""
     field, n = cfg.field, len(cfg)
-    plans = map(_route, (cls.coords for cls in classes))
-    for key, run in groupby(plans, lambda plan: plan[:5] if plan[0] == "floor" else plan[:3]):
+    for key, run in runs:
         route, d, ncols = key[:3]
         if route == "bound":
-            for _ in run:
-                yield False, -1
+            for i, _ in run:
+                yield i, False, -1
             continue
         if route == "walk":
-            for plan in run:
+            for i, plan in run:
                 dim = ncols - len(_echelon_walk(cfg, d, plan[3])) - 1
-                yield dim >= 0, dim
+                yield i, dim >= 0, dim
             continue
-        run = list(run)
         if route == "values":
             width, blocks = ncols, [_point_rows(cfg, d, i, 1) for i in range(n)]
         elif route == "left":  # ncols - rank = ncols - |S| + dim L - the stack's rank
             left = _value_kernels(cfg, d)[1]
             width, blocks = len(left), [[[v[i] for v in left]] for i in range(n)]
         else:
-            kernel, blocks = _floor(cfg, key, {b for plan in run for b in plan[-1]})
+            kernel, blocks = _floor(cfg, key, {b for _, plan in run for b in plan[-1]})
             width = ncols = len(kernel)
         kernels: dict[tuple, list] = {}
-        for plan in run:
+        for i, plan in run:
             free = ncols - plan[3] + width if route == "left" else ncols
             dim = free - _stack_rank(field, width, blocks, kernels, plan[-1]) - 1
-            yield dim >= 0, dim
+            yield i, dim >= 0, dim
+
+
+def _runs(classes: Sequence[LatticeVector], merge: bool = False) -> tuple:
+    """The classes' plans (`_route`) in runs of one key (route, degree and,
+    for a floor, the floor and the rows it drops), each plan with its
+    class's position: runs of consecutive classes, or with merge one run
+    per key, in the order of their first classes."""
+    keyed = [(plan[:5] if plan[0] == "floor" else plan[:3], i, plan)
+             for i, plan in enumerate(_route(cls.coords) for cls in classes)]
+    if merge:  # a stable sort, keys taken in list order: each key at its first position
+        first: dict[tuple, int] = {}
+        keyed.sort(key=lambda k: first.setdefault(k[0], k[1]))
+    runs = groupby(keyed, itemgetter(0))
+    return tuple((key, tuple((i, plan) for _, i, plan in run)) for key, run in runs)
+
+
+@lru_cache(maxsize=None)
+def _halphen_runs(m: int) -> tuple:
+    """`_runs` of the index-m prohibited classes, planned once per process."""
+    return _runs(halphen_prohibited_classes(m))
+
+
+@lru_cache(maxsize=None)
+def _coble_runs() -> tuple:
+    """The Coble scan's conditions (label, index set, class), the
+    anticanonical cubic first, and their merged `_runs`, once per process."""
+    cubic = ("anticanonical_cubic", tuple(range(1, 11)), LatticeVector((3,) + (-1,) * 10))
+    families = ((f.label, f.index_set, r) for f in coble_conditions() for r in f.representatives)
+    conditions = (cubic, *families)
+    return conditions, _runs([rep for *_, rep in conditions], merge=True)
 
 
 def _stack_rank(field: Field, width: int, blocks, kernels: dict, ids: tuple) -> int:
@@ -237,8 +265,8 @@ def _stack_rank(field: Field, width: int, blocks, kernels: dict, ids: tuple) -> 
 def _route(coords: tuple[int, ...]) -> tuple:
     """(route, d, ncols, *plan) of `effectivity_test` for these coordinates:
     the 1s' indices for "values"; their number and the 0s' for "left"; the
-    multiplicities for "walk"; for "floor" the floor, its 0s if it is a
-    floor of 1s (else None) and (point, floor, mult) per point above it."""
+    multiplicities for "walk"; for "floor" the floor, the rows it drops of
+    `_value_kernels` of its mode, and (point, floor, mult) per point above it."""
     d, mults = coords[0], _clamped_multiplicities(coords)
     top, ncols = max(mults, default=0), (d + 1) * (d + 2) // 2  # ncols: degree-d monomials
     if d < 0 or top > d:
@@ -251,56 +279,56 @@ def _route(coords: tuple[int, ...]) -> tuple:
     if mode == 0 or top == mode:  # floor 0 or the class
         return "walk", d, ncols, mults
     floor = tuple(min(m, mode) for m in mults)
-    zeros = tuple(i for i, n in enumerate(floor) if n == 0) if mode == 1 else None
+    t = mode * (mode + 1) // 2  # rows of orders below the mode at one point
+    dropped = tuple(k * t + r for k, n in enumerate(floor) for r in range(n * (n + 1) // 2, t))
     above = tuple((k, n, m) for k, (n, m) in enumerate(zip(floor, mults)) if m > n)
-    return "floor", d, ncols, floor, zeros, above
+    return "floor", d, ncols, floor, dropped, above
 
 
 def _floor(cfg: PointConfiguration, key: tuple, needed: set) -> tuple:
     """(kernel, blocks) for the floor of a run, key = ("floor", d, ncols,
-    floor, zeros) from `_route`: a basis of the kernel of the floor's
+    floor, dropped) from `_route`: a basis of the kernel of the floor's
     condition rows, and per (k, n, m) in needed the rows of orders
     n <= a + b < m at point k multiplied into that basis; both are kept
-    per (degree, floor) in `_floors`.  A floor of 1s with 0s, at most one
-    of them without a v_i, has kernel K + the other v_i, and its rows
-    multiplied into K and into every v_i are kept per degree in `_values`,
-    so floors that differ in their 0s share them.  Any other floor's
-    kernel comes from its prefix walk."""
-    _, d, ncols, floor, zeros = key
-    vs = None
-    if zeros:
-        base, _, solutions, dotted = _value_kernels(cfg, d)
-        if sum(solutions[i] is None for i in zeros) <= 1:
-            vs = [i for i in zeros if solutions[i] is not None]
+    per (degree, floor) in `_floors`.  When at most one dropped row r of
+    `_value_kernels` of the floor's mode has no v_r, the kernel is K + the
+    other v_r, and point rows multiplied into K and into each v_r are kept
+    with that elimination, so floors that differ in what they drop share
+    them.  Otherwise the kernel comes from the floor's prefix walk."""
+    _, d, ncols, floor, dropped = key
+    base, _, solutions, dotted = _value_kernels(cfg, d, max(floor))
+    vs = [r for r in dropped if solutions[r] is not None]
+    vs = vs if len(dropped) - len(vs) <= 1 else None
     if (d, floor) not in cfg._floors:
         if vs is None:
             kernel = echelon_kernel(_echelon_walk(cfg, d, floor), ncols, cfg.field)
         else:
-            kernel = base + [solutions[i] for i in vs]
+            kernel = base + [solutions[r] for r in vs]
         cfg._floors[d, floor] = kernel, {}
     kernel, blocks = cfg._floors[d, floor]
     dot = cfg.field.dot
     for k, n, m in needed - blocks.keys():
-        if vs is None:  # past the n(n+1)/2 rows of orders below n
-            extra = _point_rows(cfg, d, k, m)[n * (n + 1) // 2 :]
+        extra = _point_rows(cfg, d, k, m)[n * (n + 1) // 2 :]  # past the rows of orders below n
+        if not vs:  # the walk's kernel, or K alone
             blocks[k, n, m] = [[dot(r, v) for v in kernel] for r in extra]
             continue
-        if (k, m) not in dotted:  # n = 1
+        if (k, m) not in dotted:  # n is the mode
             dotted[k, m] = [
                 ([dot(r, x) for x in base], [None if v is None else dot(r, v) for v in solutions])
-                for r in _point_rows(cfg, d, k, m)[1:]
+                for r in extra
             ]
-        blocks[k, n, m] = [on_k + [on_v[i] for i in vs] for on_k, on_v in dotted[k, m]]
+        blocks[k, n, m] = [on_k + [on_v[r] for r in vs] for on_k, on_v in dotted[k, m]]
     return kernel, blocks
 
 
-def _value_kernels(cfg: PointConfiguration, d: int) -> tuple[list, list, list, dict]:
-    """`two_sided_kernels` of the points' degree-d value rows, kept per
-    degree with a memo of point rows multiplied into K and every v_i."""
-    if d not in cfg._values:
-        values = [_point_rows(cfg, d, i, 1)[0] for i in range(len(cfg))]
-        cfg._values[d] = (*two_sided_kernels(values, cfg.field), {})
-    return cfg._values[d]
+def _value_kernels(cfg: PointConfiguration, d: int, mu: int = 1) -> tuple[list, list, list, dict]:
+    """`two_sided_kernels` of every point's degree-d rows of orders below
+    mu, point by point (for mu = 1 the value rows), kept per (d, mu) with
+    a memo of point rows of orders mu and up multiplied into K and every v_r."""
+    if (d, mu) not in cfg._values:
+        rows = [row for i in range(len(cfg)) for row in _point_rows(cfg, d, i, mu)]
+        cfg._values[d, mu] = (*two_sided_kernels(rows, cfg.field), {})
+    return cfg._values[d, mu]
 
 
 def _echelon_walk(cfg: PointConfiguration, d: int, mults: tuple[int, ...]) -> list:
@@ -401,33 +429,29 @@ def is_unnodal_halphen(cfg: PointConfiguration, m: int) -> tuple[bool, LatticeVe
     if len(cfg) != 9:
         raise DomainError("index-m pencil checks need exactly nine points")
     classes = halphen_prohibited_classes(m)
-    for cls, (effective, _) in zip(classes, _answers(cfg, classes)):
+    for i, effective, _ in _answers(cfg, _halphen_runs(m)):
         if effective:
-            return False, cls
+            return False, classes[i]
     return True, None
 
 
 def is_coble_set(cfg: PointConfiguration) -> tuple[bool, dict]:
-    """Ten points: a unique sextic with ten double points must exist, and no
-    integral representative of the 496 nodal conditions may be effective.
+    """Ten points: no cubic may pass through them, a unique sextic with ten
+    double points must exist, and no integral representative of the 496
+    nodal conditions may be effective.
 
-    The report lists the sextic's dimension and every violated condition.
+    The report lists the sextic's dimension and every violated condition,
+    a cubic through the ten points (anticanonical_cubic) first.
     """
     if len(cfg) != 10:
         raise DomainError("this verdict is for ten-point configurations")
     sextic = LatticeVector((6,) + (-2,) * 10)
     sextic_eff, sextic_dim = effectivity_test(cfg, sextic)
-    conditions = [(fam, rep) for fam in coble_conditions() for rep in fam.representatives]
+    conditions, runs = _coble_runs()
+    answers = sorted(_answers(cfg, runs))  # from run order back to catalog order
     violations = [
-        {
-            "label": fam.label,
-            "index_set": list(fam.index_set),
-            "class": rep.to_json(),
-            "dimension": dim,
-        }
-        for (fam, rep), (effective, dim) in zip(
-            conditions, _answers(cfg, [rep for _, rep in conditions])
-        )
+        {"label": label, "index_set": list(index_set), "class": rep.to_json(), "dimension": dim}
+        for (label, index_set, rep), (_, effective, dim) in zip(conditions, answers)
         if effective
     ]
     ok = sextic_eff and sextic_dim == 0 and not violations

@@ -251,24 +251,25 @@ def two_sided_kernels(
     """For the n nonempty rows of a matrix R: its right kernel K, as from
     `kernel_basis`; a basis of its left kernel L, as lists of length n; and
     per row i a vector v with R v = e_i, or None when some vector of L is
-    nonzero at i.  One reduction of [R | I] gives all three: its rows whose
-    R part vanished span L, and where L is zero at i, column i of the I
-    part of the other rows, placed at their pivots, is a v."""
+    nonzero at i.  One forward elimination of [R | I] gives all three: its
+    rows whose R part vanished span L, and where L is zero at i, the
+    others give the v that is 0 at R's free columns, the one a reduced
+    form gives, by back-substitution against column i of their I part."""
     n, ncols, zero, one = len(rows), len(rows[0]), field._zero, field._one
+    sub, dot = field._sub, field.dot
     augmented = [row + [one if j == i else zero for j in range(n)] for i, row in enumerate(rows)]
-    red, pivots = row_reduce(augmented, field)
-    rank = sum(c < ncols for c in pivots)
-    left = [row[ncols:] for row in red[rank:]]
+    echelon = extend_echelon([], augmented, field)
+    top = [(c, row) for c, row in echelon if c < ncols]
+    left = [row[ncols:] for c, row in echelon if c >= ncols]
     solutions: list[list | None] = []
     for i in range(n):
         v = None
         if all(u[i] == zero for u in left):
             v = [zero] * ncols
-            for row, c in zip(red, pivots[:rank]):
-                v[c] = row[ncols + i]
+            for c, row in reversed(top):
+                v[c] = sub(row[ncols + i], dot(row[c + 1 : ncols], v[c + 1 :]))
         solutions.append(v)
-    kernel = echelon_kernel(list(zip(pivots[:rank], red)), ncols, field)
-    return kernel, left, solutions
+    return echelon_kernel(top, ncols, field), left, solutions
 
 
 def linear_solve(rows: list[list], rhs: list, field: Field):

@@ -183,7 +183,8 @@ class TestPointCommands:
         code, out, _ = run(
             capsys, "coble-check", "--p", "101", "--points", ten_points_file
         )
-        assert code == 0 and out == "coble=true\n"
+        # the fixture lies on a cubic, so -K is effective: not a Coble set
+        assert code == 0 and out == "coble=false violations=1\n"
 
     def test_cremona_act_json(self, capsys, tmp_path):
         path = tmp_path / "pts.json"
@@ -505,7 +506,9 @@ PINNED = [
      "halphen=false witness=[1,-1,-1,-1,0,0,0,0,0,0]\n"),
     ("coble-check-json", 0,
      ["coble-check", "--p", "101", "--points", "{ten}", "--json"],
-     '{"coble":true,"report":{"sextic_dimension":0,"sextic_effective":true,"violations":[]}}\n'),
+     '{"coble":false,"report":{"sextic_dimension":0,"sextic_effective":true,"violations":'
+     '[{"class":["3","-1","-1","-1","-1","-1","-1","-1","-1","-1","-1"],"dimension":0,'
+     '"index_set":[1,2,3,4,5,6,7,8,9,10],"label":"anticanonical_cubic"}]}}\n'),
     ("coble-check-false", 0,
      ["coble-check", "--p", "101", "--points", "{ten_collinear}"],
      "coble=false violations=6\n"),

@@ -37,7 +37,16 @@ from picweyl import (
     word_to_isometry,
 )
 from picweyl.fields import FieldElement
-from picweyl.plane import _answers, _condition_rows, _hasse_row, _route, _value_kernels
+from picweyl.plane import (
+    _answers,
+    _coble_runs,
+    _condition_rows,
+    _halphen_runs,
+    _hasse_row,
+    _route,
+    _runs,
+    _value_kernels,
+)
 from picweyl.projgeom import cross, extend_echelon, frame_with_last_column, monomial_exponents
 
 F = PrimeField(101)
@@ -507,7 +516,8 @@ def test_route_of_each_coble_family():
     cfg = configuration(F, [(x, y, 1) for x, y in NINE[:8] + [(1, 2), (3, 5)]])
     reps = [rep for fam in coble_conditions() for rep in fam.representatives]
     points = list(cfg.points)
-    assert list(_answers(cfg, reps)) == [from_scratch(points, rep) for rep in reps]
+    answers = [answer[1:] for answer in _answers(cfg, _runs(reps))]
+    assert answers == [from_scratch(points, rep) for rep in reps]
     kernel, _, solutions, _ = _value_kernels(cfg, 3)
     assert None not in solutions
     for a, b in itertools.combinations(range(10), 2):
@@ -547,20 +557,22 @@ def test_scans_match_a_fresh_elimination_where_no_shortcut_applies():
         for m in range(1, 5):
             classes = halphen_prohibited_classes(m)
             fresh = [from_scratch(points, cls) for cls in classes]
-            assert list(_answers(PointConfiguration(F, points), classes)) == fresh, m
+            answers = _answers(PointConfiguration(F, points), _halphen_runs(m))
+            assert [answer[1:] for answer in answers] == fresh, m
             witness = next((cls for cls, (eff, _) in zip(classes, fresh) if eff), None)
             assert is_unnodal_halphen(cfg, m) == (witness is None, witness)
     shapes = Counter()
+    conditions, runs = _coble_runs()
     for points in tens:
         cfg = PointConfiguration(F, points)
-        reps = [(fam, rep) for fam in coble_conditions() for rep in fam.representatives]
-        fresh = [from_scratch(points, rep) for _, rep in reps]
-        assert list(_answers(PointConfiguration(F, points), [rep for _, rep in reps])) == fresh
+        fresh = [from_scratch(points, rep) for _, _, rep in conditions]
+        answers = sorted(_answers(PointConfiguration(F, points), runs))
+        assert [answer[1:] for answer in answers] == fresh
         sextic = from_scratch(points, vector(6, *([-2] * 10)))
         violations = [
-            {"label": fam.label, "index_set": list(fam.index_set), "class": rep.to_json(),
+            {"label": label, "index_set": list(index_set), "class": rep.to_json(),
              "dimension": dim}
-            for (fam, rep), (eff, dim) in zip(reps, fresh) if eff
+            for (label, index_set, rep), (eff, dim) in zip(conditions, fresh) if eff
         ]
         ok, report = is_coble_set(cfg)
         assert report == {"sextic_effective": sextic[0], "sextic_dimension": sextic[1],
@@ -593,12 +605,103 @@ def test_effectivity_independent_of_the_route_cache():
     assert any(effective for effective, _ in passes[0])
 
 
+def fixture_multiples(ks):
+    """The multiples k (0:14:1), k in ks, on the fixture cubic
+    y^2 = x^3 - x^2 + x - 6 over F_101, by the chord-tangent law with the
+    flex at infinity as origin (the generator has order 100): nine of
+    them carry a pencil of index m when their multipliers sum to an
+    element of order m mod 100."""
+    def add(a, b):
+        (x1, y1), (x2, y2) = a, b
+        if a == b:
+            slope = (3 * x1 * x1 - 2 * x1 + 1) * pow(2 * y1, -1, 101)
+        else:
+            slope = (y2 - y1) * pow(x2 - x1, -1, 101)
+        x3 = (slope * slope + 1 - x1 - x2) % 101
+        return x3, (-y1 - slope * (x3 - x1)) % 101
+    multiples = [(0, 14)]
+    while len(multiples) < max(ks):
+        multiples.append(add(multiples[-1], multiples[0]))
+    return [multiples[k - 1] for k in ks]
+
+
+def test_degree_six_floors_of_index_four():
+    # the 72 classes -2K + e_i - e_j sit 3 at j over the floor 2 everywhere
+    # but 1 at i, whose kernel is K + v_r for the two order-1 rows r at i in
+    # the elimination of all rows of orders below 2: on an index-4 set the
+    # 27 rows are independent; on the index-2 fixture the sextic pencil
+    # makes one relation that involves every row, so no v_r exists and the
+    # floors take their prefix walk; and on a perturbed index-4 set
+    assert fixture_multiples([*range(1, 9), 14]) == NINE
+    index4 = [*range(1, 9), 89]  # multipliers summing to 25: order 4
+    perturbed = [1, 2, 97, *range(4, 9), 95]  # 97 = -(1 + 2): collinear with 1 and 2
+    degree6 = [cls for cls in halphen_prohibited_classes(4) if cls.degree == 6]
+    assert len(degree6) == 72
+    for ks, shape in ((index4, (0, 0)), ([*range(1, 9), 14], (1, 27)), (perturbed, (0, 0))):
+        cfg = configuration(F, [(x, y, 1) for x, y in fixture_multiples(ks)])
+        points = list(cfg.points)
+        answers = [answer[1:] for answer in _answers(cfg, _runs(degree6))]
+        assert answers == [from_scratch(points, cls) for cls in degree6], ks
+        _, left, solutions, _ = _value_kernels(cfg, 6, 2)
+        assert (len(left), solutions.count(None)) == shape
+
+
+def test_cached_plans_hold_every_class_once_in_catalog_order():
+    # the scans walk runs planned once per process: every class once, with
+    # its own plan, in catalog order for the Halphen scans and in catalog
+    # order within each run, one run per key, for the Coble scan
+    for m in range(1, 6):
+        classes = halphen_prohibited_classes(m)
+        runs = _halphen_runs(m)
+        assert runs is _halphen_runs(m)
+        members = [member for _, run in runs for member in run]
+        assert [i for i, _ in members] == list(range(len(classes)))
+        assert all(plan == _route(classes[i].coords) for i, plan in members)
+        assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+    conditions, runs = _coble_runs()
+    reps = [rep for fam in coble_conditions() for rep in fam.representatives]
+    assert [rep for _, _, rep in conditions] == [vector(3, *([-1] * 10))] + reps
+    positions = [i for _, run in runs for i, _ in run]
+    assert sorted(positions) == list(range(len(conditions)))
+    assert all(list(run) == sorted(run) for _, run in runs)
+    assert len({key for key, _ in runs}) == len(runs) == 50
+    for key, run in runs:
+        for i, plan in run:
+            assert plan == _route(conditions[i][2].coords) and plan[: len(key)] == key
+
+
+def test_coble_report_lists_every_family_in_catalog_order():
+    # three points on a line and seven on a conic lie on a cubic, and
+    # violate conditions of several families; the report must be the one
+    # built from effectivity_test class by class, in catalog order
+    points = special_configurations(F, Random(29))[1]
+    cfg = PointConfiguration(F, points)
+    cubic = vector(3, *([-1] * 10))
+    conditions = [("anticanonical_cubic", tuple(range(1, 11)), cubic)]
+    conditions += [(f.label, f.index_set, rep) for f in coble_conditions() for rep in f.representatives]
+    expected = []
+    for label, index_set, rep in conditions:
+        effective, dim = effectivity_test(PointConfiguration(F, points), rep)
+        if effective:
+            expected.append({"label": label, "index_set": list(index_set),
+                             "class": rep.to_json(), "dimension": dim})
+    ok, report = is_coble_set(cfg)
+    assert not ok and report["violations"] == expected
+    labels = Counter(v["label"] for v in expected)
+    assert labels["anticanonical_cubic"] == 1 and len(labels) >= 3
+
+
 class TestCobleVerdict:
     def test_fixture_ten_points(self):
+        # the ten points lie on the fixture cubic, so -K is effective and
+        # the unique double sextic is that cubic counted twice: not Coble
         ok, report = is_coble_set(cfg_ten())
-        assert ok
+        assert not ok
         assert report["sextic_effective"] and report["sextic_dimension"] == 0
-        assert report["violations"] == []
+        cubic = vector(3, *([-1] * 10))
+        assert report["violations"] == [{"label": "anticanonical_cubic",
+                                         "index_set": list(range(1, 11)),
+                                         "class": cubic.to_json(), "dimension": 0}]
 
     def test_coincident_pair_rejected_at_construction(self):
         pts = [(x, y, 1) for x, y in TEN[:9]] + [(TEN[0][0], TEN[0][1], 1)]

@@ -1,4 +1,5 @@
-"""The benchmark tools' pure parts, on synthetic records."""
+"""The benchmark tools' pure parts, on synthetic records, and the results
+digest on a few real operations."""
 
 import json
 import sys
@@ -10,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from bench_pairs import earlier_workloads, summary  # noqa: E402
 from bench_record import host_speed_factor  # noqa: E402
+import results_digest  # noqa: E402
 
 SPEC = {"end_to_end": [
     {"name": "ops_per_s", "better": "higher", "bound": 0.25},
@@ -103,3 +105,22 @@ def test_host_speed_factor_from_run_output():
     assert host_speed_factor(out) == 1.2345
     # a traced run prints no factor
     assert host_speed_factor('census {}\n{"correct": true}\n') is None
+
+
+def test_results_digest_is_deterministic_and_sees_one_changed_result(monkeypatch):
+    from perfbench import wl_interp
+
+    first = results_digest.digests("interp", [1, 2], 4)
+    assert set(first) == {1, 2, "all"}
+    assert results_digest.digests("interp", [1, 2], 4) == first
+    run, calls = wl_interp.run, []
+
+    def one_changed(op):  # flips the verdict of the second operation of seed 2
+        calls.append(op)
+        ok, detail = run(op)
+        return (not ok, detail) if len(calls) == 6 else (ok, detail)
+
+    monkeypatch.setattr(wl_interp, "run", one_changed)
+    second = results_digest.digests("interp", [1, 2], 4)
+    assert second[1] == first[1]
+    assert second[2] != first[2] and second["all"] != first["all"]
