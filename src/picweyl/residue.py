@@ -159,13 +159,13 @@ class ResidueSubmodule:
         cols = [list(g) for g in self.generators]
         cols += [[m if i == j else 0 for i in range(n)] for j in range(n)]
         a = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-        u, d, v = smith_normal_form(a)
+        u, d, v = smith_normal_form(a, v_rows=len(self.generators))
         diag = diagonal_of(d)
         factors = tuple(diag[i] for i in range(n))
         checks = tuple(
             (tuple(c % f for c in row), f) for row, f in zip(u, factors) if f != 1
         )
-        self._structure = (checks, factors, v[: len(self.generators)])
+        self._structure = (checks, factors, v)
         return self._structure
 
     @property

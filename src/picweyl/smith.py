@@ -14,18 +14,21 @@ from .lattice import mat_mul
 
 
 def smith_normal_form(
-    a: list[list[int]],
+    a: list[list[int]], v_rows: int | None = None,
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Return (u, d, v) with u @ a @ v == d, u and v unimodular.
 
     d is diagonal (rectangular allowed) with nonnegative entries satisfying
-    d[0] | d[1] | ... Input is not modified.
+    d[0] | d[1] | ... Input is not modified.  Given v_rows, only v's leading
+    v_rows rows are carried: column operations change each row on its own.
     """
     m = [row[:] for row in a]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    if v_rows is not None and not 0 <= v_rows <= ncols:
+        raise ValueError(f"v_rows={v_rows} outside 0..{ncols}")
     u = _identity(nrows)
-    v = _identity(ncols)
+    v = _identity(ncols)[:v_rows]
 
     t = 0
     while t < min(nrows, ncols):
@@ -65,15 +68,7 @@ def smith_normal_form(
             # pivot must divide every remaining entry; if not, fold the
             # offending row into row t, which plants a smaller remainder for
             # the next sweep to pick up
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if m[i][j] % m[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            if (offender := _offender(m, t)) is None:
                 break
             _add_row(m, u, t, offender, 1)
             pivot = (t, t)
@@ -293,6 +288,15 @@ def _find_pivot(m, t):
                     if ax == 1:
                         return best
     return best
+
+
+def _offender(m, t):
+    """The first row below t with an entry right of column t that the pivot
+    m[t][t] does not divide, or None; a unit pivot divides every entry."""
+    p = m[t][t]
+    if p in (1, -1):
+        return None
+    return next((i for i in range(t + 1, len(m)) if any(x % p for x in m[i][t + 1:])), None)
 
 
 def _swap_rows(m, u, i, k):

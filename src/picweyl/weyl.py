@@ -230,20 +230,23 @@ def _elliptic_witness(g: LatticeIsometry, order: int) -> LatticeVector:
 def _charpoly_coeffs(rows) -> list[int]:
     """Monic characteristic polynomial, integer coefficients, descending.
 
-    Faddeev-LeVerrier in integers: every M_k is an integer matrix and the
-    trace divides exactly by k, so no rationals are needed.
+    Newton's identities on the power traces p_k = tr(g^k):
+    k c_k = -(c_{k-1} p_1 + ... + c_0 p_k), every division exact.  p_k is
+    the sum over i of row i of g^a times column i of g^b for any a + b = k,
+    so only the powers up to g^ceil(dim/2) are formed.
     """
     dim = len(rows)
+    powers, cols = [rows], [list(zip(*rows))]  # g^(a+1) as rows and as columns
+    while 2 * len(powers) < dim:
+        powers.append([[sum(map(operator.mul, r, c)) for c in cols[0]] for r in powers[-1]])
+        cols.append(list(zip(*powers[-1])))
+    traces = [sum(row[i] for i, row in enumerate(rows))]
+    for k in range(2, dim + 1):
+        pa, cb = powers[(k + 1) // 2 - 1], cols[k // 2 - 1]
+        traces.append(sum(sum(map(operator.mul, r, c)) for r, c in zip(pa, cb)))
     coeffs = [1]
-    m = [[0] * dim for _ in range(dim)]
     for k in range(1, dim + 1):
-        # m = a @ m + c_{k-1} I
-        cols = list(zip(*m))
-        m = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
-        for i in range(dim):
-            m[i][i] += coeffs[-1]
-        trace = sum(sum(map(operator.mul, row, col)) for row, col in zip(rows, zip(*m)))
-        ck, rem = divmod(-trace, k)
+        ck, rem = divmod(-sum(map(operator.mul, coeffs, reversed(traces[:k]))), k)
         if rem:
             raise AssertionError("characteristic polynomial must be integral")
         coeffs.append(ck)

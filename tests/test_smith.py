@@ -94,6 +94,37 @@ def test_unit_stop_pivot_matches_full_scan(a):
         assert smith_normal_form(a) == fast
 
 
+def _offender_without_unit_skip(m, t):
+    """The first row below t holding an entry the pivot does not divide,
+    every entry read even at a unit pivot."""
+    for i in range(t + 1, len(m)):
+        for j in range(t + 1, len(m[0])):
+            if m[i][j] % m[t][t] != 0:
+                return i
+    return None
+
+
+@given(matrices)
+@settings(max_examples=150, deadline=None)
+def test_unit_pivot_skip_and_leading_v_rows_match_full_form(a):
+    # skipping the divisibility scan at a unit pivot changes no transform,
+    # and carrying only v's leading rows returns exactly those rows
+    u, d, v = smith_normal_form(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smith, "_offender", _offender_without_unit_skip)
+        assert smith_normal_form(a) == (u, d, v)
+    for k in range(len(a[0]) + 1):
+        assert smith_normal_form(a, v_rows=k) == (u, d, v[:k])
+
+
+def test_v_rows_above_the_column_count_is_refused():
+    a = [[2, 4, 4], [-6, 6, 12]]
+    assert smith_normal_form(a, v_rows=3)[2] == smith_normal_form(a)[2]
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match="v_rows"):
+            smith_normal_form(a, v_rows=bad)
+
+
 def test_identity_and_zero():
     assert [r[:] for r in unpack([[1, 0], [0, 1]])[0]] == [[1, 0], [0, 1]]
     d, _, _ = unpack([[0, 0], [0, 0]])

@@ -124,3 +124,17 @@ def test_results_digest_is_deterministic_and_sees_one_changed_result(monkeypatch
     second = results_digest.digests("interp", [1, 2], 4)
     assert second[1] == first[1]
     assert second[2] != first[2] and second["all"] != first["all"]
+
+
+# The results of the first 20 timed operations of seeds 1-2, pinned.  A change
+# that alters a result on purpose updates these and says so in CHANGES.md.
+# roots is left out: its spectral radii come from numpy's LAPACK build.
+PINNED_DIGESTS = {
+    "interp": "dbdb7bad9bc27404d7303ebfab375c8592e1ca54a72d9549c7f01bed9cee63ea",
+    "kernel": "9e6b6c997d02436b4ac59db99fcdf3a68ee54059a52dc4c94f3b7d519a889dfe",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_DIGESTS))
+def test_results_digest_is_pinned(workload):
+    assert results_digest.digests(workload, [1, 2], 20)["all"] == PINNED_DIGESTS[workload]

@@ -287,6 +287,40 @@ def test_cyclotomic_indices_are_the_small_totients():
         assert list(_cyclotomic_indices(deg)) == expected, deg
 
 
+def _faddeev_leverrier(rows):
+    """Reference characteristic polynomial, descending: M_k = A M_{k-1} +
+    c_{k-1} I and c_k = -tr(A M_k) / k, all in integers."""
+    dim = len(rows)
+    coeffs, m = [1], [[0] * dim for _ in range(dim)]
+    for k in range(1, dim + 1):
+        m = [[sum(rows[i][t] * m[t][j] for t in range(dim)) + (coeffs[-1] if i == j else 0)
+              for j in range(dim)] for i in range(dim)]
+        trace = sum(rows[i][t] * m[t][i] for i in range(dim) for t in range(dim))
+        assert trace % k == 0
+        coeffs.append(-trace // k)
+    return coeffs
+
+
+def test_charpoly_from_power_traces_matches_faddeev_leverrier_and_sympy():
+    # Coxeter elements and their powers have large entries, so the exact
+    # divisions in Newton's identities are tested where they matter
+    from sympy import Matrix
+
+    from picweyl.weyl import _charpoly_coeffs
+
+    rng = random.Random(29)
+    for trial in range(90):
+        n = 3 + trial % 9
+        if trial % 3:
+            word = [rng.randrange(n) for _ in range(rng.randrange(0, 61))]
+        else:
+            word = rng.sample(range(n), n) * rng.randrange(1, 6)
+        rows = word_to_isometry(word, n).rows
+        coeffs = _charpoly_coeffs(rows)
+        assert coeffs == _faddeev_leverrier(rows), word
+        assert coeffs == [int(c) for c in Matrix(rows).charpoly().all_coeffs()], word
+
+
 def test_strip_cyclotomic_matches_sympy_factorization():
     # the integer division must find exactly the cyclotomic irreducible
     # factors sympy finds over ZZ, with multiplicity, and leave the rest
