@@ -118,11 +118,9 @@ def test_unit_pivot_skip_and_leading_v_rows_match_full_form(a):
 
 
 def test_v_rows_above_the_column_count_is_refused():
-    a = [[2, 4, 4], [-6, 6, 12]]
-    assert smith_normal_form(a, v_rows=3)[2] == smith_normal_form(a)[2]
     for bad in (4, -1):
         with pytest.raises(ValueError, match="v_rows"):
-            smith_normal_form(a, v_rows=bad)
+            smith_normal_form([[2, 4, 4], [-6, 6, 12]], v_rows=bad)
 
 
 def test_identity_and_zero():
