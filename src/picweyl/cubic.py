@@ -977,7 +977,7 @@ def _enumerated_coordinates(model: CubicCurveModel, images: list[SmoothPoint]):
             for j in range(1, k):
                 coset = [(model.add(s, g), c[:i] + (j,) + c[i + 1 :]) for s, c in coset]
                 members.update((s.point, (s, c)) for s, c in coset)
-    _, d, v = smith_normal_form(relations)
+    _, d, v = smith_normal_form(relations, u_cols=0)
     keep = [j for j in range(n) if d[j][j] != 1]
     moduli = tuple(d[j][j] for j in keep)
     return moduli, [tuple(v[i][j] % d[j][j] for i in range(n)) for j in keep]

@@ -144,28 +144,33 @@ class ResidueSubmodule:
     are the syndrome of x, which is zero exactly on the subgroup.  Since
     A.V = U^-1.D, column i of A.V is column i of U^-1 wherever d_i = 1, and
     these columns span a free direct summand; mod m only the generator rows
-    of V contribute to them.
+    of V contribute to them.  So the free basis needs no U: a submodule
+    asked only for its free basis takes a form that does not carry U.
     """
 
     def __init__(self, module: ResidueModule, generators):
         self.module = module
         self.generators = tuple(tuple(g) for g in generators)
         self._structure = None
+        self._basis = None
 
-    def _compute(self):
-        if self._structure is not None:
-            return self._structure
+    def _smith(self, u_cols=None):
+        """(U, factors, V's generator rows) of A's Smith form, U cut to its
+        leading u_cols columns."""
         m, n = self.module.m, self.module.rank
         cols = [list(g) for g in self.generators]
         cols += [[m if i == j else 0 for i in range(n)] for j in range(n)]
         a = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-        u, d, v = smith_normal_form(a, v_rows=len(self.generators))
-        diag = diagonal_of(d)
-        factors = tuple(diag[i] for i in range(n))
-        checks = tuple(
-            (tuple(c % f for c in row), f) for row, f in zip(u, factors) if f != 1
-        )
-        self._structure = (checks, factors, v)
+        u, d, v = smith_normal_form(a, v_rows=len(self.generators), u_cols=u_cols)
+        return u, tuple(diagonal_of(d)), v
+
+    def _compute(self):
+        if self._structure is None:
+            u, factors, v = self._smith()
+            checks = tuple(
+                (tuple(c % f for c in row), f) for row, f in zip(u, factors) if f != 1
+            )
+            self._structure = (checks, factors, v)
         return self._structure
 
     @property
@@ -178,13 +183,16 @@ class ResidueSubmodule:
 
     def free_basis(self) -> list[tuple[int, ...]]:
         """Vectors generating a free direct summand, one per unit factor: the
-        columns of A.V with d_i = 1, reduced mod m."""
-        _, factors, v = self._compute()
-        return [
-            self.module.reduce(_combo(self.generators, [row[i] for row in v]))
-            for i, f in enumerate(factors)
-            if f == 1
-        ]
+        columns of A.V with d_i = 1, reduced mod m.  Built once, off the full
+        form when it is already known and off a form without U otherwise."""
+        if self._basis is None:
+            _, factors, v = self._structure or self._smith(u_cols=0)
+            self._basis = tuple(
+                self.module.reduce(_combo(self.generators, [row[i] for row in v]))
+                for i, f in enumerate(factors)
+                if f == 1
+            )
+        return list(self._basis)
 
     def syndrome(self, x) -> tuple[int, ...]:
         """(U.x)_i mod d_i over the factors d_i != 1, for an integer vector x."""
@@ -271,12 +279,12 @@ def _base_solution(module, basis, a: int, p: int):
                 return v, w
         raise DomainError(f"no vector of the submodule has q = {a} mod {p}")
     # big search space: restrict to a nondegenerate rank-3 slice, where a
-    # ternary form over F_p takes every nonzero value
-    gram = [[module.bilinear(x, y) % p for y in basis] for x in basis]
+    # ternary form over F_p takes every nonzero value; only the Gram blocks
+    # of the slices tried are formed
     for triple in combinations(range(r), 3):
-        if _gram_det3(gram, *triple) % p == 0:
-            continue
         picked = [basis[i] for i in triple]
+        if _gram_det3([[module.bilinear(x, y) for y in picked] for x in picked]) % p == 0:
+            continue
         for coeffs in product(range(p), repeat=3):
             v = _combo(picked, coeffs)
             if _q_int(v) % p != a % p:
@@ -289,11 +297,10 @@ def _base_solution(module, basis, a: int, p: int):
     )
 
 
-def _gram_det3(gram, i: int, j: int, k: int) -> int:
-    """The determinant of the symmetric Gram block on indices i, j, k, written
-    out so that this layer needs no field arithmetic."""
-    a, b, c = gram[i][i], gram[i][j], gram[i][k]
-    d, e, f = gram[j][j], gram[j][k], gram[k][k]
+def _gram_det3(gram) -> int:
+    """The determinant of a symmetric 3x3 Gram block, written out so that
+    this layer needs no field arithmetic."""
+    (a, b, c), (_, d, e), (_, _, f) = gram
     return a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
 
 
@@ -422,10 +429,13 @@ def _witt_connector(module: ResidueModule, matched, f, g, d):
     matched part, q(w) a unit, b(g, w) = -q(w), and q(d - w) a unit.
 
     Candidates w = sum c_t b_t over the orthogonal basis are scanned by
-    support, then coefficients, and scored on Gram data computed once:
-    q(w) = sum c_t^2 q(b_t) + sum_{s<t} c_s c_t b(b_s, b_t), b(g, w) and
-    b(d, w) are sums of c_t b(., b_t), and q(d - w) = q(d) - b(d, w) + q(w),
-    all mod m.  Only the accepted candidate is built as a vector.
+    support, then coefficients with the last one varying fastest, and scored
+    on Gram data computed once: b(g, w) and b(d, w) are sums of c_t b(., b_t),
+    and q(d - w) = q(d) - b(d, w) + q(w), all mod m.  Per choice of the
+    leading coefficients, their vector w' is scored once, with its pairing
+    b(w', b) against the last basis vector b; each last coefficient c then
+    adds c b(., b) to the sums and makes q(w) = q(w') + c b(w', b) + c^2 q(b).
+    Only the accepted candidate is built as a vector.
     """
     m = module.m
     basis = _orthogonal_basis(module, matched)
@@ -437,26 +447,26 @@ def _witt_connector(module: ResidueModule, matched, f, g, d):
     trials = 0
     for support in range(1, len(basis) + 1):
         for idxs in combinations(range(len(basis)), support):
-            diag = [(qb[t], gb[t], db[t]) for t in idxs]
-            cross = [(s, t, bb[idxs[s]][idxs[t]]) for s, t in combinations(range(support), 2)]
-            for coeffs in product(range(1, m), repeat=support):
-                trials += 1
-                if trials > _WITT_TRIALS:
-                    raise BudgetError(
-                        "no Witt connector found within the search budget"
-                    )
-                qw = bg = bd = 0
-                for c, (q, bgt, bdt) in zip(coeffs, diag):
-                    qw += c * c * q
-                    bg += c * bgt
-                    bd += c * bdt
-                for s, t, bst in cross:
-                    qw += coeffs[s] * coeffs[t] * bst
-                if math.gcd(qw, m) != 1 or (bg + qw) % m:
-                    continue
-                if math.gcd(qd - bd + qw, m) != 1:
-                    continue
-                return module.reduce(_combo([basis[t] for t in idxs], coeffs))
+            *head, last = idxs
+            ql, gl, dl, bl = qb[last], gb[last], db[last], bb[last]
+            for lead in product(range(1, m), repeat=support - 1):
+                qw = bg = bd = bw = 0
+                for k, (c, s) in enumerate(zip(lead, head)):
+                    qw += c * (c * qb[s] + sum(e * bb[r][s] for e, r in zip(lead[:k], head)))
+                    bg += c * gb[s]
+                    bd += c * db[s]
+                    bw += c * bl[s]
+                for c in range(1, m):
+                    trials += 1
+                    if trials > _WITT_TRIALS:
+                        raise BudgetError(
+                            "no Witt connector found within the search budget"
+                        )
+                    qc = qw + c * (bw + c * ql)
+                    if (bg + c * gl + qc) % m or math.gcd(qc, m) != 1:
+                        continue
+                    if math.gcd(qd - bd - c * dl + qc, m) == 1:
+                        return module.reduce(_combo([basis[t] for t in idxs], lead + (c,)))
     raise BudgetError("no Witt connector found in the orthogonal complement")
 
 

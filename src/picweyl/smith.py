@@ -4,6 +4,9 @@ the exact integer routines beside it: primality and factoring.
 Plain Python ints throughout, so nothing overflows.  The algorithm is the
 classical one: drag a small pivot to the corner, clear its row and column by
 euclidean steps, patch up the divisibility chain, recurse on the rest.
+A caller carries only the part of U and V it reads: integer kernels and the
+torsion relation form read V alone, a residue submodule's membership form
+reads all of U and V's generator rows, and its free basis alone needs no U.
 """
 
 from __future__ import annotations
@@ -14,21 +17,23 @@ from .lattice import mat_mul
 
 
 def smith_normal_form(
-    a: list[list[int]], v_rows: int | None = None,
+    a: list[list[int]], v_rows: int | None = None, u_cols: int | None = None,
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Return (u, d, v) with u @ a @ v == d, u and v unimodular.
 
     d is diagonal (rectangular allowed) with nonnegative entries satisfying
     d[0] | d[1] | ... Input is not modified.  Given v_rows, only v's leading
     v_rows rows are carried: column operations change each row on its own.
+    Likewise, given u_cols, only u's leading u_cols columns are carried.
     """
     m = [row[:] for row in a]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    if v_rows is not None and not 0 <= v_rows <= ncols:
-        raise ValueError(f"v_rows={v_rows} outside 0..{ncols}")
-    u = _identity(nrows)
-    v = _identity(ncols)[:v_rows]
+    for name, k, top in (("v_rows", v_rows, ncols), ("u_cols", u_cols, nrows)):
+        if k is not None and not 0 <= k <= top:
+            raise ValueError(f"{name}={k} outside 0..{top}")
+    u = _identity(nrows, nrows if u_cols is None else u_cols)
+    v = _identity(ncols if v_rows is None else v_rows, ncols)
 
     t = 0
     while t < min(nrows, ncols):
@@ -37,30 +42,48 @@ def smith_normal_form(
             break
         while True:
             pi, pj = pivot
-            _swap_rows(m, u, t, pi)
-            _swap_cols(m, v, t, pj)
+            m[t], m[pi], u[t], u[pi] = m[pi], m[t], u[pi], u[t]
+            if pj != t:
+                for row in m[t:] + v:
+                    row[t], row[pj] = row[pj], row[t]
 
             # One sweep of balanced reduction.  Rounded quotients leave
             # remainders of at most half the pivot, and re-picking the pivot
             # after every sweep halves it each round, so the entries never
             # build on each other.  (Floor quotients with in-place swaps look
             # similar but let far columns feed back into the pivot column and
-            # blow up without bound.)
+            # blow up without bound.)  Row t is fixed while the rows below
+            # it are reduced, and column t while the columns right of it
+            # are, so each operation touches only the nonzero entries of the
+            # fixed line.
+            rt, ut, p = m[t], u[t], m[t][t]
+            ap = abs(p)
             changed = False
+            rcols = [j for j in range(t, ncols) if rt[j]]
+            ucols = [j for j, x in enumerate(ut) if x]
             for i in range(t + 1, nrows):
-                if m[i][t] != 0:
-                    q = _rounded_quot(m[i][t], m[t][t])
+                ri = m[i]
+                if ri[t]:
+                    q, r = divmod(ri[t], p)
+                    if 2 * abs(r) > ap:
+                        q += 1
                     if q:
-                        _add_row(m, u, i, t, -q)
-                    if m[i][t] != 0:
-                        changed = True
+                        for j in rcols:
+                            ri[j] -= q * rt[j]
+                        ui = u[i]
+                        for j in ucols:
+                            ui[j] -= q * ut[j]
+                    changed = changed or ri[t] != 0
+            live = [row for row in m[t:] + v if row[t]]
             for j in range(t + 1, ncols):
-                if m[t][j] != 0:
-                    q = _rounded_quot(m[t][j], m[t][t])
+                if rt[j]:
+                    q, r = divmod(rt[j], p)
+                    if 2 * abs(r) > ap:
+                        q += 1
                     if q:
-                        _add_col(m, v, j, t, -q)
-                    if m[t][j] != 0:
-                        changed = True
+                        for row in live:
+                            row[j] -= q * row[t]
+                    changed = changed or rt[j] != 0
             if changed:
                 pivot = _find_pivot(m, t)
                 continue
@@ -68,16 +91,20 @@ def smith_normal_form(
             # pivot must divide every remaining entry; if not, fold the
             # offending row into row t, which plants a smaller remainder for
             # the next sweep to pick up
-            if (offender := _offender(m, t)) is None:
+            if (k := _offender(m, t)) is None:
                 break
-            _add_row(m, u, t, offender, 1)
+            m[t] = [x + y for x, y in zip(m[t], m[k])]
+            u[t] = [x + y for x, y in zip(u[t], u[k])]
             pivot = (t, t)
 
         if m[t][t] < 0:
-            _scale_row(m, u, t, -1)
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
 
-    d = [[m[i][j] if i == j else 0 for j in range(ncols)] for i in range(nrows)]
+    d = [[0] * ncols for _ in range(nrows)]
+    for i in range(min(nrows, ncols)):
+        d[i][i] = m[i][i]
     return u, d, v
 
 
@@ -87,7 +114,7 @@ def diagonal_of(d: list[list[int]]) -> list[int]:
 
 def integer_kernel(a: list[list[int]]) -> list[tuple[int, ...]]:
     """Basis of {x : a @ x == 0} over Z.  The basis is saturated (primitive)."""
-    u, d, v = smith_normal_form(a)
+    _, d, v = smith_normal_form(a, u_cols=0)
     diag = diagonal_of(d)
     rank = sum(1 for x in diag if x != 0)
     ncols = len(v)
@@ -256,19 +283,15 @@ def _pollard_rho(n: int) -> int:
     raise AssertionError(f"{n} is prime")
 
 
-# -- elementary operations, mirrored into the transform matrices -------------
+# -- helpers of smith_normal_form --------------------------------------------
 
 
-def _identity(k: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def _rounded_quot(a: int, b: int) -> int:
-    """Quotient rounded to nearest, so |a - q*b| <= |b| / 2."""
-    q, r = divmod(a, b)
-    if 2 * abs(r) > abs(b):
-        q += 1
-    return q
+def _identity(rows: int, cols: int) -> list[list[int]]:
+    """The leading rows x cols block of an identity matrix."""
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(min(rows, cols)):
+        out[i][i] = 1
+    return out
 
 
 def _find_pivot(m, t):
@@ -297,38 +320,3 @@ def _offender(m, t):
     if p in (1, -1):
         return None
     return next((i for i in range(t + 1, len(m)) if any(x % p for x in m[i][t + 1:])), None)
-
-
-def _swap_rows(m, u, i, k):
-    if i != k:
-        m[i], m[k] = m[k], m[i]
-        u[i], u[k] = u[k], u[i]
-
-
-def _swap_cols(m, v, j, k):
-    if j != k:
-        for row in m:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-
-def _add_row(m, u, i, k, c):
-    """row_i += c * row_k"""
-    m[i] = [x + c * y for x, y in zip(m[i], m[k])]
-    u[i] = [x + c * y for x, y in zip(u[i], u[k])]
-
-
-def _add_col(m, v, j, k, c):
-    """col_j += c * col_k"""
-    for row in m:
-        if row[k]:
-            row[j] += c * row[k]
-    for row in v:
-        if row[k]:
-            row[j] += c * row[k]
-
-
-def _scale_row(m, u, i, c):
-    m[i] = [c * x for x in m[i]]
-    u[i] = [c * x for x in u[i]]

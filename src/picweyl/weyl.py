@@ -158,7 +158,8 @@ def classify_isometry(g: LatticeIsometry) -> IsometryClass:
     roots of unity as eigenvalues, so its order is exactly N, and the single
     test g^N == 1 separates Elliptic (of order N) from Parabolic.
     """
-    coeffs = _charpoly_coeffs(g.rows)
+    powers = _half_powers(g.rows)
+    coeffs = _charpoly_coeffs(g.rows, powers)
     cyclo_indices, remainder = _strip_cyclotomic(coeffs)
 
     if len(remainder) > 1:  # non-cyclotomic content: off-circle eigenvalue
@@ -168,7 +169,7 @@ def classify_isometry(g: LatticeIsometry) -> IsometryClass:
         return IsometryClass(kind="Hyperbolic", spectral_radius=rho)
 
     order = math.lcm(*cyclo_indices)
-    if _mat_pow_equals_identity(g.rows, order):
+    if _mat_power(powers, order) == mat_identity(g.dim):
         return IsometryClass(
             kind="Elliptic", witness=_elliptic_witness(g, order), order=order
         )
@@ -227,19 +228,25 @@ def _elliptic_witness(g: LatticeIsometry, order: int) -> LatticeVector:
     return LatticeVector((0,) * (n + 1))
 
 
-def _charpoly_coeffs(rows) -> list[int]:
+def _half_powers(rows) -> list:
+    """g, g^2, ..., g^ceil(dim/2), the powers the power traces read."""
+    powers, cols = [rows], list(zip(*rows))
+    while 2 * len(powers) < len(rows):
+        powers.append([[sum(map(operator.mul, r, c)) for c in cols] for r in powers[-1]])
+    return powers
+
+
+def _charpoly_coeffs(rows, powers=None) -> list[int]:
     """Monic characteristic polynomial, integer coefficients, descending.
 
     Newton's identities on the power traces p_k = tr(g^k):
     k c_k = -(c_{k-1} p_1 + ... + c_0 p_k), every division exact.  p_k is
     the sum over i of row i of g^a times column i of g^b for any a + b = k,
-    so only the powers up to g^ceil(dim/2) are formed.
+    so only the powers up to g^ceil(dim/2) are formed, unless given.
     """
     dim = len(rows)
-    powers, cols = [rows], [list(zip(*rows))]  # g^(a+1) as rows and as columns
-    while 2 * len(powers) < dim:
-        powers.append([[sum(map(operator.mul, r, c)) for c in cols[0]] for r in powers[-1]])
-        cols.append(list(zip(*powers[-1])))
+    powers = powers or _half_powers(rows)
+    cols = [list(zip(*p)) for p in powers]
     traces = [sum(row[i] for i, row in enumerate(rows))]
     for k in range(2, dim + 1):
         pa, cb = powers[(k + 1) // 2 - 1], cols[k // 2 - 1]
@@ -314,17 +321,18 @@ def _max_root_modulus(coeffs: list[int]) -> float:
     return float(max(abs(r) for r in roots))
 
 
-def _mat_pow_equals_identity(rows, e: int) -> bool:
-    dim = len(rows)
-    result = mat_identity(dim)
-    base = rows
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        e >>= 1
-        if e:
+def _mat_power(powers, e: int) -> tuple[tuple[int, ...], ...]:
+    """g^e for e >= 1, given g, g^2, ..., g^k: (g^k)^(e // k) by repeated
+    squaring of g^k, times g^(e % k)."""
+    q, r = divmod(e, len(powers))
+    result, base = (powers[r - 1] if r else None), powers[-1]
+    while q:
+        if q & 1:
+            result = base if result is None else mat_mul(result, base)
+        q >>= 1
+        if q:
             base = mat_mul(base, base)
-    return result == mat_identity(dim)
+    return tuple(map(tuple, result))
 
 
 # ---------------------------------------------------------------------------

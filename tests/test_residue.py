@@ -394,6 +394,39 @@ def _connector_outcome(connector, args):
         return str(err)
 
 
+def _power_of_two_cases(seed):
+    """Random connector inputs mod 2, 4, 8 and 16, where q(d) often fails
+    to be a unit."""
+    rng = random.Random(seed)
+    for m in (2, 4, 8, 16):
+        M = ResidueModule(m)
+        for _ in range(6):
+            matched = [M.reduce([rng.randrange(m) for _ in range(10)])
+                       for _ in range(rng.randrange(3))]
+            f, g = (M.reduce([rng.randrange(m) for _ in range(10)]) for _ in range(2))
+            yield M, matched, f, g, M.sub(f, g)
+
+
+def _accepting_trial(case, cap):
+    """The trial at which the scan of vectors accepts a candidate, when that
+    is within cap trials; None otherwise."""
+    saved = residue._WITT_TRIALS
+    try:
+        lo, hi = 1, cap
+        residue._WITT_TRIALS = cap
+        if not isinstance(_connector_outcome(_vector_by_vector_connector, case), tuple):
+            return None
+        while lo < hi:  # the least budget under which the scan accepts
+            residue._WITT_TRIALS = (lo + hi) // 2
+            if isinstance(_connector_outcome(_vector_by_vector_connector, case), tuple):
+                hi = residue._WITT_TRIALS
+            else:
+                lo = residue._WITT_TRIALS + 1
+        return lo
+    finally:
+        residue._WITT_TRIALS = saved
+
+
 class TestWittConnector:
     def test_gram_scores_match_building_every_vector(self):
         rng = random.Random("witt-connector")
@@ -413,6 +446,31 @@ class TestWittConnector:
         assert outcomes == [_connector_outcome(_vector_by_vector_connector, c) for c in cases]
         assert any(isinstance(o, tuple) for o in outcomes)
         assert "no Witt connector found in the orthogonal complement" in outcomes
+
+    @pytest.mark.parametrize("cap", [1, 7, 60, 500])
+    def test_trial_cap_ends_both_scans_at_the_same_trial(self, monkeypatch, cap):
+        monkeypatch.setattr(residue, "_WITT_TRIALS", cap)
+        outcomes = []
+        for case in _power_of_two_cases(f"witt-cap-{cap}"):
+            expected = _connector_outcome(_vector_by_vector_connector, case)
+            assert _connector_outcome(residue._witt_connector, case) == expected
+            outcomes.append(expected)
+        assert "no Witt connector found within the search budget" in outcomes
+        assert any(isinstance(o, tuple) for o in outcomes)
+
+    def test_cap_just_below_the_accepting_trial_raises_in_both_scans(self, monkeypatch):
+        late = 0
+        for case in _power_of_two_cases("witt-boundary"):
+            hit = _accepting_trial(case, 500)
+            if hit is None:
+                continue
+            late += hit > 15  # past the first support-1 block mod 16
+            for cap in (hit - 1, hit):
+                monkeypatch.setattr(residue, "_WITT_TRIALS", cap)
+                expected = _connector_outcome(_vector_by_vector_connector, case)
+                assert isinstance(expected, tuple) == (cap == hit)
+                assert _connector_outcome(residue._witt_connector, case) == expected
+        assert late
 
     def test_theory_targets_connectors_match_building_every_vector(self, monkeypatch):
         # the connector calls of real targets, the trial cap mod 16 among them

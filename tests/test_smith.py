@@ -117,6 +117,136 @@ def test_unit_pivot_skip_and_leading_v_rows_match_full_form(a):
         assert smith_normal_form(a, v_rows=k) == (u, d, v[:k])
 
 
+def _reference_smith_normal_form(a, v_rows=None):
+    """The kernel as it stood before its sweeps were made sparse: every
+    elementary operation runs through a helper over whole rows and columns,
+    and U is always carried in full.  Differential oracle for the kernel."""
+    m = [row[:] for row in a]
+    nrows, ncols = len(m), len(m[0])
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)][:v_rows]
+
+    def rounded_quot(x, y):
+        q, r = divmod(x, y)
+        return q + 1 if 2 * abs(r) > abs(y) else q
+
+    def swap_rows(i, k):
+        if i != k:
+            m[i], m[k] = m[k], m[i]
+            u[i], u[k] = u[k], u[i]
+
+    def swap_cols(j, k):
+        if j != k:
+            for row in m + v:
+                row[j], row[k] = row[k], row[j]
+
+    def add_row(i, k, c):
+        m[i] = [x + c * y for x, y in zip(m[i], m[k])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[k])]
+
+    def add_col(j, k, c):
+        for row in m + v:
+            if row[k]:
+                row[j] += c * row[k]
+
+    t = 0
+    while t < min(nrows, ncols):
+        pivot = _full_scan_pivot(m, t)
+        if pivot is None:
+            break
+        while True:
+            swap_rows(t, pivot[0])
+            swap_cols(t, pivot[1])
+            changed = False
+            for i in range(t + 1, nrows):
+                if m[i][t] != 0:
+                    q = rounded_quot(m[i][t], m[t][t])
+                    if q:
+                        add_row(i, t, -q)
+                    if m[i][t] != 0:
+                        changed = True
+            for j in range(t + 1, ncols):
+                if m[t][j] != 0:
+                    q = rounded_quot(m[t][j], m[t][t])
+                    if q:
+                        add_col(j, t, -q)
+                    if m[t][j] != 0:
+                        changed = True
+            if changed:
+                pivot = _full_scan_pivot(m, t)
+                continue
+            offender = _offender_without_unit_skip(m, t)
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+            pivot = (t, t)
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    d = [[m[i][j] if i == j else 0 for j in range(ncols)] for i in range(nrows)]
+    return u, d, v
+
+
+def _assert_matches_reference(a, pairs):
+    """Each (v_rows, u_cols) form equals the reference form cut to the rows
+    of v and the columns of u that it carries."""
+    u, d, v = _reference_smith_normal_form(a)
+    for v_rows, u_cols in pairs:
+        cut_u = [row[:u_cols] for row in u]
+        assert smith_normal_form(a, v_rows=v_rows, u_cols=u_cols) == (cut_u, d, v[:v_rows])
+
+
+wide_matrices = st.integers(1, 12).flatmap(
+    lambda r: st.integers(1, 20).flatmap(
+        lambda c: st.tuples(
+            st.lists(
+                st.lists(st.integers(-40, 40) | st.integers(-10**6, 10**6), min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            ),
+            st.none() | st.integers(0, c),
+            st.none() | st.integers(0, r),
+        )
+    )
+)
+
+
+@given(wide_matrices)
+@settings(max_examples=200, deadline=None)
+def test_transforms_match_reference_kernel(case):
+    a, v_rows, u_cols = case
+    _assert_matches_reference(a, [(v_rows, u_cols)])
+
+
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=3, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_every_carried_part_matches_reference_kernel(a):
+    _assert_matches_reference(a, [(k, c) for k in [None, *range(5)] for c in [None, *range(4)]])
+
+
+ROOTS_MODULI = (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 25, 27, 30)
+
+
+@pytest.mark.parametrize("m", ROOTS_MODULI)
+def test_membership_matrices_match_reference_kernel(m):
+    # [G | m.I] for eight random generators mod m, the residue searches' form,
+    # with every number of v rows and u columns carried
+    rng = random.Random(f"membership-{m}")
+    for _ in range(2):
+        gens = [[rng.randrange(m) for _ in range(10)] for _ in range(8)]
+        a = [[g[i] for g in gens] + [m * (i == j) for j in range(10)] for i in range(10)]
+        _assert_matches_reference(
+            a, [(k, c) for k in [None, *range(19)] for c in [None, *range(11)]]
+        )
+
+
+def test_u_cols_outside_the_row_count_is_refused():
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match="u_cols"):
+            smith_normal_form([[2, 4, 4], [-6, 6, 12]], u_cols=bad)
+
+
 def test_v_rows_above_the_column_count_is_refused():
     for bad in (4, -1):
         with pytest.raises(ValueError, match="v_rows"):

@@ -138,3 +138,14 @@ PINNED_DIGESTS = {
 @pytest.mark.parametrize("workload", sorted(PINNED_DIGESTS))
 def test_results_digest_is_pinned(workload):
     assert results_digest.digests(workload, [1, 2], 20)["all"] == PINNED_DIGESTS[workload]
+
+
+def test_results_digest_expect_exits_1_on_a_mismatch_only(capsys):
+    pinned = PINNED_DIGESTS["interp"]
+    argv = ["--workload", "interp", "--seeds", "1-2", "--ops", "20", "--expect"]
+    assert results_digest.main(argv + [pinned]) == 0
+    assert f"interp all: {pinned}" in capsys.readouterr().out
+    assert results_digest.main(argv + ["0" * 64]) == 1
+    captured = capsys.readouterr()
+    assert f"interp all: {pinned}" in captured.out
+    assert "expected all: " + "0" * 64 in captured.err

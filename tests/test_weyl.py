@@ -321,6 +321,32 @@ def test_charpoly_from_power_traces_matches_faddeev_leverrier_and_sympy():
         assert coeffs == [int(c) for c in Matrix(rows).charpoly().all_coeffs()], word
 
 
+def test_matrix_power_from_half_powers_matches_repeated_multiplication():
+    # g^e read off g, ..., g^ceil(dim/2) equals e - 1 plain products, for
+    # elliptic words of finite groups (where some g^e is the identity) and
+    # for random and Coxeter words of the infinite ones
+    from picweyl.lattice import mat_identity, mat_mul
+    from picweyl.weyl import _half_powers, _mat_power
+
+    rng = random.Random(30)
+    hits = 0
+    for trial in range(24):
+        n = 3 + trial % 9
+        if trial % 3:
+            word = [rng.randrange(n) for _ in range(rng.randrange(0, 41))]
+        else:
+            word = rng.sample(range(n), n)
+        rows = word_to_isometry(word, n).rows
+        powers = _half_powers(rows)
+        assert len(powers) == (len(rows) + 1) // 2
+        acc = rows
+        for e in range(1, 61):
+            assert _mat_power(powers, e) == tuple(map(tuple, acc)), (word, e)
+            hits += acc == mat_identity(n + 1)
+            acc = mat_mul(acc, rows)
+    assert hits
+
+
 def test_strip_cyclotomic_matches_sympy_factorization():
     # the integer division must find exactly the cyclotomic irreducible
     # factors sympy finds over ZZ, with multiplicity, and leave the rest

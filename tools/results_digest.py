@@ -1,7 +1,7 @@
 """Digest the results of a benchmark workload's operations.
 
     python3 tools/results_digest.py --workload interp|kernel|roots \
-        [--seeds 1-5] [--ops N]
+        [--seeds 1-5] [--ops N] [--expect SHA]
 
 Run from anywhere inside a checkout; the checkout's own src/ is imported.
 Per seed, the first N operations of perfbench's timed loop are drawn as
@@ -10,7 +10,8 @@ input, the shared stream for a workload's SHARED_KINDS) and run one by
 one, untimed.  The sha256 of the repr of each result (or of the exception
 an operation raised) is fed into one digest per seed and one over all
 seeds, which are printed, so two checkouts whose results agree print the
-same lines.  perfbench is read, never changed.
+same lines.  Given --expect, the exit code is 1 when the digest over all
+seeds differs from SHA.  perfbench is read, never changed.
 """
 
 from __future__ import annotations
@@ -84,10 +85,15 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seeds", type=_seeds, default=_seeds("1-5"), help="a seed or a range a-b")
     ap.add_argument("--ops", type=int, default=200, help="operations per seed")
+    ap.add_argument("--expect", metavar="SHA", help="the digest over all seeds to require")
     args = ap.parse_args(argv)
-    for key, hexdigest in digests(args.workload, args.seeds, args.ops).items():
+    found = digests(args.workload, args.seeds, args.ops)
+    for key, hexdigest in found.items():
         label = "all" if key == "all" else f"seed {key}"
         print(f"{args.workload} {label}: {hexdigest}")
+    if args.expect is not None and found["all"] != args.expect:
+        print(f"{args.workload}: expected all: {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 
