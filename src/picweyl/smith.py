@@ -91,10 +91,10 @@ def smith_normal_form(
             # pivot must divide every remaining entry; if not, fold the
             # offending row into row t, which plants a smaller remainder for
             # the next sweep to pick up
-            if (k := _offender(m, t)) is None:
+            if (offender := _offender(m, t)) is None:
                 break
-            m[t] = [x + y for x, y in zip(m[t], m[k])]
-            u[t] = [x + y for x, y in zip(u[t], u[k])]
+            m[t] = [x + y for x, y in zip(m[t], m[offender])]
+            u[t] = [x + y for x, y in zip(u[t], u[offender])]
             pivot = (t, t)
 
         if m[t][t] < 0:
