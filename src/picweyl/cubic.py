@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 from . import polys
 from .errors import (
@@ -86,13 +87,30 @@ _CATALOG_BOUND = 4
 class SmoothPoint:
     """A point on the smooth locus, with its parameter when the curve is
     singular (parameters live in K for cusps, K^* for split nodes).  The
-    parameter is kept as a raw, t; `param` boxes it."""
+    parameter is kept as a raw, t; `param` boxes it.  On a smooth cubic
+    with a Weierstrass frame the point is its affine Weierstrass
+    coordinates w, raws, or None at the origin; the plane point is mapped
+    back through the frame only when `point` is read."""
 
-    __slots__ = ("point", "t")
+    __slots__ = ("_point", "t", "w", "frame")
 
-    def __init__(self, point: ProjectivePoint, t=None):
-        self.point = point
+    def __init__(self, point: ProjectivePoint | None, t=None, w=None, frame=None):
+        self._point = point
         self.t = t
+        self.w = w
+        self.frame = frame
+
+    @property
+    def point(self) -> ProjectivePoint:
+        if self._point is None:
+            self._point = self.frame.plane(self.w)
+        return self._point
+
+    @property
+    def key(self):
+        """The point's own coordinates: w on a framed model, else the plane
+        point."""
+        return self.point if self.frame is None else self.w
 
     @property
     def param(self) -> FieldElement | None:
@@ -100,6 +118,8 @@ class SmoothPoint:
 
     def __eq__(self, other):
         if isinstance(other, SmoothPoint):
+            if self.frame is not None and self.frame is other.frame:
+                return self.w == other.w
             return self.point == other.point
         if isinstance(other, ProjectivePoint):
             return self.point == other
@@ -110,6 +130,102 @@ class SmoothPoint:
 
     def __repr__(self):
         return f"SmoothPoint({self.point})"
+
+
+class WeierstrassFrame:
+    """The frame of a smooth cubic f whose origin O is an inflection.
+
+    to_plane, a 3x3 matrix of raws, sends (0:1:0) to O and z = 0 to the
+    tangent at O, and f(to_plane (x, y, z)) is a nonzero multiple of
+    y^2 z + a1 xyz + a3 yz^2 - x^3 - a2 x^2 z - a4 xz^2 - a6 z^3, in every
+    characteristic; from_plane is its inverse.  In a frame whose first column
+    lies on the tangent and whose second is O, f reads alpha x^3 + z q(x, y, z)
+    since the tangent meets the curve only at O, and q has the term beta y^2,
+    beta != 0, since O is smooth.  Scaling x by -alpha beta and y by
+    alpha^2 beta makes the x^3 and y^2 z coefficients -c and c, c = alpha^4
+    beta^3.  Points are their affine coordinates w = (x, y), raws, with None
+    for the point at infinity, the origin; the group law is the long
+    Weierstrass chord-tangent law, one field inversion per operation."""
+
+    def __init__(self, f: Poly3, origin: ProjectivePoint):
+        field = self.field = f.field
+        zero, one, mul, inv, pw = field._zero, field._one, field._mul, field._inv, field._pow
+        o = self.origin = origin
+        tangent = [f.partial(i).evaluate_raw(o.raw) for i in range(3)]
+        if f.evaluate_raw(o.raw) != zero or all(t == zero for t in tangent):
+            raise DomainError("the origin must be a smooth point of the curve")
+        units = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+        off = next(e for e, t in zip(units, tangent) if t != zero)
+        on = _second_point_on_line(field, tangent, o.raw)
+        g = f.compose_linear(mat3_from_columns([on, o.raw, off])).terms
+        if any(k[2] == 0 and k != (3, 0, 0) for k in g):
+            raise DomainError("the origin is not an inflection of the curve")
+        if (3, 0, 0) not in g:
+            raise ReducibleCurveError("the inflectional tangent lies on the cubic")
+        alpha, beta = g[3, 0, 0], g[0, 2, 1]
+        lam, mu = field._sub(zero, mul(alpha, beta)), mul(mul(alpha, alpha), beta)
+        scale = inv(mul(pw(alpha, 4), pw(beta, 3)))
+
+        def coefficient(key, sign):
+            a, b, _ = key
+            v = mul(mul(g.get(key, zero), mul(pw(lam, a), pw(mu, b))), scale)
+            return v if sign > 0 else field._sub(zero, v)
+
+        self.a1, self.a3 = coefficient((1, 1, 1), 1), coefficient((0, 1, 2), 1)
+        self.a2, self.a4, self.a6 = (coefficient(k, -1) for k in ((2, 0, 1), (1, 0, 2), (0, 0, 3)))
+        cols = [[mul(lam, x) for x in on], [mul(mu, x) for x in o.raw], off]
+        self.to_plane = mat3_from_columns(cols)
+        self.from_plane = mat3_inverse(self.to_plane, field)
+        self._three, self._two_a2 = field._from_int(3), field._add(self.a2, self.a2)
+
+    def lift(self, xs):
+        """w for the curve point with raw plane coordinates xs."""
+        field = self.field
+        x, y, z = mat3_apply(self.from_plane, xs, field)
+        if z == field._zero:  # the curve meets z = 0 only at the origin
+            return None
+        zi = field._inv(z)
+        return field._mul(x, zi), field._mul(y, zi)
+
+    def plane(self, w) -> ProjectivePoint:
+        if w is None:
+            return self.origin
+        xs = (*w, self.field._one)
+        return ProjectivePoint.from_raw(self.field, mat3_apply(self.to_plane, xs, self.field))
+
+    def coordinates(self, p: SmoothPoint):
+        """w for a smooth point, read off when it is already in this frame."""
+        return p.w if p.frame is self else self.lift(p.point.raw)
+
+    def negate(self, w):
+        if w is None:
+            return None
+        field = self.field
+        x, y = w
+        sub = field._sub
+        return x, sub(sub(field._zero, y), field._add(field._mul(self.a1, x), self.a3))
+
+    def add(self, p, q):
+        if p is None:
+            return q
+        if q is None:
+            return p
+        field = self.field
+        add, sub, mul = field._add, field._sub, field._mul
+        a1, a3 = self.a1, self.a3
+        (x1, y1), (x2, y2) = p, q
+        if x1 == x2:
+            # q is p or -p; den = y1 + y2 + a1 x + a3 vanishes iff q = -p,
+            # and is the tangent's denominator 2 y + a1 x + a3 when q = p
+            den = add(add(y1, y2), add(mul(a1, x1), a3))
+            if den == field._zero:
+                return None
+            num = sub(add(mul(add(mul(self._three, x1), self._two_a2), x1), self.a4), mul(a1, y1))
+        else:
+            num, den = sub(y2, y1), sub(x2, x1)
+        lam = mul(num, field._inv(den))
+        x3 = sub(sub(sub(mul(add(lam, a1), lam), self.a2), x1), x2)
+        return x3, sub(sub(mul(lam, sub(x1, x3)), y1), add(mul(a1, x3), a3))
 
 
 class CubicCurveModel:
@@ -162,16 +278,21 @@ class CubicCurveModel:
 
     def smooth_point(self, p) -> SmoothPoint:
         if isinstance(p, SmoothPoint):
-            return p
+            if p.frame is self.weierstrass:
+                return p
+            p = p.point
         zero = self.field._zero
         value, *grad = self._jet(p.raw)
         if value != zero:
             raise DomainError(f"{p} is not on the curve")
         if all(g == zero for g in grad):
             raise DomainError(f"{p} is a singular point of the curve")
-        if self.kind == "smooth":
+        if self.kind != "smooth":
+            return SmoothPoint(p, self._parameter(p.raw))
+        frame = self.weierstrass
+        if frame is None:
             return SmoothPoint(p)
-        return SmoothPoint(p, self._parameter(p.raw))
+        return SmoothPoint(p, w=frame.lift(p.raw), frame=frame)
 
     # -- parameters on singular curves ----------------------------------------
 
@@ -261,9 +382,25 @@ class CubicCurveModel:
 
     # -- group law ---------------------------------------------------------------
 
+    @cached_property
+    def weierstrass(self) -> WeierstrassFrame | None:
+        """The Weierstrass frame of a smooth cubic whose origin is an
+        inflection, built on first use; None for the other models."""
+        if self.kind != "smooth" or self.relaxed_origin:
+            return None
+        return WeierstrassFrame(self.poly, self.origin)
+
+    @cached_property
+    def line_class(self) -> SmoothPoint:
+        """The restriction of the line class: the third intersection of the
+        tangent at the origin, so zero when the origin is an inflection."""
+        if not self.relaxed_origin:
+            return self.zero()
+        return self.smooth_point(self.third_intersection(self.origin, self.origin))
+
     def zero(self) -> SmoothPoint:
         if self.kind == "smooth":
-            return SmoothPoint(self.origin)
+            return SmoothPoint(self.origin, frame=self.weierstrass)
         field = self.field
         return SmoothPoint(self.origin, field._zero if self.kind == "cuspidal" else field._one)
 
@@ -273,6 +410,10 @@ class CubicCurveModel:
             return self._point_at(field._add(a.t, b.t))
         if self.kind == "nodal":
             return self._point_at(field._mul(a.t, b.t))
+        frame = self.weierstrass
+        if frame is not None:
+            w = frame.add(frame.coordinates(a), frame.coordinates(b))
+            return SmoothPoint(None, w=w, frame=frame)
         chord = normalized(field, self._third(a.point.raw, b.point.raw))
         return SmoothPoint(ProjectivePoint.from_raw(field, self._third(self.origin.raw, chord)))
 
@@ -282,8 +423,10 @@ class CubicCurveModel:
             return self._point_at(field._sub(field._zero, a.t))
         if self.kind == "nodal":
             return self._point_at(field._inv(a.t))
-        oo = self.third_intersection(self.origin, self.origin)
-        return SmoothPoint(self.third_intersection(oo, a.point))
+        frame = self.weierstrass
+        if frame is not None:
+            return SmoothPoint(None, w=frame.negate(frame.coordinates(a)), frame=frame)
+        return SmoothPoint(self.third_intersection(self.line_class.point, a.point))
 
     def scalar(self, n: int, a: SmoothPoint) -> SmoothPoint:
         """n * a by double-and-add from the top bit down."""
@@ -299,8 +442,9 @@ class CubicCurveModel:
         return acc
 
     def chord_add(self, a: SmoothPoint, b: SmoothPoint) -> SmoothPoint:
-        """Group law evaluated geometrically, bypassing parameters; used to
-        cross-check the parametric law on singular curves."""
+        """Group law evaluated geometrically, bypassing parameters and
+        Weierstrass coordinates; used to cross-check the parametric laws on
+        singular curves and the Weierstrass law on smooth ones."""
         chord = self.third_intersection(a.point, b.point)
         pt = self.third_intersection(self.origin, chord)
         return self.smooth_point(pt)
@@ -810,8 +954,7 @@ class RestrictionLayer:
     def __init__(self, model: CubicCurveModel, points: tuple):
         self.group = model.group
         self.n = n = len(points)
-        line = model.smooth_point(model.third_intersection(model.origin, model.origin))
-        basis = [line] + [model.smooth_point(p) for p in points]
+        basis = [model.line_class] + [model.smooth_point(p) for p in points]
         roots = [a.coords for a in simple_roots(n)]
         self.moduli, self.columns = _coordinates(model, basis, roots)
         li = root_basis_left_inverse(n)
@@ -863,9 +1006,9 @@ class RestrictionImage:
 
 def _group_sum(model: CubicCurveModel, terms) -> SmoothPoint:
     """sum c * P over the (c, P) pairs, by the group law."""
-    acc = None
+    acc, origin = None, model.zero().key
     for c, pt in terms:
-        if not c or pt.point == model.origin:
+        if not c or pt.key == origin:
             continue
         term = pt if c == 1 else model.negate(pt) if c == -1 else model.scalar(c, pt)
         acc = term if acc is None else model.add(acc, term)
@@ -958,25 +1101,26 @@ def _enumerated_coordinates(model: CubicCurveModel, images: list[SmoothPoint]):
     then is not torsion."""
     n = len(images)
     bound = 12 if model.field.char == 0 else None
-    members = {model.origin: (model.zero(), (0,) * n)}  # point -> (element, c)
+    zero = model.zero()
+    members = {zero.key: (zero, (0,) * n)}  # key -> (element, c)
     relations = []
     for i, g in enumerate(images):
         acc, k = g, 1
-        while acc.point not in members:
+        while acc.key not in members:
             if k == bound:
                 return None, None
             k += 1
             if k * len(members) > _SUBGROUP_CAP:
                 raise BudgetError("image subgroup exceeds the enumeration cap")
             acc = model.add(acc, g)
-        rel = [-c for c in members[acc.point][1]]
+        rel = [-c for c in members[acc.key][1]]
         rel[i] += k
         relations.append(rel)
         if i < n - 1:
             coset = list(members.values())
             for j in range(1, k):
                 coset = [(model.add(s, g), c[:i] + (j,) + c[i + 1 :]) for s, c in coset]
-                members.update((s.point, (s, c)) for s, c in coset)
+                members.update((s.key, (s, c)) for s, c in coset)
     _, d, v = smith_normal_form(relations, u_cols=0)
     keep = [j for j in range(n) if d[j][j] != 1]
     moduli = tuple(d[j][j] for j in keep)

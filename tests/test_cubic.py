@@ -71,6 +71,7 @@ from picweyl.projgeom import (
     mat3_det,
     mat3_from_columns,
     mat3_inverse,
+    mat3_mul,
     matrix_rank,
     monomial_exponents,
     normalized,
@@ -1355,3 +1356,127 @@ def test_no_boxed_arithmetic_below_the_api():
         assert projectively_equivalent(cfg, moved)[0]
     assert (model.kind, counts) == ("smooth", {})
     assert vars(FieldElement)["__mul__"] is FieldElement.__rmul__  # restored
+
+
+# ---------------------------------------------------------------------------
+# the Weierstrass law of flex models against the chord construction
+
+WEIERSTRASS_FIELDS = (
+    PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(10007),
+    ExtensionField(5, 2), ExtensionField(3, 3),
+)
+# (exponents, coefficient of a_i) of y^2 z + a1 xyz + a3 yz^2 - x^3 - a2 x^2 z - a4 xz^2 - a6 z^3
+_LONG_FORM = {"a1": ((1, 1, 1), 1), "a3": ((0, 1, 2), 1), "a2": ((2, 0, 1), -1),
+              "a4": ((1, 0, 2), -1), "a6": ((0, 0, 3), -1)}
+
+
+def _flex_case(field, rng):
+    """(model, points): a random smooth long-Weierstrass cubic moved by a
+    random frame, with an inflection origin, and up to eight of its points
+    found from random x.  Where classification offers no inflection
+    (characteristic 2) the model is built on the image of (0:1:0)."""
+    while True:
+        a = {k: field.random_element(rng) for k in _LONG_FORM}
+        coeffs = {(0, 2, 1): 1, (3, 0, 0): -1}
+        coeffs.update({key: a[k] * sign for k, (key, sign) in _LONG_FORM.items()})
+        m = _frame(field, rng)
+        moved = Poly3(field, coeffs).compose_linear(m)  # its points are m^-1 (x : y : z)
+        try:
+            model = classify_cubic(moved)
+        except CurveError:
+            continue
+        if model.kind == "smooth":
+            break
+    m = mat3_inverse(m, field)
+
+    def moved_point(x, y, z):
+        return ProjectivePoint.from_raw(field, mat3_apply(m, (x, y, z), field))
+
+    if model.relaxed_origin:
+        model = CubicCurveModel(moved, "smooth", moved_point(field._zero, field._one, field._zero))
+    pts = [model.zero()]
+    for _ in range(8):
+        x = field.random_element(rng)
+        c1 = a["a1"] * x + a["a3"]
+        c0 = -(x * x * x + a["a2"] * x * x + a["a4"] * x + a["a6"])
+        for y in polys.roots_in_field(field, [c0.raw, c1.raw, field._one]):
+            pts.append(model.smooth_point(moved_point(x.raw, y, field._one)))
+    return model, pts
+
+
+@pytest.mark.parametrize("field", WEIERSTRASS_FIELDS, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32), picks=st.lists(st.integers(0, 100), min_size=2, max_size=6))
+def test_weierstrass_law_matches_chord_add(field, seed, picks):
+    model, pts = _flex_case(field, random.Random(seed))
+    frame = model.weierstrass
+    assert frame is not None and model.zero().w is None
+    z = model.zero()
+    for i in picks:
+        a = pts[i % len(pts)]
+        b = pts[(i * 7 + 1) % len(pts)]
+        for p, q in ((a, b), (a, a), (a, z), (z, a), (a, model.negate(a))):
+            got = model.add(p, q)
+            want = model.chord_add(p, q)
+            assert got == want and got.point == want.point
+            assert model.contains(got.point) and model.smooth_point(got.point) == got
+        assert model.add(a, model.negate(a)) == z
+        assert model.negate(model.negate(a)) == a
+        assert model.scalar(3, a) == model.chord_add(a, model.chord_add(a, a))
+        assert model.scalar(-2, a) == model.negate(model.chord_add(a, a))
+
+
+@pytest.mark.parametrize("field", WEIERSTRASS_FIELDS, ids=repr)
+def test_flex_models_frame_the_cubic_in_long_weierstrass_form(field):
+    rng = random.Random(f"long-form/{field}")
+    for _ in range(6):
+        model, _ = _flex_case(field, rng)
+        frame = model.weierstrass
+        h = model.poly.compose_linear(frame.to_plane)
+        c = h.coefficient((0, 2, 1))
+        assert c
+        allowed = {key for key, _ in _LONG_FORM.values()} | {(0, 2, 1), (3, 0, 0)}
+        assert set(h.terms) <= allowed
+        assert h.coefficient((3, 0, 0)) == -c
+        for name, (key, sign) in _LONG_FORM.items():
+            assert h.coefficient(key) == c * FieldElement(field, getattr(frame, name)) * sign
+        one, zero = field._one, field._zero
+        origin = mat3_apply(frame.to_plane, (zero, one, zero), field)
+        assert ProjectivePoint.from_raw(field, origin) == model.origin
+        ident = tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
+        assert mat3_mul(frame.from_plane, frame.to_plane, field) == ident
+
+
+def test_relaxed_origin_keeps_the_generic_law(monkeypatch):
+    assert layer_fixture("elliptic-F7")[0].weierstrass is not None
+    m, pts = layer_fixture("relaxed-F7")
+    assert m.relaxed_origin and m.weierstrass is None
+    a, b = m.smooth_point(pts[0]), m.smooth_point(pts[1])
+    assert m.add(a, b).frame is None and m.add(a, b) == m.chord_add(a, b)
+    # the tangent at the origin is computed once per model, not per negation
+    expected = [m.negate(m.smooth_point(p)) for p in pts]
+    fresh = classify_cubic(m.poly)
+    third, calls = CubicCurveModel._third, []
+
+    def counting_third(self, u, v):
+        calls.append(u == v == self.origin.raw)
+        return third(self, u, v)
+
+    monkeypatch.setattr(CubicCurveModel, "_third", counting_third)
+    assert [fresh.negate(fresh.smooth_point(p)) for p in pts] == expected
+    assert sum(calls) == 1
+
+
+def test_flex_models_never_run_the_chord_construction(monkeypatch):
+    m, pts = layer_fixture("smooth-F101")
+    fresh = classify_cubic(m.poly)
+
+    def refuse(self, u, v):
+        raise AssertionError("the chord construction ran on a flex model")
+
+    monkeypatch.setattr(CubicCurveModel, "_third", refuse)
+    layer, expected = restriction_layer(fresh, pts), restriction_layer(m, pts)
+    assert (layer.moduli, layer.columns) == (expected.moduli, expected.columns)
+    unnodal_by_kernel(fresh, pts)
+    g = fresh.smooth_point(pts[0])
+    assert fresh.scalar(-7, g) == fresh.negate(fresh.scalar(7, g))

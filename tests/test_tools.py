@@ -50,13 +50,35 @@ def test_summary_of_two_pairs():
     assert lines[5].split() == ["attempted", "operations", "1150", "1450"]
     # per run: 50 and 40 MB per 1,000 for the parent, 40 and 40 for the change
     assert lines[6].split() == ["peak_rss_mb", "per", "1k", "ops", "45", "40"]
-    assert lines[7].split() == ["host", "speed", "factor", "1.15", "1.4"]
+    # within the sides, (300 + 200) / (45,000 + 5,000) = 0.01 MB per operation;
+    # the change's 58 MB at 1,450 operations is 55 MB at the parent's 1,150
+    assert lines[7].split()[:5] == ["rss", "slope", "per", "1k", "ops"]
+    assert lines[7].split()[5] == "10"
+    assert lines[8].split()[:6] == ["rss", "at", "parent", "ops", "51", "55"]
+    assert lines[9].split() == ["host", "speed", "factor", "1.15", "1.4"]
     # a failed run has no values, so the cli rows have no change side; the
-    # parent's run printed no factor
-    assert lines[9].split() == ["ops_per_s", "6", "-", "0/0", "-"]
-    assert lines[10].split() == ["quartiles", "parent", "-", "change", "-", "gain", "rule", "-"]
-    assert lines[14].split() == ["peak_rss_mb", "per", "1k", "ops", "300", "-"]
-    assert lines[15].split() == ["host", "speed", "factor", "-", "-"]
+    # parent's run printed no factor, and one run fits no slope
+    assert lines[11].split() == ["ops_per_s", "6", "-", "0/0", "-"]
+    assert lines[12].split() == ["quartiles", "parent", "-", "change", "-", "gain", "rule", "-"]
+    assert lines[16].split() == ["peak_rss_mb", "per", "1k", "ops", "300", "-"]
+    assert lines[17].split()[5] == "-"
+    assert lines[18].split()[4:6] == ["30", "-"]
+    assert lines[19].split() == ["host", "speed", "factor", "-", "-"]
+
+
+def test_memory_fit_separates_kept_records_from_program_memory():
+    # 2.5 KB per kept record on both sides, and 1 MB more program memory on
+    # the change side, which also runs more operations: per 1,000 operations
+    # the change looks leaner, a single fit would take the 1 MB for growth,
+    # and the projection to the parent's count shows the 1 MB
+    runs = []
+    for pair, (parent_ops, change_ops) in enumerate(((2000, 2600), (2400, 3000), (2200, 3400))):
+        runs.append(_run(pair, "parent", 100.0, 19.0 + 0.0025 * parent_ops, parent_ops))
+        runs.append(_run(pair, "change", 120.0, 20.0 + 0.0025 * change_ops, change_ops))
+    lines = summary(SPEC, {"workloads": {"kernel": runs}})
+    assert lines[6].split()[-2:] == ["11.14", "9.167"]
+    assert lines[7].split()[5] == "2.5"
+    assert lines[8].split()[4:6] == ["24.5", "25.5"]
 
 
 @pytest.mark.parametrize("behind, crashed, rule",

@@ -29,7 +29,10 @@ more than the parent's interquartile distance, and no more failed runs
 than the parent); then the median number
 of attempted operations on either side, the median peak_rss_mb per 1,000
 of them (peak_rss_mb grows with the number of operations, since every
-record is kept) and the median host speed factor of either side.
+record is kept), the growth of peak_rss_mb per 1,000 attempted operations
+fitted over the workload's runs, the parent's median peak_rss_mb beside
+the change's projected to the parent's median attempted count, and the
+median host speed factor of either side.
 The exit code is 1 when any run failed, and 2, before anything runs, when
 --change is HEAD and tracked files under src/ differ from it (the change
 side would run the commit, not the working tree), or when
@@ -105,6 +108,34 @@ def _failed(run: dict) -> bool:
     return run["exit"] != 0 or "metrics" not in res or res.get("failed", 0) > 0
 
 
+def rss_slope(points: dict[str, list[tuple[float, float]]]) -> float | None:
+    """The least-squares slope of peak_rss_mb on attempted operations over
+    the (attempted, peak_rss_mb) points of both sides, with one intercept
+    per side: the memory each kept record adds, apart from any difference
+    in program memory between the sides, which a single intercept would
+    count as growth when one side also runs more operations.  None when
+    no side's attempted counts differ."""
+    sxy = sxx = 0.0
+    for side in points.values():
+        if not side:
+            continue
+        mx = statistics.fmean(x for x, _ in side)
+        my = statistics.fmean(y for _, y in side)
+        sxy += sum((x - mx) * (y - my) for x, y in side)
+        sxx += sum((x - mx) ** 2 for x, _ in side)
+    return sxy / sxx if sxx else None
+
+
+def projected_rss(points: dict[str, list[tuple[float, float]]], slope: float | None) -> str:
+    """The change's median peak_rss_mb moved along the slope from its median
+    attempted count to the parent's."""
+    if slope is None or not points["parent"] or not points["change"]:
+        return "-"
+    shift = (statistics.median(x for x, _ in points["parent"])
+             - statistics.median(x for x, _ in points["change"]))
+    return f"{statistics.median(y for _, y in points['change']) + slope * shift:.4g}"
+
+
 def earlier_workloads(path: Path, record: dict) -> dict:
     """The workloads already recorded in path for the same parent, change
     and run length as record, so that a run of other workloads keeps them;
@@ -125,8 +156,9 @@ def summary(spec: dict, record: dict) -> list[str]:
     the median of each side, the pairs the change is ahead in and the
     relative change of the medians, then each side's quartiles and the
     gain rule; then the median attempted operations of each side, the
-    median peak_rss_mb per 1,000 of them and the median host speed factor.
-    A failed run has no values."""
+    median peak_rss_mb per 1,000 of them, `rss_slope` per 1,000 of them,
+    the parent's median peak_rss_mb beside the change's `projected_rss`,
+    and the median host speed factor.  A failed run has no values."""
     lines = []
     for name, runs in record["workloads"].items():
         pairs: dict[int, dict] = {}
@@ -159,6 +191,7 @@ def summary(spec: dict, record: dict) -> list[str]:
                          f"{_gain_rule(metric, values['parent'], values['change'], ahead, len(pairs), failed)}")
         attempted: dict[str, list] = {"parent": [], "change": []}
         rss_per_k: dict[str, list] = {"parent": [], "change": []}
+        rss_points: dict[str, list] = {"parent": [], "change": []}
         factors: dict[str, list] = {"parent": [], "change": []}
         for run in runs:
             if run.get("host_speed_factor") is not None:
@@ -169,10 +202,18 @@ def summary(spec: dict, record: dict) -> list[str]:
                 rss = res.get("metrics", {}).get("peak_rss_mb", {}).get("value")
                 if rss is not None:
                     rss_per_k[run["side"]].append(rss * 1000 / res["attempted"])
+                    rss_points[run["side"]].append((res["attempted"], rss))
         lines.append(f"  {'attempted operations':24s}{_median(attempted['parent']):>10s}"
                      f"{_median(attempted['change']):>10s}")
         lines.append(f"  {'peak_rss_mb per 1k ops':24s}{_median(rss_per_k['parent']):>10s}"
                      f"{_median(rss_per_k['change']):>10s}")
+        slope = rss_slope(rss_points)
+        fitted = "-" if slope is None else f"{slope * 1000:.4g}"
+        lines.append(f"  {'rss slope per 1k ops':24s}{fitted:>10s}{'':10s}  "
+                     "fit over both sides, one intercept each")
+        parent_rss = [y for _, y in rss_points["parent"]]
+        lines.append(f"  {'rss at parent ops':24s}{_median(parent_rss):>10s}"
+                     f"{projected_rss(rss_points, slope):>10s}  change side projected")
         lines.append(f"  {'host speed factor':24s}{_median(factors['parent']):>10s}"
                      f"{_median(factors['change']):>10s}")
     return lines
