@@ -1,5 +1,5 @@
-"""Plane cubics: classification, canonical singular models, the
-chord-tangent group law, and lattice-class restriction to the curve.
+"""Plane cubics: classification, canonical models, the group laws, and
+lattice-class restriction to the curve.
 
 The classification reads the singular scheme of f, cut out by f and its
 partials, from d, the dimension of its degree-4 part: the kernel of the
@@ -34,13 +34,19 @@ Canonical models and parameters:
   With a relaxed origin (relaxed_origin=True) the canonical curve is
   8 (y^2 z - x^3 - x^2 z) = (1 - kappa) (y - x)^3, the origin has t = 1 and
   three points are collinear iff the product is the model's kappa;
-* smooth: chord-tangent law with an inflection origin when one is rational,
-  otherwise the first rational point in a deterministic scan
+* smooth with a rational inflection origin: the Weierstrass frame sends the
+  origin to (0:1:0) and its tangent to z = 0, where the curve reads
+  y^2 z + a1 xyz + a3 yz^2 = x^3 + a2 x^2 z + a4 xz^2 + a6 z^3 in every
+  characteristic, and points add by the long-Weierstrass formulas on their
+  affine coordinates, one field inversion per operation;
+* smooth without one: the chord-tangent law through the jet of f, with the
+  first rational point of a deterministic scan as origin
   (relaxed_origin=True).
 
 With a relaxed origin the line class is represented by the third
 intersection of the tangent at the origin, which keeps the restriction map
-a homomorphism for any origin.
+a homomorphism for any origin.  `chord_add` runs the chord construction on
+every model, as the oracle of the other laws.
 """
 
 from __future__ import annotations
